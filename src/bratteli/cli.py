@@ -20,7 +20,7 @@ import io
 import json
 import os
 import sys
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional
 
@@ -56,8 +56,9 @@ def fr_str(x: Fraction) -> str:
 
 
 def fr_decimal(x: Fraction, digits: int = 12) -> str:
-    getcontext().prec = digits
-    return str(Decimal(x.numerator) / Decimal(x.denominator))
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return str(Decimal(x.numerator) / Decimal(x.denominator))
 
 
 def rational_doc(x: Fraction) -> dict:
@@ -704,6 +705,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_CONFIG
     try:
         report, csv_table, code = args.fn(args)
+    except ext.CertificateError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ConfigError, dg.DiagramError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -14,9 +14,10 @@ The engine never reports a finite or infinite verdict without a certificate:
   law is exact by the height recursion);
 * a verified ratio bound t_{n+1}/t_n <= q < 1 whose persistence follows from
   the family's term recurrence;
-* geometric domination of the exact terms, t_n <= K * rho^n / a^(n+1), with K
-  built by a backward induction over the finitely many vertices whose
-  multiplicities exceed the eventual tail value;
+* exact resolvent sums on stationary chains whose multiplicities above the
+  odometer stay below a_i: mass and cylinder series are Neumann series of a
+  triangular matrix with diagonal below a_i, summed by one back-substitution
+  to e^T (a_i I - M)^(-1) r;
 * comparison against sum 1/a_n with an integral tail bound, for polynomially
   growing level sequences;
 * for divergence, terms eventually nondecreasing and bounded below, a block
@@ -43,7 +44,7 @@ from .diagram import (
     heights,
 )
 from .measure import CylinderSpec, EndVertex, MeasureVectors, as_end_vertex
-from .sequences import Arithmetic, Constant, Geometric, IntSequence, Polynomial, Table
+from .sequences import Arithmetic, Geometric, IntSequence, Polynomial, Table
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -59,7 +60,7 @@ class CertificateError(DiagramError):
     """A certificate failed its own verification (internal inconsistency)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvergenceResult:
     """Certified outcome of a nonnegative series.
 
@@ -301,20 +302,13 @@ def _mass_vertex_table(spec: DiagramSpec, i: int, max_terms: int) -> Convergence
                 f"range at vertex {v_const}, and {tau + 1} >= {a_i}, so t_n >= {eps} for n >= {d}"
             )
             return _climb_infinite(spec, i, d, eps, why, max_terms, lead)
-        # every multiplicity above i is smaller than a_i: geometric domination
-        rho_raw = max([tau + 1] + [diag.value(v - 1) for v in range(i + 1, v_const)])
-        rho = Fraction(rho_raw + a_i, 2)
-        k_bound = Fraction(1)
+        # every multiplicity above i is smaller than a_i: the series is the
+        # Neumann series of a triangular matrix with diagonal below a_i, so it
+        # sums exactly to the resolvent, solved by back-substitution
+        s = Fraction(1, a_i - tau - 1)
         for v in range(v_const - 1, i, -1):
-            k_bound = max(Fraction(1), k_bound / (rho - diag.value(v - 1)))
-        return _dominated_sum(
-            terms_fn=lambda count: mass_series_terms(spec, i, count),
-            k_bound=k_bound,
-            rho=rho,
-            denom=Fraction(a_i),
-            max_terms=max_terms,
-            lead=lead,
-        )
+            s = (1 + s) / (a_i - diag.value(v - 1))
+        return _finite(lead, 0, s, "resolvent-exact", exact=lead + s)
 
     # no eventual constant (unbounded diagonal, e.g. 2,3,4,...)
     if diag.value(i) >= a_i:
@@ -354,31 +348,6 @@ def _climb_infinite(spec, i, n0, eps, why, max_terms, lead) -> ConvergenceResult
         if terms[n] < eps:
             raise CertificateError(f"term {n} fell below its climb lower bound")
     return _infinite(lead + sum(terms), m, why, "climb-lower-bound")
-
-
-def _dominated_sum(terms_fn, k_bound, rho, denom, max_terms, lead) -> ConvergenceResult:
-    """Sum exact terms verified against t_n <= k_bound * rho^n / denom^(n+1)."""
-    ratio = rho / denom
-    if ratio >= 1:
-        raise CertificateError("domination needs rho < denominator base")
-
-    def tail_at(n: int) -> Fraction:
-        return k_bound / denom * ratio**n / (1 - ratio)
-
-    count = max_terms
-    terms = terms_fn(count)
-    partial = Fraction(0)
-    bound = k_bound / denom  # k_bound * rho^n / denom^(n+1) at n=0
-    used = 0
-    for n, t in enumerate(terms):
-        if t > bound:
-            raise CertificateError(f"term {n} exceeds its domination bound")
-        partial += t
-        bound *= ratio
-        used = n + 1
-        if tail_at(used) <= (lead + partial) * _NEGLIGIBLE:
-            break
-    return _finite(lead + partial, used, tail_at(used), "geometric-domination")
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +404,12 @@ def _mass_level_uniform(spec: DiagramSpec, i: int, max_terms: int) -> Convergenc
             prod_a *= a_n
         return out
 
-    if isinstance(tail_seq, (Constant,)) or (
-        isinstance(tail_seq, Arithmetic) and tail_seq.step == 0
-    ) or (isinstance(tail_seq, Geometric) and tail_seq.ratio == 1) or (
-        isinstance(tail_seq, Polynomial) and tail_seq.degree() == 0
-    ):
+    cf = tail_seq.constant_from()
+    if cf is not None:
         m = min(max_terms, max(start + 8, 48))
         terms = exact_terms(m)
         _verify_nondecreasing(terms, start)
-        c = tail_seq.value(0) if not isinstance(tail_seq, Constant) else tail_seq.c
+        c = cf[1]
         witness = (
             f"for n >= {start} the term ratio is (a_n+1)/a_(n+1) = ({c}+1)/{c} > 1, "
             f"so terms are nondecreasing and bounded below by {terms[start]}"
@@ -689,23 +655,11 @@ def _cylinder_series_vertex_table(spec, i, m, j, max_terms) -> ConvergenceResult
 
     rho_raw = max(zone)
     if rho_raw < a_i:
-        rho = Fraction(rho_raw + a_i, 2)
-        k_bound = Fraction(1) / rho**m
-        for v in range(j - 1, i, -1):
-            k_bound = k_bound / (rho - diag.value(v - 1))
-
-        def shifted_terms(count: int) -> list[Fraction]:
-            # align indices: term at series position n corresponds to rho^n
-            return [Fraction(0)] * m + dp_terms(count - m if count > m else 0)
-
-        return _dominated_sum(
-            terms_fn=shifted_terms,
-            k_bound=k_bound,
-            rho=rho,
-            denom=Fraction(a_i),
-            max_terms=max(max_terms, m + 8),
-            lead=Fraction(0),
-        )
+        # resolvent of the triangular path-count recursion, exact
+        val = Fraction(1, a_i**m)
+        for a_v in zone:
+            val /= a_i - a_v
+        return _finite(Fraction(0), 0, val, "resolvent-exact", exact=val)
     if diag.value(i) >= a_i:
         count = min(max_terms, 48)
         terms = dp_terms(count)
@@ -742,14 +696,9 @@ def _reciprocal_series(
     def prefix_sum(upto: int) -> Fraction:
         return sum((scale / seq.value(n) for n in range(start, upto)), Fraction(0))
 
-    constant_like = (
-        isinstance(tail_seq, Constant)
-        or (isinstance(tail_seq, Arithmetic) and tail_seq.step == 0)
-        or (isinstance(tail_seq, Geometric) and tail_seq.ratio == 1)
-        or (isinstance(tail_seq, Polynomial) and tail_seq.degree() == 0)
-    )
-    if constant_like:
-        c = tail_seq.value(0)
+    cf = tail_seq.constant_from()
+    if cf is not None:
+        c = cf[1]
         m = min(max_terms, lo - start + 16)
         witness = f"terms are eventually the constant {scale}/{c} > 0"
         return _infinite(prefix_sum(start + m), m, witness, "nondecreasing-terms")
@@ -886,18 +835,27 @@ class ExtendedMeasure:
                 tail_bound=res.tail_bound / mass,
                 certificate=f"{res.certificate} / exact mass",
             )
+        # value in [v_lo, v_hi], mass in [lo, hi]: the quotient lies in
+        # [v_lo/hi, v_hi/lo]
+        v_lo, v_hi = res.interval()
+        if res.is_exact:
+            v_lo = v_hi = res.exact_value
         lo, hi = self.total_mass.interval()
-        mid = (lo + hi) / 2
         return ConvergenceResult(
             FINITE,
-            res.partial_sum / mid,
+            v_lo / hi,
             res.terms_used,
-            tail_bound=res.tail_bound / mid,
-            certificate=f"{res.certificate} / midpoint mass",
+            tail_bound=v_hi / lo - v_lo / hi,
+            certificate=f"{res.certificate} / mass interval",
         )
 
     def measure_vectors(self, window: Truncation) -> MeasureVectors:
         """Ambient vectors p^(n)_j when every needed cylinder value is exact."""
+        if self.normalized and not self.total_mass.is_exact:
+            raise WindowError(
+                f"extension mass of odometer {self.index} is not exact; "
+                "normalized ambient vectors unavailable"
+            )
 
         def fn(n: int, jj: int) -> Fraction:
             res = extended_cylinder_measure(self.spec, self.index, EndVertex(n, jj))

@@ -27,7 +27,7 @@ VERTICAL = "v"
 DIAGONAL = "f"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndVertex:
     """The tail-invariant cylinder abbreviation: length m, end vertex index.
 

@@ -172,7 +172,7 @@ def eigen_measure(spec: DiagramSpec, pair: EigenPair, window: Optional[Truncatio
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CylinderComparison:
     cylinder: EndVertex
     eigen_value: Fraction

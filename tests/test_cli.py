@@ -1,10 +1,13 @@
 """Command-line surface: dispatch, formats, determinism, exit codes."""
 
 import json
+from decimal import getcontext, localcontext
 
 
+from bratteli import cli
 from bratteli.cli import (
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_UNCERTIFIED,
     fr_decimal,
@@ -24,6 +27,13 @@ def test_fraction_formatting():
     assert fr_str(Fraction(3, 2)) == "3/2"
     assert fr_str(Fraction(2)) == "2/1"
     assert fr_decimal(Fraction(1, 3)).startswith("0.333333333333")
+
+
+def test_fr_decimal_keeps_global_precision():
+    with localcontext() as ctx:
+        ctx.prec = 28
+        fr_decimal(Fraction(1, 3))
+        assert getcontext().prec == 28
 
 
 def test_measure_classify_human(capsys):
@@ -218,6 +228,16 @@ def test_undetermined_exit_code(capsys):
         "--entries", "[[0,1,3]]", "--i", "1",
     )
     assert code == EXIT_UNCERTIFIED
+
+
+def test_certificate_error_is_internal(capsys, monkeypatch):
+    def broken(args):
+        raise cli.ext.CertificateError("terms decrease at n=3")
+
+    monkeypatch.setattr(cli, "cmd_measure_classify", broken)
+    code, _, err = run(capsys, "measure", "classify", "--family", "ak", "--a", "4", "--k", "2")
+    assert code == EXIT_INTERNAL
+    assert err.startswith("internal error: terms decrease")
 
 
 def test_config_file(capsys, tmp_path):

@@ -6,7 +6,7 @@ Core claims:
     - increasing chain: every extension is infinite
     - uniform non-stationary chain: finite iff the reciprocal level sums
       converge (constant 2 diverges, powers of two and squares converge)
-    - decreasing chain: mass interval contains the closed-form product sum
+    - decreasing chain: mass is exactly the closed-form product sum
     - partial sums reproduce the level identity sum_W H_w p_w exactly
     - extended cylinder values match the closed forms, including the
       sigma-finite k = 1 case, and add up across levels to the total mass
@@ -25,6 +25,7 @@ from bratteli.diagram import (
     StationaryDecreasing,
     StationaryIncreasing,
     Truncation,
+    WindowError,
     heights,
     telescope,
 )
@@ -111,6 +112,7 @@ def test_decreasing_mass_contains_product_sum():
     oracle = closed_form_oracles(DEC, 1)
     assert res.status == FINITE and oracle.status == FINITE
     assert oracle.mass == Fraction(7, 4)
+    assert res.exact_value == Fraction(7, 4)
     assert res.contains(oracle.mass)
 
 
@@ -128,6 +130,7 @@ def test_mass_terms_match_windowed_heights():
     res = odometer_extension_mass(spec, 1, 400)
     oracle = closed_form_oracles(spec, 1)
     assert oracle.mass == Fraction(157, 120)
+    assert res.exact_value == Fraction(157, 120)
     assert res.contains(oracle.mass)
 
 
@@ -139,8 +142,8 @@ def test_decreasing_boundary_diverges():
 
 def test_random_vertex_tables_match_oracle():
     # random vertex tables with constant tails, dominated or not: the engine's
-    # verdict must match the closed-form criterion, and finite intervals must
-    # contain the exact product-sum mass
+    # verdict must match the closed-form criterion, and finite masses must be
+    # exactly the product-sum mass
     rng = random.Random(71)
     for _ in range(120):
         a1 = rng.randint(2, 12)
@@ -152,6 +155,7 @@ def test_random_vertex_tables_match_oracle():
         oracle = closed_form_oracles(spec, i)
         assert res.status == oracle.status, (spec, i)
         if oracle.status == FINITE:
+            assert res.exact_value == oracle.mass, (spec, i)
             assert res.contains(oracle.mass), (spec, i)
 
 
@@ -311,7 +315,8 @@ def test_decreasing_cylinder_product_formula():
     assert res.exact_value == Fraction(1, 2 * 25)
     res = extended_cylinder_measure(DEC, 1, EndVertex(1, 4), 400)
     want = Fraction(1, 2 * 3 * 3 * 5)
-    assert res.status == FINITE and res.contains(want)
+    assert res.status == FINITE and res.exact_value == want == Fraction(1, 90)
+    assert res.contains(want)
 
 
 def test_nonstationary_neighbor_cylinder():
@@ -349,12 +354,16 @@ def test_cylinder_partials_match_bruteforce_path_counts():
         for m, j in [(0, 3), (2, 4), (1, 2)]:
             if j <= i:
                 continue
+            ext = extended_cylinder_measure(spec, i, EndVertex(m, j))
             n_vec = {v: 0 for v in range(i + 1, j + 1)}
             n_vec[j] = 1
             partial = Fraction(0)
             den = a_i ** (m + 1)
             for n in range(m, m + 10):
-                assert brute_paths(spec, m, j, n, i) * Fraction(1, a_i**n) == partial
+                brute = brute_paths(spec, m, j, n, i) * Fraction(1, a_i**n)
+                assert brute == partial
+                if ext.status == FINITE:
+                    assert brute <= ext.exact_value
                 partial += Fraction(n_vec[i + 1], den)
                 nxt = {}
                 for v in range(i + 1, j + 1):
@@ -392,6 +401,31 @@ def test_extension_vectors_pass_invariance():
     window = Truncation(7, 9)
     mv = extend_odometer(spec, 1).measure_vectors(window)
     assert check_tail_invariance(spec, mv, window).ok
+    # the decreasing chain's mass is exact, so its normalized vectors exist
+    window = Truncation(5, 5)
+    mv = extend_odometer(DEC, 1).normalize().measure_vectors(window)
+    assert check_tail_invariance(DEC, mv, window).ok
+    assert mv.value(0, 1) == Fraction(4, 7)
+
+
+def test_normalized_cylinder_interval_uses_mass_bounds():
+    # the mass of this chain is only known to an interval; the normalized
+    # cylinder value must cover the cylinder value over every mass in it
+    spec = NonStationaryUniform(Geometric(2, 2))
+    ext = extend_odometer(spec, 1)
+    assert not ext.total_mass.is_exact
+    value = extended_cylinder_measure(spec, 1, EndVertex(0, 2))
+    assert value.exact_value == 1
+    lo, hi = ext.total_mass.interval()
+    res = ext.normalize().cylinder_value(EndVertex(0, 2))
+    assert res.status == FINITE
+    assert res.contains(1 / hi) and res.contains(1 / lo)
+
+
+def test_normalized_vectors_need_exact_mass():
+    ext = extend_odometer(NonStationaryUniform(Geometric(2, 2)), 1).normalize()
+    with pytest.raises(WindowError, match="not exact"):
+        ext.measure_vectors(Truncation(3, 3))
 
 
 # -- classification ---------------------------------------------------------------

@@ -198,6 +198,7 @@ def test_compare_decreasing_within_tail():
     cyls = [EndVertex(m, j) for m in range(4) for j in range(1, 5)]
     report = compare_eigen_vs_extension(spec, 1, pair, cyls, max_terms=400)
     assert report.all_equal
+    assert all(e.verdict == "equal-exact" for e in report.entries)
     entry = next(e for e in report.entries if e.cylinder == EndVertex(2, 2))
     assert entry.eigen_value == Fraction(1, 50)
 
