@@ -8,6 +8,16 @@ Exact rationals are emitted as ``num/den`` strings plus a 12-significant-digit
 decimal; infinite outcomes as the literal ``inf`` with their divergence
 witness attached.
 
+One table, ``COMMANDS``, drives the surface: it maps each command name to
+its help text, whether it takes a diagram family (the ``FAMILY_OPTIONS``
+flags, built by ``FAMILIES``), and its own arguments.  ``main`` builds the
+diagram once and calls ``cmd_<group>_<name>(args, spec, window)`` (``spec``
+and ``window`` are ``None`` for commands without a family).  A handler
+returns ``(body, (csv_header, csv_rows), exit_code)``; ``main`` puts
+``command`` and ``family`` in front of the body, so a handler that changes
+the window reports its own ``family``.  Size flags are bounded by the
+``BRATTELI_MAX_WORK`` work budget.
+
 Exit status: 0 success, 1 internal error, 2 configuration error, 3 at least
 one result could not be certified (undetermined).
 """
@@ -29,11 +39,7 @@ from . import extension as ext
 from . import finite_stationary as fs
 from . import orders as od
 from . import spectral as sp
-from .measure import (
-    EndVertex,
-    MeasureVectors,
-    check_tail_invariance,
-)
+from .measure import EndVertex, MeasureVectors, check_tail_invariance
 from .sequences import seq_from_text
 
 EXIT_OK = 0
@@ -98,17 +104,46 @@ def result_cell(res: ext.ConvergenceResult) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _add_family_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=["ak", "decreasing", "increasing", "nonstat-uniform", "general-chain"])
-    p.add_argument("--a", type=int, help="ak family: first odometer size")
-    p.add_argument("--k", type=int, help="ak family: drop to the remaining odometers")
-    p.add_argument("--diagonal", help="decreasing family: vertex sequence, e.g. table:5,3:constant:2")
-    p.add_argument("--an", help="nonstat-uniform family: level sequence, e.g. constant:2")
-    p.add_argument("--entries", help="general-chain: JSON list of [level, vertex, value]")
-    p.add_argument("--default", type=int, default=2, help="general-chain: off-table value")
-    p.add_argument("--spec-json", help="path to a full diagram JSON document")
-    p.add_argument("--max-level", type=int, default=16)
-    p.add_argument("--max-vertex", type=int, default=12)
+def _max_work() -> int:
+    return int(os.environ.get("BRATTELI_MAX_WORK", "200000"))
+
+
+def _work_size(text: str) -> int:
+    """argparse type of the size flags: an int within the work budget."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    budget = _max_work()
+    if not 0 <= n <= budget:
+        raise argparse.ArgumentTypeError(f"{n} is outside 0..{budget} (the BRATTELI_MAX_WORK work budget)")
+    return n
+
+
+# family name -> (flags it needs, constructor); the keys are the --family choices
+FAMILIES = {
+    "ak": (("a", "k"), lambda args: dg.StationaryAK(args.a, args.k)),
+    "decreasing": (("diagonal",), lambda args: dg.StationaryDecreasing(seq_from_text(args.diagonal))),
+    "increasing": ((), lambda args: dg.StationaryIncreasing()),
+    "nonstat-uniform": (("an",), lambda args: dg.NonStationaryUniform(seq_from_text(args.an))),
+    "general-chain": (
+        (),
+        lambda args: dg.GeneralChain(tuple(tuple(e) for e in json.loads(args.entries or "[]")), args.default),
+    ),
+}
+
+FAMILY_OPTIONS = [
+    ("--family", dict(choices=list(FAMILIES))),
+    ("--a", dict(type=int, help="ak family: first odometer size")),
+    ("--k", dict(type=int, help="ak family: drop to the remaining odometers")),
+    ("--diagonal", dict(help="decreasing family: vertex sequence, e.g. table:5,3:constant:2")),
+    ("--an", dict(help="nonstat-uniform family: level sequence, e.g. constant:2")),
+    ("--entries", dict(help="general-chain: JSON list of [level, vertex, value]")),
+    ("--default", dict(type=int, default=2, help="general-chain: off-table value")),
+    ("--spec-json", dict(help="path to a full diagram JSON document")),
+    ("--max-level", dict(type=_work_size, default=16)),
+    ("--max-vertex", dict(type=int, default=12)),
+]
 
 
 def _load_doc(text_or_path: str):
@@ -120,28 +155,16 @@ def _load_doc(text_or_path: str):
 
 def _build_spec(args) -> tuple[dg.DiagramSpec, dg.Truncation]:
     window = dg.Truncation(args.max_level, args.max_vertex)
-    if getattr(args, "spec_json", None):
+    if args.spec_json:
         spec, win = dg.diagram_from_json(_load_doc(args.spec_json))
         return spec, (win or window)
-    fam = args.family
-    if fam == "ak":
-        if args.a is None or args.k is None:
-            raise ConfigError("ak family needs --a and --k")
-        return dg.StationaryAK(args.a, args.k), window
-    if fam == "decreasing":
-        if not args.diagonal:
-            raise ConfigError("decreasing family needs --diagonal")
-        return dg.StationaryDecreasing(seq_from_text(args.diagonal)), window
-    if fam == "increasing":
-        return dg.StationaryIncreasing(), window
-    if fam == "nonstat-uniform":
-        if not args.an:
-            raise ConfigError("nonstat-uniform family needs --an")
-        return dg.NonStationaryUniform(seq_from_text(args.an)), window
-    if fam == "general-chain":
-        entries = tuple(tuple(e) for e in json.loads(args.entries or "[]"))
-        return dg.GeneralChain(entries, args.default), window
-    raise ConfigError("no diagram family given (use --family or --spec-json)")
+    if args.family is None:
+        raise ConfigError("no diagram family given (use --family or --spec-json)")
+    needs, build = FAMILIES[args.family]
+    # an int flag may be 0; a text flag must be non-empty
+    if any(getattr(args, flag) in (None, "") for flag in needs):
+        raise ConfigError(f"{args.family} family needs " + " and ".join("--" + flag for flag in needs))
+    return build(args), window
 
 
 def _parse_cylinders(text: str) -> list[EndVertex]:
@@ -162,13 +185,11 @@ def _parse_cylinders(text: str) -> list[EndVertex]:
 # ---------------------------------------------------------------------------
 
 
-def emit(report: dict, fmt: str, csv_table: Optional[tuple[list[str], list[list[str]]]] = None) -> None:
+def emit(report: dict, fmt: str, csv_table: tuple[list[str], list[list[str]]]) -> None:
     if fmt == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
         return
     if fmt == "csv":
-        if csv_table is None:
-            raise ConfigError(f"command {report.get('command')} has no csv form")
         header, rows = csv_table
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -201,38 +222,24 @@ def _emit_human(doc, indent: int = 0) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations (each returns (report, csv_table, exit_code))
+# Command implementations (see the module docstring for the contract)
 # ---------------------------------------------------------------------------
 
 
-def cmd_diagram_show(args):
-    spec, window = _build_spec(args)
-    level = args.level
-    mat = dg.incidence(spec, level, window)
-    report = {
-        "command": "diagram show",
-        "family": spec.to_json(window),
-        "level": level,
-        "entries": [list(e) for e in mat.entries],
-        "complete_rows": sorted(mat.complete_rows),
-    }
+def cmd_diagram_show(args, spec, window):
+    mat = dg.incidence(spec, args.level, window)
+    entries = [list(e) for e in mat.entries]
+    report = {"level": args.level, "entries": entries, "complete_rows": sorted(mat.complete_rows)}
     csv_rows = [[str(v), str(w), str(m)] for v, w, m in mat.entries]
     return report, (["row", "col", "multiplicity"], csv_rows), EXIT_OK
 
 
-def cmd_diagram_heights(args):
-    spec, window = _build_spec(args)
+def cmd_diagram_heights(args, spec, window):
     hv = dg.heights(spec, args.level, window)
     values = {str(i): str(hv.values[i]) for i in sorted(hv.values)}
-    report = {
-        "command": "diagram heights",
-        "family": spec.to_json(window),
-        "level": args.level,
-        "heights": values,
-        "exact_width": hv.exact_width,
-    }
+    report = {"level": args.level, "heights": values, "exact_width": hv.exact_width}
     if args.verify_bruteforce:
-        budget = int(os.environ.get("BRATTELI_MAX_WORK", "200000"))
+        budget = _max_work()
         checked = {}
         for i in sorted(hv.values):
             try:
@@ -240,56 +247,33 @@ def cmd_diagram_heights(args):
             except dg.WorkBudgetError:
                 checked[str(i)] = "budget-exceeded"
         report["bruteforce"] = {k: str(v) for k, v in checked.items()}
-        mismatches = [
+        report["bruteforce_mismatches"] = [
             k for k, v in checked.items() if v != "budget-exceeded" and int(values[k]) != v
         ]
-        report["bruteforce_mismatches"] = mismatches
     csv_rows = [[str(i), str(hv.values[i])] for i in sorted(hv.values)]
     return report, (["vertex", "height"], csv_rows), EXIT_OK
 
 
-def cmd_telescope(args):
-    spec, window = _build_spec(args)
+def cmd_telescope(args, spec, window):
     pts = [int(x) for x in args.breakpoints.split(",")]
     out = dg.telescope(spec, pts, window)
-    report = {
-        "command": "telescope",
-        "family": spec.to_json(window),
-        "breakpoints": pts,
-        "levels": [[list(e) for e in lvl] for lvl in out.levels],
-    }
-    csv_rows = [
-        [str(k), str(v), str(w), str(m)]
-        for k, lvl in enumerate(out.levels)
-        for v, w, m in lvl
-    ]
+    report = {"breakpoints": pts, "levels": [[list(e) for e in lvl] for lvl in out.levels]}
+    csv_rows = [[str(k), str(v), str(w), str(m)] for k, lvl in enumerate(out.levels) for v, w, m in lvl]
     return report, (["level", "row", "col", "multiplicity"], csv_rows), EXIT_OK
 
 
-def cmd_measure_classify(args):
-    spec, window = _build_spec(args)
+def cmd_measure_classify(args, spec, window):
     cls = ext.classify_ergodic_measures(spec, args.imax, args.max_terms)
-    rows = []
-    entries = []
+    entries, rows = [], []
     for e in cls.entries:
         norm = fr_str(e.normalizing_constant) if e.normalizing_constant is not None else ""
-        rows.append(
-            [
-                str(e.index),
-                e.mass.status,
-                fr_str(e.mass.partial_sum),
-                fr_str(e.mass.tail_bound) if e.mass.tail_bound is not None else "",
-                str(e.mass.terms_used),
-                norm,
-            ]
-        )
+        bound = fr_str(e.mass.tail_bound) if e.mass.tail_bound is not None else ""
+        rows.append([str(e.index), e.mass.status, fr_str(e.mass.partial_sum), bound, str(e.mass.terms_used), norm])
         doc = {"odometer": e.index, "mass": result_doc(e.mass)}
         if e.normalizing_constant is not None:
             doc["normalizing_constant"] = rational_doc(e.normalizing_constant)
         entries.append(doc)
     report = {
-        "command": "measure classify",
-        "family": spec.to_json(window),
         "imax": args.imax,
         "max_terms": args.max_terms,
         "entries": entries,
@@ -301,15 +285,9 @@ def cmd_measure_classify(args):
     return report, (header, rows), code
 
 
-def cmd_measure_extend(args):
-    spec, window = _build_spec(args)
+def cmd_measure_extend(args, spec, window):
     res = ext.odometer_extension_mass(spec, args.i, args.max_terms)
-    report = {
-        "command": "measure extend",
-        "family": spec.to_json(window),
-        "odometer": args.i,
-        "mass": result_doc(res),
-    }
+    report = {"odometer": args.i, "mass": result_doc(res)}
     rows = []
     if args.trace:
         terms = ext.mass_series_terms(spec, args.i, min(args.max_terms, args.trace))
@@ -324,8 +302,7 @@ def cmd_measure_extend(args):
     return report, (["n", "term", "partial_sum"], rows), code
 
 
-def cmd_measure_cylinder(args):
-    spec, window = _build_spec(args)
+def cmd_measure_cylinder(args, spec, window):
     cyls = _parse_cylinders(args.cylinders)
     entries, rows = [], []
     undetermined = False
@@ -334,14 +311,8 @@ def cmd_measure_cylinder(args):
         undetermined = undetermined or res.status == ext.UNDETERMINED
         entries.append({"cylinder": [cyl.length, cyl.index], "value": result_doc(res)})
         rows.append([str(cyl.length), str(cyl.index), res.status, result_cell(res)])
-    report = {
-        "command": "measure cylinder",
-        "family": spec.to_json(window),
-        "odometer": args.i,
-        "entries": entries,
-    }
-    code = EXIT_UNCERTIFIED if undetermined else EXIT_OK
-    return report, (["m", "j", "status", "value"], rows), code
+    report = {"odometer": args.i, "entries": entries}
+    return report, (["m", "j", "status", "value"], rows), EXIT_UNCERTIFIED if undetermined else EXIT_OK
 
 
 def _canonical_eigen_pair(spec: dg.DiagramSpec, shift: int) -> sp.EigenPair:
@@ -352,8 +323,7 @@ def _canonical_eigen_pair(spec: dg.DiagramSpec, shift: int) -> sp.EigenPair:
     raise ConfigError("this family has no constructive eigenpair")
 
 
-def cmd_measure_check_invariance(args):
-    spec, window = _build_spec(args)
+def cmd_measure_check_invariance(args, spec, window):
     if args.vectors:
         doc = _load_doc(args.vectors)
         table = {
@@ -367,7 +337,6 @@ def cmd_measure_check_invariance(args):
         mv = sp.eigen_measure(spec, pair, window).measure_vectors(window)
     rep = check_tail_invariance(spec, mv, window)
     report = {
-        "command": "measure check-invariance",
         "family": spec.to_json(window),
         "source": mv.label,
         "ok": rep.ok,
@@ -378,28 +347,23 @@ def cmd_measure_check_invariance(args):
     return report, (["level", "vertex"], rows), EXIT_OK if rep.ok else EXIT_UNCERTIFIED
 
 
-def cmd_eigen_verify(args):
-    spec, window = _build_spec(args)
+def cmd_eigen_verify(args, spec, window):
     pair = _canonical_eigen_pair(spec, args.shift)
     window = dg.Truncation(window.max_level, max(window.max_vertex, args.rows))
     rep = sp.verify_eigenpair(spec, pair, window)
     report = {
-        "command": "eigen verify",
         "family": spec.to_json(window),
         "eigenpair": pair.label,
         "lambda": fr_str(pair.lam),
         "rows_checked": args.rows,
         "verified": rep.verified,
-        "nonzero_rows": [
-            {"row": i, "residual": fr_str(rep.residuals[i])} for i in rep.nonzero
-        ],
+        "nonzero_rows": [{"row": i, "residual": fr_str(rep.residuals[i])} for i in rep.nonzero],
     }
     rows = [[str(i), fr_str(rep.residuals[i])] for i in rep.nonzero]
     return report, (["row", "residual"], rows), EXIT_OK if rep.verified else EXIT_UNCERTIFIED
 
 
-def cmd_eigen_measure(args):
-    spec, window = _build_spec(args)
+def cmd_eigen_measure(args, spec, window):
     pair = _canonical_eigen_pair(spec, args.shift)
     measure = sp.eigen_measure(spec, pair, window)
     if args.request:
@@ -414,45 +378,27 @@ def cmd_eigen_measure(args):
         val = measure.cylinder_value(cyl)
         entries.append({"cylinder": [cyl.length, cyl.index], "value": rational_doc(val)})
         rows.append([str(cyl.length), str(cyl.index), fr_str(val), fr_decimal(val)])
-    report = {
-        "command": "eigen measure",
-        "family": spec.to_json(window),
-        "eigenpair": pair.label,
-        "entries": entries,
-    }
+    report = {"eigenpair": pair.label, "entries": entries}
     return report, (["m", "j", "value", "decimal"], rows), EXIT_OK
 
 
-def cmd_eigen_compare(args):
-    spec, window = _build_spec(args)
+def cmd_eigen_compare(args, spec, window):
     pair = _canonical_eigen_pair(spec, args.shift)
     cyls = [EndVertex(m, j) for m in range(args.mmax + 1) for j in range(args.i, args.jmax + 1)]
     rep = sp.compare_eigen_vs_extension(spec, args.i, pair, cyls, args.max_terms)
     entries, rows = [], []
     for e in rep.entries:
-        entries.append(
-            {
-                "cylinder": [e.cylinder.length, e.cylinder.index],
-                "eigen": rational_doc(e.eigen_value),
-                "extension": result_doc(e.extension),
-                "verdict": e.verdict,
-            }
-        )
-        rows.append(
-            [str(e.cylinder.length), str(e.cylinder.index), fr_str(e.eigen_value), e.verdict]
-        )
-    report = {
-        "command": "eigen compare",
-        "family": spec.to_json(window),
-        "odometer": args.i,
-        "all_equal": rep.all_equal,
-        "entries": entries,
-    }
-    code = EXIT_OK if rep.all_equal else EXIT_UNCERTIFIED
-    return report, (["m", "j", "eigen_value", "verdict"], rows), code
+        cylinder = [e.cylinder.length, e.cylinder.index]
+        entries.append({
+            "cylinder": cylinder, "eigen": rational_doc(e.eigen_value),
+            "extension": result_doc(e.extension), "verdict": e.verdict,
+        })
+        rows.append([*map(str, cylinder), fr_str(e.eigen_value), e.verdict])
+    report = {"odometer": args.i, "all_equal": rep.all_equal, "entries": entries}
+    return report, (["m", "j", "eigen_value", "verdict"], rows), EXIT_OK if rep.all_equal else EXIT_UNCERTIFIED
 
 
-def cmd_finite_classify(args):
+def cmd_finite_classify(args, spec, window):
     matrix = _load_doc(args.matrix)
     tol = args.tol
     dec = fs.decompose(matrix)
@@ -480,7 +426,6 @@ def cmd_finite_classify(args):
         for m in measures
     ]
     report = {
-        "command": "finite classify",
         "matrix": [list(r) for r in dec.matrix],
         "orientation": "input is A = F^T: entry [i][j] counts edges from vertex i up to vertex j",
         "classes": classes_doc,
@@ -509,8 +454,7 @@ def _load_order(text: str) -> od.OrderSpec:
     return od.order_from_json(_load_doc(text))
 
 
-def cmd_vershik_classify(args):
-    spec, window = _build_spec(args)
+def cmd_vershik_classify(args, spec, window):
     order = _load_order(args.tags)
     verdict = od.extension_verdict(spec, order, args.imax)
     per_odometer = []
@@ -522,8 +466,6 @@ def cmd_vershik_classify(args):
         )
         rows.append([str(i), str(c.finite_right), str(c.finite_left)])
     report = {
-        "command": "vershik classify",
-        "family": spec.to_json(window),
         "i_fr": verdict.i_fr,
         "i_fl": verdict.i_fl,
         "fr_witness": list(verdict.fr_witness),
@@ -535,8 +477,7 @@ def cmd_vershik_classify(args):
     return report, (["i", "finite_right", "finite_left"], rows), EXIT_OK
 
 
-def cmd_vershik_orbit(args):
-    spec, window = _build_spec(args)
+def cmd_vershik_orbit(args, spec, window):
     order = _load_order(args.tags)
     current = od.vertical_path(spec, args.start_odometer, window.max_level)
     levels = args.levels
@@ -551,8 +492,6 @@ def cmd_vershik_orbit(args):
             break
         current = nxt
     report = {
-        "command": "vershik orbit",
-        "family": spec.to_json(window),
         "start_odometer": args.start_odometer,
         "steps": len(trace),
         "trace": trace,
@@ -566,6 +505,56 @@ def cmd_vershik_orbit(args):
 # ---------------------------------------------------------------------------
 
 
+_MAX_TERMS = ("--max-terms", dict(type=_work_size, default=ext.DEFAULT_MAX_TERMS))
+_SHIFT = ("--shift", dict(type=int, default=1))
+_ODOMETER = ("--i", dict(type=int, default=1))
+_TAGS_HELP = (
+    'order JSON ({"kind":"quasiStationary","tags":{"default":"middle"}}) '
+    "or a shorthand: all-left, all-right, all-middle, alternating"
+)
+
+GROUPS = {
+    "diagram": "incidence windows and tower heights",
+    "measure": "extension masses and cylinder values",
+    "eigen": "constructive eigenpairs and their measures",
+    "finite": "finite stationary diagrams",
+    "vershik": "orders and successor dynamics",
+}
+
+# command name -> (help, takes a diagram family, its own arguments in order);
+# main calls cmd_<group>_<name> for each
+COMMANDS = {
+    "diagram show": ("windowed incidence matrix of one level", True, [("--level", dict(type=int, default=0))]),
+    "diagram heights": ("tower heights at one level", True, [
+        ("--level", dict(type=int, required=True)), ("--verify-bruteforce", dict(action="store_true"))]),
+    "telescope": ("collapse levels between breakpoints", True, [
+        ("--breakpoints", dict(required=True, help="comma separated, starting at 0"))]),
+    "measure classify": ("extension mass of every odometer up to imax", True, [
+        ("--imax", dict(type=int, default=5)), _MAX_TERMS]),
+    "measure extend": ("extension mass of one odometer", True, [
+        _ODOMETER, _MAX_TERMS, ("--trace", dict(type=_work_size, default=0, help="emit the first N series terms"))]),
+    "measure cylinder": ("extended measure of (m, j) cylinders", True, [
+        _ODOMETER, ("--cylinders", dict(required=True, help='e.g. "(0,2);(1,3)"')), _MAX_TERMS]),
+    "measure check-invariance": ("exact tail-invariance check", True, [
+        ("--vectors", dict(help="JSON file {vectors: {level: {vertex: 'num/den'}}}")), _SHIFT]),
+    "eigen verify": ("exact row residuals of the eigen equations", True, [
+        ("--rows", dict(type=_work_size, default=100)), _SHIFT]),
+    "eigen measure": ("eigen measure values on cylinders", True, [
+        ("--request", dict(help="JSON file {cylinders: [[m, j], ...]}")),
+        ("--cylinders", dict(help='inline "(m,j);(m,j)" list')), _SHIFT]),
+    "eigen compare": ("eigen measure vs certified extension values", True, [
+        _ODOMETER, ("--mmax", dict(type=int, default=5)), ("--jmax", dict(type=int, default=5)), _SHIFT, _MAX_TERMS]),
+    "finite classify": ("communicating classes, radii, measures", False, [
+        ("--matrix", dict(required=True, help="JSON 2-D array (A = F^T) or a file path")),
+        ("--tol", dict(type=float, default=1e-12))]),
+    "vershik classify": ("finite-right/left sets and extension verdict", True, [
+        ("--tags", dict(required=True, help=_TAGS_HELP)), ("--imax", dict(type=int, default=10))]),
+    "vershik orbit": ("successor orbit trace", True, [
+        ("--tags", dict(required=True)), ("--steps", dict(type=_work_size, default=100)),
+        ("--levels", dict(type=int, default=3)), ("--start-odometer", dict(type=int, default=1))]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bratteli",
@@ -574,98 +563,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["human", "json", "csv"], default="human")
     parser.add_argument("--config", help="RunConfig JSON file: {command, options, format}")
     sub = parser.add_subparsers(dest="group")
-
-    diagram = sub.add_parser("diagram", help="incidence windows and tower heights")
-    dsub = diagram.add_subparsers(dest="command")
-    show = dsub.add_parser("show", help="windowed incidence matrix of one level")
-    _add_family_args(show)
-    show.add_argument("--level", type=int, default=0)
-    show.set_defaults(fn=cmd_diagram_show)
-    hts = dsub.add_parser("heights", help="tower heights at one level")
-    _add_family_args(hts)
-    hts.add_argument("--level", type=int, required=True)
-    hts.add_argument("--verify-bruteforce", action="store_true")
-    hts.set_defaults(fn=cmd_diagram_heights)
-
-    tel = sub.add_parser("telescope", help="collapse levels between breakpoints")
-    _add_family_args(tel)
-    tel.add_argument("--breakpoints", required=True, help="comma separated, starting at 0")
-    tel.set_defaults(fn=cmd_telescope)
-
-    measure = sub.add_parser("measure", help="extension masses and cylinder values")
-    msub = measure.add_subparsers(dest="command")
-    mc = msub.add_parser("classify", help="extension mass of every odometer up to imax")
-    _add_family_args(mc)
-    mc.add_argument("--imax", type=int, default=5)
-    mc.add_argument("--max-terms", type=int, default=ext.DEFAULT_MAX_TERMS)
-    mc.set_defaults(fn=cmd_measure_classify)
-    me = msub.add_parser("extend", help="extension mass of one odometer")
-    _add_family_args(me)
-    me.add_argument("--i", type=int, default=1)
-    me.add_argument("--max-terms", type=int, default=ext.DEFAULT_MAX_TERMS)
-    me.add_argument("--trace", type=int, default=0, help="emit the first N series terms")
-    me.set_defaults(fn=cmd_measure_extend)
-    mcy = msub.add_parser("cylinder", help="extended measure of (m, j) cylinders")
-    _add_family_args(mcy)
-    mcy.add_argument("--i", type=int, default=1)
-    mcy.add_argument("--cylinders", required=True, help='e.g. "(0,2);(1,3)"')
-    mcy.add_argument("--max-terms", type=int, default=ext.DEFAULT_MAX_TERMS)
-    mcy.set_defaults(fn=cmd_measure_cylinder)
-    mi = msub.add_parser("check-invariance", help="exact tail-invariance check")
-    _add_family_args(mi)
-    mi.add_argument("--vectors", help="JSON file {vectors: {level: {vertex: 'num/den'}}}")
-    mi.add_argument("--shift", type=int, default=1)
-    mi.set_defaults(fn=cmd_measure_check_invariance)
-
-    eigen = sub.add_parser("eigen", help="constructive eigenpairs and their measures")
-    esub = eigen.add_subparsers(dest="command")
-    ev = esub.add_parser("verify", help="exact row residuals of the eigen equations")
-    _add_family_args(ev)
-    ev.add_argument("--rows", type=int, default=100)
-    ev.add_argument("--shift", type=int, default=1)
-    ev.set_defaults(fn=cmd_eigen_verify)
-    em = esub.add_parser("measure", help="eigen measure values on cylinders")
-    _add_family_args(em)
-    em.add_argument("--request", help="JSON file {cylinders: [[m, j], ...]}")
-    em.add_argument("--cylinders", help='inline "(m,j);(m,j)" list')
-    em.add_argument("--shift", type=int, default=1)
-    em.set_defaults(fn=cmd_eigen_measure)
-    ec = esub.add_parser("compare", help="eigen measure vs certified extension values")
-    _add_family_args(ec)
-    ec.add_argument("--i", type=int, default=1)
-    ec.add_argument("--mmax", type=int, default=5)
-    ec.add_argument("--jmax", type=int, default=5)
-    ec.add_argument("--shift", type=int, default=1)
-    ec.add_argument("--max-terms", type=int, default=ext.DEFAULT_MAX_TERMS)
-    ec.set_defaults(fn=cmd_eigen_compare)
-
-    finite = sub.add_parser("finite", help="finite stationary diagrams")
-    fsub = finite.add_subparsers(dest="command")
-    fc = fsub.add_parser("classify", help="communicating classes, radii, measures")
-    fc.add_argument("--matrix", required=True, help="JSON 2-D array (A = F^T) or a file path")
-    fc.add_argument("--tol", type=float, default=1e-12)
-    fc.set_defaults(fn=cmd_finite_classify)
-
-    vershik = sub.add_parser("vershik", help="orders and successor dynamics")
-    vsub = vershik.add_subparsers(dest="command")
-    vc = vsub.add_parser("classify", help="finite-right/left sets and extension verdict")
-    _add_family_args(vc)
-    vc.add_argument(
-        "--tags",
-        required=True,
-        help='order JSON ({"kind":"quasiStationary","tags":{"default":"middle"}}) '
-        "or a shorthand: all-left, all-right, all-middle, alternating",
-    )
-    vc.add_argument("--imax", type=int, default=10)
-    vc.set_defaults(fn=cmd_vershik_classify)
-    vo = vsub.add_parser("orbit", help="successor orbit trace")
-    _add_family_args(vo)
-    vo.add_argument("--tags", required=True)
-    vo.add_argument("--steps", type=int, default=100)
-    vo.add_argument("--levels", type=int, default=3)
-    vo.add_argument("--start-odometer", type=int, default=1)
-    vo.set_defaults(fn=cmd_vershik_orbit)
-
+    groups = {}
+    for name, (help_text, has_family, options) in COMMANDS.items():
+        group, _, leaf = name.partition(" ")
+        if not leaf:
+            command_parser = sub.add_parser(group, help=help_text)
+        else:
+            if group not in groups:
+                groups[group] = sub.add_parser(group, help=GROUPS[group]).add_subparsers(dest="command")
+            command_parser = groups[group].add_parser(leaf, help=help_text)
+        for flag, kwargs in (FAMILY_OPTIONS if has_family else []) + options:
+            command_parser.add_argument(flag, **kwargs)
+        command_parser.set_defaults(cmd=name)
     return parser
 
 
@@ -700,11 +609,15 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         args = parser.parse_args(argv2)
-    if not getattr(args, "fn", None):
+    if not getattr(args, "cmd", None):
         parser.print_help()
         return EXIT_CONFIG
+    handler = globals()["cmd_" + args.cmd.replace(" ", "_").replace("-", "_")]
     try:
-        report, csv_table, code = args.fn(args)
+        spec, window = _build_spec(args) if COMMANDS[args.cmd][1] else (None, None)
+        body, csv_table, code = handler(args, spec, window)
+        family = {} if spec is None else {"family": spec.to_json(window)}
+        report = {"command": args.cmd, **family, **body}
     except ext.CertificateError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -716,9 +629,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INTERNAL
     try:
         emit(report, args.format, csv_table)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early; keep the interpreter's final flush quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -12,17 +12,19 @@ Unlike the exact modules, Perron roots are generally irrational, so this
 module works in floating point with explicit error bounds: power iteration
 on A + I with min/max quotient bounds brackets each spectral radius to a
 requested tolerance (the +I shift keeps periodic irreducible blocks
-convergent without telescoping the diagram).
+convergent without telescoping the diagram).  numpy is imported inside the
+functions that use it, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .diagram import DiagramError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ToleranceError(DiagramError):
@@ -59,6 +61,8 @@ class ClassDecomposition:
         raise DiagramError(f"vertex {vertex} not in any class")
 
     def class_matrix(self, alpha: int) -> np.ndarray:
+        import numpy as np
+
         idx = [v - 1 for v in self.classes[alpha]]
         a = np.array(self.matrix, dtype=float)
         return a[np.ix_(idx, idx)]
@@ -197,6 +201,8 @@ def spectral_radius(block: np.ndarray, tol: float = 1e-12, max_iter: int = 500_0
     min_i (Mx)_i/x_i and max_i (Mx)_i/x_i enclose the Perron root of M.
     Returns (lo, hi) with hi - lo <= tol, exact for 1x1 blocks.
     """
+    import numpy as np
+
     b = np.asarray(block, dtype=float)
     n = b.shape[0]
     if n == 1:
@@ -276,6 +282,8 @@ def distinguished_eigenvector(
     (rho_alpha I - A_beta) x_beta = coupling, solvable because
     rho_beta < rho_alpha for a distinguished class.
     """
+    import numpy as np
+
     n = dec.size
     a = np.array(dec.matrix, dtype=float)
     rho_lo, rho_hi = spectral_radius(dec.class_matrix(alpha), tol)

@@ -299,7 +299,7 @@ def odometer_measure(spec: DiagramSpec, index: int) -> OdometerMeasure:
 # ---------------------------------------------------------------------------
 
 
-def cylinder_measure(measure, cyl: CylinderSpec, max_terms: int = 512):
+def cylinder_measure(measure, cyl: CylinderSpec):
     """Evaluate a cylinder under any measure object of this library.
 
     Returns an exact :class:`fractions.Fraction` when the measure is exact at
@@ -310,8 +310,5 @@ def cylinder_measure(measure, cyl: CylinderSpec, max_terms: int = 512):
         end = as_end_vertex(cyl)
         return measure.value(end.length, end.index)
     if hasattr(measure, "cylinder_value"):
-        try:
-            return measure.cylinder_value(cyl, max_terms=max_terms)
-        except TypeError:
-            return measure.cylinder_value(cyl)
+        return measure.cylinder_value(cyl)
     raise DiagramError(f"cannot evaluate cylinders under {type(measure).__name__}")

@@ -1,8 +1,13 @@
 """Command-line surface: dispatch, formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from decimal import getcontext, localcontext
+from pathlib import Path
 
+import pytest
 
 from bratteli import cli
 from bratteli.cli import (
@@ -231,7 +236,7 @@ def test_undetermined_exit_code(capsys):
 
 
 def test_certificate_error_is_internal(capsys, monkeypatch):
-    def broken(args):
+    def broken(*_):
         raise cli.ext.CertificateError("terms decrease at n=3")
 
     monkeypatch.setattr(cli, "cmd_measure_classify", broken)
@@ -279,3 +284,72 @@ def test_spec_json_round_trip(capsys, tmp_path):
     assert code == EXIT_OK
     body = json.loads(out)
     assert body["mass"]["status"] == "finite"
+
+
+AK = ["--family", "ak", "--a", "4", "--k", "2"]
+# every subcommand on a small input, with the header of its csv form
+EVERY_COMMAND = {
+    "diagram show": (AK + ["--max-vertex", "4"], "row,col,multiplicity"),
+    "diagram heights": (AK + ["--level", "2", "--max-vertex", "4"], "vertex,height"),
+    "telescope": (AK + ["--breakpoints", "0,2", "--max-vertex", "4"], "level,row,col,multiplicity"),
+    "measure classify": (AK + ["--imax", "2"], "i,status,partial_sum,tail_bound,terms_used,normalized_mass"),
+    "measure extend": (AK + ["--trace", "3"], "n,term,partial_sum"),
+    "measure cylinder": (AK + ["--cylinders", "(0,2);(1,1)"], "m,j,status,value"),
+    "measure check-invariance": (AK + ["--max-level", "3", "--max-vertex", "4"], "level,vertex"),
+    "eigen verify": (AK + ["--rows", "20"], "row,residual"),
+    "eigen measure": (AK + ["--cylinders", "(0,2);(1,1)"], "m,j,value,decimal"),
+    "eigen compare": (AK + ["--mmax", "1", "--jmax", "2"], "m,j,eigen_value,verdict"),
+    "finite classify": (["--matrix", "[[3,0],[1,2]]"], "class,vertices,radius_lo,radius_hi,distinguished"),
+    "vershik classify": (AK + ["--tags", "all-left", "--imax", "3"], "i,finite_right,finite_left"),
+    "vershik orbit": (
+        AK + ["--tags", "alternating", "--steps", "5", "--levels", "2"],
+        "step,end_vertex_level_1,end_vertex_level_2",
+    ),
+}
+
+
+def test_every_command_is_tested():
+    assert set(EVERY_COMMAND) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+@pytest.mark.parametrize("command", list(EVERY_COMMAND))
+def test_every_command_in_every_format(capsys, command, fmt):
+    argv, header = EVERY_COMMAND[command]
+    code, out, err = run(capsys, "--format", fmt, *command.split(), *argv)
+    assert code in (EXIT_OK, EXIT_UNCERTIFIED), err
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["command"] == command
+        assert ("family" in doc) == (command != "finite classify")
+    elif fmt == "csv":
+        assert out.splitlines()[0] == header
+    else:
+        assert out.strip()
+
+
+def test_size_flags_are_bounded_by_the_work_budget(capsys, monkeypatch):
+    monkeypatch.setenv("BRATTELI_MAX_WORK", "50")
+    argv = ["vershik", "orbit", *AK, "--tags", "all-left"]
+    assert run(capsys, *argv, "--steps", "50")[0] == EXIT_OK
+    for steps in ("51", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--steps", steps])
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "argument --steps" in err and "BRATTELI_MAX_WORK" in err
+
+
+def test_closed_pipe_exits_quietly():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["--format", "json", "vershik", "orbit", *AK, "--tags", "all-left", "--steps", "2000", "--levels", "6"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bratteli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    # the report is far larger than a pipe buffer, so the writer is still busy
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_OK
+    assert err == b""

@@ -9,7 +9,11 @@ Core claims:
     - the induced vectors satisfy the level relation within 10 * tol
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,3 +280,10 @@ def test_measure_vectors_satisfy_level_relation(a):
             p_next = xi / m.lam**n
             # F^T = A, so the relation reads A p^(n+1) = p^(n)
             assert np.max(np.abs(arr @ p_next - p_n)) <= 10 * tol * np.max(np.abs(p_n)) + 1e-13
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, bratteli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60, env=env)
+    assert out.stdout.strip() == "False"

@@ -230,3 +230,16 @@ def test_additivity_of_refinements():
             if j >= 2:
                 refinements += cylinder_measure(mv, EndVertex(m + 1, j - 1))
             assert cylinder_measure(mv, EndVertex(m, j)) == refinements
+
+
+def test_cylinder_measure_evaluates_once_and_keeps_type_errors():
+    calls = []
+
+    class Failing:
+        def cylinder_value(self, cyl, **options):
+            calls.append(cyl)
+            raise TypeError("unsupported operand")
+
+    with pytest.raises(TypeError, match="unsupported operand"):
+        cylinder_measure(Failing(), EndVertex(1, 2))
+    assert calls == [EndVertex(1, 2)]
