@@ -15,8 +15,11 @@ diagram once and calls ``cmd_<group>_<name>(args, spec, window)`` (``spec``
 and ``window`` are ``None`` for commands without a family).  A handler
 returns ``(body, (csv_header, csv_rows), exit_code)``; ``main`` puts
 ``command`` and ``family`` in front of the body, so a handler that changes
-the window reports its own ``family``.  Size flags are bounded by the
-``BRATTELI_MAX_WORK`` work budget.
+the window reports its own ``family``.  A handler imports the layer it uses
+inside its body: at import time this module loads only ``diagram`` and
+``sequences``, which every ``--family`` needs, so each command pays only for
+its own layers.  Size flags are bounded by the ``BRATTELI_MAX_WORK`` work
+budget.
 
 Exit status: 0 success, 1 internal error, 2 configuration error, 3 at least
 one result could not be certified (undetermined).
@@ -32,15 +35,17 @@ import os
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
+# every --family needs these two; each handler imports the other layers it uses
 from . import diagram as dg
-from . import extension as ext
-from . import finite_stationary as fs
-from . import orders as od
-from . import spectral as sp
-from .measure import EndVertex, MeasureVectors, check_tail_invariance
 from .sequences import seq_from_text
+
+if TYPE_CHECKING:
+    from .extension import ConvergenceResult
+    from .measure import EndVertex
+    from .orders import OrderSpec
+    from .spectral import EigenPair
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -71,7 +76,9 @@ def rational_doc(x: Fraction) -> dict:
     return {"exact": fr_str(x), "decimal": fr_decimal(x)}
 
 
-def result_doc(res: ext.ConvergenceResult) -> dict:
+def result_doc(res: ConvergenceResult) -> dict:
+    from . import extension as ext
+
     doc = {
         "status": res.status,
         "partial_sum": rational_doc(res.partial_sum),
@@ -89,7 +96,9 @@ def result_doc(res: ext.ConvergenceResult) -> dict:
     return doc
 
 
-def result_cell(res: ext.ConvergenceResult) -> str:
+def result_cell(res: ConvergenceResult) -> str:
+    from . import extension as ext
+
     if res.status == ext.INFINITE:
         return "inf"
     if res.status == ext.UNDETERMINED:
@@ -120,12 +129,15 @@ def _work_size(text: str) -> int:
     return n
 
 
+_NONSTATIONARY_UNIFORM = (("an",), lambda args: dg.NonStationaryUniform(seq_from_text(args.an)))
+
 # family name -> (flags it needs, constructor); the keys are the --family choices
 FAMILIES = {
     "ak": (("a", "k"), lambda args: dg.StationaryAK(args.a, args.k)),
     "decreasing": (("diagonal",), lambda args: dg.StationaryDecreasing(seq_from_text(args.diagonal))),
     "increasing": ((), lambda args: dg.StationaryIncreasing()),
-    "nonstat-uniform": (("an",), lambda args: dg.NonStationaryUniform(seq_from_text(args.an))),
+    "nonstat-uniform": _NONSTATIONARY_UNIFORM,
+    "nonstationary-uniform": _NONSTATIONARY_UNIFORM,  # the spelling the JSON reports use
     "general-chain": (
         (),
         lambda args: dg.GeneralChain(tuple(tuple(e) for e in json.loads(args.entries or "[]")), args.default),
@@ -168,6 +180,8 @@ def _build_spec(args) -> tuple[dg.DiagramSpec, dg.Truncation]:
 
 
 def _parse_cylinders(text: str) -> list[EndVertex]:
+    from .measure import EndVertex
+
     out = []
     for part in text.replace(" ", "").split(";"):
         if not part:
@@ -263,6 +277,8 @@ def cmd_telescope(args, spec, window):
 
 
 def cmd_measure_classify(args, spec, window):
+    from . import extension as ext
+
     cls = ext.classify_ergodic_measures(spec, args.imax, args.max_terms)
     entries, rows = [], []
     for e in cls.entries:
@@ -286,6 +302,8 @@ def cmd_measure_classify(args, spec, window):
 
 
 def cmd_measure_extend(args, spec, window):
+    from . import extension as ext
+
     res = ext.odometer_extension_mass(spec, args.i, args.max_terms)
     report = {"odometer": args.i, "mass": result_doc(res)}
     rows = []
@@ -303,6 +321,8 @@ def cmd_measure_extend(args, spec, window):
 
 
 def cmd_measure_cylinder(args, spec, window):
+    from . import extension as ext
+
     cyls = _parse_cylinders(args.cylinders)
     entries, rows = [], []
     undetermined = False
@@ -315,7 +335,9 @@ def cmd_measure_cylinder(args, spec, window):
     return report, (["m", "j", "status", "value"], rows), EXIT_UNCERTIFIED if undetermined else EXIT_OK
 
 
-def _canonical_eigen_pair(spec: dg.DiagramSpec, shift: int) -> sp.EigenPair:
+def _canonical_eigen_pair(spec: dg.DiagramSpec, shift: int) -> EigenPair:
+    from . import spectral as sp
+
     if isinstance(spec, dg.StationaryAK):
         return sp.eigenvector_ak(spec.a, spec.k)
     if spec.vertex_diag is not None:
@@ -324,6 +346,9 @@ def _canonical_eigen_pair(spec: dg.DiagramSpec, shift: int) -> sp.EigenPair:
 
 
 def cmd_measure_check_invariance(args, spec, window):
+    from . import spectral as sp
+    from .measure import MeasureVectors, check_tail_invariance
+
     if args.vectors:
         doc = _load_doc(args.vectors)
         table = {
@@ -348,6 +373,8 @@ def cmd_measure_check_invariance(args, spec, window):
 
 
 def cmd_eigen_verify(args, spec, window):
+    from . import spectral as sp
+
     pair = _canonical_eigen_pair(spec, args.shift)
     window = dg.Truncation(window.max_level, max(window.max_vertex, args.rows))
     rep = sp.verify_eigenpair(spec, pair, window)
@@ -364,6 +391,9 @@ def cmd_eigen_verify(args, spec, window):
 
 
 def cmd_eigen_measure(args, spec, window):
+    from . import spectral as sp
+    from .measure import EndVertex
+
     pair = _canonical_eigen_pair(spec, args.shift)
     measure = sp.eigen_measure(spec, pair, window)
     if args.request:
@@ -383,6 +413,9 @@ def cmd_eigen_measure(args, spec, window):
 
 
 def cmd_eigen_compare(args, spec, window):
+    from . import spectral as sp
+    from .measure import EndVertex
+
     pair = _canonical_eigen_pair(spec, args.shift)
     cyls = [EndVertex(m, j) for m in range(args.mmax + 1) for j in range(args.i, args.jmax + 1)]
     rep = sp.compare_eigen_vs_extension(spec, args.i, pair, cyls, args.max_terms)
@@ -399,14 +432,16 @@ def cmd_eigen_compare(args, spec, window):
 
 
 def cmd_finite_classify(args, spec, window):
+    from . import finite_stationary as fs
+
     matrix = _load_doc(args.matrix)
     tol = args.tol
     dec = fs.decompose(matrix)
-    distinguished = fs.distinguished_classes(dec, tol)
-    measures = fs.measures_finite_stationary(matrix, tol)
+    radii = fs.class_radii(dec, tol)
+    measures = fs.class_measures(dec, radii, tol)
+    distinguished = {m.data.class_index for m in measures}
     classes_doc = []
-    for idx, cls in enumerate(dec.classes):
-        lo, hi = fs.spectral_radius(dec.class_matrix(idx), tol)
+    for idx, (cls, (lo, hi)) in enumerate(zip(dec.classes, radii)):
         classes_doc.append(
             {
                 "class": idx,
@@ -440,21 +475,23 @@ def cmd_finite_classify(args, spec, window):
     return report, (["class", "vertices", "radius_lo", "radius_hi", "distinguished"], rows), EXIT_OK
 
 
-_TAG_SHORTHAND = {
-    "all-left": (od.LEFT,),
-    "all-right": (od.RIGHT,),
-    "all-middle": (od.MIDDLE,),
-    "alternating": (od.LEFT, od.RIGHT),
-}
+def _load_order(text: str) -> OrderSpec:
+    from . import orders as od
 
-
-def _load_order(text: str) -> od.OrderSpec:
-    if text in _TAG_SHORTHAND:
-        return od.QuasiStationary(default=_TAG_SHORTHAND[text])
+    shorthand = {
+        "all-left": (od.LEFT,),
+        "all-right": (od.RIGHT,),
+        "all-middle": (od.MIDDLE,),
+        "alternating": (od.LEFT, od.RIGHT),
+    }
+    if text in shorthand:
+        return od.QuasiStationary(default=shorthand[text])
     return od.order_from_json(_load_doc(text))
 
 
 def cmd_vershik_classify(args, spec, window):
+    from . import orders as od
+
     order = _load_order(args.tags)
     verdict = od.extension_verdict(spec, order, args.imax)
     per_odometer = []
@@ -478,6 +515,8 @@ def cmd_vershik_classify(args, spec, window):
 
 
 def cmd_vershik_orbit(args, spec, window):
+    from . import orders as od
+
     order = _load_order(args.tags)
     current = od.vertical_path(spec, args.start_odometer, window.max_level)
     levels = args.levels
@@ -505,7 +544,7 @@ def cmd_vershik_orbit(args, spec, window):
 # ---------------------------------------------------------------------------
 
 
-_MAX_TERMS = ("--max-terms", dict(type=_work_size, default=ext.DEFAULT_MAX_TERMS))
+_MAX_TERMS = ("--max-terms", dict(type=_work_size, default=dg.DEFAULT_MAX_TERMS))
 _SHIFT = ("--shift", dict(type=int, default=1))
 _ODOMETER = ("--i", dict(type=int, default=1))
 _TAGS_HELP = (
@@ -604,7 +643,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.config:
         try:
             doc = _load_doc(args.config)
-            argv2 = _argv_from_config(doc)
+            # a format the config names comes later, so it wins over this one
+            argv2 = ["--format", args.format] + _argv_from_config(doc)
         except (OSError, ValueError, ConfigError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
@@ -618,7 +658,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         body, csv_table, code = handler(args, spec, window)
         family = {} if spec is None else {"family": spec.to_json(window)}
         report = {"command": args.cmd, **family, **body}
-    except ext.CertificateError as exc:
+    except dg.CertificateError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ConfigError, dg.DiagramError, ValueError, OSError, KeyError) as exc:

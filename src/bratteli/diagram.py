@@ -32,6 +32,14 @@ class WorkBudgetError(DiagramError):
     """Brute-force enumeration exceeded its work budget."""
 
 
+class CertificateError(DiagramError):
+    """A certificate failed its own verification (internal inconsistency)."""
+
+
+# series terms a mass or cylinder computation may sum before giving up
+DEFAULT_MAX_TERMS = 512
+
+
 @dataclass(frozen=True)
 class VertexId:
     level: int

@@ -36,6 +36,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .diagram import (
+    DEFAULT_MAX_TERMS,
+    CertificateError,
     DiagramError,
     DiagramSpec,
     StationaryAK,
@@ -50,14 +52,8 @@ FINITE = "finite"
 INFINITE = "infinite"
 UNDETERMINED = "undetermined"
 
-DEFAULT_MAX_TERMS = 512
-
 # stop refining once the certified tail is this small relative to the sum
 _NEGLIGIBLE = Fraction(1, 10**40)
-
-
-class CertificateError(DiagramError):
-    """A certificate failed its own verification (internal inconsistency)."""
 
 
 @dataclass(frozen=True, slots=True)

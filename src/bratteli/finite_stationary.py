@@ -225,6 +225,11 @@ def spectral_radius(block: np.ndarray, tol: float = 1e-12, max_iter: int = 500_0
     )
 
 
+def class_radii(dec: ClassDecomposition, tol: float = 1e-12) -> list[tuple[float, float]]:
+    """The bracketed Perron root of every class, in class order."""
+    return [spectral_radius(dec.class_matrix(alpha), tol) for alpha in range(len(dec.classes))]
+
+
 def distinguished_classes(dec: ClassDecomposition, tol: float = 1e-12) -> tuple[int, ...]:
     """Classes whose Perron root strictly exceeds every strict predecessor's.
 
@@ -232,7 +237,10 @@ def distinguished_classes(dec: ClassDecomposition, tol: float = 1e-12) -> tuple[
     2 * tol, else the comparison is ambiguous at this tolerance and the call
     fails naming the pair.
     """
-    radii = [spectral_radius(dec.class_matrix(alpha), tol) for alpha in range(len(dec.classes))]
+    return _distinguished(dec, class_radii(dec, tol), tol)
+
+
+def _distinguished(dec: ClassDecomposition, radii: list[tuple[float, float]], tol: float) -> tuple[int, ...]:
     mids = [0.5 * (lo + hi) for lo, hi in radii]
     out = []
     for alpha in range(len(dec.classes)):
@@ -282,11 +290,15 @@ def distinguished_eigenvector(
     (rho_alpha I - A_beta) x_beta = coupling, solvable because
     rho_beta < rho_alpha for a distinguished class.
     """
+    return _eigenvector(dec, alpha, spectral_radius(dec.class_matrix(alpha), tol), tol)
+
+
+def _eigenvector(dec: ClassDecomposition, alpha: int, radius: tuple[float, float], tol: float) -> DistinguishedData:
     import numpy as np
 
     n = dec.size
     a = np.array(dec.matrix, dtype=float)
-    rho_lo, rho_hi = spectral_radius(dec.class_matrix(alpha), tol)
+    rho_lo, rho_hi = radius
     rho = 0.5 * (rho_lo + rho_hi)
 
     x = np.zeros(n)
@@ -360,9 +372,17 @@ class FiniteStationaryMeasure:
 def measures_finite_stationary(a_matrix, tol: float = 1e-12) -> list[FiniteStationaryMeasure]:
     """One ergodic probability measure per distinguished class of A = F^T."""
     dec = decompose(a_matrix)
+    return class_measures(dec, class_radii(dec, tol), tol)
+
+
+def class_measures(
+    dec: ClassDecomposition, radii: list[tuple[float, float]], tol: float
+) -> list[FiniteStationaryMeasure]:
+    """``measures_finite_stationary`` on a decomposition whose class radii
+    ``class_radii(dec, tol)`` already bracketed."""
     out = []
-    for alpha in distinguished_classes(dec, tol):
-        data = distinguished_eigenvector(dec, alpha, tol)
+    for alpha in _distinguished(dec, radii, tol):
+        data = _eigenvector(dec, alpha, radii[alpha], tol)
         total = sum(data.xi)
         xi_norm = tuple(v / total for v in data.xi)
         out.append(FiniteStationaryMeasure(data, data.rho_mid, xi_norm, data.xi))

@@ -16,17 +16,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from .diagram import DiagramError, DiagramSpec, Truncation
-from .extension import (
-    FINITE,
-    UNDETERMINED,
-    ConvergenceResult,
-    extended_cylinder_measure,
-)
+from .diagram import DEFAULT_MAX_TERMS, DiagramError, DiagramSpec, Truncation
 from .measure import CylinderSpec, EndVertex, MeasureVectors, as_end_vertex
 from .sequences import IntSequence
+
+if TYPE_CHECKING:
+    from .extension import ConvergenceResult
+
+
+def __getattr__(name: str):
+    # extension loads only when compare_eigen_vs_extension first runs; the
+    # names this module takes from it stay reachable as its attributes
+    if name in ("FINITE", "UNDETERMINED", "ConvergenceResult", "extended_cylinder_measure"):
+        from . import extension
+
+        return getattr(extension, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class EigenError(DiagramError):
@@ -198,7 +205,7 @@ def compare_eigen_vs_extension(
     i: int,
     pair: EigenPair,
     cylinders: list[CylinderSpec],
-    max_terms: int = 512,
+    max_terms: int = DEFAULT_MAX_TERMS,
     tail_threshold: Fraction = Fraction(1, 10**9),
 ) -> ComparisonReport:
     """Per-cylinder comparison of xi_v/lam^m with the certified extension value.
@@ -207,6 +214,8 @@ def compare_eigen_vs_extension(
     or when the certified interval contains it with a tail bound below
     ``tail_threshold``.  Undetermined series are skipped and flagged.
     """
+    from .extension import FINITE, UNDETERMINED, extended_cylinder_measure
+
     _require_stationary_chain(spec)
     entries = []
     for cyl in cylinders:

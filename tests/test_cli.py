@@ -173,6 +173,28 @@ def test_finite_classify(capsys):
     assert len(doc["measures"]) == 2
 
 
+def test_finite_classify_decomposes_once_and_brackets_each_class_once(capsys, monkeypatch):
+    from bratteli import finite_stationary as fs
+
+    matrix = [[2, 1, 0], [0, 3, 1], [0, 0, 1]]  # three classes, two of them distinguished
+    expected = fs.measures_finite_stationary(matrix)
+    calls = {"decompose": 0, "spectral_radius": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(fs, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(fs, name, counted)
+    code, out, _ = run(capsys, "--format", "json", "finite", "classify", "--matrix", json.dumps(matrix))
+    assert code == EXIT_OK
+    assert calls == {"decompose": 1, "spectral_radius": 3}
+    doc = json.loads(out)
+    assert [c["distinguished"] for c in doc["classes"]] == [True, True, False]
+    assert [(m["class"], m["lambda"], m["xi_raw"]) for m in doc["measures"]] == [
+        (m.data.class_index, m.lam, list(m.xi_raw)) for m in expected
+    ]
+
+
 def test_vershik_classify(capsys):
     tags = json.dumps({"kind": "quasiStationary", "tags": {"default": "middle"}})
     code, out, _ = run(
@@ -236,8 +258,10 @@ def test_undetermined_exit_code(capsys):
 
 
 def test_certificate_error_is_internal(capsys, monkeypatch):
+    from bratteli.extension import CertificateError
+
     def broken(*_):
-        raise cli.ext.CertificateError("terms decrease at n=3")
+        raise CertificateError("terms decrease at n=3")
 
     monkeypatch.setattr(cli, "cmd_measure_classify", broken)
     code, _, err = run(capsys, "measure", "classify", "--family", "ak", "--a", "4", "--k", "2")
@@ -256,6 +280,35 @@ def test_config_file(capsys, tmp_path):
     code, out, _ = run(capsys, "--config", str(path))
     assert code == EXIT_OK
     assert json.loads(out)["finite_odometers"] == [1]
+
+
+def test_command_line_format_applies_unless_the_config_names_one(capsys, tmp_path):
+    options = {"family": "ak", "a": 4, "k": 2, "imax": 2}
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({"command": "measure classify", "options": options}))
+    code, out, _ = run(capsys, "--format", "json", "--config", str(plain))
+    assert code == EXIT_OK
+    assert json.loads(out)["finite_odometers"] == [1]
+    code, out, _ = run(capsys, "--format", "csv", "--config", str(plain))
+    assert out.splitlines()[0] == "i,status,partial_sum,tail_bound,terms_used,normalized_mass"
+    own = tmp_path / "own.json"
+    own.write_text(json.dumps({"command": "measure classify", "format": "json", "options": options}))
+    code, out, _ = run(capsys, "--format", "csv", "--config", str(own))
+    assert json.loads(out)["finite_odometers"] == [1]
+
+
+def test_both_spellings_of_the_nonstationary_family(capsys):
+    reports = []
+    for family in ("nonstat-uniform", "nonstationary-uniform"):
+        code, out, _ = run(
+            capsys, "--format", "json", "measure", "classify", "--family", family, "--an", "constant:2", "--imax", "2"
+        )
+        assert code == EXIT_OK
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["family"]["family"] == "nonstationary-uniform"
+    code, _, err = run(capsys, "diagram", "show", "--family", "nonstationary-uniform")
+    assert code == EXIT_CONFIG and "nonstationary-uniform family needs --an" in err
 
 
 def test_config_errors(capsys):
@@ -340,11 +393,34 @@ def test_size_flags_are_bounded_by_the_work_budget(capsys, monkeypatch):
         assert "argument --steps" in err and "BRATTELI_MAX_WORK" in err
 
 
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
+def _modules_after(*argv):
+    """Modules loaded by a fresh interpreter that runs ``cli.main(argv)``."""
+    code = (
+        "import sys\nfrom bratteli import cli\n"
+        f"code = cli.main({list(argv)!r})\n"
+        "print(' '.join(sorted(sys.modules)), file=sys.stderr)\nsys.exit(code)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=SRC_ENV)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+def test_each_command_loads_only_the_layers_it_uses():
+    loaded = _modules_after("diagram", "show", *AK)
+    assert {"bratteli.cli", "bratteli.diagram", "bratteli.sequences"} <= loaded
+    for module in ("bratteli.extension", "bratteli.orders", "bratteli.spectral", "bratteli.finite_stationary", "numpy"):
+        assert module not in loaded
+    loaded = _modules_after("eigen", "verify", *AK, "--rows", "5")
+    assert "bratteli.spectral" in loaded and "bratteli.extension" not in loaded
+
+
 def test_closed_pipe_exits_quietly():
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     argv = ["--format", "json", "vershik", "orbit", *AK, "--tags", "all-left", "--steps", "2000", "--levels", "6"]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "bratteli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        [sys.executable, "-m", "bratteli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=SRC_ENV
     )
     # the report is far larger than a pipe buffer, so the writer is still busy
     assert len(proc.stdout.read(100)) == 100
