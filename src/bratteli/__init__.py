@@ -44,7 +44,7 @@ _EXPORTS = {
     ),
     "orders": (
         "ALEPH0", "AllMaximalPrefix", "EventuallyQuasiStationary", "ExplicitOrder",
-        "ExtensionVerdict", "QuasiStationary", "TruncatedPath", "VertexOrder", "canonical_order",
+        "ExtensionVerdict", "QuasiStationary", "VertexOrder", "canonical_order",
         "classify_odometer", "extension_verdict", "minimal_path_into", "orbit_frequencies",
         "order_at", "order_from_json", "successor", "vertical_path",
     ),

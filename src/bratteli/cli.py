@@ -154,7 +154,7 @@ FAMILY_OPTIONS = [
     ("--default", dict(type=int, default=2, help="general-chain: off-table value")),
     ("--spec-json", dict(help="path to a full diagram JSON document")),
     ("--max-level", dict(type=_work_size, default=16)),
-    ("--max-vertex", dict(type=int, default=12)),
+    ("--max-vertex", dict(type=_work_size, default=12)),
 ]
 
 
@@ -517,9 +517,11 @@ def cmd_vershik_classify(args, spec, window):
 def cmd_vershik_orbit(args, spec, window):
     from . import orders as od
 
+    levels = args.levels
+    if levels > window.max_level:
+        raise ConfigError(f"--levels {levels} is deeper than the orbit's paths (max level {window.max_level})")
     order = _load_order(args.tags)
     current = od.vertical_path(spec, args.start_odometer, window.max_level)
-    levels = args.levels
     rows = []
     trace = []
     for step in range(args.steps):
@@ -569,7 +571,7 @@ COMMANDS = {
     "telescope": ("collapse levels between breakpoints", True, [
         ("--breakpoints", dict(required=True, help="comma separated, starting at 0"))]),
     "measure classify": ("extension mass of every odometer up to imax", True, [
-        ("--imax", dict(type=int, default=5)), _MAX_TERMS]),
+        ("--imax", dict(type=_work_size, default=5)), _MAX_TERMS]),
     "measure extend": ("extension mass of one odometer", True, [
         _ODOMETER, _MAX_TERMS, ("--trace", dict(type=_work_size, default=0, help="emit the first N series terms"))]),
     "measure cylinder": ("extended measure of (m, j) cylinders", True, [
@@ -582,15 +584,15 @@ COMMANDS = {
         ("--request", dict(help="JSON file {cylinders: [[m, j], ...]}")),
         ("--cylinders", dict(help='inline "(m,j);(m,j)" list')), _SHIFT]),
     "eigen compare": ("eigen measure vs certified extension values", True, [
-        _ODOMETER, ("--mmax", dict(type=int, default=5)), ("--jmax", dict(type=int, default=5)), _SHIFT, _MAX_TERMS]),
+        _ODOMETER, ("--mmax", dict(type=_work_size, default=5)), ("--jmax", dict(type=_work_size, default=5)), _SHIFT, _MAX_TERMS]),
     "finite classify": ("communicating classes, radii, measures", False, [
         ("--matrix", dict(required=True, help="JSON 2-D array (A = F^T) or a file path")),
         ("--tol", dict(type=float, default=1e-12))]),
     "vershik classify": ("finite-right/left sets and extension verdict", True, [
-        ("--tags", dict(required=True, help=_TAGS_HELP)), ("--imax", dict(type=int, default=10))]),
+        ("--tags", dict(required=True, help=_TAGS_HELP)), ("--imax", dict(type=_work_size, default=10))]),
     "vershik orbit": ("successor orbit trace", True, [
         ("--tags", dict(required=True)), ("--steps", dict(type=_work_size, default=100)),
-        ("--levels", dict(type=int, default=3)), ("--start-odometer", dict(type=int, default=1))]),
+        ("--levels", dict(type=_work_size, default=3)), ("--start-odometer", dict(type=int, default=1))]),
 }
 
 

@@ -228,6 +228,22 @@ def mass_series_terms(spec: DiagramSpec, i: int, count: int) -> list[Fraction]:
     return [Fraction(h, d) for h, d in zip(hs, dens)]
 
 
+def _cylinder_series_terms(spec: DiagramSpec, i: int, m: int, j: int, count: int) -> list[Fraction]:
+    """Exact terms N_n(i+1) / (a_0(i) ... a_n(i)) for n = m..m+count-1.
+
+    N_n(v) counts the paths from (m, j) up to (n, v), by the path-count
+    recursion N_(n+1)(v) = a_n(v) N_n(v) + N_n(v+1) on the vertices i+1..j.
+    """
+    dens = _odometer_denominators(spec, i, m + count)
+    n_vec = {v: 0 for v in range(i + 1, j + 1)}
+    n_vec[j] = 1
+    out = []
+    for n in range(m, m + count):
+        out.append(Fraction(n_vec[i + 1], dens[n]))
+        n_vec = {v: spec.vertical_edges(n, v) * n_vec[v] + n_vec.get(v + 1, 0) for v in range(i + 1, j + 1)}
+    return out
+
+
 def _verify_nondecreasing(terms: list[Fraction], n0: int) -> None:
     for n in range(n0, len(terms) - 1):
         if terms[n + 1] < terms[n]:
@@ -391,19 +407,10 @@ def _mass_level_uniform(spec: DiagramSpec, i: int, max_terms: int) -> Convergenc
     lead = Fraction(1)
     tail_seq, start = _resolve_level_seq(levels)
 
-    def exact_terms(count: int) -> list[Fraction]:
-        out, prod_plus, prod_a = [], 1, 1
-        for n in range(count):
-            a_n = spec.vertical_edges(n, i)
-            out.append(Fraction(prod_plus, prod_a * a_n))
-            prod_plus *= a_n + 1
-            prod_a *= a_n
-        return out
-
     cf = tail_seq.constant_from()
     if cf is not None:
         m = min(max_terms, max(start + 8, 48))
-        terms = exact_terms(m)
+        terms = mass_series_terms(spec, i, m)
         _verify_nondecreasing(terms, start)
         c = cf[1]
         witness = (
@@ -418,7 +425,7 @@ def _mass_level_uniform(spec: DiagramSpec, i: int, max_terms: int) -> Convergenc
             return _undetermined(lead, 0, "decreasing level sequence has no certificate")
         if d == 1:
             m = min(max_terms, max(start + 8, 48))
-            terms = exact_terms(m)
+            terms = mass_series_terms(spec, i, m)
             _verify_nondecreasing(terms, start)
             witness = (
                 f"for n >= {start} the term ratio is (a_n+1)/a_(n+1) = 1 exactly, "
@@ -426,7 +433,7 @@ def _mass_level_uniform(spec: DiagramSpec, i: int, max_terms: int) -> Convergenc
             )
             return _infinite(lead + sum(terms), m, witness, "nondecreasing-terms")
         m = min(max_terms, max(start + 8, 48))
-        terms = exact_terms(m)
+        terms = mass_series_terms(spec, i, m)
         delta = Fraction(1, s + 2 * d)
         witness = (
             f"t_n >= 1/a_n = 1/({s} + {d}(n-{start})) for n >= {start}; every block "
@@ -472,11 +479,11 @@ def _mass_level_uniform(spec: DiagramSpec, i: int, max_terms: int) -> Convergenc
             m_local = m - start
             if m_local < max(n1, math.ceil(2 / alpha) + 1):
                 return _undetermined(
-                    lead + sum(exact_terms(min(max_terms, 64))),
+                    lead + sum(mass_series_terms(spec, i, min(max_terms, 64))),
                     min(max_terms, 64),
                     "maxTerms too small for the comparison certificate",
                 )
-        terms = exact_terms(m)
+        terms = mass_series_terms(spec, i, m)
         for n in range(start + n1, m):
             u = n - start
             if Fraction(tail_seq.value(u)) < alpha * (u + 1) ** 2:
@@ -491,7 +498,7 @@ def _mass_level_uniform(spec: DiagramSpec, i: int, max_terms: int) -> Convergenc
         return _finite(lead + sum(terms), m, tail, "comparison-with-reciprocal-sum")
 
     return _undetermined(
-        lead + sum(exact_terms(min(max_terms, 64))),
+        lead + sum(mass_series_terms(spec, i, min(max_terms, 64))),
         min(max_terms, 64),
         "level sequence has no tail rule usable for certification",
     )
@@ -607,21 +614,6 @@ def _cylinder_series_vertex_table(spec, i, m, j, max_terms) -> ConvergenceResult
     d = j - i - 1
     zone = [diag.value(v - 1) for v in range(i + 1, j + 1)]
 
-    def dp_terms(count: int) -> list[Fraction]:
-        """Exact terms N_n(i+1) / (a_0(i)...a_n(i)) via the path DP."""
-        n_vec = {v: 0 for v in range(i + 1, j + 1)}
-        n_vec[j] = 1
-        out = []
-        den = a_i ** (m + 1)
-        for n in range(m, m + count):
-            out.append(Fraction(n_vec[i + 1], den))
-            nxt = {}
-            for v in range(i + 1, j + 1):
-                nxt[v] = diag.value(v - 1) * n_vec[v] + n_vec.get(v + 1, 0)
-            n_vec = nxt
-            den *= a_i
-        return out
-
     if all(val == zone[0] for val in zone):
         tau = zone[0]
         if tau < a_i:
@@ -641,7 +633,7 @@ def _cylinder_series_vertex_table(spec, i, m, j, max_terms) -> ConvergenceResult
                 den *= a_i
             return _finite(partial, used, total - partial, "negative-binomial-exact", exact=total)
         count = min(max_terms, 48)
-        terms = dp_terms(count)
+        terms = _cylinder_series_terms(spec, i, m, j, count)
         _verify_nondecreasing(terms, d)
         witness = (
             f"from n = {m + d} on, t_n = C(n-{m},{d}) * {tau}^(n-{m}-{d}) / {a_i}^(n+1) with "
@@ -658,7 +650,7 @@ def _cylinder_series_vertex_table(spec, i, m, j, max_terms) -> ConvergenceResult
         return _finite(Fraction(0), 0, val, "resolvent-exact", exact=val)
     if diag.value(i) >= a_i:
         count = min(max_terms, 48)
-        terms = dp_terms(count)
+        terms = _cylinder_series_terms(spec, i, m, j, count)
         _verify_nondecreasing(terms, d)
         witness = (
             f"the path-count recursion gives t_(n+1)/t_n >= {diag.value(i)}/{a_i} >= 1 "
@@ -670,7 +662,7 @@ def _cylinder_series_vertex_table(spec, i, m, j, max_terms) -> ConvergenceResult
     w = i + 1 + zone.index(rho_raw)
     eps = Fraction(1, rho_raw ** (m + d) * a_i)
     count = min(max_terms, max(d + 8, 48))
-    terms = dp_terms(count)
+    terms = _cylinder_series_terms(spec, i, m, j, count)
     for n in range(d, count):
         if terms[n] < eps:
             raise CertificateError(f"term {m + n} fell below its climb lower bound")
@@ -777,22 +769,10 @@ def extended_cylinder_measure(
         c = Fraction(1, dens[-1])
         return _reciprocal_series(spec.level_diag, c, m, max_terms)
 
-    # exact partial sums via the path DP, no certificate
-    def dp_partial(count: int) -> Fraction:
-        n_vec = {v: 0 for v in range(i + 1, j + 1)}
-        n_vec[j] = 1
-        dens = _odometer_denominators(spec, i, m + count + 1)
-        total = Fraction(0)
-        for n in range(m, m + count):
-            total += Fraction(n_vec[i + 1], dens[n])
-            nxt = {}
-            for v in range(i + 1, j + 1):
-                nxt[v] = spec.vertical_edges(n, v) * n_vec[v] + n_vec.get(v + 1, 0)
-            n_vec = nxt
-        return total
-
+    # exact partial sums, no certificate
     count = min(max_terms, 64)
-    return _undetermined(dp_partial(count), m + count, "no certificate for this family/cylinder")
+    partial = sum(_cylinder_series_terms(spec, i, m, j, count), Fraction(0))
+    return _undetermined(partial, m + count, "no certificate for this family/cylinder")
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ behaviour of every odometer is decidable exactly:
 * right-tagged i: symmetric, finite-left only;
 * middle-tagged i: both, carrying one maximal and one minimal path.
 
-The successor map increments the first non-maximal edge and resets the
-prefix to the minimal path into the new source vertex.  Infinite paths only
-appear through truncations; a truncated path whose in-window edges are all
-maximal is reported as such rather than pretending to decide the limit.
+The successor map acts on finite paths, the same ``ExplicitPath`` values
+that name cylinders in ``measure``: it increments the first non-maximal edge
+and resets the prefix to the minimal path into the new source vertex.  An
+infinite path is only seen through such a finite prefix; a prefix whose edges
+are all maximal is reported as ``AllMaximalPrefix`` rather than pretending to
+decide the limit.
 """
 
 from __future__ import annotations
@@ -120,6 +122,8 @@ class QuasiStationary:
         for _, t in self.tags:
             if t not in TAGS:
                 raise DiagramError(f"unknown tag {t!r}")
+        if not self.default:
+            raise DiagramError("the default tag cycle needs at least one tag")
         for t in self.default:
             if t not in TAGS:
                 raise DiagramError(f"unknown tag {t!r}")
@@ -180,12 +184,21 @@ OrderSpec = Union[QuasiStationary, EventuallyQuasiStationary, ExplicitOrder]
 
 
 def order_at(spec: DiagramSpec, order: OrderSpec, n: int, i: int) -> VertexOrder:
-    """The order on the incoming edges of vertex (n, i), n >= 1."""
+    """The order on the incoming edges of vertex (n, i), n >= 1.
+
+    An explicit order must list exactly the vertical edges the vertex has.
+    """
     if n < 1:
         raise DiagramError("level-0 vertices have no incoming edges")
-    if isinstance(order, ExplicitOrder):
-        return order.order_at(n, i)
     a = spec.vertical_edges(n - 1, i)
+    if isinstance(order, ExplicitOrder):
+        vo = order.order_at(n, i)
+        if len(vo.sequence) - 1 != a:
+            raise DiagramError(
+                f"order at vertex (level {n}, index {i}) lists {len(vo.sequence) - 1} vertical edges, "
+                f"the vertex has {a}"
+            )
+        return vo
     tag = order.tag_at(n, i) if isinstance(order, EventuallyQuasiStationary) else order.tag_of(i)
     return canonical_order(tag, a)
 
@@ -283,42 +296,8 @@ def extension_verdict(spec: DiagramSpec, order: OrderSpec, i_max: int = 20) -> E
 
 
 # ---------------------------------------------------------------------------
-# Successor map on truncated paths
+# Successor map on finite paths
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TruncatedPath:
-    """Finite path prefix: start vertex at level 0 and one edge per level."""
-
-    start: int
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        if self.start < 1:
-            raise DiagramError("path start index must be >= 1")
-        idx = self.start
-        for kind, k in self.edges:
-            if kind == DIAGONAL:
-                idx -= 1
-            elif kind != VERTICAL:
-                raise DiagramError(f"unknown edge kind {kind!r}")
-            if idx < 1:
-                raise DiagramError("path walks below vertex 1")
-
-    def vertex_at(self, level: int) -> int:
-        idx = self.start
-        for kind, _ in self.edges[:level]:
-            if kind == DIAGONAL:
-                idx -= 1
-        return idx
-
-    @property
-    def depth(self) -> int:
-        return len(self.edges)
-
-    def as_cylinder(self, length: int) -> ExplicitPath:
-        return ExplicitPath(self.start, self.edges[:length])
 
 
 class AllMaximalPrefix:
@@ -328,15 +307,14 @@ class AllMaximalPrefix:
         return "AllMaximalPrefix()"
 
 
-def vertical_path(spec: DiagramSpec, i: int, depth: int, k: int = 1) -> TruncatedPath:
+def vertical_path(spec: DiagramSpec, i: int, depth: int, k: int = 1) -> ExplicitPath:
     """The path climbing odometer i taking its k-th vertical edge each level."""
-    for n in range(depth):
-        if k > spec.vertical_edges(n, i):
-            raise DiagramError(f"vertical edge {k} out of range at level {n}")
-    return TruncatedPath(i, ((VERTICAL, k),) * depth)
+    path = ExplicitPath(i, ((VERTICAL, k),) * depth)
+    path.validate(spec)
+    return path
 
 
-def minimal_path_into(spec: DiagramSpec, order: OrderSpec, level: int, index: int) -> TruncatedPath:
+def minimal_path_into(spec: DiagramSpec, order: OrderSpec, level: int, index: int) -> ExplicitPath:
     """The order-minimal finite path from level 0 into vertex (level, index),
     built by walking down and always taking the minimal incoming edge."""
     edges: list[Edge] = []
@@ -347,19 +325,19 @@ def minimal_path_into(spec: DiagramSpec, order: OrderSpec, level: int, index: in
         if e[0] == DIAGONAL:
             cur += 1
     edges.reverse()
-    return TruncatedPath(cur, tuple(edges))
+    return ExplicitPath(cur, tuple(edges))
 
 
 def successor(
-    spec: DiagramSpec, order: OrderSpec, path: TruncatedPath
-) -> Union[TruncatedPath, AllMaximalPrefix]:
-    """One step of the adic successor map on a truncated path.
+    spec: DiagramSpec, order: OrderSpec, path: ExplicitPath
+) -> Union[ExplicitPath, AllMaximalPrefix]:
+    """One step of the adic successor map on a finite path.
 
     Finds the smallest level m whose edge is not maximal, advances it to the
     next edge in its vertex order, and replaces everything below with the
     minimal path into the new source vertex; the tail is kept unchanged.
     """
-    for m in range(path.depth):
+    for m in range(len(path.edges)):
         w = path.vertex_at(m + 1)
         vo = order_at(spec, order, m + 1, w)
         nxt = vo.successor_of(path.edges[m])
@@ -367,7 +345,7 @@ def successor(
             continue
         source = w if nxt[0] == VERTICAL else w + 1
         prefix = minimal_path_into(spec, order, m, source)
-        return TruncatedPath(prefix.start, prefix.edges + (nxt,) + path.edges[m + 1 :])
+        return ExplicitPath(prefix.start, prefix.edges + (nxt,) + path.edges[m + 1 :])
     return AllMaximalPrefix()
 
 
@@ -393,7 +371,7 @@ class OrbitReport:
 def orbit_frequencies(
     spec: DiagramSpec,
     order: OrderSpec,
-    start: TruncatedPath,
+    start: ExplicitPath,
     steps: int,
     cylinders: list[CylinderSpec],
     measure=None,
@@ -408,11 +386,7 @@ def orbit_frequencies(
     """
     matchers = []
     for cyl in cylinders:
-        path = (
-            minimal_path_into(spec, order, cyl.length, cyl.index)
-            if isinstance(cyl, EndVertex)
-            else TruncatedPath(cyl.start, cyl.edges)
-        )
+        path = minimal_path_into(spec, order, cyl.length, cyl.index) if isinstance(cyl, EndVertex) else cyl
         matchers.append((cyl, path.start, path.edges))
 
     counts = [0] * len(matchers)
@@ -421,7 +395,7 @@ def orbit_frequencies(
     aborted = False
     for _ in range(steps):
         if window is not None and max(
-            (current.vertex_at(l) for l in range(current.depth + 1)), default=current.start
+            (current.vertex_at(l) for l in range(len(current.edges) + 1)), default=current.start
         ) > window.max_vertex:
             raise DiagramError("orbit left the certified window")
         for idx, (_, cstart, cedges) in enumerate(matchers):

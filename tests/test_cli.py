@@ -317,6 +317,13 @@ def test_config_errors(capsys):
     assert "needs" in err
     code, _, err = run(capsys, "--config", "/nonexistent/file.json")
     assert code == EXIT_CONFIG
+    empty_cycle = json.dumps({"kind": "quasiStationary", "tags": {"default": []}})
+    code, _, err = run(capsys, "vershik", "classify", *AK, "--tags", empty_cycle)
+    assert code == EXIT_CONFIG and "default tag cycle" in err
+    # past --max-level the orbit's paths have no edges to report
+    code, out, err = run(capsys, "vershik", "orbit", *AK, "--tags", "all-left", "--max-level", "4", "--levels", "5")
+    assert code == EXIT_CONFIG and not out
+    assert "--levels 5" in err and "max level 4" in err
 
 
 def test_no_command_prints_help(capsys):
@@ -383,14 +390,24 @@ def test_every_command_in_every_format(capsys, command, fmt):
 
 def test_size_flags_are_bounded_by_the_work_budget(capsys, monkeypatch):
     monkeypatch.setenv("BRATTELI_MAX_WORK", "50")
-    argv = ["vershik", "orbit", *AK, "--tags", "all-left"]
-    assert run(capsys, *argv, "--steps", "50")[0] == EXIT_OK
-    for steps in ("51", "-1"):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--steps", steps])
-        assert exc.value.code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "argument --steps" in err and "BRATTELI_MAX_WORK" in err
+    orbit = ["vershik", "orbit", *AK, "--tags", "all-left"]
+    cases = [
+        (orbit, "--steps"),
+        (orbit + ["--max-level", "50"], "--levels"),
+        (["diagram", "show", *AK], "--max-vertex"),
+        (["measure", "classify", *AK], "--imax"),
+        (["vershik", "classify", *AK, "--tags", "all-left"], "--imax"),
+        (["eigen", "compare", *AK], "--mmax"),
+        (["eigen", "compare", *AK], "--jmax"),
+    ]
+    for argv, flag in cases:
+        assert run(capsys, *argv, flag, "50")[0] == EXIT_OK
+        for value in ("51", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, value])
+            assert exc.value.code == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"argument {flag}" in err and "BRATTELI_MAX_WORK" in err
 
 
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

@@ -9,15 +9,17 @@ Core claims:
       to the order-minimal path; all-maximal windows are reported as such
     - the successor is injective and its replaced prefix is minimal
     - orbit frequencies approximate the normalized extension measure
+    - the orbit through all paths into (N, v) visits each cylinder exactly
+      as often as telescoping counts paths from its end vertex to (N, v)
 """
 
 import random
 
 import pytest
 
-from bratteli.diagram import DiagramError, StationaryAK, Truncation
+from bratteli.diagram import DiagramError, StationaryAK, StationaryDecreasing, Truncation, heights, telescope
 from bratteli.extension import extend_odometer
-from bratteli.measure import DIAGONAL, VERTICAL, ExplicitPath
+from bratteli.measure import DIAGONAL, VERTICAL, EndVertex, ExplicitPath
 from bratteli.orders import (
     ALEPH0,
     LEFT,
@@ -27,7 +29,6 @@ from bratteli.orders import (
     EventuallyQuasiStationary,
     ExplicitOrder,
     QuasiStationary,
-    TruncatedPath,
     VertexOrder,
     canonical_order,
     classify_odometer,
@@ -39,6 +40,7 @@ from bratteli.orders import (
     successor,
     vertical_path,
 )
+from bratteli.sequences import Constant, Table
 
 SPEC = StationaryAK(4, 2)
 
@@ -63,6 +65,24 @@ def test_vertex_order_validation():
         VertexOrder(((VERTICAL, 1), (VERTICAL, 2)))  # diagonal missing
     with pytest.raises(DiagramError):
         canonical_order(MIDDLE, 1)
+
+
+def test_empty_default_tag_cycle_is_rejected():
+    with pytest.raises(DiagramError, match="default tag cycle"):
+        QuasiStationary(default=())
+    with pytest.raises(DiagramError, match="default tag cycle"):
+        order_from_json({"kind": "quasiStationary", "tags": {"default": []}})
+
+
+def test_explicit_order_must_fit_its_vertex():
+    # vertex 2 of ak(4, 2) has two vertical edges; this order lists three
+    order = ExplicitOrder((((1, 2), canonical_order(RIGHT, 3)),))
+    with pytest.raises(DiagramError, match=r"level 1, index 2"):
+        order_at(SPEC, order, 1, 2)
+    with pytest.raises(DiagramError, match=r"level 1, index 2"):
+        successor(SPEC, order, ExplicitPath(2, ((VERTICAL, 2),)))
+    fitting = ExplicitOrder((((1, 2), canonical_order(RIGHT, 2)),))
+    assert successor(SPEC, fitting, ExplicitPath(2, ((VERTICAL, 2),))).edges == ((DIAGONAL, 0),)
 
 
 def test_order_json():
@@ -195,7 +215,7 @@ def test_successor_hand_trace_with_carry():
     # right orders: verticals first, then the diagonal is maximal
     order = QuasiStationary(default=(RIGHT,))
     # all-vertical path sitting at the top vertical edge of each level
-    path = TruncatedPath(1, ((VERTICAL, 4), (VERTICAL, 1)))
+    path = ExplicitPath(1, ((VERTICAL, 4), (VERTICAL, 1)))
     out = successor(SPEC, order, path)
     # x_0 advances into the diagonal edge from (0, 2); prefix empty
     assert out.start == 2
@@ -203,7 +223,7 @@ def test_successor_hand_trace_with_carry():
 
     # diagonal maximal at level 0 forces the carry into level 1, and the
     # prefix resets to the minimal (first-vertical) path
-    path = TruncatedPath(2, ((DIAGONAL, 0), (VERTICAL, 1)))
+    path = ExplicitPath(2, ((DIAGONAL, 0), (VERTICAL, 1)))
     out = successor(SPEC, order, path)
     assert out.edges == ((VERTICAL, 1), (VERTICAL, 2))
     assert out.start == 1
@@ -211,7 +231,7 @@ def test_successor_hand_trace_with_carry():
 
 def test_all_maximal_prefix():
     order = QuasiStationary(default=(RIGHT,))
-    path = TruncatedPath(3, ((DIAGONAL, 0), (DIAGONAL, 0)))  # maximal everywhere
+    path = ExplicitPath(3, ((DIAGONAL, 0), (DIAGONAL, 0)))  # maximal everywhere
     assert isinstance(successor(SPEC, order, path), AllMaximalPrefix)
 
 
@@ -229,7 +249,7 @@ def test_successor_injective_on_random_batches():
                 idx -= 1
             else:
                 edges.append((VERTICAL, rng.randint(1, SPEC.vertical_edges(l, idx))))
-        path = TruncatedPath(start, tuple(edges))
+        path = ExplicitPath(start, tuple(edges))
         out = successor(SPEC, order, path)
         if isinstance(out, AllMaximalPrefix):
             continue
@@ -250,7 +270,7 @@ def test_successor_prefix_is_minimal():
                 idx -= 1
             else:
                 edges.append((VERTICAL, rng.randint(1, SPEC.vertical_edges(l, idx))))
-        path = TruncatedPath(start, tuple(edges))
+        path = ExplicitPath(start, tuple(edges))
         out = successor(SPEC, order, path)
         if isinstance(out, AllMaximalPrefix):
             continue
@@ -265,7 +285,7 @@ def test_successor_prefix_is_minimal():
 def test_minimal_path_into():
     order = QuasiStationary(default=(MIDDLE,))
     path = minimal_path_into(SPEC, order, 3, 2)
-    assert path.depth == 3
+    assert len(path.edges) == 3
     assert path.vertex_at(3) == 2
     for l in range(3):
         vo = order_at(SPEC, order, l + 1, path.vertex_at(l + 1))
@@ -300,3 +320,22 @@ def test_orbit_matches_measure_roughly():
     for e in rep.entries:
         assert e.theoretical is not None
         assert abs(float(e.empirical) - float(e.theoretical)) < 0.03
+
+
+@pytest.mark.parametrize("spec", [SPEC, StationaryDecreasing(Table((5, 3), Constant(2)))], ids=["ak", "decreasing"])
+@pytest.mark.parametrize("tags", [(LEFT,), (RIGHT,), (MIDDLE,), (LEFT, RIGHT)], ids="-".join)
+def test_tower_orbit_counts_match_telescoped_path_counts(spec, tags):
+    order = QuasiStationary(default=tags)
+    for top in range(1, 6):
+        for v in (1, 2):
+            window = Truncation(top, v + top + 2)
+            paths_into = heights(spec, top, window).value(v)
+            cyls = [EndVertex(m, j) for m in range(1, top) for j in range(v, v + top - m + 2)]
+            start = minimal_path_into(spec, order, top, v)
+            rep = orbit_frequencies(spec, order, start, paths_into + 1, cyls)
+            # every path into (top, v) once, then the maximal one has no successor
+            assert rep.steps_done == paths_into and rep.aborted
+            for entry in rep.entries:
+                m, j = entry.cylinder.length, entry.cylinder.index
+                counts = {(row, col): c for row, col, c in telescope(spec, [0, m, top], window).levels[1]}
+                assert entry.empirical * paths_into == counts.get((v, j), 0)
