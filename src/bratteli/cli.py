@@ -62,8 +62,13 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 
+def _int_str(n: int) -> str:
+    # Decimal prints an integer of any length; str(int) refuses beyond sys.get_int_max_str_digits()
+    return str(Decimal(n))
+
+
 def fr_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
 def fr_decimal(x: Fraction, digits: int = 12) -> str:
@@ -179,19 +184,24 @@ def _build_spec(args) -> tuple[dg.DiagramSpec, dg.Truncation]:
     return build(args), window
 
 
-def _parse_cylinders(text: str) -> list[EndVertex]:
-    from .measure import EndVertex
-
+def _cylinder_pairs(text: str) -> list[tuple[int, int]]:
+    """argparse type of ``--cylinders``: "(m,j);(m,j)" pairs, each number within the work budget."""
     out = []
     for part in text.replace(" ", "").split(";"):
-        if not part:
-            continue
-        body = part.strip("()")
-        m, i = body.split(",")
-        out.append(EndVertex(int(m), int(i)))
-    if not out:
-        raise ConfigError("no cylinders given")
+        if part:
+            m, comma, j = part.strip("()").partition(",")
+            if not comma:
+                raise argparse.ArgumentTypeError(f"{part!r} is not an (m,j) pair")
+            out.append((_work_size(m), _work_size(j)))
     return out
+
+
+def _end_vertices(pairs: list[tuple[int, int]]) -> list[EndVertex]:
+    from .measure import EndVertex
+
+    if not pairs:
+        raise ConfigError("no cylinders given")
+    return [EndVertex(m, j) for m, j in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +260,7 @@ def cmd_diagram_show(args, spec, window):
 
 def cmd_diagram_heights(args, spec, window):
     hv = dg.heights(spec, args.level, window)
-    values = {str(i): str(hv.values[i]) for i in sorted(hv.values)}
+    values = {str(i): _int_str(hv.values[i]) for i in sorted(hv.values)}
     report = {"level": args.level, "heights": values, "exact_width": hv.exact_width}
     if args.verify_bruteforce:
         budget = _max_work()
@@ -264,7 +274,7 @@ def cmd_diagram_heights(args, spec, window):
         report["bruteforce_mismatches"] = [
             k for k, v in checked.items() if v != "budget-exceeded" and int(values[k]) != v
         ]
-    csv_rows = [[str(i), str(hv.values[i])] for i in sorted(hv.values)]
+    csv_rows = [[str(i), values[str(i)]] for i in sorted(hv.values)]
     return report, (["vertex", "height"], csv_rows), EXIT_OK
 
 
@@ -323,7 +333,7 @@ def cmd_measure_extend(args, spec, window):
 def cmd_measure_cylinder(args, spec, window):
     from . import extension as ext
 
-    cyls = _parse_cylinders(args.cylinders)
+    cyls = _end_vertices(args.cylinders)
     entries, rows = [], []
     undetermined = False
     for cyl in cyls:
@@ -400,7 +410,7 @@ def cmd_eigen_measure(args, spec, window):
         doc = _load_doc(args.request)
         cyls = [EndVertex(int(m), int(i)) for m, i in doc["cylinders"]]
     elif args.cylinders:
-        cyls = _parse_cylinders(args.cylinders)
+        cyls = _end_vertices(args.cylinders)
     else:
         raise ConfigError("eigen measure needs --request or --cylinders")
     entries, rows = [], []
@@ -575,14 +585,14 @@ COMMANDS = {
     "measure extend": ("extension mass of one odometer", True, [
         _ODOMETER, _MAX_TERMS, ("--trace", dict(type=_work_size, default=0, help="emit the first N series terms"))]),
     "measure cylinder": ("extended measure of (m, j) cylinders", True, [
-        _ODOMETER, ("--cylinders", dict(required=True, help='e.g. "(0,2);(1,3)"')), _MAX_TERMS]),
+        _ODOMETER, ("--cylinders", dict(type=_cylinder_pairs, required=True, help='e.g. "(0,2);(1,3)"')), _MAX_TERMS]),
     "measure check-invariance": ("exact tail-invariance check", True, [
         ("--vectors", dict(help="JSON file {vectors: {level: {vertex: 'num/den'}}}")), _SHIFT]),
     "eigen verify": ("exact row residuals of the eigen equations", True, [
         ("--rows", dict(type=_work_size, default=100)), _SHIFT]),
     "eigen measure": ("eigen measure values on cylinders", True, [
         ("--request", dict(help="JSON file {cylinders: [[m, j], ...]}")),
-        ("--cylinders", dict(help='inline "(m,j);(m,j)" list')), _SHIFT]),
+        ("--cylinders", dict(type=_cylinder_pairs, help='inline "(m,j);(m,j)" list')), _SHIFT]),
     "eigen compare": ("eigen measure vs certified extension values", True, [
         _ODOMETER, ("--mmax", dict(type=_work_size, default=5)), ("--jmax", dict(type=_work_size, default=5)), _SHIFT, _MAX_TERMS]),
     "finite classify": ("communicating classes, radii, measures", False, [

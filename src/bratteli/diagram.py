@@ -14,9 +14,9 @@ a caller asks for, never the precision of what is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from ._frozen import frozen
 from .sequences import Arithmetic, Constant, IntSequence, Table, seq_from_json
 
 
@@ -40,7 +40,7 @@ class CertificateError(DiagramError):
 DEFAULT_MAX_TERMS = 512
 
 
-@dataclass(frozen=True)
+@frozen
 class VertexId:
     level: int
     index: int
@@ -52,7 +52,7 @@ class VertexId:
             raise DiagramError("vertex index must be >= 1")
 
 
-@dataclass(frozen=True)
+@frozen
 class Truncation:
     """Finite window onto a (possibly infinite) diagram."""
 
@@ -123,7 +123,7 @@ class DiagramSpec:
         return doc
 
 
-@dataclass(frozen=True)
+@frozen
 class StationaryAK(DiagramSpec):
     """Stationary chain with first odometer a and all later odometers a-k."""
 
@@ -148,7 +148,7 @@ class StationaryAK(DiagramSpec):
         return {"a": self.a, "k": self.k}
 
 
-@dataclass(frozen=True)
+@frozen
 class StationaryDecreasing(DiagramSpec):
     """Stationary chain with vertex multiplicities a_1 > a_j for j >= 2.
 
@@ -183,7 +183,7 @@ class StationaryDecreasing(DiagramSpec):
         return {"diagonal": self.diagonal.to_json()}
 
 
-@dataclass(frozen=True)
+@frozen
 class StationaryIncreasing(DiagramSpec):
     """Stationary chain with multiplicities 2, 3, 4, ... down the diagonal."""
 
@@ -202,7 +202,7 @@ class StationaryIncreasing(DiagramSpec):
         return {}
 
 
-@dataclass(frozen=True)
+@frozen
 class NonStationaryUniform(DiagramSpec):
     """Non-stationary chain: at level n every odometer has a_n edges."""
 
@@ -224,7 +224,7 @@ class NonStationaryUniform(DiagramSpec):
         return {"levels": self.levels.to_json()}
 
 
-@dataclass(frozen=True)
+@frozen
 class GeneralChain(DiagramSpec):
     """Odometer chain with an explicit (level, vertex) multiplicity table."""
 
@@ -232,7 +232,6 @@ class GeneralChain(DiagramSpec):
     default: int = 2
     family = "general-chain"
     is_odometer_chain = True
-    _table: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         table = {}
@@ -252,7 +251,7 @@ class GeneralChain(DiagramSpec):
         return {"entries": [list(e) for e in self.entries], "default": self.default}
 
 
-@dataclass(frozen=True)
+@frozen
 class ExplicitFinite(DiagramSpec):
     """Finite stationary standard diagram given by A = F^T with a simple hat."""
 
@@ -292,7 +291,7 @@ class ExplicitFinite(DiagramSpec):
         return {"matrix": [list(r) for r in self.a_matrix]}
 
 
-@dataclass(frozen=True)
+@frozen
 class ExplicitLevels(DiagramSpec):
     """Explicit sparse incidence matrices within a window.
 
@@ -366,7 +365,7 @@ def diagram_from_json(doc: dict) -> tuple[DiagramSpec, Optional[Truncation]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class LevelMatrix:
     """Window restriction of one incidence matrix F_n."""
 
@@ -407,7 +406,7 @@ def incidence(spec: DiagramSpec, n: int, window: Truncation) -> LevelMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class HeightsVector:
     """Tower heights H^(n): number of paths from level 0 into each vertex."""
 

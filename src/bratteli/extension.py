@@ -31,10 +31,10 @@ Anything else comes back Undetermined, with exact partial sums attached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._frozen import frozen
 from .diagram import (
     DEFAULT_MAX_TERMS,
     CertificateError,
@@ -55,8 +55,15 @@ UNDETERMINED = "undetermined"
 # stop refining once the certified tail is this small relative to the sum
 _NEGLIGIBLE = Fraction(1, 10**40)
 
+# note of a term-law certificate whose first checked term lies beyond max_terms
+_SHORT = "maxTerms too small to reach the first term the certificate checks"
 
-@dataclass(frozen=True, slots=True)
+# ConvergenceResult is built for every series, so its hand-written constructor
+# skips the shared argument binding
+_set = object.__setattr__
+
+
+@frozen
 class ConvergenceResult:
     """Certified outcome of a nonnegative series.
 
@@ -66,13 +73,27 @@ class ConvergenceResult:
     argument.  ``undetermined``: only the exact partial sum is known.
     """
 
+    __slots__ = (
+        "status", "partial_sum", "terms_used", "tail_bound", "divergence_witness", "certificate", "exact_value"
+    )
     status: str
     partial_sum: Fraction
     terms_used: int
-    tail_bound: Optional[Fraction] = None
-    divergence_witness: Optional[str] = None
-    certificate: Optional[str] = None
-    exact_value: Optional[Fraction] = None
+    tail_bound: Optional[Fraction]
+    divergence_witness: Optional[str]
+    certificate: Optional[str]
+    exact_value: Optional[Fraction]
+
+    def __init__(
+        self, status, partial_sum, terms_used, tail_bound=None, divergence_witness=None, certificate=None, exact_value=None
+    ):
+        _set(self, "status", status)
+        _set(self, "partial_sum", partial_sum)
+        _set(self, "terms_used", terms_used)
+        _set(self, "tail_bound", tail_bound)
+        _set(self, "divergence_witness", divergence_witness)
+        _set(self, "certificate", certificate)
+        _set(self, "exact_value", exact_value)
 
     def interval(self) -> tuple[Fraction, Optional[Fraction]]:
         if self.status == FINITE:
@@ -119,7 +140,7 @@ def _geometric_cutoff(q: Fraction, scale: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class SubdiagramSpec:
     """Vertex subdiagram: one nonempty proper vertex set per level.
 
@@ -411,6 +432,8 @@ def _mass_level_uniform(spec: DiagramSpec, i: int, max_terms: int) -> Convergenc
     if cf is not None:
         m = min(max_terms, max(start + 8, 48))
         terms = mass_series_terms(spec, i, m)
+        if m <= start:
+            return _undetermined(lead + sum(terms), m, _SHORT)
         _verify_nondecreasing(terms, start)
         c = cf[1]
         witness = (
@@ -426,6 +449,8 @@ def _mass_level_uniform(spec: DiagramSpec, i: int, max_terms: int) -> Convergenc
         if d == 1:
             m = min(max_terms, max(start + 8, 48))
             terms = mass_series_terms(spec, i, m)
+            if m <= start:
+                return _undetermined(lead + sum(terms), m, _SHORT)
             _verify_nondecreasing(terms, start)
             witness = (
                 f"for n >= {start} the term ratio is (a_n+1)/a_(n+1) = 1 exactly, "
@@ -634,6 +659,8 @@ def _cylinder_series_vertex_table(spec, i, m, j, max_terms) -> ConvergenceResult
             return _finite(partial, used, total - partial, "negative-binomial-exact", exact=total)
         count = min(max_terms, 48)
         terms = _cylinder_series_terms(spec, i, m, j, count)
+        if count <= d:
+            return _undetermined(sum(terms, Fraction(0)), m + count, _SHORT)
         _verify_nondecreasing(terms, d)
         witness = (
             f"from n = {m + d} on, t_n = C(n-{m},{d}) * {tau}^(n-{m}-{d}) / {a_i}^(n+1) with "
@@ -780,7 +807,7 @@ def extended_cylinder_measure(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class ExtendedMeasure:
     """Canonical extension of odometer ``index``'s measure to its saturation."""
 
@@ -852,14 +879,14 @@ def extend_odometer(spec: DiagramSpec, i: int, max_terms: int = DEFAULT_MAX_TERM
     return ExtendedMeasure(spec, i, odometer_extension_mass(spec, i, max_terms))
 
 
-@dataclass(frozen=True)
+@frozen
 class ErgodicEntry:
     index: int
     mass: ConvergenceResult
     normalizing_constant: Optional[Fraction]  # 1/mass when the mass is exact
 
 
-@dataclass(frozen=True)
+@frozen
 class ErgodicClassification:
     """Per-odometer extension masses and what they mean for the chain."""
 
@@ -907,7 +934,7 @@ def classify_ergodic_measures(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class OracleVerdict:
     status: str  # finite / infinite / undetermined
     mass: Optional[Fraction]  # exact total mass when a closed form exists

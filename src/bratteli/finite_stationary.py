@@ -18,9 +18,9 @@ functions that use it, so importing the package does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._frozen import frozen
 from .diagram import DiagramError
 
 if TYPE_CHECKING:
@@ -36,7 +36,7 @@ class ToleranceError(DiagramError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class ClassDecomposition:
     """Communicating classes of G(A) in topological order.
 
@@ -262,7 +262,7 @@ def _distinguished(dec: ClassDecomposition, radii: list[tuple[float, float]], to
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class DistinguishedData:
     """Eigen data of one distinguished class.
 
@@ -347,7 +347,7 @@ def _eigenvector(dec: ClassDecomposition, alpha: int, radius: tuple[float, float
     return DistinguishedData(alpha, (rho_lo, rho_hi), tuple(float(v) for v in x), support)
 
 
-@dataclass(frozen=True)
+@frozen
 class FiniteStationaryMeasure:
     """Ergodic probability measure of one distinguished class.
 

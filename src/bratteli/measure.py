@@ -10,10 +10,10 @@ single odometer of an odometer chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
+from ._frozen import frozen
 from .diagram import DiagramSpec, DiagramError, Truncation, WindowError
 
 Rational = Fraction  # exact arithmetic substrate; always stored in lowest terms
@@ -26,8 +26,12 @@ Rational = Fraction  # exact arithmetic substrate; always stored in lowest terms
 VERTICAL = "v"
 DIAGONAL = "f"
 
+# ExplicitPath is built twice per orbit step and EndVertex once per cylinder
+# query, so their hand-written constructors skip the shared argument binding
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
+
+@frozen
 class EndVertex:
     """The tail-invariant cylinder abbreviation: length m, end vertex index.
 
@@ -36,15 +40,18 @@ class EndVertex:
     ``EndVertex(0, i)`` is the trivial cylinder of all paths starting at i.
     """
 
+    __slots__ = ("length", "index")
     length: int
     index: int
 
-    def __post_init__(self):
-        if self.length < 0 or self.index < 1:
+    def __init__(self, length: int, index: int):
+        if length < 0 or index < 1:
             raise DiagramError("cylinder needs length >= 0 and index >= 1")
+        _set(self, "length", length)
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True)
+@frozen
 class ExplicitPath:
     """A concrete finite path on an odometer chain.
 
@@ -56,17 +63,19 @@ class ExplicitPath:
     start: int
     edges: tuple[tuple[str, int], ...]
 
-    def __post_init__(self):
-        if self.start < 1:
+    def __init__(self, start: int, edges: tuple[tuple[str, int], ...]):
+        if start < 1:
             raise DiagramError("path start index must be >= 1")
-        idx = self.start
-        for kind, _ in self.edges:
+        idx = start
+        for kind, _ in edges:
             if kind == DIAGONAL:
                 idx -= 1
             elif kind != VERTICAL:
                 raise DiagramError(f"unknown edge kind {kind!r}")
             if idx < 1:
                 raise DiagramError("path walks below vertex 1")
+        _set(self, "start", start)
+        _set(self, "edges", edges)
 
     def vertex_at(self, level: int) -> int:
         idx = self.start
@@ -177,7 +186,7 @@ class MeasureVectors:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class InvarianceReport:
     """Exact per-level verdicts for F_n^T p^(n+1) = p^(n)."""
 
@@ -247,7 +256,7 @@ def check_tail_invariance(spec: DiagramSpec, mv: MeasureVectors, window: Truncat
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class OdometerMeasure:
     """The unique tail-invariant probability measure of one vertical odometer.
 

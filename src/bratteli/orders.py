@@ -22,10 +22,10 @@ decide the limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from ._frozen import frozen
 from .diagram import DiagramError, DiagramSpec, Truncation
 from .measure import DIAGONAL, VERTICAL, CylinderSpec, EndVertex, ExplicitPath, cylinder_measure
 
@@ -44,16 +44,17 @@ def _edge_set(a: int) -> frozenset[Edge]:
     return frozenset([(VERTICAL, k) for k in range(1, a + 1)] + [(DIAGONAL, 0)])
 
 
-@dataclass(frozen=True)
+@frozen
 class VertexOrder:
     """Linear order on the incoming edges of one vertex, minimal first."""
 
     sequence: tuple[Edge, ...]
 
-    def __post_init__(self):
-        a = len(self.sequence) - 1
-        if frozenset(self.sequence) != _edge_set(a) or len(set(self.sequence)) != len(self.sequence):
+    def __init__(self, sequence: tuple[Edge, ...]):
+        a = len(sequence) - 1
+        if frozenset(sequence) != _edge_set(a) or len(set(sequence)) != len(sequence):
             raise DiagramError("order must be a permutation of the vertical edges plus the diagonal")
+        object.__setattr__(self, "sequence", sequence)
 
     @property
     def tag(self) -> str:
@@ -103,7 +104,7 @@ def canonical_order(tag: str, a: int) -> VertexOrder:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class QuasiStationary:
     """Tag per vertex index; unlisted indices cycle through ``default``.
 
@@ -135,7 +136,7 @@ class QuasiStationary:
         return self.default[(i - 1) % len(self.default)]
 
 
-@dataclass(frozen=True)
+@frozen
 class EventuallyQuasiStationary:
     """Quasi-stationary tail with finitely many per-vertex exceptions.
 
@@ -164,7 +165,7 @@ class EventuallyQuasiStationary:
         return self.base.tag_of(i)
 
 
-@dataclass(frozen=True)
+@frozen
 class ExplicitOrder:
     """Concrete orders within a window; nothing is known beyond it."""
 
@@ -227,7 +228,7 @@ def order_from_json(doc: dict) -> OrderSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class OdometerClass:
     finite_right: Optional[bool]  # None = unknown from finite data
     finite_left: Optional[bool]
@@ -252,7 +253,7 @@ def classify_odometer(spec: DiagramSpec, order: OrderSpec, i: int) -> OdometerCl
     return OdometerClass(True, True, "middle orders: never left nor right")
 
 
-@dataclass(frozen=True)
+@frozen
 class ExtensionVerdict:
     """Verdict on extending the successor map to the whole path space."""
 
@@ -354,14 +355,14 @@ def successor(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class OrbitEntry:
     cylinder: CylinderSpec
     empirical: Fraction
     theoretical: Optional[Fraction]
 
 
-@dataclass(frozen=True)
+@frozen
 class OrbitReport:
     entries: tuple[OrbitEntry, ...]
     steps_done: int

@@ -10,15 +10,16 @@ tail rule is allowed but limits certification to the table range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
+
+from ._frozen import frozen
 
 
 class SequenceError(ValueError):
     """Malformed sequence description."""
 
 
-@dataclass(frozen=True)
+@frozen
 class IntSequence:
     """Base class; subclasses implement ``value`` and the analysis hooks."""
 
@@ -44,7 +45,7 @@ class IntSequence:
         return self.value(n)
 
 
-@dataclass(frozen=True)
+@frozen
 class Constant(IntSequence):
     c: int
 
@@ -64,7 +65,7 @@ class Constant(IntSequence):
         return False
 
 
-@dataclass(frozen=True)
+@frozen
 class Arithmetic(IntSequence):
     start: int
     step: int
@@ -88,7 +89,7 @@ class Arithmetic(IntSequence):
         return False
 
 
-@dataclass(frozen=True)
+@frozen
 class Geometric(IntSequence):
     base: int
     ratio: int
@@ -115,7 +116,7 @@ class Geometric(IntSequence):
         return self.ratio >= 2
 
 
-@dataclass(frozen=True)
+@frozen
 class Polynomial(IntSequence):
     """a_n = coeffs[0] + coeffs[1]*n + ... ; leading coefficient positive."""
 
@@ -156,7 +157,7 @@ class Polynomial(IntSequence):
         return self.degree() >= 2
 
 
-@dataclass(frozen=True)
+@frozen
 class Table(IntSequence):
     """Finite table of leading values followed by a tail rule (may be None)."""
 

@@ -14,10 +14,10 @@ never the representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional
 
+from ._frozen import frozen
 from .diagram import DEFAULT_MAX_TERMS, DiagramError, DiagramSpec, Truncation
 from .measure import CylinderSpec, EndVertex, MeasureVectors, as_end_vertex
 from .sequences import IntSequence
@@ -40,7 +40,7 @@ class EigenError(DiagramError):
     """Invalid eigenpair request or failed verification."""
 
 
-@dataclass(frozen=True)
+@frozen
 class EigenPair:
     """Eigenvalue and a closed-form nonnegative eigenvector for A = F^T.
 
@@ -105,7 +105,7 @@ def eigenvector_decreasing(diag: IntSequence, shift: int = 1, check_to: int = 64
     return EigenPair(Fraction(a_m), component, f"decreasing(shift={shift},lam={a_m})")
 
 
-@dataclass(frozen=True)
+@frozen
 class ResidualReport:
     """Exact residuals (A xi)_i - lam xi_i per row; verified means all zero."""
 
@@ -143,7 +143,7 @@ def verify_eigenpair(spec: DiagramSpec, pair: EigenPair, window: Truncation) -> 
     return ResidualReport(residuals, tuple(nonzero))
 
 
-@dataclass(frozen=True)
+@frozen
 class EigenMeasure:
     """Tail-invariant measure with cylinder values xi_v / lam^m."""
 
@@ -179,15 +179,16 @@ def eigen_measure(spec: DiagramSpec, pair: EigenPair, window: Optional[Truncatio
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class CylinderComparison:
+    __slots__ = ("cylinder", "eigen_value", "extension", "verdict")
     cylinder: EndVertex
     eigen_value: Fraction
     extension: ConvergenceResult
     verdict: str  # equal-exact / equal-within-tail / mismatch / skipped-undetermined
 
 
-@dataclass(frozen=True)
+@frozen
 class ComparisonReport:
     entries: tuple[CylinderComparison, ...]
 

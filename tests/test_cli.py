@@ -257,6 +257,38 @@ def test_undetermined_exit_code(capsys):
     assert code == EXIT_UNCERTIFIED
 
 
+def test_short_term_lists_are_undetermined(capsys):
+    # max_terms stops before the first term a certificate checks: the exact
+    # partial sum of the terms computed comes back undetermined (exit 3)
+    code, out, err = run(
+        capsys, "--format", "csv", "measure", "classify", "--family", "nonstat-uniform",
+        "--an", "table:3,7,2:constant:3", "--imax", "1", "--max-terms", "2",
+    )
+    assert (code, err) == (EXIT_UNCERTIFIED, "")
+    assert out.splitlines()[1] == "1,undetermined,32/21,,2,"  # 1 + 1/3 + 4/21
+    code, out, err = run(
+        capsys, "--format", "json", "measure", "cylinder", "--family", "ak", "--a", "7", "--k", "3", "--i", "2",
+        "--cylinders", "(0,3)", "--max-terms", "0",
+    )
+    assert (code, err) == (EXIT_UNCERTIFIED, "")
+    value = json.loads(out)["entries"][0]["value"]
+    assert value["status"] == "undetermined" and value["partial_sum"]["exact"] == "0/1"
+
+
+def test_long_exact_values_print_in_full(capsys):
+    from bratteli.diagram import StationaryAK
+    from bratteli.extension import extended_cylinder_measure
+    from bratteli.measure import EndVertex
+
+    # denominators of 4816 digits, past the interpreter's 4300-digit int-to-str limit
+    code, out, err = run(capsys, "--format", "json", "measure", "cylinder", *AK, "--cylinders", "(0,8000)")
+    assert (code, err) == (EXIT_OK, "")
+    partial = json.loads(out)["entries"][0]["value"]["partial_sum"]["exact"]
+    assert len(partial.partition("/")[2]) > 4300
+    expected = extended_cylinder_measure(StationaryAK(4, 2), 1, EndVertex(0, 8000)).partial_sum
+    assert fr_str(expected) == partial
+
+
 def test_certificate_error_is_internal(capsys, monkeypatch):
     from bratteli.extension import CertificateError
 
@@ -392,19 +424,22 @@ def test_size_flags_are_bounded_by_the_work_budget(capsys, monkeypatch):
     monkeypatch.setenv("BRATTELI_MAX_WORK", "50")
     orbit = ["vershik", "orbit", *AK, "--tags", "all-left"]
     cases = [
-        (orbit, "--steps"),
-        (orbit + ["--max-level", "50"], "--levels"),
-        (["diagram", "show", *AK], "--max-vertex"),
-        (["measure", "classify", *AK], "--imax"),
-        (["vershik", "classify", *AK, "--tags", "all-left"], "--imax"),
-        (["eigen", "compare", *AK], "--mmax"),
-        (["eigen", "compare", *AK], "--jmax"),
+        (orbit, "--steps", "{}"),
+        (orbit + ["--max-level", "50"], "--levels", "{}"),
+        (["diagram", "show", *AK], "--max-vertex", "{}"),
+        (["measure", "classify", *AK], "--imax", "{}"),
+        (["vershik", "classify", *AK, "--tags", "all-left"], "--imax", "{}"),
+        (["eigen", "compare", *AK], "--mmax", "{}"),
+        (["eigen", "compare", *AK], "--jmax", "{}"),
+        # both numbers of every (m, j) pair
+        (["measure", "cylinder", *AK], "--cylinders", "(0,{})"),
+        (["eigen", "measure", *AK], "--cylinders", "(1,1);({},2)"),
     ]
-    for argv, flag in cases:
-        assert run(capsys, *argv, flag, "50")[0] == EXIT_OK
+    for argv, flag, form in cases:
+        assert run(capsys, *argv, flag, form.format(50))[0] == EXIT_OK
         for value in ("51", "-1"):
             with pytest.raises(SystemExit) as exc:
-                main([*argv, flag, value])
+                main([*argv, flag, form.format(value)])
             assert exc.value.code == EXIT_CONFIG
             err = capsys.readouterr().err
             assert f"argument {flag}" in err and "BRATTELI_MAX_WORK" in err
@@ -426,12 +461,20 @@ def _modules_after(*argv):
 
 
 def test_each_command_loads_only_the_layers_it_uses():
+    # value classes share their methods instead of generating them with dataclasses,
+    # which would load inspect, ast and dis as well
     loaded = _modules_after("diagram", "show", *AK)
     assert {"bratteli.cli", "bratteli.diagram", "bratteli.sequences"} <= loaded
-    for module in ("bratteli.extension", "bratteli.orders", "bratteli.spectral", "bratteli.finite_stationary", "numpy"):
+    for module in (
+        "bratteli.extension", "bratteli.orders", "bratteli.spectral", "bratteli.finite_stationary", "numpy",
+        "dataclasses", "inspect",
+    ):
         assert module not in loaded
     loaded = _modules_after("eigen", "verify", *AK, "--rows", "5")
     assert "bratteli.spectral" in loaded and "bratteli.extension" not in loaded
+    loaded = _modules_after("measure", "classify", *AK)
+    assert "bratteli.extension" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_closed_pipe_exits_quietly():
