@@ -6,7 +6,8 @@ sum_n H^(n)_{i+1} / (a_0(i) ... a_n(i)); the extension is a finite measure
 exactly when that series converges.  The engine never answers without a
 certificate: exact geometric sums, exact resolvent sums (one
 back-substitution when every multiplicity above the odometer is below its
-own), verified ratio bounds, or comparison with the reciprocal level sums.
+own), or, on non-stationary chains, the generating function
+prod_n (1 + t/a_n) with a bound on the tail sum of the reciprocal levels.
 """
 
 from fractions import Fraction

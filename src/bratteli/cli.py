@@ -407,8 +407,10 @@ def cmd_eigen_measure(args, spec, window):
     pair = _canonical_eigen_pair(spec, args.shift)
     measure = sp.eigen_measure(spec, pair, window)
     if args.request:
-        doc = _load_doc(args.request)
-        cyls = [EndVertex(int(m), int(i)) for m, i in doc["cylinders"]]
+        try:
+            cyls = [EndVertex(_work_size(m), _work_size(j)) for m, j in _load_doc(args.request)["cylinders"]]
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"--request: {exc}") from None
     elif args.cylinders:
         cyls = _end_vertices(args.cylinders)
     else:

@@ -12,18 +12,20 @@ The engine never reports a finite or infinite verdict without a certificate:
 
 * exact closed forms (geometric and negative-binomial series, where the term
   law is exact by the height recursion);
-* a verified ratio bound t_{n+1}/t_n <= q < 1 whose persistence follows from
-  the family's term recurrence;
 * exact resolvent sums on stationary chains whose multiplicities above the
   odometer stay below a_i: mass and cylinder series are Neumann series of a
   triangular matrix with diagonal below a_i, summed by one back-substitution
   to e^T (a_i I - M)^(-1) r;
-* comparison against sum 1/a_n with an integral tail bound, for polynomially
-  growing level sequences;
+* on level-indexed chains, one generating function E(t) = prod_n (1 + t/a_n):
+  the mass is E(1) and each cylinder value a coefficient of E, summed exactly
+  over a prefix of levels, with the rest bounded by the tail sum S of 1/a_n.
+  S is exact for geometric level sequences, where cylinder values are exact
+  by the q-binomial identity, and an integral bound for polynomial ones of
+  degree >= 2;
 * for divergence, terms eventually nondecreasing and bounded below, a block
-  lower bound for harmonic-type series, or a climb bound (paths may take
-  diagonal steps to a dominating odometer, pinning terms above a positive
-  rational).
+  lower bound on sum 1/a_n for constant and linearly growing level
+  sequences, or a climb bound (paths may take diagonal steps to a
+  dominating odometer, pinning terms above a positive rational).
 
 Anything else comes back Undetermined, with exact partial sums attached.
 """
@@ -402,131 +404,125 @@ def _resolve_level_seq(seq: IntSequence) -> tuple[IntSequence, int]:
 def _poly_comparison(poly: Polynomial) -> tuple[Fraction, int]:
     """Return (alpha, n1) with poly(u) >= alpha*(u+1)^2 for all u >= n1.
 
-    alpha is half the leading coefficient; n1 comes from a root bound of the
-    difference polynomial, beyond which it is positive.
+    alpha is the leading coefficient where poly(u) - alpha*(u+1)^2 keeps a
+    positive leading coefficient, half of it otherwise; n1 comes from a root
+    bound of that difference polynomial, beyond which it is positive.
     """
     deg = poly.degree()
     if deg < 2:
         raise CertificateError("comparison certificate needs degree >= 2")
-    alpha = Fraction(poly.coeffs[deg], 2)
-    # difference = poly(u) - alpha*(u+1)^2, coefficients in Fractions
-    diff = [Fraction(c) for c in poly.coeffs] + [Fraction(0)] * 2
-    diff[0] -= alpha
-    diff[1] -= 2 * alpha
-    diff[2] -= alpha
-    while len(diff) > 1 and diff[-1] == 0:
-        diff.pop()
-    top = diff[-1]
-    if top <= 0:
-        raise CertificateError("difference polynomial must have a positive leading coefficient")
-    n1 = 1 + max((abs(c) / top for c in diff[:-1]), default=Fraction(0))
-    return alpha, math.ceil(n1)
+    for alpha in (Fraction(poly.coeffs[deg]), Fraction(poly.coeffs[deg], 2)):
+        # difference = poly(u) - alpha*(u+1)^2, coefficients in Fractions
+        diff = [Fraction(c) for c in poly.coeffs] + [Fraction(0)] * 2
+        diff[0] -= alpha
+        diff[1] -= 2 * alpha
+        diff[2] -= alpha
+        while len(diff) > 1 and diff[-1] == 0:
+            diff.pop()
+        top = diff[-1]
+        if top > 0:
+            n1 = 1 + max((abs(c) / top for c in diff[:-1]), default=Fraction(0))
+            return alpha, math.ceil(n1)
+    raise CertificateError("difference polynomial must have a positive leading coefficient")
 
 
-def _mass_level_uniform(spec: DiagramSpec, i: int, max_terms: int) -> ConvergenceResult:
-    levels = spec.level_diag
-    lead = Fraction(1)
-    tail_seq, start = _resolve_level_seq(levels)
+def _level_series(spec: DiagramSpec, i: int, m: int, r: Optional[int], max_terms: int) -> ConvergenceResult:
+    """The mass E(1) (r None) or the cylinder value c e_r(x_m, x_(m+1), ...), certified.
 
+    Here x_n = 1/a_n and c = 1/(a_0 ... a_(m-1)).  An exact prefix over N
+    levels is summed in integers over the common denominator: the product of
+    the a_n + 1 for the mass, the path-count recursion E_s <- a E_s + E_(s-1)
+    for e_0..e_r.  The tail sequence supplies S >= sum of x_n over the later
+    levels; since e_s of the tail is at most S^s/s!, the mass lies in
+    [P_N, P_N/(1 - S)] and the cylinder in [c e_r, c sum_s e_(r-s) S^s/s!].
+    Geometric tails are exact by Euler's q-binomial identity
+    e_s(y, yq, yq^2, ...) = y^s q^(s(s-1)/2) / prod_(t=1..s) (1 - q^t).
+    """
+    tail_seq, offset = _resolve_level_seq(spec.level_diag)
     cf = tail_seq.constant_from()
+    slope = None  # (s, d) of a tail a_n = s + d(n - offset) whose reciprocals diverge
     if cf is not None:
-        m = min(max_terms, max(start + 8, 48))
-        terms = mass_series_terms(spec, i, m)
-        if m <= start:
-            return _undetermined(lead + sum(terms), m, _SHORT)
-        _verify_nondecreasing(terms, start)
-        c = cf[1]
+        slope = (cf[1], 0)
+    elif isinstance(tail_seq, Arithmetic) and tail_seq.step > 0:
+        slope = (tail_seq.start, tail_seq.step)
+    elif isinstance(tail_seq, Polynomial) and tail_seq.degree() == 1:
+        slope = tail_seq.coeffs[:2]
+    geometric = isinstance(tail_seq, Geometric) and tail_seq.ratio >= 2
+    poly = isinstance(tail_seq, Polynomial) and tail_seq.degree() >= 2
+    # tail levels the prefix covers, the fewest the tail rule needs, and why
+    # there is no tail rule
+    need, note = 0, None
+    if slope is not None:
+        levels = 48
+    elif geometric:
+        levels = 0  # cylinders are exact without a tail prefix
+        if r is None:  # refine the mass until S/(1 - S) is negligible
+            levels = 2
+            while levels < 512 and _geometric_tail(tail_seq, levels) * (1 + _NEGLIGIBLE) > _NEGLIGIBLE:
+                levels += 1
+    elif poly:
+        alpha, need = _poly_comparison(tail_seq)
+        levels = max(need, 256)
+    elif isinstance(tail_seq, Table):
+        levels, note = len(tail_seq.values), "level sequence has no tail rule usable for certification"
+    else:
+        levels, note = 0, "decreasing level sequence has no certificate"
+    count = min(max_terms, max(offset + levels - m, 0))
+
+    den = 1
+    for n in range(m):
+        den *= spec.vertical_edges(n, i)
+    top, e = 1, [1] + [0] * min(r or 0, count)
+    for n in range(m, m + count):
+        a = spec.vertical_edges(n, i)
+        den *= a
+        if r is None:
+            top *= a + 1
+        else:
+            e = [a * e[0]] + [a * e[s] + e[s - 1] for s in range(1, len(e))]
+    if r is not None:
+        top = e[r] if r < len(e) else 0
+    partial = Fraction(top, den)
+
+    used = m + count - offset  # tail levels inside the prefix
+    if note is not None:
+        return _undetermined(partial, count, note)
+    if used < need:
+        return _undetermined(partial, count, _SHORT)
+    if slope is not None:
+        s, d = slope
+        what = "the mass prod_n (1 + 1/a_n)" if r is None else f"e_{r}(1/a_{m}, 1/a_{m + 1}, ...)"
         witness = (
-            f"for n >= {start} the term ratio is (a_n+1)/a_(n+1) = ({c}+1)/{c} > 1, "
-            f"so terms are nondecreasing and bounded below by {terms[start]}"
+            f"a_n = {s} + {d}(n-{offset}) for n >= {offset}: 1/a_n sums to at least {Fraction(1, s + 2 * d)} "
+            f"over every block N <= n-{offset} <= 2N, so sum 1/a_n diverges and with it {what}"
         )
-        return _infinite(lead + sum(terms), m, witness, "nondecreasing-terms")
+        return _infinite(partial, count, witness, "block-lower-bound")
+    tail_sum = _geometric_tail(tail_seq, used) if geometric else 1 / (alpha * used)
+    if r is None:
+        if tail_sum >= 1:
+            return _undetermined(partial, count, _SHORT)
+        cert = "geometric-tail" if geometric else "comparison-integral-tail"
+        return _finite(partial, count, partial * tail_sum / (1 - tail_sum), cert)
+    if r > max_terms:  # the tail series has r terms
+        return _undetermined(partial, count, _SHORT)
+    # e_s of the tail: exact for geometric tails, at most S^s/s! otherwise
+    weight, tail = Fraction(1), Fraction(0)
+    for s in range(1, r + 1):
+        if geometric:
+            weight *= Fraction(tail_seq.ratio, tail_seq.value(used) * (tail_seq.ratio**s - 1))
+        else:
+            weight *= tail_sum / s
+        if r - s < len(e):
+            tail += e[r - s] * weight
+    tail /= den
+    if geometric:
+        return _finite(partial, count, tail, "geometric-exact", exact=partial + tail)
+    return _finite(partial, count, tail, "comparison-integral-tail")
 
-    if isinstance(tail_seq, Arithmetic):
-        s, d = tail_seq.start, tail_seq.step
-        if d < 0:
-            return _undetermined(lead, 0, "decreasing level sequence has no certificate")
-        if d == 1:
-            m = min(max_terms, max(start + 8, 48))
-            terms = mass_series_terms(spec, i, m)
-            if m <= start:
-                return _undetermined(lead + sum(terms), m, _SHORT)
-            _verify_nondecreasing(terms, start)
-            witness = (
-                f"for n >= {start} the term ratio is (a_n+1)/a_(n+1) = 1 exactly, "
-                f"so the terms stay at {terms[start]} > 0"
-            )
-            return _infinite(lead + sum(terms), m, witness, "nondecreasing-terms")
-        m = min(max_terms, max(start + 8, 48))
-        terms = mass_series_terms(spec, i, m)
-        delta = Fraction(1, s + 2 * d)
-        witness = (
-            f"t_n >= 1/a_n = 1/({s} + {d}(n-{start})) for n >= {start}; every block "
-            f"N <= n <= 2N contributes at least {delta}, so partial sums are unbounded"
-        )
-        for n in range(start, m):
-            if terms[n] < Fraction(1, spec.vertical_edges(n, i)):
-                raise CertificateError("term fell below its harmonic lower bound")
-        return _infinite(lead + sum(terms), m, witness, "block-lower-bound")
 
-    if isinstance(tail_seq, Geometric) and tail_seq.ratio >= 2:
-        # term ratio (a_n+1)/a_(n+1) is strictly decreasing along the tail,
-        # so a single observed ratio bounds every later one
-        min_used = max(start + 2, 2)
-        partial, used = Fraction(0), 0
-        prod_plus, prod_a = 1, 1
-        last_t = Fraction(0)
-        cap = min(max_terms, 512)
-        while used < cap:
-            a_n = spec.vertical_edges(used, i)
-            last_t = Fraction(prod_plus, prod_a * a_n)
-            partial += last_t
-            prod_plus *= a_n + 1
-            prod_a *= a_n
-            used += 1
-            if used < min_used:
-                continue
-            q = Fraction(spec.vertical_edges(used - 1, i) + 1, spec.vertical_edges(used, i))
-            if q < 1 and last_t * q / (1 - q) <= (lead + partial) * _NEGLIGIBLE:
-                break
-        q = Fraction(spec.vertical_edges(used - 1, i) + 1, spec.vertical_edges(used, i))
-        if q >= 1:
-            return _undetermined(lead + partial, used, "geometric tail too slow in this window")
-        tail = last_t * q / (1 - q)
-        return _finite(lead + partial, used, tail, "ratio-bound (ratio decreasing along the tail)")
-
-    if isinstance(tail_seq, Polynomial) and tail_seq.degree() >= 2:
-        alpha, n1 = _poly_comparison(tail_seq)
-        m_local = max(n1, math.ceil(2 / alpha) + 1, 256)
-        m = start + m_local
-        if m > max_terms:
-            m = max_terms
-            m_local = m - start
-            if m_local < max(n1, math.ceil(2 / alpha) + 1):
-                return _undetermined(
-                    lead + sum(mass_series_terms(spec, i, min(max_terms, 64))),
-                    min(max_terms, 64),
-                    "maxTerms too small for the comparison certificate",
-                )
-        terms = mass_series_terms(spec, i, m)
-        for n in range(start + n1, m):
-            u = n - start
-            if Fraction(tail_seq.value(u)) < alpha * (u + 1) ** 2:
-                raise CertificateError("level sequence fell below its comparison envelope")
-        s_bound = Fraction(1, 1) / (alpha * m_local)
-        if s_bound >= 1:
-            return _undetermined(lead + sum(terms), m, "comparison tail not yet below 1")
-        prod = Fraction(1)
-        for n in range(m):
-            prod *= 1 + Fraction(1, spec.vertical_edges(n, i))
-        tail = prod * s_bound / (1 - s_bound)
-        return _finite(lead + sum(terms), m, tail, "comparison-with-reciprocal-sum")
-
-    return _undetermined(
-        lead + sum(mass_series_terms(spec, i, min(max_terms, 64))),
-        min(max_terms, 64),
-        "level sequence has no tail rule usable for certification",
-    )
+def _geometric_tail(seq: Geometric, u: int) -> Fraction:
+    """Exact sum of 1/seq(v) over v >= u."""
+    return Fraction(seq.ratio, (seq.ratio - 1) * seq.value(u))
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +544,7 @@ def odometer_extension_mass(spec: DiagramSpec, i: int, max_terms: int = DEFAULT_
     if spec.vertex_diag is not None:
         return _mass_vertex_table(spec, i, max_terms)
     if spec.level_diag is not None:
-        return _mass_level_uniform(spec, i, max_terms)
+        return _level_series(spec, i, 0, None, max_terms)
     m = min(max_terms, 64)
     return _undetermined(
         Fraction(1) + sum(mass_series_terms(spec, i, m)),
@@ -701,71 +697,6 @@ def _cylinder_series_vertex_table(spec, i, m, j, max_terms) -> ConvergenceResult
     return _infinite(sum(terms), m + count, witness, "climb-lower-bound")
 
 
-def _reciprocal_series(
-    seq: IntSequence, scale: Fraction, start: int, max_terms: int
-) -> ConvergenceResult:
-    """Certified evaluation of sum_{n >= start} scale / seq(n)."""
-    tail_seq, offset = _resolve_level_seq(seq)
-    lo = max(start, offset)
-
-    def prefix_sum(upto: int) -> Fraction:
-        return sum((scale / seq.value(n) for n in range(start, upto)), Fraction(0))
-
-    cf = tail_seq.constant_from()
-    if cf is not None:
-        c = cf[1]
-        m = min(max_terms, lo - start + 16)
-        witness = f"terms are eventually the constant {scale}/{c} > 0"
-        return _infinite(prefix_sum(start + m), m, witness, "nondecreasing-terms")
-
-    linear_like = (isinstance(tail_seq, Arithmetic) and tail_seq.step >= 1) or (
-        isinstance(tail_seq, Polynomial) and tail_seq.degree() == 1
-    )
-    if linear_like:
-        if isinstance(tail_seq, Arithmetic):
-            s, dd = tail_seq.start, tail_seq.step
-        else:
-            s, dd = tail_seq.coeffs[0], tail_seq.coeffs[1]
-        m = min(max_terms, lo - start + 16)
-        delta = scale / (s + 2 * dd)
-        witness = (
-            f"sum of {scale}/a_n over any block N <= n <= 2N (N >= {lo}) is at least {delta}, "
-            "so the partial sums are unbounded"
-        )
-        return _infinite(prefix_sum(start + m), m, witness, "block-lower-bound")
-
-    if isinstance(tail_seq, Arithmetic) and tail_seq.step < 0:
-        return _undetermined(Fraction(0), 0, "decreasing sequences carry no certificate")
-
-    if isinstance(tail_seq, Geometric) and tail_seq.ratio >= 2:
-        b, r = tail_seq.base, tail_seq.ratio
-        # exact: sum_{n>=lo} scale/(b r^(n-offset)) plus the finite prefix
-        first = scale / Fraction(b * r ** (lo - offset))
-        geom_total = first * Fraction(r, r - 1)
-        total = prefix_sum(lo) + geom_total
-        used = min(max_terms, lo - start + 24)
-        partial = prefix_sum(start + used)
-        return _finite(partial, used, total - partial, "geometric-exact", exact=total)
-
-    if isinstance(tail_seq, Polynomial) and tail_seq.degree() >= 2:
-        alpha, n1 = _poly_comparison(tail_seq)
-        m_local = max(n1, 128)
-        upto = offset + m_local
-        if upto - start > max_terms:
-            upto = start + max_terms
-            m_local = upto - offset
-            if m_local < n1:
-                return _undetermined(prefix_sum(start + max_terms), max_terms, "maxTerms too small")
-        tail = scale / (alpha * m_local)
-        return _finite(prefix_sum(upto), upto - start, tail, "comparison-integral-tail")
-
-    return _undetermined(
-        prefix_sum(start + min(max_terms, 32)),
-        min(max_terms, 32),
-        "sequence has no tail rule usable for certification",
-    )
-
-
 def extended_cylinder_measure(
     spec: DiagramSpec, i: int, cyl: CylinderSpec, max_terms: int = DEFAULT_MAX_TERMS
 ) -> ConvergenceResult:
@@ -790,11 +721,8 @@ def extended_cylinder_measure(
     if spec.vertex_diag is not None:
         return _cylinder_series_vertex_table(spec, i, m, j, max_terms)
 
-    if spec.level_diag is not None and j == i + 1:
-        # terms reduce to c / a_n with c the base cylinder value at level m
-        dens = _odometer_denominators(spec, i, m) if m else [1]
-        c = Fraction(1, dens[-1])
-        return _reciprocal_series(spec.level_diag, c, m, max_terms)
+    if spec.level_diag is not None:
+        return _level_series(spec, i, m, j - i, max_terms)
 
     # exact partial sums, no certificate
     count = min(max_terms, 64)

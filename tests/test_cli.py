@@ -445,6 +445,27 @@ def test_size_flags_are_bounded_by_the_work_budget(capsys, monkeypatch):
             assert f"argument {flag}" in err and "BRATTELI_MAX_WORK" in err
 
 
+def test_request_cylinders_are_bounded_by_the_work_budget(capsys, monkeypatch):
+    monkeypatch.setenv("BRATTELI_MAX_WORK", "10")
+    argv = ["eigen", "measure", *AK, "--request"]
+    code, out, err = run(capsys, *argv, json.dumps({"cylinders": [[20000, 2]]}))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "--request" in err and "BRATTELI_MAX_WORK" in err
+    assert run(capsys, *argv, json.dumps({"cylinders": [[10, 2]]}))[0] == EXIT_OK
+
+
+def test_level_indexed_cylinders_are_certified(capsys):
+    code, out, err = run(
+        capsys, "--format", "json", "measure", "cylinder", "--family", "nonstat-uniform", "--an", "geometric:2,2",
+        "--cylinders", "(0,3);(1,4)",
+    )
+    assert (code, err) == (EXIT_OK, "")
+    values = [e["value"] for e in json.loads(out)["entries"]]
+    assert values[0]["certificate"] == "geometric-exact" and values[0]["exact_value"]["exact"] == "1/3"
+    # (1/a_0) e_3(1/4, 1/8, ...) = (1/2) (1/4)^3 (1/2)^3 / ((1 - 1/2)(1 - 1/4)(1 - 1/8)) = 1/336
+    assert values[1]["exact_value"]["exact"] == "1/336"
+
+
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 

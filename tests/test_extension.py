@@ -12,6 +12,7 @@ Core claims:
       sigma-finite k = 1 case, and add up across levels to the total mass
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -41,6 +42,7 @@ from bratteli.extension import (
     extended_cylinder_measure,
     extension_total_mass,
     mass_series_terms,
+    _cylinder_series_terms,
 )
 from bratteli.measure import EndVertex, MeasureVectors, check_tail_invariance, odometer_measure
 from bratteli.sequences import Arithmetic, Constant, Geometric, Polynomial, Table
@@ -327,6 +329,83 @@ def test_nonstationary_neighbor_cylinder():
     assert res.exact_value == 1
     res = extended_cylinder_measure(NonStationaryUniform(Constant(2)), 1, EndVertex(0, 2))
     assert res.status == INFINITE
+
+
+# one sequence per tail kind, bare and behind a table prefix
+LEVEL_TAILS = [Constant(3), Arithmetic(2, 1), Polynomial((3, 2)), Polynomial((2, 0, 1)), Geometric(2, 2)]
+LEVEL_SEQUENCES = LEVEL_TAILS + [Table((5, 7), tail) for tail in LEVEL_TAILS]
+
+
+@pytest.mark.parametrize("seq", LEVEL_SEQUENCES, ids=repr)
+def test_level_verdicts_agree_with_the_oracle(seq):
+    # the mass and every cylinder beyond the odometer are coefficients of
+    # prod_n (1 + t/a_n): all finite exactly when sum 1/a_n converges
+    spec = NonStationaryUniform(seq)
+    want = closed_form_oracles(spec).status
+    assert odometer_extension_mass(spec, 1).status == want
+    for m in range(3):
+        for j in range(2, 7):
+            assert extended_cylinder_measure(spec, 1, EndVertex(m, j)).status == want
+
+
+def _random_level_sequence(rng, kind):
+    tail = [
+        lambda: Constant(rng.randint(2, 5)),
+        lambda: Arithmetic(rng.randint(2, 4), rng.randint(1, 3)),
+        lambda: Polynomial((rng.randint(2, 5), rng.randint(1, 3))),
+        lambda: Polynomial((rng.randint(2, 5), rng.randint(0, 4), rng.randint(1, 2))),
+        lambda: Geometric(rng.randint(2, 3), rng.randint(2, 3)),
+    ][kind]()
+    values = tuple(rng.randint(2, 9) for _ in range(rng.randint(0, 3)))
+    return Table(values, tail) if values else tail
+
+
+def test_level_intervals_contain_bruteforce_partial_sums():
+    # the certified lower end is the exact sum of terms_used series terms, and
+    # every partial sum of the series stays below the certified upper end
+    rng = random.Random(20240226)
+    for idx in range(10):
+        spec = NonStationaryUniform(_random_level_sequence(rng, idx % 5))
+        res = odometer_extension_mass(spec, 1)
+        terms = mass_series_terms(spec, 1, res.terms_used + 40)
+        assert res.partial_sum == 1 + sum(terms[: res.terms_used])
+        if res.status == FINITE:
+            assert res.contains(1 + sum(terms))
+        for m, j in [(0, 2), (0, 3), (1, 4), (2, 6)]:
+            res = extended_cylinder_measure(spec, 1, EndVertex(m, j))
+            assert res.status != UNDETERMINED
+            terms = _cylinder_series_terms(spec, 1, m, j, res.terms_used + 40)
+            assert res.partial_sum == sum(terms[: res.terms_used], Fraction(0))
+            if res.status == FINITE:
+                for cut in (j, res.terms_used // 2, len(terms)):
+                    assert sum(terms[:cut], Fraction(0)) <= res.interval()[1]
+                if res.is_exact:
+                    assert res.contains(res.exact_value)
+
+
+def test_geometric_level_cylinders_are_exact():
+    spec = NonStationaryUniform(Geometric(2, 2))
+    # e_2(1/2, 1/4, 1/8, ...) = (1/4) / ((1 - 1/2)(1 - 1/4)) = 1/3
+    assert extended_cylinder_measure(spec, 1, EndVertex(0, 3)).exact_value == Fraction(1, 3)
+    # every cell is exact, so the unnormalized vectors exist; tail invariance
+    # p^(n)_j = a_n p^(n+1)_j + p^(n+1)_(j-1) checks the q-binomial values
+    window = Truncation(5, 5)
+    mv = extend_odometer(spec, 1).measure_vectors(window)
+    assert check_tail_invariance(spec, mv, window).ok
+
+
+def test_square_levels_match_the_sine_product():
+    # a_n = (n+2)^2: E(t) = prod_(k>=2) (1 + t/k^2) = sinh(pi sqrt t) / (pi sqrt t (1 + t)),
+    # so the mass is E(1) = sinh(pi)/(2 pi) and e_1, e_2 are its first Taylor coefficients
+    spec = NonStationaryUniform(Polynomial((4, 4, 1)))
+    res = odometer_extension_mass(spec, 1)
+    lo, hi = res.interval()
+    assert float(lo) <= math.sinh(math.pi) / (2 * math.pi) <= float(hi)
+    assert hi - lo <= Fraction(144, 10000)
+    pi2 = math.pi**2
+    for j, want in [(2, pi2 / 6 - 1), (3, pi2 * pi2 / 120 - pi2 / 6 + 1)]:
+        lo, hi = extended_cylinder_measure(spec, 1, EndVertex(0, j)).interval()
+        assert float(lo) <= want <= float(hi)
 
 
 def test_cylinder_partials_match_bruteforce_path_counts():
