@@ -4,9 +4,10 @@ Each odometer of a chain carries a unique tail-invariant probability measure.
 Extending it to all tail-equivalent paths multiplies in the mass series
 sum_n H^(n)_{i+1} / (a_0(i) ... a_n(i)); the extension is a finite measure
 exactly when that series converges.  The engine never answers without a
-certificate: exact geometric sums, exact resolvent sums (one
+certificate.  On stationary chains it sums the resolvent exactly (one
 back-substitution when every multiplicity above the odometer is below its
-own), or, on non-stationary chains, the generating function
+own) or proves divergence by a climb to a vertex whose heights grow at least
+as fast; on non-stationary chains it uses the generating function
 prod_n (1 + t/a_n) with a bound on the tail sum of the reciprocal levels.
 """
 

@@ -210,9 +210,6 @@ def _end_vertices(pairs: list[tuple[int, int]]) -> list[EndVertex]:
 
 
 def emit(report: dict, fmt: str, csv_table: tuple[list[str], list[list[str]]]) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return
     if fmt == "csv":
         header, rows = csv_table
         buf = io.StringIO()
@@ -221,7 +218,20 @@ def emit(report: dict, fmt: str, csv_table: tuple[list[str], list[list[str]]]) -
         writer.writerows(rows)
         print(buf.getvalue(), end="")
         return
-    _emit_human(report)
+    # reports hold integers of any length (telescoped multiplicities); the
+    # int-to-str digit limit guards parsing, and printing parses nothing, so
+    # it is lifted here (Python 3.10 before 3.10.7 has no such limit)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            _emit_human(report)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _emit_human(doc, indent: int = 0) -> None:
@@ -282,7 +292,7 @@ def cmd_telescope(args, spec, window):
     pts = [int(x) for x in args.breakpoints.split(",")]
     out = dg.telescope(spec, pts, window)
     report = {"breakpoints": pts, "levels": [[list(e) for e in lvl] for lvl in out.levels]}
-    csv_rows = [[str(k), str(v), str(w), str(m)] for k, lvl in enumerate(out.levels) for v, w, m in lvl]
+    csv_rows = [[str(k), str(v), str(w), _int_str(m)] for k, lvl in enumerate(out.levels) for v, w, m in lvl]
     return report, (["level", "row", "col", "multiplicity"], csv_rows), EXIT_OK
 
 

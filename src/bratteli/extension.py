@@ -10,24 +10,26 @@ chain this collapses to  sum_n H^(n)_{i+1} / (a_0(i) ... a_n(i)).
 
 The engine never reports a finite or infinite verdict without a certificate:
 
-* exact closed forms (geometric and negative-binomial series, where the term
-  law is exact by the height recursion);
-* exact resolvent sums on stationary chains whose multiplicities above the
-  odometer stay below a_i: mass and cylinder series are Neumann series of a
-  triangular matrix with diagonal below a_i, summed by one back-substitution
-  to e^T (a_i I - M)^(-1) r;
+* on stationary (vertex-indexed) chains, two rules decide every mass and
+  cylinder.  When every multiplicity above the odometer stays below a_i, the
+  series is the Neumann series of a triangular matrix with diagonal below
+  a_i, summed exactly by one back-substitution to e^T (a_i I - M)^(-1) r
+  (``resolvent-exact``; a cylinder whose zone is one constant multiplicity
+  keeps its negative-binomial term sum, ``negative-binomial-exact``).
+  Otherwise a path climbs by diagonal steps to a vertex whose heights grow
+  at least a_i-fold per level, which keeps every later term above a positive
+  rational (``climb-lower-bound``);
 * on level-indexed chains, one generating function E(t) = prod_n (1 + t/a_n):
   the mass is E(1) and each cylinder value a coefficient of E, summed exactly
   over a prefix of levels, with the rest bounded by the tail sum S of 1/a_n.
   S is exact for geometric level sequences, where cylinder values are exact
   by the q-binomial identity, and an integral bound for polynomial ones of
-  degree >= 2;
-* for divergence, terms eventually nondecreasing and bounded below, a block
-  lower bound on sum 1/a_n for constant and linearly growing level
-  sequences, or a climb bound (paths may take diagonal steps to a
-  dominating odometer, pinning terms above a positive rational).
+  degree >= 2; a block lower bound on sum 1/a_n proves divergence for
+  constant and linearly growing level sequences.
 
-Anything else comes back Undetermined, with exact partial sums attached.
+Anything else, and any certificate whose first checked term lies at or
+beyond ``max_terms``, comes back Undetermined, with exact partial sums
+attached.
 """
 
 from __future__ import annotations
@@ -127,14 +129,6 @@ def _undetermined(partial, terms, note=None) -> ConvergenceResult:
 
 def _exact0() -> ConvergenceResult:
     return _finite(Fraction(0), 0, Fraction(0), "disjoint-support", exact=Fraction(0))
-
-
-def _geometric_cutoff(q: Fraction, scale: Fraction) -> int:
-    """Terms after which a q-geometric tail drops below scale * 1e-40."""
-    m = 8
-    while m < 4096 and q**m > scale * _NEGLIGIBLE:
-        m *= 2
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -267,122 +261,69 @@ def _cylinder_series_terms(spec: DiagramSpec, i: int, m: int, j: int, count: int
     return out
 
 
-def _verify_nondecreasing(terms: list[Fraction], n0: int) -> None:
-    for n in range(n0, len(terms) - 1):
-        if terms[n + 1] < terms[n]:
-            raise CertificateError(f"terms decrease at n={n}, contradicting the certificate")
-    if n0 < len(terms) and terms[n0] <= 0:
-        raise CertificateError("nondecreasing certificate needs a positive starting term")
-
-
 # ---------------------------------------------------------------------------
 # Vertex-indexed families (stationary odometer chains)
 # ---------------------------------------------------------------------------
 
 
+def _exponent(e: int) -> str:
+    return "n" if e == 0 else f"(n-{e})"
+
+
 def _mass_vertex_table(spec: DiagramSpec, i: int, max_terms: int) -> ConvergenceResult:
+    # the climb: a path may take e = w - i - 1 diagonal steps to a vertex w
+    # whose heights grow at least g-fold per level (g = a_w below the constant
+    # range, exactly tau + 1 inside it), so H^(n)_{i+1} >= g^(n-e); once
+    # g >= a_i every term from n = e on stays above 1/(g^e a_i).  Otherwise
+    # every multiplicity above i is below a_i and the series sums exactly to
+    # the resolvent.
     diag = spec.vertex_diag
     a_i = diag.value(i - 1)
-    lead = Fraction(1)
     cf = diag.constant_from()
-
-    if cf is not None:
-        v_const = cf[0] + 1
-        tau = cf[1]
-        if i + 1 >= v_const:
-            # heights of vertex i+1 are exactly (tau+1)^n: a geometric series
-            t0 = Fraction(1, a_i)
-            q = Fraction(tau + 1, a_i)
-            if q < 1:
-                total = t0 / (1 - q)
-                used = min(max_terms, _geometric_cutoff(q, total))
-                partial = t0 * (1 - q**used) / (1 - q)
-                return _finite(
-                    lead + partial,
-                    used,
-                    total - partial,
-                    "geometric-exact",
-                    exact=lead + total,
-                )
-            m = min(max_terms, 48)
-            terms = [t0 * q**n for n in range(m)]
-            _verify_nondecreasing(terms, 0)
-            witness = (
-                f"terms are exactly {t0} * ({q})^n with ratio {q} >= 1, "
-                f"hence nondecreasing and bounded below by {t0}"
-            )
-            return _infinite(lead + sum(terms), m, witness, "geometric-exact")
-
-        if diag.value(i) >= a_i:
-            return _nondecreasing_mass(spec, i, a_i, diag.value(i), max_terms, lead)
-        # divergence via the diagonal climb: paths may spend d diagonal steps
-        # to reach a vertex w, so H^(n)_{i+1} >= H^(n-d)_w; any odometer at
-        # least as big as a_i, or a constant tail with tau+1 >= a_i, keeps
-        # the terms bounded below by a positive rational
-        for w in range(i + 2, v_const):
-            a_w = diag.value(w - 1)
-            if a_w >= a_i:
-                e = w - i - 1
-                eps = Fraction(1, a_w**e * a_i)
-                why = (
-                    f"H^(n)_{i + 1} >= a_{w}^(n-{e}) = {a_w}^(n-{e}) by climbing to "
-                    f"odometer {w}, and {a_w} >= {a_i}, so t_n >= {eps} for n >= {e}"
-                )
-                return _climb_infinite(spec, i, e, eps, why, max_terms, lead)
-        if tau + 1 >= a_i:
-            d = v_const - i - 1
-            eps = Fraction(1, (tau + 1) ** d * a_i)
-            why = (
-                f"H^(n)_{i + 1} >= ({tau}+1)^(n-{d}) by climbing into the constant "
-                f"range at vertex {v_const}, and {tau + 1} >= {a_i}, so t_n >= {eps} for n >= {d}"
-            )
-            return _climb_infinite(spec, i, d, eps, why, max_terms, lead)
-        # every multiplicity above i is smaller than a_i: the series is the
-        # Neumann series of a triangular matrix with diagonal below a_i, so it
-        # sums exactly to the resolvent, solved by back-substitution
-        s = Fraction(1, a_i - tau - 1)
-        for v in range(v_const - 1, i, -1):
-            s = (1 + s) / (a_i - diag.value(v - 1))
-        return _finite(lead, 0, s, "resolvent-exact", exact=lead + s)
-
-    # no eventual constant (unbounded diagonal, e.g. 2,3,4,...)
-    if diag.value(i) >= a_i:
-        return _nondecreasing_mass(spec, i, a_i, diag.value(i), max_terms, lead)
-    for w in range(i + 2, i + 66):
-        a_w = diag.value(w - 1)
-        if a_w >= a_i:
+    # the diagonal is tau = cf[1] from vertex v_const on; a diagonal without a
+    # constant tail is searched 65 vertices up
+    v_const = i + 66 if cf is None else cf[0] + 1
+    last = v_const - 1 if cf is None else max(v_const, i + 1)
+    for w in range(i + 1, last + 1):
+        g = diag.value(w - 1) if w < v_const else cf[1] + 1
+        if g >= a_i:
             e = w - i - 1
-            eps = Fraction(1, a_w**e * a_i)
+            eps = Fraction(1, g**e * a_i)
             why = (
-                f"H^(n)_{i + 1} >= {a_w}^(n-{e}) by climbing to odometer {w}, "
-                f"and {a_w} >= {a_i}, so t_n >= {eps} for n >= {e}"
+                f"H^(n)_{i + 1} >= {g}^{_exponent(e)} by climbing to vertex {w}, whose heights grow "
+                f"at least {g}-fold per level, and {g} >= {a_i}, so t_n >= {eps} for n >= {e}"
             )
-            return _climb_infinite(spec, i, e, eps, why, max_terms, lead)
-    return _undetermined(
-        lead + sum(mass_series_terms(spec, i, min(max_terms, 64))),
-        min(max_terms, 64),
-        "diagonal sequence has no tail rule usable for certification",
-    )
+            return _climb(lambda c: mass_series_terms(spec, i, c), Fraction(1), 0, e, eps, why, max_terms)
+    if cf is None:
+        return _undetermined(
+            1 + sum(mass_series_terms(spec, i, min(max_terms, 64))),
+            min(max_terms, 64),
+            "diagonal sequence has no tail rule usable for certification",
+        )
+    # the Neumann series of a triangular matrix with diagonal below a_i,
+    # summed by back-substitution
+    s = Fraction(1, a_i - cf[1] - 1)
+    for v in range(v_const - 1, i, -1):
+        s = (1 + s) / (a_i - diag.value(v - 1))
+    return _finite(Fraction(1), 0, s, "resolvent-exact", exact=1 + s)
 
 
-def _nondecreasing_mass(spec, i, a_i, a_next, max_terms, lead) -> ConvergenceResult:
-    m = min(max_terms, 48)
-    terms = mass_series_terms(spec, i, m)
-    _verify_nondecreasing(terms, 0)
-    witness = (
-        f"H^(n+1)_{i + 1} >= {a_next} * H^(n)_{i + 1} by the height recursion, so "
-        f"t_(n+1)/t_n >= {a_next}/{a_i} >= 1 and every term is >= t_0 = {terms[0]}"
-    )
-    return _infinite(lead + sum(terms), m, witness, "nondecreasing-terms")
+def _climb(terms_of, lead, m, n0, eps, why, max_terms) -> ConvergenceResult:
+    """Divergence from t_n >= eps for n >= n0, checked on the terms computed.
 
-
-def _climb_infinite(spec, i, n0, eps, why, max_terms, lead) -> ConvergenceResult:
-    m = min(max_terms, max(n0 + 8, 48))
-    terms = mass_series_terms(spec, i, m)
-    for n in range(n0, m):
+    ``terms_of(count)`` gives the series terms from index m on; the result
+    sums them after ``lead``.  A budget that stops at or before term n0
+    checks nothing and stays undetermined.
+    """
+    count = min(max_terms, max(n0 + 8, 48))
+    terms = terms_of(count)
+    partial = lead + sum(terms, Fraction(0))
+    if count <= n0:
+        return _undetermined(partial, m + count, _SHORT)
+    for n in range(n0, count):
         if terms[n] < eps:
-            raise CertificateError(f"term {n} fell below its climb lower bound")
-    return _infinite(lead + sum(terms), m, why, "climb-lower-bound")
+            raise CertificateError(f"term {m + n} fell below its climb lower bound")
+    return _infinite(partial, m + count, why, "climb-lower-bound")
 
 
 # ---------------------------------------------------------------------------
@@ -634,67 +575,40 @@ def _cylinder_series_vertex_table(spec, i, m, j, max_terms) -> ConvergenceResult
     a_i = diag.value(i - 1)
     d = j - i - 1
     zone = [diag.value(v - 1) for v in range(i + 1, j + 1)]
-
-    if all(val == zone[0] for val in zone):
-        tau = zone[0]
-        if tau < a_i:
-            total = Fraction(1, a_i**m * (a_i - tau) ** (d + 1))
-            # partial sums of C(n-m, d) tau^(n-m-d) / a_i^(n+1)
-            partial = Fraction(0)
-            used = 0
-            binom, power, den = 1, 1, a_i ** (m + d + 1)
-            for l in range(max_terms):  # series index n = m + d + l
-                t = Fraction(binom * power, den)
-                partial += t
-                used = m + d + l + 1
-                if total - partial <= total * _NEGLIGIBLE:
-                    break
-                binom = binom * (l + d + 1) // (l + 1)
-                power *= tau
-                den *= a_i
-            return _finite(partial, used, total - partial, "negative-binomial-exact", exact=total)
-        count = min(max_terms, 48)
-        terms = _cylinder_series_terms(spec, i, m, j, count)
-        if count <= d:
-            return _undetermined(sum(terms, Fraction(0)), m + count, _SHORT)
-        _verify_nondecreasing(terms, d)
-        witness = (
-            f"from n = {m + d} on, t_n = C(n-{m},{d}) * {tau}^(n-{m}-{d}) / {a_i}^(n+1) with "
-            f"{tau} >= {a_i}: nondecreasing and bounded below by {terms[d]}"
+    top = max(zone)
+    if top >= a_i:
+        # the climb: refinements may sit on the vertical edges of the largest
+        # zone vertex w, so N_n(i+1) >= a_w^(n-m-d) and terms stay bounded below
+        w = i + 1 + zone.index(top)
+        eps = Fraction(1, top ** (m + d) * a_i)
+        why = (
+            f"N_n({i + 1}) >= {top}^{_exponent(m + d)} by routing refinements through the "
+            f"vertical edges of odometer {w}, and {top} >= {a_i}, so t_n >= {eps} "
+            f"for n >= {m + d}"
         )
-        return _infinite(sum(terms), m + count, witness, "binomial-exact")
-
-    rho_raw = max(zone)
-    if rho_raw < a_i:
-        # resolvent of the triangular path-count recursion, exact
-        val = Fraction(1, a_i**m)
-        for a_v in zone:
-            val /= a_i - a_v
-        return _finite(Fraction(0), 0, val, "resolvent-exact", exact=val)
-    if diag.value(i) >= a_i:
-        count = min(max_terms, 48)
-        terms = _cylinder_series_terms(spec, i, m, j, count)
-        _verify_nondecreasing(terms, d)
-        witness = (
-            f"the path-count recursion gives t_(n+1)/t_n >= {diag.value(i)}/{a_i} >= 1 "
-            f"once terms are positive (n >= {m + d})"
-        )
-        return _infinite(sum(terms), m + count, witness, "nondecreasing-terms")
-    # some interior zone vertex w dominates a_i: refinements may sit on its
-    # vertical edges, so N_n(i+1) >= a_w^(n-m-d) and terms stay bounded below
-    w = i + 1 + zone.index(rho_raw)
-    eps = Fraction(1, rho_raw ** (m + d) * a_i)
-    count = min(max_terms, max(d + 8, 48))
-    terms = _cylinder_series_terms(spec, i, m, j, count)
-    for n in range(d, count):
-        if terms[n] < eps:
-            raise CertificateError(f"term {m + n} fell below its climb lower bound")
-    witness = (
-        f"N_n({i + 1}) >= {rho_raw}^(n-{m + d}) by routing refinements through the "
-        f"vertical edges of odometer {w}, and {rho_raw} >= {a_i}, so t_n >= {eps} "
-        f"for n >= {m + d}"
-    )
-    return _infinite(sum(terms), m + count, witness, "climb-lower-bound")
+        return _climb(lambda c: _cylinder_series_terms(spec, i, m, j, c), Fraction(0), m, d, eps, why, max_terms)
+    if min(zone) == top:
+        # one constant multiplicity below a_i: partial sums of
+        # C(n-m, d) top^(n-m-d) / a_i^(n+1) toward their exact total
+        total = Fraction(1, a_i**m * (a_i - top) ** (d + 1))
+        partial = Fraction(0)
+        used = 0
+        binom, power, den = 1, 1, a_i ** (m + d + 1)
+        for l in range(max_terms):  # series index n = m + d + l
+            t = Fraction(binom * power, den)
+            partial += t
+            used = m + d + l + 1
+            if total - partial <= total * _NEGLIGIBLE:
+                break
+            binom = binom * (l + d + 1) // (l + 1)
+            power *= top
+            den *= a_i
+        return _finite(partial, used, total - partial, "negative-binomial-exact", exact=total)
+    # resolvent of the triangular path-count recursion, exact
+    val = Fraction(1, a_i**m)
+    for a_v in zone:
+        val /= a_i - a_v
+    return _finite(Fraction(0), 0, val, "resolvent-exact", exact=val)
 
 
 def extended_cylinder_measure(

@@ -85,8 +85,9 @@ class Arithmetic(IntSequence):
         return self.value(n0)
 
     def reciprocal_sum_finite(self):
-        # sum 1/(start + step*n) is harmonic-like for step > 0
-        return False
+        # sum 1/(start + step*n) is harmonic-like for step > 0; a decreasing
+        # sequence falls below 1, so it has no sum to decide
+        return False if self.step >= 0 else None
 
 
 @frozen

@@ -275,6 +275,30 @@ def test_short_term_lists_are_undetermined(capsys):
     assert value["status"] == "undetermined" and value["partial_sum"]["exact"] == "0/1"
 
 
+def test_climbs_past_the_term_budget_are_undetermined(capsys):
+    # odometer 1 (a_1 = 5) climbs two diagonal steps to vertex 4 (a_4 = 6): the
+    # climb bound checks terms from n = 2 on, so --max-terms 2 checks none
+    chain = ("--family", "decreasing", "--diagonal", "table:5,3,3,6:constant:2")
+    short = "maxTerms too small to reach the first term the certificate checks"
+    for budget, code_want, status, cert in [
+        ("2", EXIT_UNCERTIFIED, "undetermined", short),
+        ("3", EXIT_OK, "infinite", "climb-lower-bound"),
+    ]:
+        code, out, err = run(capsys, "--format", "json", "measure", "extend", *chain, "--i", "1", "--max-terms", budget)
+        assert (code, err) == (code_want, "")
+        mass = json.loads(out)["mass"]
+        assert (mass["status"], mass["certificate"]) == (status, cert)
+        code, out, err = run(
+            capsys, "--format", "json", "measure", "cylinder", *chain, "--i", "1", "--cylinders", "(0,4)",
+            "--max-terms", budget,
+        )
+        assert (code, err) == (code_want, "")
+        value = json.loads(out)["entries"][0]["value"]
+        assert (value["status"], value["certificate"]) == (status, cert)
+    code, out, _ = run(capsys, "--format", "csv", "measure", "classify", *chain, "--imax", "1", "--max-terms", "2")
+    assert out.splitlines()[1] == "1,undetermined,34/25,,2,"  # 1 + 1/5 + 4/25
+
+
 def test_long_exact_values_print_in_full(capsys):
     from bratteli.diagram import StationaryAK
     from bratteli.extension import extended_cylinder_measure
@@ -287,6 +311,25 @@ def test_long_exact_values_print_in_full(capsys):
     assert len(partial.partition("/")[2]) > 4300
     expected = extended_cylinder_measure(StationaryAK(4, 2), 1, EndVertex(0, 8000)).partial_sum
     assert fr_str(expected) == partial
+
+
+def test_long_telescoped_multiplicities_print_in_full(capsys):
+    # 44 levels of multiplicity 10^100 collapse to one of 10^4400: 4401 digits,
+    # past the interpreter's int-to-str limit; JSON keeps it an integer
+    big = "1" + "0" * 4400
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    args = (
+        "telescope", "--family", "nonstat-uniform", "--an", "constant:1" + "0" * 100,
+        "--breakpoints", "0,44", "--max-level", "44", "--max-vertex", "46",
+    )
+    code, out, err = run(capsys, "--format", "json", *args)
+    assert (code, err) == (EXIT_OK, "")
+    assert f" {big}\n" in out
+    code, out, err = run(capsys, "--format", "csv", *args)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[1] == f"0,1,1,{big}"
+    if hasattr(sys, "get_int_max_str_digits"):  # the limit is back once the report is printed
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_certificate_error_is_internal(capsys, monkeypatch):

@@ -161,6 +161,30 @@ def test_random_vertex_tables_match_oracle():
             assert res.contains(oracle.mass), (spec, i)
 
 
+def test_random_vertex_cylinders_match_the_product_formula():
+    # a cylinder (m, j) of odometer i sums paths through the zone i+1..j: finite
+    # exactly when every zone multiplicity is below a_i, and then its value is
+    # 1/(a_i^m prod_(v in zone) (a_i - a_v)); otherwise a climb makes it infinite
+    rng = random.Random(97)
+    for _ in range(60):
+        table = tuple(rng.randint(2, 9) for _ in range(rng.randint(1, 5)))
+        spec = StationaryDecreasing(Table(table, Constant(rng.randint(2, 9))))
+        i = rng.randint(1, 3)
+        a_i = spec.vertex_diag.value(i - 1)
+        assert odometer_extension_mass(spec, i).certificate in ("resolvent-exact", "climb-lower-bound")
+        for m in range(4):
+            for j in range(i + 1, i + 6):
+                zone = [spec.vertex_diag.value(v - 1) for v in range(i + 1, j + 1)]
+                res = extended_cylinder_measure(spec, i, EndVertex(m, j))
+                if max(zone) < a_i:
+                    want = Fraction(1, a_i**m * math.prod(a_i - a_v for a_v in zone))
+                    assert res.status == FINITE and res.exact_value == want, (spec, i, m, j)
+                    assert res.contains(want)
+                else:
+                    assert res.status == INFINITE, (spec, i, m, j)
+                    assert res.certificate == "climb-lower-bound"
+
+
 def test_random_telescopings_preserve_heights():
     rng = random.Random(83)
     for _ in range(20):

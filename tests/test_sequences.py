@@ -2,6 +2,8 @@
 
 import pytest
 
+from bratteli.diagram import NonStationaryUniform
+from bratteli.extension import closed_form_oracles
 from bratteli.sequences import (
     Arithmetic,
     Constant,
@@ -75,6 +77,14 @@ def test_reciprocal_sum_verdicts():
     assert Polynomial((4, 4, 1)).reciprocal_sum_finite() is True
     assert Polynomial((2, 1)).reciprocal_sum_finite() is False
     assert Table((9, 9), Geometric(2, 2)).reciprocal_sum_finite() is True
+
+
+def test_decreasing_arithmetic_has_no_reciprocal_verdict():
+    # a_n = 40 - 3n reaches 1 at n = 13: no valid chain, so no verdict either way
+    assert Arithmetic(40, -3).reciprocal_sum_finite() is None
+    assert Table((5, 7), Arithmetic(40, -3)).reciprocal_sum_finite() is None
+    assert Arithmetic(3, 0).reciprocal_sum_finite() is False
+    assert closed_form_oracles(NonStationaryUniform(Arithmetic(40, -3))) is None
 
 
 def test_invalid_sequences():
