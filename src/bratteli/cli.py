@@ -145,7 +145,7 @@ FAMILIES = {
     "nonstationary-uniform": _NONSTATIONARY_UNIFORM,  # the spelling the JSON reports use
     "general-chain": (
         (),
-        lambda args: dg.GeneralChain(tuple(tuple(e) for e in json.loads(args.entries or "[]")), args.default),
+        lambda args: dg.GeneralChain(json.loads(args.entries or "[]"), args.default),
     ),
 }
 

@@ -83,7 +83,6 @@ class DiagramSpec:
 
     family: str = "?"
     is_odometer_chain: bool = False  # upper-bidiagonal odometer chain
-    stationary: bool = False
 
     # odometer-chain structure ------------------------------------------------
     def vertical_edges(self, n: int, i: int) -> int:
@@ -131,7 +130,6 @@ class StationaryAK(DiagramSpec):
     k: int
     family = "ak"
     is_odometer_chain = True
-    stationary = True
 
     def __post_init__(self):
         if self.a < 2 or self.k < 1 or self.a - self.k < 1:
@@ -150,16 +148,16 @@ class StationaryAK(DiagramSpec):
 
 @frozen
 class StationaryDecreasing(DiagramSpec):
-    """Stationary chain with vertex multiplicities a_1 > a_j for j >= 2.
+    """Stationary chain with vertex multiplicities a_j read from a diagonal.
 
-    Dominance is only checkable on a finite range; operations validate it up
-    to the window they are given.
+    The family is named for the dominated case a_1 > a_j (j >= 2), but any
+    diagonal is accepted; ``eigenvector_decreasing`` checks the dominance its
+    eigenpair needs.
     """
 
     diagonal: IntSequence
     family = "decreasing"
     is_odometer_chain = True
-    stationary = True
 
     def vertical_edges(self, n: int, i: int) -> int:
         val = self.diagonal.value(i - 1)
@@ -171,14 +169,6 @@ class StationaryDecreasing(DiagramSpec):
     def vertex_diag(self) -> IntSequence:
         return self.diagonal
 
-    def validate_dominance(self, up_to: int, pivot: int = 1) -> None:
-        top = self.vertical_edges(0, pivot)
-        for j in range(pivot + 1, up_to + 1):
-            if self.vertical_edges(0, j) >= top:
-                raise DiagramError(
-                    f"dominance violated: a_{pivot}={top} is not greater than a_{j}={self.vertical_edges(0, j)}"
-                )
-
     def params_json(self) -> dict:
         return {"diagonal": self.diagonal.to_json()}
 
@@ -189,7 +179,6 @@ class StationaryIncreasing(DiagramSpec):
 
     family = "increasing"
     is_odometer_chain = True
-    stationary = True
 
     def vertical_edges(self, n: int, i: int) -> int:
         return i + 1
@@ -234,8 +223,15 @@ class GeneralChain(DiagramSpec):
     is_odometer_chain = True
 
     def __post_init__(self):
+        if not isinstance(self.entries, (tuple, list)):
+            raise DiagramError("general-chain entries must be a list of [level, vertex, multiplicity]")
         table = {}
-        for n, i, val in self.entries:
+        for entry in self.entries:
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 3 and all(type(x) is int for x in entry)):
+                raise DiagramError(f"general-chain entry {entry!r} must be three ints [level, vertex, multiplicity]")
+            n, i, val = entry
+            if n < 0 or i < 1:
+                raise DiagramError("general-chain entries need level >= 0 and vertex >= 1")
             if val < 2:
                 raise DiagramError("odometer-chain multiplicities must be >= 2")
             table[(n, i)] = val
@@ -257,7 +253,6 @@ class ExplicitFinite(DiagramSpec):
 
     a_matrix: tuple[tuple[int, ...], ...]
     family = "explicit-finite"
-    stationary = True
 
     def __post_init__(self):
         rows = tuple(tuple(int(x) for x in row) for row in self.a_matrix)
@@ -341,9 +336,7 @@ _FAMILIES = {
     "decreasing": lambda p: StationaryDecreasing(seq_from_json(p["diagonal"])),
     "increasing": lambda p: StationaryIncreasing(),
     "nonstationary-uniform": lambda p: NonStationaryUniform(seq_from_json(p["levels"])),
-    "general-chain": lambda p: GeneralChain(
-        tuple((int(n), int(i), int(v)) for n, i, v in p.get("entries", ())), int(p.get("default", 2))
-    ),
+    "general-chain": lambda p: GeneralChain(p.get("entries", ()), int(p.get("default", 2))),
     "explicit-finite": lambda p: ExplicitFinite(tuple(tuple(row) for row in p["matrix"])),
     "explicit-levels": lambda p: ExplicitLevels(
         tuple(tuple(tuple(e) for e in lvl) for lvl in p["levels"])

@@ -623,6 +623,8 @@ def extended_cylinder_measure(
     """
     if not spec.is_odometer_chain:
         raise DiagramError("extended cylinder values require an odometer chain")
+    if i < 1:
+        raise DiagramError("odometer index must be >= 1")
     end = as_end_vertex(cyl)
     m, j = end.length, end.index
     if j < i:
@@ -669,17 +671,10 @@ class ExtendedMeasure:
             return res.exact_value if res.is_exact else res
         if res.status != FINITE:
             return res
-        if self.total_mass.is_exact:
-            mass = self.total_mass.exact_value
-            if res.is_exact:
-                return res.exact_value / mass
-            return ConvergenceResult(
-                FINITE,
-                res.partial_sum / mass,
-                res.terms_used,
-                tail_bound=res.tail_bound / mass,
-                certificate=f"{res.certificate} / exact mass",
-            )
+        # only stationary masses are exact, and their finite cylinder values
+        # are exact too
+        if self.total_mass.is_exact and res.is_exact:
+            return res.exact_value / self.total_mass.exact_value
         # value in [v_lo, v_hi], mass in [lo, hi]: the quotient lies in
         # [v_lo/hi, v_hi/lo]
         v_lo, v_hi = res.interval()

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ._frozen import frozen
-from .diagram import DiagramError
+from .diagram import DiagramError, ExplicitFinite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -79,26 +79,13 @@ class ClassDecomposition:
         return frozenset(out)
 
 
-def _validate_matrix(a_matrix) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(tuple(int(x) for x in row) for row in a_matrix)
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise DiagramError("matrix must be square and nonempty")
-    if any(x < 0 for r in rows for x in r):
-        raise DiagramError("matrix entries must be nonnegative")
-    for v in range(n):
-        if all(rows[w][v] == 0 for w in range(n)):
-            raise DiagramError(f"column {v + 1} of A is zero: vertex {v + 1} has no incoming edges")
-    return rows
-
-
 def decompose(a_matrix) -> ClassDecomposition:
     """Strongly connected components of G(A) plus the access relation.
 
     Edge i -> j exists iff a[i][j] > 0.  Tarjan's algorithm (iterative), then
     the condensation's transitive closure gives the reduced graph.
     """
-    rows = _validate_matrix(a_matrix)
+    rows = ExplicitFinite(a_matrix).a_matrix
     n = len(rows)
     adj = [[j for j in range(n) if rows[i][j] > 0] for i in range(n)]
 
@@ -193,7 +180,11 @@ def decompose(a_matrix) -> ClassDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def spectral_radius(block: np.ndarray, tol: float = 1e-12, max_iter: int = 500_000) -> tuple[float, float]:
+# power iterations spectral_radius runs before giving up on its tolerance
+_MAX_ITER = 500_000
+
+
+def spectral_radius(block: np.ndarray, tol: float = 1e-12) -> tuple[float, float]:
     """Bracket the Perron root of an irreducible nonnegative block.
 
     Power iteration on block + I with min/max quotient bounds; for an
@@ -211,7 +202,7 @@ def spectral_radius(block: np.ndarray, tol: float = 1e-12, max_iter: int = 500_0
     m = b + np.eye(n)
     x = np.ones(n)
     lo, hi = 0.0, float("inf")
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         y = m @ x
         quot = y / x
         lo = max(lo, float(quot.min()))

@@ -16,8 +16,6 @@ from typing import Callable, Optional, Union
 from ._frozen import frozen
 from .diagram import DiagramSpec, DiagramError, Truncation, WindowError
 
-Rational = Fraction  # exact arithmetic substrate; always stored in lowest terms
-
 
 # ---------------------------------------------------------------------------
 # Cylinders

@@ -262,7 +262,7 @@ class ExtensionVerdict:
     fr_witness: tuple[int, ...]  # members within the inspected range
     fl_witness: tuple[int, ...]
     borel_extension: bool
-    homeomorphism: str  # "yes" / "no" / "no-quasi-stationary"
+    homeomorphism: str  # "no" / "no-quasi-stationary"
 
 
 def extension_verdict(spec: DiagramSpec, order: OrderSpec, i_max: int = 20) -> ExtensionVerdict:
@@ -287,12 +287,9 @@ def extension_verdict(spec: DiagramSpec, order: OrderSpec, i_max: int = 20) -> E
     fr_witness = tuple(i for i in range(1, i_max + 1) if qs.tag_of(i) in fr_tags)
     fl_witness = tuple(i for i in range(1, i_max + 1) if qs.tag_of(i) in fl_tags)
     borel = i_fr == i_fl
-    if not borel:
-        homeo = "no"
-    elif i_fr == 0 and i_fl == 0:
-        homeo = "yes"  # unreachable for quasi-stationary orders: every tag populates a set
-    else:
-        homeo = "no-quasi-stationary"
+    # the default tags put infinitely many odometers in one of the sets, so
+    # the sets are never both empty, as a homeomorphism would need
+    homeo = "no-quasi-stationary" if borel else "no"
     return ExtensionVerdict(i_fr, i_fl, fr_witness, fl_witness, borel, homeo)
 
 
@@ -308,9 +305,9 @@ class AllMaximalPrefix:
         return "AllMaximalPrefix()"
 
 
-def vertical_path(spec: DiagramSpec, i: int, depth: int, k: int = 1) -> ExplicitPath:
-    """The path climbing odometer i taking its k-th vertical edge each level."""
-    path = ExplicitPath(i, ((VERTICAL, k),) * depth)
+def vertical_path(spec: DiagramSpec, i: int, depth: int) -> ExplicitPath:
+    """The path climbing odometer i taking its first vertical edge each level."""
+    path = ExplicitPath(i, ((VERTICAL, 1),) * depth)
     path.validate(spec)
     return path
 

@@ -33,16 +33,9 @@ class IntSequence:
         """Return ``(n0, c)`` if the sequence equals c for all n >= n0."""
         return None
 
-    def max_from(self, n0: int) -> Optional[int]:
-        """Supremum of values over n >= n0, or None if unbounded."""
-        return None
-
     def reciprocal_sum_finite(self) -> Optional[bool]:
         """Whether sum of 1/a_n converges; None when the tail is unknown."""
         return None
-
-    def __call__(self, n: int) -> int:
-        return self.value(n)
 
 
 @frozen
@@ -57,9 +50,6 @@ class Constant(IntSequence):
 
     def constant_from(self):
         return (0, self.c)
-
-    def max_from(self, n0: int):
-        return self.c
 
     def reciprocal_sum_finite(self):
         return False
@@ -78,11 +68,6 @@ class Arithmetic(IntSequence):
 
     def constant_from(self):
         return (0, self.start) if self.step == 0 else None
-
-    def max_from(self, n0: int):
-        if self.step > 0:
-            return None
-        return self.value(n0)
 
     def reciprocal_sum_finite(self):
         # sum 1/(start + step*n) is harmonic-like for step > 0; a decreasing
@@ -107,11 +92,6 @@ class Geometric(IntSequence):
 
     def constant_from(self):
         return (0, self.base) if self.ratio == 1 else None
-
-    def max_from(self, n0: int):
-        if self.ratio == 1:
-            return self.base
-        return None
 
     def reciprocal_sum_finite(self):
         return self.ratio >= 2
@@ -148,11 +128,6 @@ class Polynomial(IntSequence):
 
     def constant_from(self):
         return (0, self.coeffs[0]) if self.degree() == 0 else None
-
-    def max_from(self, n0: int):
-        if self.degree() == 0:
-            return self.coeffs[0]
-        return None
 
     def reciprocal_sum_finite(self):
         return self.degree() >= 2
@@ -198,16 +173,6 @@ class Table(IntSequence):
                 j -= 1
             start = j if j < len(self.values) else start
         return (start, c)
-
-    def max_from(self, n0: int):
-        best = max(self.values[n0:], default=None)
-        tail_start = max(0, n0 - len(self.values))
-        if self.tail is None:
-            return best if n0 < len(self.values) else None
-        tm = self.tail.max_from(tail_start)
-        if tm is None:
-            return None
-        return tm if best is None else max(best, tm)
 
     def reciprocal_sum_finite(self):
         # finitely many table terms never decide convergence

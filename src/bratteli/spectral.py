@@ -185,7 +185,7 @@ class CylinderComparison:
     cylinder: EndVertex
     eigen_value: Fraction
     extension: ConvergenceResult
-    verdict: str  # equal-exact / equal-within-tail / mismatch / skipped-undetermined
+    verdict: str  # equal-exact / mismatch / skipped-undetermined
 
 
 @frozen
@@ -194,11 +194,7 @@ class ComparisonReport:
 
     @property
     def all_equal(self) -> bool:
-        return all(e.verdict.startswith("equal") for e in self.entries)
-
-    @property
-    def skipped(self) -> tuple[EndVertex, ...]:
-        return tuple(e.cylinder for e in self.entries if e.verdict == "skipped-undetermined")
+        return all(e.verdict == "equal-exact" for e in self.entries)
 
 
 def compare_eigen_vs_extension(
@@ -207,13 +203,12 @@ def compare_eigen_vs_extension(
     pair: EigenPair,
     cylinders: list[CylinderSpec],
     max_terms: int = DEFAULT_MAX_TERMS,
-    tail_threshold: Fraction = Fraction(1, 10**9),
 ) -> ComparisonReport:
     """Per-cylinder comparison of xi_v/lam^m with the certified extension value.
 
-    Equality is declared when the extension value is exactly the eigen value,
-    or when the certified interval contains it with a tail bound below
-    ``tail_threshold``.  Undetermined series are skipped and flagged.
+    On a stationary chain every finite extension value is exact, so equality
+    is declared only when it is exactly the eigen value.  Undetermined series
+    are skipped and flagged.
     """
     from .extension import FINITE, UNDETERMINED, extended_cylinder_measure
 
@@ -225,12 +220,8 @@ def compare_eigen_vs_extension(
         ext = extended_cylinder_measure(spec, i, end, max_terms)
         if ext.status == UNDETERMINED:
             verdict = "skipped-undetermined"
-        elif ext.status != FINITE:
-            verdict = "mismatch"
-        elif ext.is_exact:
-            verdict = "equal-exact" if ext.exact_value == eigen_val else "mismatch"
-        elif ext.contains(eigen_val) and ext.tail_bound <= tail_threshold:
-            verdict = "equal-within-tail"
+        elif ext.status == FINITE and ext.exact_value == eigen_val:
+            verdict = "equal-exact"
         else:
             verdict = "mismatch"
         entries.append(CylinderComparison(end, eigen_val, ext, verdict))

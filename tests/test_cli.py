@@ -401,6 +401,33 @@ def test_config_errors(capsys):
     assert "--levels 5" in err and "max level 4" in err
 
 
+def test_odometer_index_below_one_is_a_config_error(capsys):
+    decreasing = ["--family", "decreasing", "--diagonal", "table:5,3:constant:2"]
+    for family, i in ((["--family", "ak", "--a", "4", "--k", "2"], "0"), (decreasing, "-1")):
+        code, out, err = run(capsys, "measure", "cylinder", *family, "--i", i, "--cylinders", "(0,1);(0,2)")
+        assert code == EXIT_CONFIG and not out
+        assert "odometer index must be >= 1" in err
+
+
+def test_finite_matrix_without_outgoing_edges_is_a_config_error(capsys):
+    code, out, err = run(capsys, "finite", "classify", "--matrix", "[[1,1],[0,0]]")
+    assert code == EXIT_CONFIG and not out
+    assert "vertex 2 has no outgoing edges" in err
+
+
+@pytest.mark.parametrize("entries", ['[[0,1,"3"]]', "[[0,1,2.5]]", "[[0,0,3]]", "[[-1,1,3]]", "[[0,1,true]]", "5"])
+def test_malformed_general_chain_entries_are_config_errors(capsys, entries):
+    flags = ["--family", "general-chain", "--entries", entries]
+    spec_json = ["--spec-json", json.dumps({"family": "general-chain", "params": {"entries": json.loads(entries)}})]
+    errors = set()
+    for source in (flags, spec_json):
+        code, out, err = run(capsys, "diagram", "heights", *source, "--level", "2", "--max-vertex", "3")
+        assert code == EXIT_CONFIG and not out
+        assert err.startswith("error: general-chain entr")
+        errors.add(err)
+    assert len(errors) == 1  # both paths reject the entry alike
+
+
 def test_no_command_prints_help(capsys):
     code, out, _ = run(capsys)
     assert code == EXIT_CONFIG

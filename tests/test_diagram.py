@@ -260,9 +260,15 @@ def test_family_invariants():
         ExplicitFinite([[0, 1], [0, 2]])  # vertex 1 loses its incoming edges
     with pytest.raises(DiagramError):
         ExplicitFinite([[1, 2], [0, 0]])  # vertex 2 has no outgoing edges
-    spec = StationaryDecreasing(Table((5, 3, 5), Constant(2)))
-    with pytest.raises(DiagramError):
-        spec.validate_dominance(6)
+
+
+@pytest.mark.parametrize("entry", [(0, 1, "3"), (0, 1, 2.5), (0, 1, True), (0, 0, 3), (-1, 1, 3), (0, 1)])
+def test_general_chain_entries_are_three_valid_ints(entry):
+    with pytest.raises(DiagramError, match="general-chain entr"):
+        GeneralChain((entry,))
+    doc = {"family": "general-chain", "params": {"entries": [list(entry)]}}
+    with pytest.raises(DiagramError, match="general-chain entr"):
+        diagram_from_json(doc)
 
 
 def test_json_round_trip_all_families():

@@ -314,6 +314,12 @@ def test_ak_cylinder_remark_infinite():
         assert res.status == INFINITE
 
 
+def test_cylinder_odometer_index_below_one_is_rejected():
+    for spec, i in ((StationaryAK(4, 2), 0), (DEC, -1)):
+        with pytest.raises(DiagramError, match="odometer index must be >= 1"):
+            extended_cylinder_measure(spec, i, EndVertex(0, 1))
+
+
 def test_cylinder_support_and_restriction():
     spec = StationaryAK(4, 2)
     assert extended_cylinder_measure(spec, 3, EndVertex(2, 1)).exact_value == 0

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bratteli.diagram import DiagramError
 from bratteli.finite_stationary import (
     ToleranceError,
     decompose,
@@ -155,6 +156,11 @@ def test_decompose_validates():
         decompose([[1, 2], [3]])
     with pytest.raises(Exception):
         decompose([[0, 1], [0, 2]])  # column 1 zero
+
+
+def test_decompose_rejects_vertex_without_outgoing_edges():
+    with pytest.raises(DiagramError, match="vertex 2 has no outgoing edges"):
+        decompose([[1, 1], [0, 0]])
 
 
 # -- spectral radii ----------------------------------------------------------------

@@ -63,13 +63,6 @@ def test_constant_from():
     assert Arithmetic(2, 1).constant_from() is None
 
 
-def test_max_from():
-    assert Table((5, 3), Constant(2)).max_from(0) == 5
-    assert Table((5, 3), Constant(2)).max_from(1) == 3
-    assert Table((5, 3), Constant(2)).max_from(2) == 2
-    assert Arithmetic(2, 1).max_from(0) is None
-
-
 def test_reciprocal_sum_verdicts():
     assert Constant(2).reciprocal_sum_finite() is False
     assert Arithmetic(2, 1).reciprocal_sum_finite() is False

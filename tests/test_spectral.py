@@ -211,6 +211,20 @@ def test_compare_k1_sigma_finite():
     assert all(e.eigen_value == Fraction(1, 4**e.cylinder.length) for e in report.entries)
 
 
+def test_compare_flags_infinite_undetermined_and_different_values():
+    cyls = [EndVertex(0, 3), EndVertex(0, 5), EndVertex(1, 2)]
+    report = compare_eigen_vs_extension(StationaryAK(4, 2), 2, eigenvector_ak(4, 2), cyls, max_terms=2)
+    got = {e.cylinder: (e.extension.status, e.verdict) for e in report.entries}
+    assert got == {
+        EndVertex(0, 3): ("infinite", "mismatch"),
+        EndVertex(0, 5): ("undetermined", "skipped-undetermined"),
+        EndVertex(1, 2): ("finite", "mismatch"),
+    }
+    finite = report.entries[2]
+    assert finite.extension.exact_value != finite.eigen_value
+    assert not report.all_equal
+
+
 def test_eigen_ops_require_stationary_chain():
     nonstat = NonStationaryUniform(Constant(2))
     with pytest.raises(EigenError):
