@@ -43,10 +43,9 @@ _EXPORTS = {
         "OdometerMeasure", "check_tail_invariance", "cylinder_measure", "odometer_measure",
     ),
     "orders": (
-        "ALEPH0", "AllMaximalPrefix", "EventuallyQuasiStationary", "ExplicitOrder",
-        "ExtensionVerdict", "QuasiStationary", "VertexOrder", "canonical_order",
-        "classify_odometer", "extension_verdict", "minimal_path_into", "orbit_frequencies",
-        "order_at", "order_from_json", "successor", "vertical_path",
+        "ALEPH0", "AllMaximalPrefix", "ExtensionVerdict", "QuasiStationary", "VertexOrder",
+        "canonical_order", "classify_odometer", "extension_verdict", "minimal_path_into",
+        "orbit_frequencies", "order_at", "order_from_json", "successor", "vertical_path",
     ),
     "sequences": (
         "Arithmetic", "Constant", "Geometric", "IntSequence", "Polynomial", "Table",

@@ -39,12 +39,12 @@ from typing import TYPE_CHECKING, Optional
 
 # every --family needs these two; each handler imports the other layers it uses
 from . import diagram as dg
-from .sequences import seq_from_text
+from .sequences import _require_ints, seq_from_text
 
 if TYPE_CHECKING:
     from .extension import ConvergenceResult
     from .measure import EndVertex
-    from .orders import OrderSpec
+    from .orders import QuasiStationary
     from .spectral import EigenPair
 
 EXIT_OK = 0
@@ -417,8 +417,10 @@ def cmd_eigen_measure(args, spec, window):
     pair = _canonical_eigen_pair(spec, args.shift)
     measure = sp.eigen_measure(spec, pair, window)
     if args.request:
+        requested = _load_doc(args.request)["cylinders"]
+        _require_ints("--request cylinders", (x for mj in requested for x in mj), ConfigError)
         try:
-            cyls = [EndVertex(_work_size(m), _work_size(j)) for m, j in _load_doc(args.request)["cylinders"]]
+            cyls = [EndVertex(_work_size(m), _work_size(j)) for m, j in requested]
         except argparse.ArgumentTypeError as exc:
             raise ConfigError(f"--request: {exc}") from None
     elif args.cylinders:
@@ -497,7 +499,7 @@ def cmd_finite_classify(args, spec, window):
     return report, (["class", "vertices", "radius_lo", "radius_hi", "distinguished"], rows), EXIT_OK
 
 
-def _load_order(text: str) -> OrderSpec:
+def _load_order(text: str) -> QuasiStationary:
     from . import orders as od
 
     shorthand = {

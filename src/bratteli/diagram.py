@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ._frozen import frozen
-from .sequences import Arithmetic, Constant, IntSequence, Table, seq_from_json
+from .sequences import Arithmetic, Constant, IntSequence, Table, _require_ints, seq_from_json
 
 
 class DiagramError(ValueError):
@@ -60,6 +60,7 @@ class Truncation:
     max_vertex: int
 
     def __post_init__(self):
+        _require_ints("truncation bounds", (self.max_level, self.max_vertex), DiagramError)
         if self.max_level < 1:
             raise DiagramError("truncation needs max_level >= 1")
         if self.max_vertex < 2:
@@ -70,7 +71,7 @@ class Truncation:
 
     @staticmethod
     def from_json(doc: dict) -> "Truncation":
-        return Truncation(int(doc["maxLevel"]), int(doc["maxVertex"]))
+        return Truncation(doc["maxLevel"], doc["maxVertex"])
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +133,7 @@ class StationaryAK(DiagramSpec):
     is_odometer_chain = True
 
     def __post_init__(self):
+        _require_ints("ak family parameters a and k", (self.a, self.k), DiagramError)
         if self.a < 2 or self.k < 1 or self.a - self.k < 1:
             raise DiagramError("ak family needs a >= 2, k >= 1 and a - k >= 1")
 
@@ -235,6 +237,7 @@ class GeneralChain(DiagramSpec):
             if val < 2:
                 raise DiagramError("odometer-chain multiplicities must be >= 2")
             table[(n, i)] = val
+        _require_ints("general-chain default", (self.default,), DiagramError)
         if self.default < 2:
             raise DiagramError("default multiplicity must be >= 2")
         object.__setattr__(self, "entries", tuple(sorted((n, i, v) for (n, i), v in table.items())))
@@ -255,11 +258,12 @@ class ExplicitFinite(DiagramSpec):
     family = "explicit-finite"
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.a_matrix)
+        rows = tuple(tuple(row) for row in self.a_matrix)
         object.__setattr__(self, "a_matrix", rows)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise DiagramError("matrix must be square and nonempty")
+        _require_ints("matrix entries", (x for r in rows for x in r), DiagramError)
         if any(x < 0 for r in rows for x in r):
             raise DiagramError("matrix entries must be nonnegative")
         # diagram validity: every vertex needs incoming and outgoing edges
@@ -301,7 +305,9 @@ class ExplicitLevels(DiagramSpec):
     def __post_init__(self):
         norm = []
         for lvl in self.levels:
-            entries = tuple(sorted((int(v), int(w), int(m)) for v, w, m in lvl))
+            entries = tuple((v, w, m) for v, w, m in lvl)
+            _require_ints("explicit-levels entries", (x for e in entries for x in e), DiagramError)
+            entries = tuple(sorted(entries))
             if any(m < 0 for _, _, m in entries):
                 raise DiagramError("multiplicities must be nonnegative")
             rows: dict[int, int] = {}
@@ -332,11 +338,11 @@ class ExplicitLevels(DiagramSpec):
 
 
 _FAMILIES = {
-    "ak": lambda p: StationaryAK(int(p["a"]), int(p["k"])),
+    "ak": lambda p: StationaryAK(p["a"], p["k"]),
     "decreasing": lambda p: StationaryDecreasing(seq_from_json(p["diagonal"])),
     "increasing": lambda p: StationaryIncreasing(),
     "nonstationary-uniform": lambda p: NonStationaryUniform(seq_from_json(p["levels"])),
-    "general-chain": lambda p: GeneralChain(p.get("entries", ()), int(p.get("default", 2))),
+    "general-chain": lambda p: GeneralChain(p.get("entries", ()), p.get("default", 2)),
     "explicit-finite": lambda p: ExplicitFinite(tuple(tuple(row) for row in p["matrix"])),
     "explicit-levels": lambda p: ExplicitLevels(
         tuple(tuple(tuple(e) for e in lvl) for lvl in p["levels"])

@@ -3,14 +3,20 @@
 Each vertex (n, i) with n >= 1 of an odometer chain receives the incoming
 edges e_1, ..., e_a (vertical, from (n-1, i)) and f (diagonal, from
 (n-1, i+1)).  A linear order on that set is *left* when f is minimal,
-*right* when f is maximal, and *middle* otherwise.  A quasi-stationary order
-fixes the tag per vertex index, independent of the level, so the eventual
-behaviour of every odometer is decidable exactly:
+*right* when f is maximal, and *middle* otherwise.  One type,
+``QuasiStationary``, describes every order: each vertex index i has an
+eventual tag, independent of the level, and every vertex (n, i) takes the
+canonical order of that tag, except finitely many vertices that carry a tag
+or a full ``VertexOrder`` of their own.  Exceptions never change an eventual
+tag, so the eventual behaviour of every odometer is decidable exactly:
 
 * left-tagged i: no right orders ever occur, so odometer i is finite-right
   (its saturation carries the unique maximal path) but not finite-left;
 * right-tagged i: symmetric, finite-left only;
 * middle-tagged i: both, carrying one maximal and one minimal path.
+
+With ``default=None`` only the listed vertices have orders: a finite window
+of explicit orders, which decides no eventual behaviour.
 
 The successor map acts on finite paths, the same ``ExplicitPath`` values
 that name cylinders in ``measure``: it increments the first non-maximal edge
@@ -99,133 +105,91 @@ def canonical_order(tag: str, a: int) -> VertexOrder:
     raise DiagramError(f"unknown tag {tag!r}")
 
 
-# ---------------------------------------------------------------------------
-# Order specifications
-# ---------------------------------------------------------------------------
-
-
 @frozen
 class QuasiStationary:
-    """Tag per vertex index; unlisted indices cycle through ``default``.
+    """Eventual tag per vertex index, with finitely many per-vertex exceptions.
 
-    ``default`` may have several tags: index i gets default[(i-1) % len],
-    which expresses e.g. alternating left/right assignments.
+    Index i takes its tag from ``tags``, else default[(i-1) % len], so e.g.
+    a default (left, right) alternates.  An exception gives vertex (level,
+    index) a tag or a full ``VertexOrder``.  ``default=None`` gives orders
+    to the listed vertices and indices only.
     """
 
     tags: tuple[tuple[int, str], ...] = ()
-    default: tuple[str, ...] = (MIDDLE,)
+    default: Optional[tuple[str, ...]] = (MIDDLE,)
+    exceptions: tuple[tuple[tuple[int, int], Union[str, VertexOrder]], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "tags", tuple(sorted(dict(self.tags).items())))
-        object.__setattr__(
-            self, "default", (self.default,) if isinstance(self.default, str) else tuple(self.default)
-        )
-        for _, t in self.tags:
-            if t not in TAGS:
-                raise DiagramError(f"unknown tag {t!r}")
-        if not self.default:
-            raise DiagramError("the default tag cycle needs at least one tag")
-        for t in self.default:
-            if t not in TAGS:
+        object.__setattr__(self, "exceptions", tuple(sorted(dict(self.exceptions).items())))
+        if self.default is not None:
+            default = (self.default,) if isinstance(self.default, str) else tuple(self.default)
+            if not default:
+                raise DiagramError("the default tag cycle needs at least one tag")
+            object.__setattr__(self, "default", default)
+        if any(n < 1 or i < 1 for (n, i), _ in self.exceptions):
+            raise DiagramError("exception positions need level >= 1 and index >= 1")
+        for t in [t for _, t in self.tags] + list(self.default or ()) + [e for _, e in self.exceptions]:
+            if not isinstance(t, VertexOrder) and t not in TAGS:
                 raise DiagramError(f"unknown tag {t!r}")
 
-    def tag_of(self, i: int) -> str:
+    def tag_of(self, i: int) -> Optional[str]:
+        """The eventual tag of index i; None when no default covers it."""
         for j, t in self.tags:
             if j == i:
                 return t
-        return self.default[(i - 1) % len(self.default)]
+        return None if self.default is None else self.default[(i - 1) % len(self.default)]
 
 
-@frozen
-class EventuallyQuasiStationary:
-    """Quasi-stationary tail with finitely many per-vertex exceptions.
-
-    Exceptions override the order at specific (level, index) pairs only; they
-    never change an odometer's eventual tag, hence never the classification.
-    """
-
-    base: QuasiStationary
-    exceptions: tuple[tuple[tuple[int, int], str], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "exceptions", tuple(sorted(dict(self.exceptions).items())))
-        for (n, i), t in self.exceptions:
-            if n < 1 or i < 1:
-                raise DiagramError("exception positions need level >= 1 and index >= 1")
-            if t not in TAGS:
-                raise DiagramError(f"unknown tag {t!r}")
-
-    def tag_of(self, i: int) -> str:
-        return self.base.tag_of(i)
-
-    def tag_at(self, n: int, i: int) -> str:
-        for (en, ei), t in self.exceptions:
-            if (en, ei) == (n, i):
-                return t
-        return self.base.tag_of(i)
-
-
-@frozen
-class ExplicitOrder:
-    """Concrete orders within a window; nothing is known beyond it."""
-
-    orders: tuple[tuple[tuple[int, int], VertexOrder], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(sorted(dict(self.orders).items())))
-
-    def order_at(self, n: int, i: int) -> VertexOrder:
-        for (on, oi), order in self.orders:
-            if (on, oi) == (n, i):
-                return order
-        raise DiagramError(f"no order given for vertex (level {n}, index {i})")
-
-
-OrderSpec = Union[QuasiStationary, EventuallyQuasiStationary, ExplicitOrder]
-
-
-def order_at(spec: DiagramSpec, order: OrderSpec, n: int, i: int) -> VertexOrder:
+def order_at(spec: DiagramSpec, order: QuasiStationary, n: int, i: int) -> VertexOrder:
     """The order on the incoming edges of vertex (n, i), n >= 1.
 
-    An explicit order must list exactly the vertical edges the vertex has.
+    An exception at the vertex wins over the canonical order of the eventual
+    tag; an exception's ``VertexOrder`` must list exactly the vertex's vertical edges.
     """
     if n < 1:
         raise DiagramError("level-0 vertices have no incoming edges")
     a = spec.vertical_edges(n - 1, i)
-    if isinstance(order, ExplicitOrder):
-        vo = order.order_at(n, i)
-        if len(vo.sequence) - 1 != a:
-            raise DiagramError(
-                f"order at vertex (level {n}, index {i}) lists {len(vo.sequence) - 1} vertical edges, "
-                f"the vertex has {a}"
-            )
-        return vo
-    tag = order.tag_at(n, i) if isinstance(order, EventuallyQuasiStationary) else order.tag_of(i)
-    return canonical_order(tag, a)
-
-
-def order_from_json(doc: dict) -> OrderSpec:
-    kind = doc.get("kind", "quasiStationary")
-    if kind == "quasiStationary":
-        raw = dict(doc.get("tags", {}))
-        default = raw.pop("default", MIDDLE)
-        if isinstance(default, str):
-            default = (default,)
-        tags = tuple((int(k), str(v)) for k, v in raw.items())
-        return QuasiStationary(tags, tuple(default))
-    if kind == "eventuallyQuasiStationary":
-        base = order_from_json({"kind": "quasiStationary", "tags": doc.get("tags", {})})
-        exceptions = tuple(
-            ((int(k.split(",")[0]), int(k.split(",")[1])), str(v))
-            for k, v in doc.get("exceptions", {}).items()
+    for (en, ei), e in order.exceptions:
+        if en == n and ei == i:
+            break
+    else:
+        e = order.tag_of(i)
+        if e is None:
+            raise DiagramError(f"no order given for vertex (level {n}, index {i})")
+    if isinstance(e, str):
+        return canonical_order(e, a)
+    if len(e.sequence) - 1 != a:
+        raise DiagramError(
+            f"order at vertex (level {n}, index {i}) lists {len(e.sequence) - 1} vertical edges, "
+            f"the vertex has {a}"
         )
-        return EventuallyQuasiStationary(base, exceptions)
-    raise DiagramError(f"unknown order kind {kind!r}")
+    return e
+
+
+def order_from_json(doc: dict) -> QuasiStationary:
+    kind = doc.get("kind", "quasiStationary")
+    if kind not in ("quasiStationary", "eventuallyQuasiStationary"):
+        raise DiagramError(f"unknown order kind {kind!r}")
+    raw = dict(doc.get("tags", {}))
+    default = raw.pop("default", MIDDLE)
+    tags = tuple((int(k), str(v)) for k, v in raw.items())
+    cells = doc.get("exceptions", {}) if kind == "eventuallyQuasiStationary" else {}
+    exceptions = tuple((tuple(int(x) for x in k.split(",")), str(v)) for k, v in cells.items())
+    return QuasiStationary(tags, default, exceptions)
 
 
 # ---------------------------------------------------------------------------
 # Odometer classification and the extension verdict
 # ---------------------------------------------------------------------------
+
+
+# eventual tag -> (finite right, finite left, note)
+_FINITENESS = {
+    LEFT: (True, False, "left orders: never right, always left"),
+    RIGHT: (False, True, "right orders: never left, always right"),
+    MIDDLE: (True, True, "middle orders: never left nor right"),
+}
 
 
 @frozen
@@ -235,22 +199,17 @@ class OdometerClass:
     note: str = ""
 
 
-def classify_odometer(spec: DiagramSpec, order: OrderSpec, i: int) -> OdometerClass:
+def classify_odometer(spec: DiagramSpec, order: QuasiStationary, i: int) -> OdometerClass:
     """Finite-right / finite-left status of odometer i.
 
-    Decidable exactly for (eventually) quasi-stationary orders from the
-    eventual tag alone; explicit windowed orders cannot decide it.
+    Decidable exactly from the eventual tag alone; a finite window of
+    explicit orders (``default=None``) cannot decide it.
     """
     if not spec.is_odometer_chain:
         raise DiagramError("odometer classification requires an odometer chain")
-    if isinstance(order, ExplicitOrder):
+    if order.default is None:
         return OdometerClass(None, None, "undecidable from a finite window of explicit orders")
-    tag = order.tag_of(i)
-    if tag == LEFT:
-        return OdometerClass(True, False, "left orders: never right, always left")
-    if tag == RIGHT:
-        return OdometerClass(False, True, "right orders: never left, always right")
-    return OdometerClass(True, True, "middle orders: never left nor right")
+    return OdometerClass(*_FINITENESS[order.tag_of(i)])
 
 
 @frozen
@@ -265,27 +224,23 @@ class ExtensionVerdict:
     homeomorphism: str  # "no" / "no-quasi-stationary"
 
 
-def extension_verdict(spec: DiagramSpec, order: OrderSpec, i_max: int = 20) -> ExtensionVerdict:
+def extension_verdict(spec: DiagramSpec, order: QuasiStationary, i_max: int = 20) -> ExtensionVerdict:
     """Cardinalities of the finite-right / finite-left sets and what follows.
 
     A Borel extension exists iff the cardinalities agree; a homeomorphism
     needs both sets empty, which no quasi-stationary order achieves.
     """
-    if isinstance(order, ExplicitOrder):
+    if order.default is None:
         raise DiagramError("extension verdict is undecidable from finite explicit-order data")
-    qs = order.base if isinstance(order, EventuallyQuasiStationary) else order
 
-    def cardinal(member_tags: frozenset[str]) -> Cardinal:
-        if any(t in member_tags for t in qs.default):
+    def cardinal(side: int) -> Cardinal:
+        if any(_FINITENESS[t][side] for t in order.default):
             return ALEPH0
-        return sum(1 for _, t in qs.tags if t in member_tags)
+        return sum(1 for _, t in order.tags if _FINITENESS[t][side])
 
-    fr_tags = frozenset((LEFT, MIDDLE))
-    fl_tags = frozenset((RIGHT, MIDDLE))
-    i_fr = cardinal(fr_tags)
-    i_fl = cardinal(fl_tags)
-    fr_witness = tuple(i for i in range(1, i_max + 1) if qs.tag_of(i) in fr_tags)
-    fl_witness = tuple(i for i in range(1, i_max + 1) if qs.tag_of(i) in fl_tags)
+    i_fr, i_fl = cardinal(0), cardinal(1)
+    fr_witness = tuple(i for i in range(1, i_max + 1) if _FINITENESS[order.tag_of(i)][0])
+    fl_witness = tuple(i for i in range(1, i_max + 1) if _FINITENESS[order.tag_of(i)][1])
     borel = i_fr == i_fl
     # the default tags put infinitely many odometers in one of the sets, so
     # the sets are never both empty, as a homeomorphism would need
@@ -312,7 +267,7 @@ def vertical_path(spec: DiagramSpec, i: int, depth: int) -> ExplicitPath:
     return path
 
 
-def minimal_path_into(spec: DiagramSpec, order: OrderSpec, level: int, index: int) -> ExplicitPath:
+def minimal_path_into(spec: DiagramSpec, order: QuasiStationary, level: int, index: int) -> ExplicitPath:
     """The order-minimal finite path from level 0 into vertex (level, index),
     built by walking down and always taking the minimal incoming edge."""
     edges: list[Edge] = []
@@ -327,7 +282,7 @@ def minimal_path_into(spec: DiagramSpec, order: OrderSpec, level: int, index: in
 
 
 def successor(
-    spec: DiagramSpec, order: OrderSpec, path: ExplicitPath
+    spec: DiagramSpec, order: QuasiStationary, path: ExplicitPath
 ) -> Union[ExplicitPath, AllMaximalPrefix]:
     """One step of the adic successor map on a finite path.
 
@@ -368,7 +323,7 @@ class OrbitReport:
 
 def orbit_frequencies(
     spec: DiagramSpec,
-    order: OrderSpec,
+    order: QuasiStationary,
     start: ExplicitPath,
     steps: int,
     cylinders: list[CylinderSpec],

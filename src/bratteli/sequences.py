@@ -19,6 +19,13 @@ class SequenceError(ValueError):
     """Malformed sequence description."""
 
 
+def _require_ints(what: str, values, error: type[Exception] = SequenceError) -> None:
+    """Reject any value that is not an int; a bool or an integral float is not one."""
+    for x in values:
+        if type(x) is not int:
+            raise error(f"{what}: {x!r} is not an int")
+
+
 @frozen
 class IntSequence:
     """Base class; subclasses implement ``value`` and the analysis hooks."""
@@ -42,6 +49,9 @@ class IntSequence:
 class Constant(IntSequence):
     c: int
 
+    def __post_init__(self):
+        _require_ints("constant sequence", (self.c,))
+
     def value(self, n: int) -> int:
         return self.c
 
@@ -59,6 +69,9 @@ class Constant(IntSequence):
 class Arithmetic(IntSequence):
     start: int
     step: int
+
+    def __post_init__(self):
+        _require_ints("arithmetic sequence", (self.start, self.step))
 
     def value(self, n: int) -> int:
         return self.start + self.step * n
@@ -81,6 +94,7 @@ class Geometric(IntSequence):
     ratio: int
 
     def __post_init__(self):
+        _require_ints("geometric sequence", (self.base, self.ratio))
         if self.base < 1 or self.ratio < 1:
             raise SequenceError("geometric sequence needs base >= 1, ratio >= 1")
 
@@ -106,6 +120,7 @@ class Polynomial(IntSequence):
     def __post_init__(self):
         coeffs = tuple(self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
+        _require_ints("polynomial sequence", coeffs)
         if not coeffs or all(c == 0 for c in coeffs):
             raise SequenceError("polynomial sequence needs a nonzero coefficient")
         if self.degree() > 0 and coeffs[self.degree()] <= 0:
@@ -144,6 +159,7 @@ class Table(IntSequence):
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise SequenceError("table sequence needs at least one value")
+        _require_ints("table sequence", self.values)
 
     def value(self, n: int) -> int:
         if n < len(self.values):
@@ -182,16 +198,16 @@ class Table(IntSequence):
 def seq_from_json(doc: dict) -> IntSequence:
     kind = doc.get("kind")
     if kind == "constant":
-        return Constant(int(doc["value"]))
+        return Constant(doc["value"])
     if kind == "arithmetic":
-        return Arithmetic(int(doc["start"]), int(doc["step"]))
+        return Arithmetic(doc["start"], doc["step"])
     if kind == "geometric":
-        return Geometric(int(doc["base"]), int(doc["ratio"]))
+        return Geometric(doc["base"], doc["ratio"])
     if kind == "polynomial":
-        return Polynomial(tuple(int(c) for c in doc["coeffs"]))
+        return Polynomial(doc["coeffs"])
     if kind == "table":
         tail = seq_from_json(doc["tail"]) if "tail" in doc and doc["tail"] is not None else None
-        return Table(tuple(int(v) for v in doc["values"]), tail)
+        return Table(doc["values"], tail)
     raise SequenceError(f"unknown sequence kind: {kind!r}")
 
 

@@ -580,3 +580,95 @@ def test_closed_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == EXIT_OK
     assert err == b""
+
+
+def _spec_json(family, params, **extra):
+    return ["--spec-json", json.dumps({"family": family, "params": params, **extra})]
+
+
+def _exit_code(capsys, *argv):
+    """Exit code and stdout of ``main(argv)``, an argparse rejection included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+HEIGHTS = ["diagram", "heights", "--level", "2"]
+DECREASING = {"kind": "table", "values": [5, 3], "tail": {"kind": "constant", "value": 2}}
+# a JSON number that is not an int -> (the command reading it, the same number
+# through flags or None when no flag takes it, the command with an int there)
+NON_INT_NUMBERS = {
+    "matrix-float": (
+        ["finite", "classify", "--matrix", "[[2.7,1],[1,2]]"],
+        None,
+        ["finite", "classify", "--matrix", "[[2,1],[1,2]]"],
+    ),
+    "matrix-bool": (
+        ["finite", "classify", "--matrix", "[[true,1],[1,2]]"],
+        None,
+        ["finite", "classify", "--matrix", "[[1,1],[1,2]]"],
+    ),
+    "explicit-finite": (
+        HEIGHTS + _spec_json("explicit-finite", {"matrix": [[2.7, 1], [1, 2]]}),
+        None,
+        HEIGHTS + _spec_json("explicit-finite", {"matrix": [[2, 1], [1, 2]]}),
+    ),
+    "explicit-levels": (
+        HEIGHTS + _spec_json("explicit-levels", {"levels": [[[1, 1, 2.5]], [[1, 1, 3]]]}),
+        None,
+        HEIGHTS + _spec_json("explicit-levels", {"levels": [[[1, 1, 2]], [[1, 1, 3]]]}),
+    ),
+    "ak-float": (
+        HEIGHTS + _spec_json("ak", {"a": 4.5, "k": 2}),
+        HEIGHTS + ["--family", "ak", "--a", "4.5", "--k", "2"],
+        HEIGHTS + _spec_json("ak", {"a": 4, "k": 2}),
+    ),
+    "ak-string": (HEIGHTS + _spec_json("ak", {"a": "4", "k": 2}), None, HEIGHTS + _spec_json("ak", {"a": 4, "k": 2})),
+    "ak-bool": (HEIGHTS + _spec_json("ak", {"a": 4, "k": True}), None, HEIGHTS + _spec_json("ak", {"a": 4, "k": 1})),
+    "general-chain-default": (
+        HEIGHTS + _spec_json("general-chain", {"default": 2.5}),
+        HEIGHTS + ["--family", "general-chain", "--default", "2.5"],
+        HEIGHTS + _spec_json("general-chain", {"default": 2}),
+    ),
+    "table-values": (
+        HEIGHTS + _spec_json("decreasing", {"diagonal": {**DECREASING, "values": [5, 3.9]}}),
+        HEIGHTS + ["--family", "decreasing", "--diagonal", "table:5,3.9:constant:2"],
+        HEIGHTS + _spec_json("decreasing", {"diagonal": DECREASING}),
+    ),
+    "table-tail": (
+        HEIGHTS + _spec_json("decreasing", {"diagonal": {**DECREASING, "tail": {"kind": "constant", "value": 2.5}}}),
+        HEIGHTS + ["--family", "decreasing", "--diagonal", "table:5,3:constant:2.5"],
+        HEIGHTS + _spec_json("decreasing", {"diagonal": DECREASING}),
+    ),
+    "geometric-base": (
+        HEIGHTS + _spec_json("nonstationary-uniform", {"levels": {"kind": "geometric", "base": 2.9, "ratio": 2}}),
+        HEIGHTS + ["--family", "nonstat-uniform", "--an", "geometric:2.9,2"],
+        HEIGHTS + _spec_json("nonstationary-uniform", {"levels": {"kind": "geometric", "base": 2, "ratio": 2}}),
+    ),
+    "max-level": (
+        HEIGHTS + _spec_json("ak", {"a": 4, "k": 2}, truncation={"maxLevel": 4.7, "maxVertex": 6}),
+        HEIGHTS + ["--family", "ak", "--a", "4", "--k", "2", "--max-level", "4.7"],
+        HEIGHTS + _spec_json("ak", {"a": 4, "k": 2}, truncation={"maxLevel": 4, "maxVertex": 6}),
+    ),
+    "request-float": (
+        ["eigen", "measure", *AK, "--request", '{"cylinders": [[2.5, 2]]}'],
+        ["eigen", "measure", *AK, "--cylinders", "(2.5,2)"],
+        ["eigen", "measure", *AK, "--request", '{"cylinders": [[2, 2]]}'],
+    ),
+    "request-bool": (
+        ["eigen", "measure", *AK, "--request", '{"cylinders": [[true, 2]]}'],
+        None,
+        ["eigen", "measure", *AK, "--request", '{"cylinders": [[1, 2]]}'],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_INT_NUMBERS))
+def test_non_int_json_numbers_exit_2_like_their_flags(capsys, case):
+    json_argv, flag_argv, int_argv = NON_INT_NUMBERS[case]
+    assert _exit_code(capsys, *json_argv) == (EXIT_CONFIG, "")
+    if flag_argv is not None:
+        assert _exit_code(capsys, *flag_argv) == (EXIT_CONFIG, "")
+    assert _exit_code(capsys, *int_argv)[0] == EXIT_OK

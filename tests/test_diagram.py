@@ -287,3 +287,30 @@ def test_json_round_trip_all_families():
         back, win = diagram_from_json(doc)
         assert back == spec
         assert win == window
+
+
+@pytest.mark.parametrize("bad", [4.5, 4.0, "4", True])
+def test_scalar_parameters_must_be_ints(bad):
+    # a JSON number or string is never rounded or parsed into a multiplicity
+    with pytest.raises(DiagramError, match="is not an int"):
+        StationaryAK(bad, 2)
+    with pytest.raises(DiagramError, match="is not an int"):
+        StationaryAK(6, bad)
+    with pytest.raises(DiagramError, match="is not an int"):
+        GeneralChain((), bad)
+    with pytest.raises(DiagramError, match="is not an int"):
+        Truncation(bad, 6)
+    with pytest.raises(DiagramError, match="is not an int"):
+        ExplicitFinite([[bad, 1], [1, 2]])
+    with pytest.raises(DiagramError, match="is not an int"):
+        ExplicitLevels((((1, 1, bad),),))
+    docs = [
+        {"family": "ak", "params": {"a": bad, "k": 2}},
+        {"family": "general-chain", "params": {"default": bad}},
+        {"family": "explicit-finite", "params": {"matrix": [[2, bad], [1, 2]]}},
+        {"family": "explicit-levels", "params": {"levels": [[[1, bad, 2]]]}},
+        {"family": "ak", "params": {"a": 4, "k": 2}, "truncation": {"maxLevel": 4, "maxVertex": bad}},
+    ]
+    for doc in docs:
+        with pytest.raises(DiagramError, match="is not an int"):
+            diagram_from_json(doc)

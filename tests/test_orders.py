@@ -2,7 +2,8 @@
 
 Core claims:
     - tags decide finite-right/finite-left exactly: left -> fr only,
-      right -> fl only, middle -> both; explicit windows stay unknown
+      right -> fl only, middle -> both; explicit windows stay unknown, and
+      finitely many per-vertex exceptions change no verdict
     - the extension verdict applies the cardinal rule: Borel iff |fr| = |fl|,
       homeomorphism never for quasi-stationary orders with nonempty sets
     - the successor advances the first non-maximal edge and resets the prefix
@@ -26,8 +27,6 @@ from bratteli.orders import (
     MIDDLE,
     RIGHT,
     AllMaximalPrefix,
-    EventuallyQuasiStationary,
-    ExplicitOrder,
     QuasiStationary,
     VertexOrder,
     canonical_order,
@@ -76,13 +75,36 @@ def test_empty_default_tag_cycle_is_rejected():
 
 def test_explicit_order_must_fit_its_vertex():
     # vertex 2 of ak(4, 2) has two vertical edges; this order lists three
-    order = ExplicitOrder((((1, 2), canonical_order(RIGHT, 3)),))
+    order = QuasiStationary(default=None, exceptions=(((1, 2), canonical_order(RIGHT, 3)),))
     with pytest.raises(DiagramError, match=r"level 1, index 2"):
         order_at(SPEC, order, 1, 2)
     with pytest.raises(DiagramError, match=r"level 1, index 2"):
         successor(SPEC, order, ExplicitPath(2, ((VERTICAL, 2),)))
-    fitting = ExplicitOrder((((1, 2), canonical_order(RIGHT, 2)),))
+    fitting = QuasiStationary(default=None, exceptions=(((1, 2), canonical_order(RIGHT, 2)),))
     assert successor(SPEC, fitting, ExplicitPath(2, ((VERTICAL, 2),))).edges == ((DIAGONAL, 0),)
+
+
+def test_exceptions_win_over_the_eventual_tag():
+    reversed_middle = VertexOrder(canonical_order(MIDDLE, 4).sequence[::-1])
+    order = QuasiStationary(default=(LEFT,), exceptions={(2, 1): reversed_middle, (3, 2): RIGHT})
+    assert order_at(SPEC, order, 2, 1) is reversed_middle
+    assert order_at(SPEC, order, 3, 2) == canonical_order(RIGHT, 2)
+    assert order_at(SPEC, order, 3, 1) == canonical_order(LEFT, 4)
+    assert order.tag_of(1) == order.tag_of(2) == LEFT
+
+
+def test_explicit_window_has_no_order_beyond_its_vertices():
+    order = QuasiStationary(default=None, exceptions=(((1, 1), LEFT),))
+    assert order_at(SPEC, order, 1, 1) == canonical_order(LEFT, 4)
+    with pytest.raises(DiagramError, match=r"no order given for vertex \(level 2, index 1\)"):
+        order_at(SPEC, order, 2, 1)
+
+
+def test_exceptions_are_validated():
+    with pytest.raises(DiagramError, match="level >= 1 and index >= 1"):
+        QuasiStationary(exceptions=(((0, 1), LEFT),))
+    with pytest.raises(DiagramError, match="unknown tag"):
+        QuasiStationary(exceptions=(((1, 1), "up"),))
 
 
 def test_order_json():
@@ -104,7 +126,7 @@ def test_eventually_quasi_stationary_json_and_overrides():
             "exceptions": {"3,2": "middle"},
         }
     )
-    assert isinstance(ev, EventuallyQuasiStationary)
+    assert ev == QuasiStationary(default=(RIGHT,), exceptions=(((3, 2), MIDDLE),))
     # the exception changes the concrete order at (level 3, vertex 2) only
     assert order_at(SPEC, ev, 3, 2).tag == MIDDLE
     assert order_at(SPEC, ev, 4, 2).tag == RIGHT
@@ -129,7 +151,7 @@ def test_classify_explicit_is_unknown():
         for n in range(1, 11)
         for i in range(1, 4)
     )
-    got = classify_odometer(SPEC, ExplicitOrder(orders), 1)
+    got = classify_odometer(SPEC, QuasiStationary(default=None, exceptions=orders), 1)
     assert got.finite_right is None and got.finite_left is None
     assert "window" in got.note
 
@@ -167,14 +189,17 @@ def test_alternating_and_middle_verdicts():
 
 def test_finitely_many_exceptions_keep_the_verdict():
     base = QuasiStationary(default=(LEFT, RIGHT))
-    ev = EventuallyQuasiStationary(base, (((3, 2), MIDDLE), ((5, 1), RIGHT)))
+    reversed_left = VertexOrder(canonical_order(LEFT, 4).sequence[::-1])
+    ev = QuasiStationary(
+        default=(LEFT, RIGHT), exceptions=(((3, 2), MIDDLE), ((5, 1), RIGHT), ((2, 1), reversed_left))
+    )
     assert extension_verdict(SPEC, ev) == extension_verdict(SPEC, base)
 
 
 def test_verdict_rejects_explicit_orders():
     orders = (((1, 1), canonical_order(RIGHT, 4)),)
     with pytest.raises(DiagramError):
-        extension_verdict(SPEC, ExplicitOrder(orders))
+        extension_verdict(SPEC, QuasiStationary(default=None, exceptions=orders))
 
 
 def test_hand_rule_on_random_assignments():
@@ -323,9 +348,27 @@ def test_orbit_matches_measure_roughly():
 
 
 @pytest.mark.parametrize("spec", [SPEC, StationaryDecreasing(Table((5, 3), Constant(2)))], ids=["ak", "decreasing"])
-@pytest.mark.parametrize("tags", [(LEFT,), (RIGHT,), (MIDDLE,), (LEFT, RIGHT)], ids="-".join)
-def test_tower_orbit_counts_match_telescoped_path_counts(spec, tags):
-    order = QuasiStationary(default=tags)
+@pytest.mark.parametrize(
+    "tags, exception",
+    [
+        ((LEFT,), None),
+        ((RIGHT,), None),
+        ((MIDDLE,), None),
+        ((LEFT, RIGHT), None),
+        ((LEFT,), RIGHT),  # a tag exception at (3, 2)
+        ((MIDDLE,), "reversed"),  # a non-canonical order at (2, 1)
+    ],
+    ids=["left", "right", "middle", "left-right", "left-with-right-at-3-2", "middle-reversed-at-2-1"],
+)
+def test_tower_orbit_counts_match_telescoped_path_counts(spec, tags, exception):
+    if exception is None:
+        exceptions = ()
+    elif exception == RIGHT:
+        exceptions = (((3, 2), RIGHT),)
+    else:
+        # the canonical middle order at (2, 1) reversed: a middle order no tag names
+        exceptions = (((2, 1), VertexOrder(canonical_order(MIDDLE, spec.vertical_edges(1, 1)).sequence[::-1])),)
+    order = QuasiStationary(default=tags, exceptions=exceptions)
     for top in range(1, 6):
         for v in (1, 2):
             window = Truncation(top, v + top + 2)

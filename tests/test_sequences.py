@@ -87,3 +87,24 @@ def test_invalid_sequences():
         Polynomial((3, -1))  # negative leading coefficient
     with pytest.raises(SequenceError):
         Table(())
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", True])
+def test_sequence_values_must_be_ints(bad):
+    # a JSON number or string is never rounded or parsed into a sequence value
+    for build in (
+        lambda: Constant(bad),
+        lambda: Arithmetic(bad, 1),
+        lambda: Arithmetic(2, bad),
+        lambda: Geometric(bad, 2),
+        lambda: Geometric(2, bad),
+        lambda: Polynomial((4, bad, 1)),
+        lambda: Table((5, bad)),
+        lambda: seq_from_json({"kind": "table", "values": [5, bad], "tail": {"kind": "constant", "value": 2}}),
+        lambda: seq_from_json({"kind": "table", "values": [5, 3], "tail": {"kind": "constant", "value": bad}}),
+        lambda: seq_from_json({"kind": "geometric", "base": bad, "ratio": 2}),
+        lambda: seq_from_json({"kind": "arithmetic", "start": 2, "step": bad}),
+        lambda: seq_from_json({"kind": "polynomial", "coeffs": [bad, 1]}),
+    ):
+        with pytest.raises(SequenceError, match="is not an int"):
+            build()

@@ -44,13 +44,11 @@ SAMPLES = {
     "InvarianceReport": ("levels failures checked_rows", ({0: True}, (), 3), None),
     "OdometerMeasure": ("spec index", (AK42, 1), (AK42, 0)),
     "VertexOrder": ("sequence", ((("f", 0), ("v", 1), ("v", 2)),), ((("v", 1),),)),
-    "QuasiStationary": ("tags default", (((1, "left"),), ("middle",)), ((), ("up",))),
-    "EventuallyQuasiStationary": (
-        "base exceptions",
-        (bratteli.QuasiStationary(), (((1, 1), "left"),)),
-        (bratteli.QuasiStationary(), (((0, 1), "left"),)),
+    "QuasiStationary": (
+        "tags default exceptions",
+        (((1, "left"),), ("middle",), (((1, 1), "left"), ((2, 1), ORDER))),
+        ((), ("up",)),
     ),
-    "ExplicitOrder": ("orders", ((((1, 1), ORDER),),), None),
     "OdometerClass": ("finite_right finite_left note", (True, False, ""), None),
     "ExtensionVerdict": (
         "i_fr i_fl fr_witness fl_witness borel_extension homeomorphism",
@@ -85,8 +83,7 @@ SAMPLES = {
 DEFAULTS = {
     "GeneralChain": {"default": 2},
     "Table": {"tail": None},
-    "QuasiStationary": {"tags": (), "default": ("middle",)},
-    "EventuallyQuasiStationary": {"exceptions": ()},
+    "QuasiStationary": {"tags": (), "default": ("middle",), "exceptions": ()},
     "OdometerClass": {"note": ""},
     "ConvergenceResult": {
         "tail_bound": None, "divergence_witness": None, "certificate": None, "exact_value": None
@@ -104,7 +101,10 @@ REPRS = [
     (bratteli.Table((5, 3), bratteli.Constant(2)), "Table(values=(5, 3), tail=Constant(c=2))"),
     (bratteli.GeneralChain(((1, 2, 5), (0, 1, 3))), "GeneralChain(entries=((0, 1, 3), (1, 2, 5)), default=2)"),
     (bratteli.ExplicitPath(2, (("v", 1), ("f", 0))), "ExplicitPath(start=2, edges=(('v', 1), ('f', 0)))"),
-    (bratteli.QuasiStationary(default=("left", "right")), "QuasiStationary(tags=(), default=('left', 'right'))"),
+    (
+        bratteli.QuasiStationary(default=("left", "right")),
+        "QuasiStationary(tags=(), default=('left', 'right'), exceptions=())",
+    ),
     (
         RESULT,
         "ConvergenceResult(status='finite', partial_sum=Fraction(1, 2), terms_used=3, tail_bound=Fraction(0, 1), "
