@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Optional
 
 # every --family needs these two; each handler imports the other layers it uses
 from . import diagram as dg
-from .sequences import _require_ints, seq_from_text
+from .sequences import _require_ints, _require_list, seq_from_text
 
 if TYPE_CHECKING:
     from .extension import ConvergenceResult
@@ -417,7 +417,13 @@ def cmd_eigen_measure(args, spec, window):
     pair = _canonical_eigen_pair(spec, args.shift)
     measure = sp.eigen_measure(spec, pair, window)
     if args.request:
-        requested = _load_doc(args.request)["cylinders"]
+        doc = _load_doc(args.request)
+        if not isinstance(doc, dict):
+            raise ConfigError("--request must be a JSON object with a \"cylinders\" list")
+        requested = [
+            _require_list("--request cylinder", mj, ConfigError, 2)
+            for mj in _require_list("--request cylinders", doc["cylinders"], ConfigError)
+        ]
         _require_ints("--request cylinders", (x for mj in requested for x in mj), ConfigError)
         try:
             cyls = [EndVertex(_work_size(m), _work_size(j)) for m, j in requested]

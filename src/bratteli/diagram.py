@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ._frozen import frozen
-from .sequences import Arithmetic, Constant, IntSequence, Table, _require_ints, seq_from_json
+from .sequences import Arithmetic, Constant, IntSequence, Table, _require_ints, _require_list, seq_from_json
 
 
 class DiagramError(ValueError):
@@ -258,7 +258,10 @@ class ExplicitFinite(DiagramSpec):
     family = "explicit-finite"
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.a_matrix)
+        rows = tuple(
+            tuple(_require_list("matrix row", row, DiagramError))
+            for row in _require_list("matrix", self.a_matrix, DiagramError)
+        )
         object.__setattr__(self, "a_matrix", rows)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
@@ -304,8 +307,11 @@ class ExplicitLevels(DiagramSpec):
 
     def __post_init__(self):
         norm = []
-        for lvl in self.levels:
-            entries = tuple((v, w, m) for v, w, m in lvl)
+        for lvl in _require_list("explicit-levels levels", self.levels, DiagramError):
+            entries = tuple(
+                tuple(_require_list("explicit-levels entry", e, DiagramError, 3))
+                for e in _require_list("explicit-levels level", lvl, DiagramError)
+            )
             _require_ints("explicit-levels entries", (x for e in entries for x in e), DiagramError)
             entries = tuple(sorted(entries))
             if any(m < 0 for _, _, m in entries):
@@ -343,10 +349,8 @@ _FAMILIES = {
     "increasing": lambda p: StationaryIncreasing(),
     "nonstationary-uniform": lambda p: NonStationaryUniform(seq_from_json(p["levels"])),
     "general-chain": lambda p: GeneralChain(p.get("entries", ()), p.get("default", 2)),
-    "explicit-finite": lambda p: ExplicitFinite(tuple(tuple(row) for row in p["matrix"])),
-    "explicit-levels": lambda p: ExplicitLevels(
-        tuple(tuple(tuple(e) for e in lvl) for lvl in p["levels"])
-    ),
+    "explicit-finite": lambda p: ExplicitFinite(p["matrix"]),
+    "explicit-levels": lambda p: ExplicitLevels(p["levels"]),
 }
 
 

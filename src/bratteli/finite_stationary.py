@@ -8,27 +8,29 @@ eigenvector, positive exactly on the vertices with access to the class, and
 that eigenpair induces an ergodic probability measure with cylinder values
 xi(w) / lambda^(n-1) at level n >= 1.
 
-Unlike the exact modules, Perron roots are generally irrational, so this
-module works in floating point with explicit error bounds: power iteration
-on A + I with min/max quotient bounds brackets each spectral radius to a
-requested tolerance (the +I shift keeps periodic irreducible blocks
-convergent without telescoping the diagram).  numpy is imported inside the
-functions that use it, so importing the package does not load it.
+Perron roots are generally irrational, so each is held in an exact dyadic
+bracket at most ``tol`` wide.  The Perron root of a class block is the
+largest real root of its integer characteristic polynomial p, and every
+root has real part at most that root, so by Gauss-Lucas p, p' and p'' are
+positive above it.  Newton's method started at the largest row or column
+sum (Collatz-Wielandt upper bounds), with every iterate rounded up, thus
+never passes below the root, and any point where p < 0 lies below it.
+Radii are compared exactly: two brackets that overlap across an access
+pair are narrowed until they separate, or found equal when the gcd of the
+two polynomials has a root in both (a Sturm count).  Eigenvectors are
+floats, from inverse iteration on the class block and one Gaussian solve
+per accessing class, checked by their residual and sign pattern.  The module
+uses Python integers, fractions and floats only.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import math
+import operator
+from fractions import Fraction
 
-from ._frozen import frozen
-from .diagram import DiagramError, ExplicitFinite
-
-if TYPE_CHECKING:
-    import numpy as np
-
-
-class ToleranceError(DiagramError):
-    """A comparison or solve could not be resolved at the given tolerance."""
+from ._frozen import _delattr, _setattr, frozen
+from .diagram import CertificateError, DiagramError, ExplicitFinite
 
 
 # ---------------------------------------------------------------------------
@@ -60,12 +62,9 @@ class ClassDecomposition:
                 return idx
         raise DiagramError(f"vertex {vertex} not in any class")
 
-    def class_matrix(self, alpha: int) -> np.ndarray:
-        import numpy as np
-
+    def class_matrix(self, alpha: int) -> tuple[tuple[int, ...], ...]:
         idx = [v - 1 for v in self.classes[alpha]]
-        a = np.array(self.matrix, dtype=float)
-        return a[np.ix_(idx, idx)]
+        return tuple(tuple(self.matrix[i][j] for j in idx) for i in idx)
 
     def predecessors(self, alpha: int) -> tuple[int, ...]:
         """Classes with access to alpha (beta such that beta > alpha)."""
@@ -176,47 +175,234 @@ def decompose(a_matrix) -> ClassDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Spectral radii with error bounds
+# Integer polynomials: coefficient tuples, leading coefficient first
 # ---------------------------------------------------------------------------
 
 
-# power iterations spectral_radius runs before giving up on its tolerance
-_MAX_ITER = 500_000
+def _charpoly(block: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """det(xI - B) of a square integer block.
 
-
-def spectral_radius(block: np.ndarray, tol: float = 1e-12) -> tuple[float, float]:
-    """Bracket the Perron root of an irreducible nonnegative block.
-
-    Power iteration on block + I with min/max quotient bounds; for an
-    irreducible matrix and a positive iterate x, the quotients
-    min_i (Mx)_i/x_i and max_i (Mx)_i/x_i enclose the Perron root of M.
-    Returns (lo, hi) with hi - lo <= tol, exact for 1x1 blocks.
+    Newton's identities turn the power sums tr(B^k), k <= n, into the
+    coefficients with exact integer divisions.  The powers are formed only
+    up to B^h, h = ceil(n/2): tr(B^(h+j)) pairs the rows of B^h with the
+    columns of B^j.
     """
-    import numpy as np
+    n = len(block)
+    half = (n + 1) // 2
+    cols = list(zip(*block))
+    powers = [block]
+    for _ in range(half - 1):
+        powers.append([[sum(map(operator.mul, row, col)) for col in cols] for row in powers[-1]])
+    top = powers[-1]
+    traces = [sum(p[r][r] for r in range(n)) for p in powers]
+    for j in range(1, n - half + 1):
+        traces.append(sum(sum(map(operator.mul, top[r], col)) for r, col in enumerate(zip(*powers[j - 1]))))
+    coeffs = [1]
+    for k in range(1, n + 1):
+        coeffs.append(-sum(coeffs[k - i] * traces[i - 1] for i in range(1, k + 1)) // k)
+    return tuple(coeffs)
 
-    b = np.asarray(block, dtype=float)
-    n = b.shape[0]
-    if n == 1:
-        val = float(b[0, 0])
-        return (val, val)
-    m = b + np.eye(n)
-    x = np.ones(n)
-    lo, hi = 0.0, float("inf")
-    for _ in range(_MAX_ITER):
-        y = m @ x
-        quot = y / x
-        lo = max(lo, float(quot.min()))
-        hi = min(hi, float(quot.max()))
-        if hi - lo <= tol:
-            return (lo - 1.0, hi - 1.0)
-        x = y / y.sum()
-    raise ToleranceError(
-        f"power iteration hit the cap before reaching tol={tol}; last bounds "
-        f"[{lo - 1.0}, {hi - 1.0}]"
+
+def _derivative(poly):
+    deg = len(poly) - 1
+    return tuple(c * (deg - k) for k, c in enumerate(poly[:-1]))
+
+
+def _scaled_value(poly, num: int, shift: int) -> int:
+    """2^(shift * deg) * p(num / 2^shift): an integer with the sign of p there."""
+    acc = 0
+    for k, c in enumerate(poly):
+        acc = acc * num + (c << (shift * k))
+    return acc
+
+
+def _value(poly, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in poly:
+        acc = acc * x + c
+    return acc
+
+
+def _remainder(a: list, b: list) -> list:
+    """a mod b over the rationals, leading zeros stripped (``[]`` is zero)."""
+    a = list(a)
+    while len(a) >= len(b):
+        q = Fraction(a[0]) / b[0]
+        for i in range(1, len(b)):
+            a[i] -= q * b[i]
+        a.pop(0)
+    while a and a[0] == 0:
+        a.pop(0)
+    return a
+
+
+def _gcd(a, b) -> list:
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _remainder(a, b)
+    return a
+
+
+def _sturm_count(poly, lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots of ``poly`` in (lo, hi), neither end a root (Sturm's theorem)."""
+    chain = [list(poly), list(_derivative(poly))]
+    while True:
+        rem = _remainder(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+
+    def sign_changes(x):
+        signs = [s for s in (_value(p, x) for p in chain) if s]
+        return sum((u > 0) != (v > 0) for u, v in zip(signs, signs[1:]))
+
+    return sign_changes(lo) - sign_changes(hi)
+
+
+# ---------------------------------------------------------------------------
+# Perron roots in exact brackets
+# ---------------------------------------------------------------------------
+
+
+def _float_below(x: Fraction) -> float:
+    f = float(x)
+    return f if f <= x else math.nextafter(f, -math.inf)
+
+
+def _float_above(x: Fraction) -> float:
+    f = float(x)
+    return f if f >= x else math.nextafter(f, math.inf)
+
+
+class PerronBracket(tuple):
+    """A Perron root as the float pair ``(lo, hi)``, carrying its certificate.
+
+    ``low <= root <= high`` are exact dyadic rationals and ``poly`` is the
+    block's integer characteristic polynomial, leading coefficient first,
+    whose largest real root the root is.  The pair is ``(low, high)``
+    rounded outward, so it brackets the root too; the bracket unpacks,
+    compares and hashes as that pair.
+    """
+
+    def __new__(cls, low: Fraction, high: Fraction, poly: tuple[int, ...]):
+        self = super().__new__(cls, (_float_below(low), _float_above(high)))
+        for name, value in (("low", low), ("high", high), ("poly", poly)):
+            object.__setattr__(self, name, value)
+        return self
+
+    __setattr__ = _setattr
+    __delattr__ = _delattr
+
+    def narrowed(self) -> PerronBracket:
+        """The same root in a bracket at most half as wide."""
+        if self.low == self.high:
+            return self
+        return _newton_bracket(self.poly, self.high, (self.high - self.low) / 2)
+
+    def isolates(self) -> bool:
+        """Whether the root is the only root of ``poly`` in the bracket."""
+        return self.low == self.high or _sturm_count(self.poly, self.low, self.high) == 1
+
+
+# times a bracket raises its precision by _EXTRA_BITS before giving up: an
+# irreducible block's Perron root is a simple root and needs at most a few
+_ROUNDS = 32
+_EXTRA_BITS = 8
+
+
+def _newton_bracket(poly: tuple[int, ...], start: Fraction, width: Fraction) -> PerronBracket:
+    """Bracket the largest real root of ``poly`` from ``start`` >= it.
+
+    The iterates are dyadics with a fixed denominator 2^shift, each the
+    exact Newton step rounded up; once the step is under one unit, the
+    first of hi - 1, hi - 2, hi - 4 units where p < 0 closes the bracket.
+    A unit is at most width / 8, so the bracket is at most width / 2 wide.
+    If no such point exists (a root within a few units below, or a root of
+    even multiplicity), the precision goes up and Newton continues.
+    """
+    slope = _derivative(poly)
+    shift = max(0, width.denominator.bit_length() - width.numerator.bit_length() + 3)
+    hi = -((-start.numerator << shift) // start.denominator)
+    for _ in range(_ROUNDS):
+        while True:
+            value = _scaled_value(poly, hi, shift)
+            if value == 0:
+                root = Fraction(hi, 1 << shift)
+                return PerronBracket(root, root, poly)
+            step = value // _scaled_value(slope, hi, shift)
+            if step == 0:
+                break
+            hi -= step
+        for units in (1, 2, 4):
+            if _scaled_value(poly, hi - units, shift) < 0:
+                return PerronBracket(Fraction(hi - units, 1 << shift), Fraction(hi, 1 << shift), poly)
+        shift += _EXTRA_BITS
+        hi <<= _EXTRA_BITS
+    raise DiagramError(
+        "the largest real root of this block's characteristic polynomial is not simple; is the block irreducible?"
     )
 
 
-def class_radii(dec: ClassDecomposition, tol: float = 1e-12) -> list[tuple[float, float]]:
+def _as_int(x) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        if isinstance(x, float) and x.is_integer():
+            return int(x)
+        raise DiagramError(f"block entry {x!r} is not an integer") from None
+
+
+def spectral_radius(block, tol: float = 1e-12) -> PerronBracket:
+    """Bracket the Perron root of an irreducible nonnegative integer block.
+
+    ``block`` is a square nested sequence of integers, such as
+    ``ClassDecomposition.class_matrix``; integral floats (a float array)
+    are read as the integers they equal.  The root lies in an exact dyadic
+    bracket at most ``tol`` wide, a single point for a 1x1 block and
+    whenever a Newton iterate hits the root exactly.  The result unpacks as
+    that bracket rounded outward to floats, ``(lo, hi)``, and carries the
+    exact endpoints and the characteristic polynomial (``PerronBracket``).
+    """
+    rows = tuple(tuple(map(_as_int, row)) for row in block)
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise DiagramError("block must be square and nonempty")
+    if any(x < 0 for row in rows for x in row):
+        raise DiagramError("block entries must be nonnegative")
+    if not 0 < tol < math.inf:
+        raise DiagramError(f"tol must be a positive finite number, not {tol!r}")
+    if len(rows) == 1:
+        root = Fraction(rows[0][0])
+        return PerronBracket(root, root, (1, -rows[0][0]))
+    start = min(max(map(sum, rows)), max(map(sum, zip(*rows))))
+    return _newton_bracket(_charpoly(rows), Fraction(start), Fraction(tol))
+
+
+def _compare(a: PerronBracket, b: PerronBracket) -> int:
+    """The sign of root(a) - root(b), decided exactly.
+
+    Disjoint brackets decide at once.  Overlapping ones are narrowed until
+    each isolates its root, and the roots are equal exactly when the gcd of
+    the two polynomials has a root where the brackets meet; otherwise they
+    are narrowed until they separate.
+    """
+    while True:
+        if a.low > b.high:
+            return 1
+        if b.low > a.high:
+            return -1
+        if a.isolates() and b.isolates():
+            common = _gcd(a.poly, b.poly)
+            lo, hi = max(a.low, b.low), min(a.high, b.high)
+            if len(common) > 1 and (
+                _value(common, lo) == 0
+                or _value(common, hi) == 0
+                or (lo < hi and _sturm_count(common, lo, hi) > 0)
+            ):
+                return 0
+        a, b = a.narrowed(), b.narrowed()
+
+
+def class_radii(dec: ClassDecomposition, tol: float = 1e-12) -> list[PerronBracket]:
     """The bracketed Perron root of every class, in class order."""
     return [spectral_radius(dec.class_matrix(alpha), tol) for alpha in range(len(dec.classes))]
 
@@ -224,28 +410,18 @@ def class_radii(dec: ClassDecomposition, tol: float = 1e-12) -> list[tuple[float
 def distinguished_classes(dec: ClassDecomposition, tol: float = 1e-12) -> tuple[int, ...]:
     """Classes whose Perron root strictly exceeds every strict predecessor's.
 
-    Radii compared across an access pair must be separated by more than
-    2 * tol, else the comparison is ambiguous at this tolerance and the call
-    fails naming the pair.
+    The comparisons are exact, so equal radii across an access pair make
+    the reached class not distinguished.
     """
-    return _distinguished(dec, class_radii(dec, tol), tol)
+    return _distinguished(dec, class_radii(dec, tol))
 
 
-def _distinguished(dec: ClassDecomposition, radii: list[tuple[float, float]], tol: float) -> tuple[int, ...]:
-    mids = [0.5 * (lo + hi) for lo, hi in radii]
-    out = []
-    for alpha in range(len(dec.classes)):
-        ok = True
-        for beta in dec.predecessors(alpha):
-            if abs(mids[alpha] - mids[beta]) <= 2 * tol:
-                raise ToleranceError(
-                    f"radii of classes {beta} and {alpha} are not separated at tolerance {tol}"
-                )
-            if mids[alpha] < mids[beta]:
-                ok = False
-        if ok:
-            out.append(alpha)
-    return tuple(out)
+def _distinguished(dec: ClassDecomposition, radii: list[PerronBracket]) -> tuple[int, ...]:
+    return tuple(
+        alpha
+        for alpha in range(len(dec.classes))
+        if all(_compare(radii[alpha], radii[beta]) > 0 for beta in dec.predecessors(alpha))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +433,8 @@ def _distinguished(dec: ClassDecomposition, radii: list[tuple[float, float]], to
 class DistinguishedData:
     """Eigen data of one distinguished class.
 
-    ``xi`` has length N with entries forced to exact 0.0 outside the access
-    set of the class; ``rho`` is the bracketed Perron root.
+    ``xi`` has length N with entries exactly 0.0 outside the access set of
+    the class; ``rho`` is the bracketed Perron root.
     """
 
     class_index: int
@@ -279,63 +455,107 @@ def distinguished_eigenvector(
     x restricted to the class is its Perron vector; classes without access
     get exact zeros; each accessing class beta is recovered from
     (rho_alpha I - A_beta) x_beta = coupling, solvable because
-    rho_beta < rho_alpha for a distinguished class.
+    rho_beta < rho_alpha for a distinguished class.  A class that is not
+    distinguished is refused.
     """
-    return _eigenvector(dec, alpha, spectral_radius(dec.class_matrix(alpha), tol), tol)
+    radius = spectral_radius(dec.class_matrix(alpha), tol)
+    for beta in dec.predecessors(alpha):
+        if _compare(radius, spectral_radius(dec.class_matrix(beta), tol)) <= 0:
+            raise DiagramError(
+                f"class {alpha} is not distinguished: class {beta} has access to it and a radius as large"
+            )
+    return _eigenvector(dec, alpha, radius, tol)
 
 
-def _eigenvector(dec: ClassDecomposition, alpha: int, radius: tuple[float, float], tol: float) -> DistinguishedData:
-    import numpy as np
+def _factor(m: list[list[float]]) -> tuple[list[list[float]], list[int]]:
+    """LU factors of a square float matrix by partial pivoting, in place;
+    ``perm[i]`` is the original row of factor row i."""
+    n = len(m)
+    perm = list(range(n))
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(m[i][k]))
+        if m[p][k] == 0.0:
+            raise CertificateError("singular matrix in a finite-stationary eigenvector solve")
+        m[k], m[p] = m[p], m[k]
+        perm[k], perm[p] = perm[p], perm[k]
+        pivot_row = m[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            f = row[k] = row[k] / pivot_row[k]
+            if f:
+                for j in range(k + 1, n):
+                    row[j] -= f * pivot_row[j]
+    return m, perm
 
+
+def _solve(factors: tuple[list[list[float]], list[int]], rhs: list[float]) -> list[float]:
+    lu, perm = factors
+    n = len(lu)
+    y = [rhs[p] for p in perm]
+    for i in range(n):
+        y[i] -= sum(map(operator.mul, lu[i][:i], y[:i]))
+    for i in reversed(range(n)):
+        y[i] = (y[i] - sum(map(operator.mul, lu[i][i + 1 :], y[i + 1 :]))) / lu[i][i]
+    return y
+
+
+# inverse iterations on a class block before its Perron vector must have settled
+_INVERSE_ITERATIONS = 8
+# the bracket width the inverse-iteration shift is taken from, whatever tol is
+_VECTOR_WIDTH = Fraction(1, 2**40)
+
+
+def _perron_vector(block: tuple[tuple[int, ...], ...], radius: PerronBracket) -> list[float]:
+    """The Perron vector of an irreducible block, summing to 1.
+
+    Inverse iteration with a shift just above the root's upper bound, where
+    shift I - B is a nonsingular M-matrix with a positive inverse: each
+    step divides every other eigencomponent by at least the gap to the
+    root over the shift's distance to it.
+    """
+    n = len(block)
+    if n == 1:
+        return [1.0]
+    if radius.high - radius.low > _VECTOR_WIDTH:
+        radius = _newton_bracket(radius.poly, radius.high, _VECTOR_WIDTH)
+    shift = radius[1] * (1 + 2.0**-40) + 2.0**-40
+    factors = _factor([[(shift if i == j else 0.0) - block[i][j] for j in range(n)] for i in range(n)])
+    x = [1.0 / n] * n
+    for _ in range(_INVERSE_ITERATIONS):
+        y = _solve(factors, x)
+        total = sum(y)
+        y = [v / total for v in y]
+        settled = max(abs(u - v) for u, v in zip(x, y)) <= 2.0**-50
+        x = y
+        if settled:
+            return x
+    raise CertificateError("inverse iteration did not settle on a Perron vector")
+
+
+def _eigenvector(dec: ClassDecomposition, alpha: int, radius: PerronBracket, tol: float) -> DistinguishedData:
+    a = dec.matrix
     n = dec.size
-    a = np.array(dec.matrix, dtype=float)
-    rho_lo, rho_hi = radius
-    rho = 0.5 * (rho_lo + rho_hi)
-
-    x = np.zeros(n)
-    cls_idx = [v - 1 for v in dec.classes[alpha]]
-    block = dec.class_matrix(alpha)
-    if len(cls_idx) == 1:
-        x[cls_idx[0]] = 1.0
-    else:
-        # Perron vector by power iteration on block + I
-        v = np.ones(len(cls_idx))
-        for _ in range(200_000):
-            w = (block + np.eye(len(cls_idx))) @ v
-            w /= w.sum()
-            if np.max(np.abs(w - v)) < tol / 10:
-                v = w
-                break
-            v = w
-        x[cls_idx] = v
-
-    solved = {alpha}
-    for beta in reversed(range(len(dec.classes))):
-        if beta in solved or beta not in dec.predecessors(alpha):
-            continue
-        # classes are in topological order, so everything beta reaches that
-        # matters (toward alpha) has a larger index and is already solved
-        bidx = [v - 1 for v in dec.classes[beta]]
-        rest = [u for u in range(n) if u not in bidx]
-        coupling = a[np.ix_(bidx, rest)] @ x[rest]
-        block_b = a[np.ix_(bidx, bidx)]
-        try:
-            sol = np.linalg.solve(rho * np.eye(len(bidx)) - block_b, coupling)
-        except np.linalg.LinAlgError as exc:
-            raise ToleranceError(f"solve for class {beta} failed: {exc}") from exc
-        x[bidx] = sol
-        solved.add(beta)
+    rho = 0.5 * (radius[0] + radius[1])
+    x = [0.0] * n
+    for v, value in zip(dec.classes[alpha], _perron_vector(dec.class_matrix(alpha), radius)):
+        x[v - 1] = value
+    # classes are in topological order, so everything a predecessor beta
+    # reaches toward alpha has a larger index and is already solved
+    for beta in sorted(dec.predecessors(alpha), reverse=True):
+        idx = [v - 1 for v in dec.classes[beta]]
+        inside = set(idx)
+        coupling = [sum(a[i][j] * x[j] for j in range(n) if j not in inside) for i in idx]
+        shifted = [[(rho if i == j else 0.0) - a[i][j] for j in idx] for i in idx]
+        for i, value in zip(idx, _solve(_factor(shifted), coupling)):
+            x[i] = value
 
     support = dec.access_set(alpha)
-    for v in range(1, n + 1):
-        if v not in support:
-            x[v - 1] = 0.0
     if any(x[v - 1] <= 0 for v in support):
-        raise ToleranceError("eigenvector positivity pattern violated beyond tolerance")
-    residual = float(np.max(np.abs(a @ x - rho * x)))
-    if residual > 10 * max(tol, 1e-15) * float(np.max(np.abs(x))):
-        raise ToleranceError(f"eigen residual {residual} exceeds tolerance")
-    return DistinguishedData(alpha, (rho_lo, rho_hi), tuple(float(v) for v in x), support)
+        raise CertificateError(f"eigenvector of class {alpha} is not positive on its access set")
+    residual = max(abs(sum(map(operator.mul, row, x)) - rho * xi) for row, xi in zip(a, x))
+    if residual > 10 * max(tol, 1e-15) * max(x):
+        raise CertificateError(f"eigen residual {residual} of class {alpha} exceeds 10 * tol")
+    return DistinguishedData(alpha, radius, tuple(x), support)
 
 
 @frozen
@@ -367,12 +587,12 @@ def measures_finite_stationary(a_matrix, tol: float = 1e-12) -> list[FiniteStati
 
 
 def class_measures(
-    dec: ClassDecomposition, radii: list[tuple[float, float]], tol: float
+    dec: ClassDecomposition, radii: list[PerronBracket], tol: float
 ) -> list[FiniteStationaryMeasure]:
     """``measures_finite_stationary`` on a decomposition whose class radii
     ``class_radii(dec, tol)`` already bracketed."""
     out = []
-    for alpha in _distinguished(dec, radii, tol):
+    for alpha in _distinguished(dec, radii):
         data = _eigenvector(dec, alpha, radii[alpha], tol)
         total = sum(data.xi)
         xi_norm = tuple(v / total for v in data.xi)

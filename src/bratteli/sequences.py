@@ -26,6 +26,13 @@ def _require_ints(what: str, values, error: type[Exception] = SequenceError) -> 
             raise error(f"{what}: {x!r} is not an int")
 
 
+def _require_list(what: str, value, error: type[Exception] = SequenceError, length: Optional[int] = None):
+    """Return ``value`` if it is a list or tuple (of ``length`` items, when given), else reject it."""
+    if not isinstance(value, (list, tuple)) or length is not None and len(value) != length:
+        raise error(f"{what}: {value!r} is not a list" + ("" if length is None else f" of {length}"))
+    return value
+
+
 @frozen
 class IntSequence:
     """Base class; subclasses implement ``value`` and the analysis hooks."""

@@ -566,6 +566,10 @@ def test_each_command_loads_only_the_layers_it_uses():
     loaded = _modules_after("measure", "classify", *AK)
     assert "bratteli.extension" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+    # exact Perron brackets: finite classify runs without numpy
+    loaded = _modules_after("finite", "classify", "--matrix", "[[2,1],[1,2]]")
+    assert "bratteli.finite_stationary" in loaded
+    assert not loaded & {"numpy", "dataclasses", "inspect"}
 
 
 def test_closed_pipe_exits_quietly():
@@ -672,3 +676,44 @@ def test_non_int_json_numbers_exit_2_like_their_flags(capsys, case):
     if flag_argv is not None:
         assert _exit_code(capsys, *flag_argv) == (EXIT_CONFIG, "")
     assert _exit_code(capsys, *int_argv)[0] == EXIT_OK
+
+
+# a JSON number where a list belongs -> (the command reading it, the part its message names)
+NUMBERS_FOR_LISTS = {
+    "matrix-row": (["finite", "classify", "--matrix", "[1,2]"], "matrix row: 1 is not a list"),
+    "request-cylinder": (
+        ["eigen", "measure", *AK, "--request", '{"cylinders": [5]}'],
+        "--request cylinder: 5 is not a list of 2",
+    ),
+    "explicit-levels-entry": (
+        HEIGHTS + _spec_json("explicit-levels", {"levels": [[5]]}),
+        "explicit-levels entry: 5 is not a list of 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NUMBERS_FOR_LISTS))
+def test_json_numbers_where_lists_belong_exit_2(capsys, case):
+    argv, message = NUMBERS_FOR_LISTS[case]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert message in err and "internal error" not in err
+
+
+def test_finite_classify_decides_tied_radii(capsys):
+    code, out, _ = run(capsys, "--format", "json", "finite", "classify", "--matrix", "[[2,1],[0,2]]")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert [c["radius"] for c in doc["classes"]] == [{"lo": 2.0, "hi": 2.0}] * 2
+    assert [c["distinguished"] for c in doc["classes"]] == [True, False]
+    assert [(m["class"], m["lambda"], m["xi_normalized"]) for m in doc["measures"]] == [(0, 2.0, [1.0, 0.0])]
+
+
+def test_failed_finite_eigen_check_is_an_internal_error(capsys, monkeypatch):
+    # after an exact bracket, a residual check that fails is the library's fault, not the input's
+    from bratteli import finite_stationary as fs
+
+    monkeypatch.setattr(fs, "_perron_vector", lambda block, radius: [1.0, 0.5])
+    code, out, err = run(capsys, "finite", "classify", "--matrix", "[[1,1],[1,1]]")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert "internal error: eigen residual" in err

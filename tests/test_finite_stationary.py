@@ -4,7 +4,9 @@ Core claims:
     - the class decomposition matches an independent transitive-closure pass
     - distinguished classes match a brute-force checker that enumerates
       classes and compares radii across the access poset
-    - spectral radii are bracketed within tolerance (exact on 1x1 blocks)
+    - spectral radii are bracketed within tolerance (exact on 1x1 blocks),
+      and the brackets hold numpy's eigenvalues on random and tied matrices
+    - equal radii across an access pair are decided exactly, rational or not
     - eigenvectors have small residuals and exact positivity patterns
     - the induced vectors satisfy the level relation within 10 * tol
 """
@@ -20,7 +22,6 @@ import pytest
 
 from bratteli.diagram import DiagramError
 from bratteli.finite_stationary import (
-    ToleranceError,
     decompose,
     distinguished_classes,
     distinguished_eigenvector,
@@ -210,10 +211,91 @@ def test_distinguished_examples():
     assert distinguished_classes(dec) == (0,)
 
 
-def test_ambiguous_radii_raise():
-    dec = decompose([[2, 0], [1, 2]])  # equal radii across an access pair
-    with pytest.raises(ToleranceError):
-        distinguished_classes(dec)
+def test_tied_radii_are_decided():
+    # equal radii across an access pair: only the accessing class is distinguished
+    for a, accessing in (([[2, 1], [0, 2]], 1), ([[2, 0], [1, 2]], 2)):
+        dec = decompose(a)
+        assert [dec.classes[i] for i in distinguished_classes(dec)] == [(accessing,)]
+        (m,) = measures_finite_stationary(a)
+        assert m.lam == 2.0
+        assert m.xi_normalized[accessing - 1] == 1.0 and m.xi_normalized[2 - accessing] == 0.0
+
+
+def _joined(upper, lower):
+    """Block-triangular A with ``upper`` reaching ``lower`` by one edge."""
+    k, n = len(upper), len(upper) + len(lower)
+    a = [[0] * n for _ in range(n)]
+    for i, row in enumerate(upper):
+        a[i][:k] = row
+    for i, row in enumerate(lower):
+        a[k + i][k:] = row
+    a[k - 1][k] = 1
+    return a
+
+
+GOLDEN = [[1, 1], [1, 0]]
+# x^3 - 2x - 1 = (x + 1)(x^2 - x - 1): the golden ratio again, from another polynomial
+GOLDEN_CUBIC = [[0, 0, 1], [1, 0, 2], [0, 1, 0]]
+
+
+@pytest.mark.parametrize("upper, lower", [(GOLDEN, GOLDEN), (GOLDEN, GOLDEN_CUBIC), (GOLDEN_CUBIC, GOLDEN)])
+def test_irrational_tie_between_golden_blocks(upper, lower):
+    a = _joined(upper, lower)
+    dec = decompose(a)
+    assert len(dec.classes) == 2 and dec.reduced_edges == ((0, 1),)
+    golden = (1 + 5**0.5) / 2
+    for alpha in range(2):
+        lo, hi = spectral_radius(dec.class_matrix(alpha))
+        assert lo <= golden <= hi and lo < hi  # irrational: never a point
+    assert distinguished_classes(dec) == (0,)
+    (m,) = measures_finite_stationary(a)
+    k = len(upper)
+    assert all(x > 0 for x in m.xi_normalized[:k]) and all(x == 0.0 for x in m.xi_normalized[k:])
+    assert abs(m.lam - golden) < 1e-12
+
+
+def test_close_radii_in_overlapping_brackets_are_separated():
+    # at tol=100 the brackets are a unit wide, so 2 (or 3) and the root
+    # (3 + 5**0.5) / 2 = 2.618... of [[2,1],[1,1]] start out overlapping
+    # and are narrowed until they part
+    dec = decompose(_joined([[2]], [[2, 1], [1, 1]]))
+    assert spectral_radius(dec.class_matrix(1), tol=100) == (2.0, 3.0)
+    assert distinguished_classes(dec, tol=100) == (0, 1)
+    assert distinguished_classes(decompose(_joined([[3]], [[2, 1], [1, 1]])), tol=100) == (0,)
+
+
+def test_tied_and_random_matrices_against_numpy_eigenvalues():
+    # numpy is a test-only oracle: every class bracket holds its largest
+    # eigenvalue modulus and is at most tol wide, and the distinguished sets
+    # match the brute-force checker, on random matrices half of them tied
+    rng = random.Random(41)
+    tol = 1e-12
+    for trial in range(60):
+        if trial % 2:  # a block above its own copy: equal radii along an access edge
+            k = rng.randint(1, 4)
+            block = [[rng.choice((0, 1, 1, 2)) for _ in range(k)] for _ in range(k)]
+            for i in range(k):  # a cycle through every vertex keeps the block irreducible
+                block[i][(i + 1) % k] = max(block[i][(i + 1) % k], 1)
+            a = _joined(block, block)
+        else:
+            n = rng.randint(2, 9)
+            a = [[rng.choice((0, 0, 0, 1, 1, 2, 3)) for _ in range(n)] for _ in range(n)]
+        n = len(a)
+        for v in range(n):  # keep the diagram valid
+            if all(a[w][v] == 0 for w in range(n)):
+                a[rng.randrange(n)][v] = 1
+            if all(x == 0 for x in a[v]):
+                a[v][rng.randrange(n)] = 1
+        dec = decompose(a)
+        arr = np.array(a, dtype=float)
+        for alpha, cls in enumerate(dec.classes):
+            idx = [v - 1 for v in cls]
+            lo, hi = spectral_radius(dec.class_matrix(alpha), tol)
+            want = max(abs(np.linalg.eigvals(arr[np.ix_(idx, idx)])))
+            assert lo - 1e-9 <= want <= hi + 1e-9
+            assert hi - lo <= tol
+        got = {frozenset(dec.classes[i]) for i in distinguished_classes(dec, tol)}
+        assert got == set(brute_distinguished(a))
 
 
 # -- eigenvectors -----------------------------------------------------------------------
@@ -251,6 +333,12 @@ def test_block_diagonal_indicator_vectors():
         support = [v - 1 for v in data.support]
         assert len(support) == 1
         assert data.xi[support[0]] > 0
+
+
+def test_eigenvector_of_a_class_that_is_not_distinguished_is_refused():
+    dec = decompose([[2, 0], [1, 3]])  # {2}, radius 3, reaches {1}, radius 2
+    with pytest.raises(DiagramError, match="class 1 is not distinguished"):
+        distinguished_eigenvector(dec, dec.class_of(1))
 
 
 # -- measures ---------------------------------------------------------------------------
