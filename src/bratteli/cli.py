@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Optional
 
 # every --family needs these two; each handler imports the other layers it uses
 from . import diagram as dg
-from .sequences import _require_ints, _require_list, seq_from_text
+from .sequences import _require_dict, _require_ints, _require_list, seq_from_text
 
 if TYPE_CHECKING:
     from .extension import ConvergenceResult
@@ -370,10 +370,11 @@ def cmd_measure_check_invariance(args, spec, window):
     from .measure import MeasureVectors, check_tail_invariance
 
     if args.vectors:
-        doc = _load_doc(args.vectors)
+        doc = _require_dict("--vectors", _load_doc(args.vectors), ConfigError)
+        levels = _require_dict("--vectors vectors", doc["vectors"], ConfigError)
         table = {
-            int(level): {int(i): Fraction(val) for i, val in row.items()}
-            for level, row in doc["vectors"].items()
+            int(level): {int(i): Fraction(val) for i, val in _require_dict("--vectors level", row, ConfigError).items()}
+            for level, row in levels.items()
         }
         mv = MeasureVectors.from_table(table, label="user vectors")
         window = dg.Truncation(min(window.max_level, mv.max_level), window.max_vertex)
@@ -417,9 +418,7 @@ def cmd_eigen_measure(args, spec, window):
     pair = _canonical_eigen_pair(spec, args.shift)
     measure = sp.eigen_measure(spec, pair, window)
     if args.request:
-        doc = _load_doc(args.request)
-        if not isinstance(doc, dict):
-            raise ConfigError("--request must be a JSON object with a \"cylinders\" list")
+        doc = _require_dict("--request", _load_doc(args.request), ConfigError)
         requested = [
             _require_list("--request cylinder", mj, ConfigError, 2)
             for mj in _require_list("--request cylinders", doc["cylinders"], ConfigError)
@@ -650,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _argv_from_config(doc: dict) -> list[str]:
-    command = doc.get("command")
+    command = _require_dict("config", doc, ConfigError).get("command")
     if isinstance(command, str):
         argv = command.split()
     elif isinstance(command, list):
@@ -659,7 +658,7 @@ def _argv_from_config(doc: dict) -> list[str]:
         raise ConfigError("config needs a 'command' string or list")
     if "format" in doc:
         argv = ["--format", str(doc["format"])] + argv
-    for key, val in doc.get("options", {}).items():
+    for key, val in _require_dict("config options", doc.get("options", {}), ConfigError).items():
         flag = "--" + str(key).replace("_", "-")
         if isinstance(val, bool):
             if val:

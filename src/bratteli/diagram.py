@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ._frozen import frozen
-from .sequences import Arithmetic, Constant, IntSequence, Table, _require_ints, _require_list, seq_from_json
+from .sequences import Arithmetic, Constant, IntSequence, Table, _require_dict, _require_ints, _require_list, seq_from_json
 
 
 class DiagramError(ValueError):
@@ -71,6 +71,7 @@ class Truncation:
 
     @staticmethod
     def from_json(doc: dict) -> "Truncation":
+        _require_dict("truncation", doc, DiagramError)
         return Truncation(doc["maxLevel"], doc["maxVertex"])
 
 
@@ -355,10 +356,10 @@ _FAMILIES = {
 
 
 def diagram_from_json(doc: dict) -> tuple[DiagramSpec, Optional[Truncation]]:
-    family = doc.get("family")
+    family = _require_dict("diagram document", doc, DiagramError).get("family")
     if family not in _FAMILIES:
         raise DiagramError(f"unknown diagram family: {family!r}")
-    spec = _FAMILIES[family](doc.get("params", {}))
+    spec = _FAMILIES[family](_require_dict("params", doc.get("params", {}), DiagramError))
     window = Truncation.from_json(doc["truncation"]) if "truncation" in doc else None
     return spec, window
 

@@ -34,6 +34,7 @@ from typing import Optional, Union
 from ._frozen import frozen
 from .diagram import DiagramError, DiagramSpec, Truncation
 from .measure import DIAGONAL, VERTICAL, CylinderSpec, EndVertex, ExplicitPath, cylinder_measure
+from .sequences import _require_dict
 
 LEFT = "left"
 RIGHT = "right"
@@ -168,13 +169,14 @@ def order_at(spec: DiagramSpec, order: QuasiStationary, n: int, i: int) -> Verte
 
 
 def order_from_json(doc: dict) -> QuasiStationary:
-    kind = doc.get("kind", "quasiStationary")
+    kind = _require_dict("order", doc, DiagramError).get("kind", "quasiStationary")
     if kind not in ("quasiStationary", "eventuallyQuasiStationary"):
         raise DiagramError(f"unknown order kind {kind!r}")
-    raw = dict(doc.get("tags", {}))
+    raw = dict(_require_dict("order tags", doc.get("tags", {}), DiagramError))
     default = raw.pop("default", MIDDLE)
     tags = tuple((int(k), str(v)) for k, v in raw.items())
     cells = doc.get("exceptions", {}) if kind == "eventuallyQuasiStationary" else {}
+    _require_dict("order exceptions", cells, DiagramError)
     exceptions = tuple((tuple(int(x) for x in k.split(",")), str(v)) for k, v in cells.items())
     return QuasiStationary(tags, default, exceptions)
 

@@ -33,6 +33,13 @@ def _require_list(what: str, value, error: type[Exception] = SequenceError, leng
     return value
 
 
+def _require_dict(what: str, value, error: type[Exception] = SequenceError) -> dict:
+    """Return ``value`` if it is a JSON object (a dict), else reject it."""
+    if not isinstance(value, dict):
+        raise error(f"{what}: {value!r} is not an object")
+    return value
+
+
 @frozen
 class IntSequence:
     """Base class; subclasses implement ``value`` and the analysis hooks."""
@@ -203,7 +210,7 @@ class Table(IntSequence):
 
 
 def seq_from_json(doc: dict) -> IntSequence:
-    kind = doc.get("kind")
+    kind = _require_dict("sequence", doc).get("kind")
     if kind == "constant":
         return Constant(doc["value"])
     if kind == "arithmetic":

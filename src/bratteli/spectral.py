@@ -3,9 +3,13 @@
 For a stationary chain the transpose A = F^T is lower bidiagonal, so an
 eigenpair can be written down in closed form and verified row by row in exact
 arithmetic: row 1 reads a_1 x_1 = lam x_1 and row i reads
-x_{i-1} + a_i x_i = lam x_i.  A verified eigenpair induces a tail-invariant
-measure whose cylinder values are x_v / lam^m; this module builds those
-measures and checks their equality with extension measures on cylinder grids.
+x_{i-1} + a_i x_i = lam x_i.  Solving row i for x_i gives the recurrence
+x_i = x_{i-1} / (lam - a_i) that builds the entries above the shift; a pair
+computes each entry once, and verification carries x_{i-1} from one row to
+the next, so it is linear in the number of rows.  A verified eigenpair
+induces a tail-invariant measure whose cylinder values are x_v / lam^m; this
+module builds those measures and checks their equality with extension
+measures on cylinder grids.
 
 No eigensolver for infinite matrices is attempted: only constructive closed
 forms (and user-supplied ones) are accepted, and windows bound verification,
@@ -46,6 +50,9 @@ class EigenPair:
 
     ``component(i)`` returns the exact i-th entry (1-based) for any index;
     ``checked_to`` records how far the defining equations have been verified.
+    ``xi`` calls ``component`` and validates its answer once per index and
+    keeps the entry for the life of the pair (not a field: it takes no part
+    in equality, hashing or printing).
     """
 
     lam: Fraction
@@ -53,12 +60,18 @@ class EigenPair:
     label: str = "eigenpair"
     checked_to: int = 0
 
+    def __post_init__(self):
+        object.__setattr__(self, "_entries", {})
+
     def xi(self, i: int) -> Fraction:
-        if i < 1:
-            raise EigenError("eigenvector entries are indexed from 1")
-        val = Fraction(self.component(i))
-        if val < 0:
-            raise EigenError("eigenvector entries must be nonnegative")
+        val = self._entries.get(i)
+        if val is None:
+            if i < 1:
+                raise EigenError("eigenvector entries are indexed from 1")
+            val = Fraction(self.component(i))
+            if val < 0:
+                raise EigenError("eigenvector entries must be nonnegative")
+            self._entries[i] = val
         return val
 
     def scaled(self, factor: Fraction) -> "EigenPair":
@@ -79,28 +92,43 @@ def eigenvector_ak(a: int, k: int) -> EigenPair:
     return EigenPair(Fraction(a), lambda i: Fraction(1, k ** (i - 1)), f"ak(a={a},k={k})")
 
 
-def eigenvector_decreasing(diag: IntSequence, shift: int = 1, check_to: int = 64) -> EigenPair:
-    """Eigenpair lam = a_m for a vertex-indexed diagonal dominated from m.
+def eigenvector_decreasing(diag: IntSequence, shift: int = 1) -> EigenPair:
+    """Eigenpair lam = a_m (m = ``shift``) for a diagonal dominated from m.
 
-    Entries: zeros below m, 1 at m, then running products of 1/(a_m - a_j).
-    Requires a_m > a_j for all j > m, validated up to ``check_to``.
+    Entries: zeros below m, 1 at m, then xi_v = xi_{v-1} / (a_m - a_v), grown
+    as one prefix so that each entry costs one division.  Dominance,
+    a_m > a_v for every v > m, is decided exactly from the constant tail
+    (``constant_from``): every entry up to its start, then its first entry,
+    which stands for the constant.  A diagonal without a constant tail is
+    rejected, since no other sequence is bounded above and at least 1:
+    arithmetic with step > 0, geometric with ratio >= 2 and polynomial of
+    degree >= 1 are unbounded above, arithmetic with step < 0 falls below 1,
+    and a table without a tail rule has no entries past its values.
     """
     if shift < 1:
         raise EigenError("shift must be >= 1")
+    tail = diag.constant_from()
+    if tail is None:
+        raise EigenError(
+            f"dominance needs a diagonal with a constant tail; {diag.to_json()} has none "
+            "(it is unbounded above, falls below 1 or ends with its table)"
+        )
     a_m = diag.value(shift - 1)
-    for j in range(shift + 1, check_to + 1):
+    # the last j is the first vertex of the constant tail
+    for j in range(shift + 1, max(tail[0], shift) + 2):
         if diag.value(j - 1) >= a_m:
             raise EigenError(
                 f"dominance violated: a_{shift}={a_m} is not greater than a_{j}={diag.value(j - 1)}"
             )
+    prefix = [Fraction(1)]  # xi_shift, xi_{shift+1}, ...
 
     def component(i: int) -> Fraction:
         if i < shift:
             return Fraction(0)
-        out = Fraction(1)
-        for j in range(shift + 1, i + 1):
-            out /= a_m - diag.value(j - 1)
-        return out
+        while len(prefix) <= i - shift:
+            v = shift + len(prefix)
+            prefix.append(prefix[-1] / (a_m - diag.value(v - 1)))
+        return prefix[i - shift]
 
     return EigenPair(Fraction(a_m), component, f"decreasing(shift={shift},lam={a_m})")
 
@@ -127,40 +155,49 @@ def verify_eigenpair(spec: DiagramSpec, pair: EigenPair, window: Truncation) -> 
     """Row residuals of A xi = lam xi over rows 1..window.max_vertex, exact.
 
     A is lower bidiagonal, so row i only involves xi_{i-1} and xi_i and every
-    in-window row is fully certifiable.
+    in-window row is fully certifiable; xi_{i-1} is carried over from the row
+    before, so each row takes one new entry.
     """
     diag = _require_stationary_chain(spec)
     residuals: dict[int, Fraction] = {}
     nonzero: list[int] = []
+    prev = Fraction(0)  # xi_0: row 1 has no subdiagonal entry
     for i in range(1, window.max_vertex + 1):
-        acc = diag.value(i - 1) * pair.xi(i)
-        if i >= 2:
-            acc += pair.xi(i - 1)
-        res = acc - pair.lam * pair.xi(i)
+        x = pair.xi(i)
+        res = (diag.value(i - 1) - pair.lam) * x + prev
         residuals[i] = res
         if res != 0:
             nonzero.append(i)
+        prev = x
     return ResidualReport(residuals, tuple(nonzero))
 
 
 @frozen
 class EigenMeasure:
-    """Tail-invariant measure with cylinder values xi_v / lam^m."""
+    """Tail-invariant measure with cylinder values xi_v / lam^m.
+
+    lam^m is computed once per length m and kept with the measure (not a
+    field: it takes no part in equality, hashing or printing).
+    """
 
     spec: DiagramSpec
     pair: EigenPair
 
+    def __post_init__(self):
+        object.__setattr__(self, "_powers", {})
+
+    def _value(self, m: int, v: int) -> Fraction:
+        power = self._powers.get(m)
+        if power is None:
+            power = self._powers[m] = self.pair.lam**m
+        return self.pair.xi(v) / power
+
     def cylinder_value(self, cyl: CylinderSpec) -> Fraction:
         end = as_end_vertex(cyl)
-        return self.pair.xi(end.index) / self.pair.lam**end.length
+        return self._value(end.length, end.index)
 
     def measure_vectors(self, window: Truncation) -> MeasureVectors:
-        pair = self.pair
-
-        def fn(n: int, i: int) -> Fraction:
-            return pair.xi(i) / pair.lam**n
-
-        return MeasureVectors(fn, window.max_level, lambda n: window.max_vertex, label=pair.label)
+        return MeasureVectors(self._value, window.max_level, lambda n: window.max_vertex, label=self.pair.label)
 
 
 def eigen_measure(spec: DiagramSpec, pair: EigenPair, window: Optional[Truncation] = None) -> EigenMeasure:
@@ -213,10 +250,11 @@ def compare_eigen_vs_extension(
     from .extension import FINITE, UNDETERMINED, extended_cylinder_measure
 
     _require_stationary_chain(spec)
+    measure = EigenMeasure(spec, pair)
     entries = []
     for cyl in cylinders:
         end = as_end_vertex(cyl)
-        eigen_val = pair.xi(end.index) / pair.lam**end.length
+        eigen_val = measure.cylinder_value(end)
         ext = extended_cylinder_measure(spec, i, end, max_terms)
         if ext.status == UNDETERMINED:
             verdict = "skipped-undetermined"

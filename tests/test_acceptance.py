@@ -126,7 +126,7 @@ def test_criterion_3_eigen_verification():
     ]
     shifted_seen = False
     for diag, m in dec_sets:
-        pair = eigenvector_decreasing(diag, m, check_to=120)
+        pair = eigenvector_decreasing(diag, m)
         rep = verify_eigenpair(StationaryDecreasing(diag), pair, Truncation(4, 100))
         ok = ok and rep.verified and len(rep.residuals) == 100
         shifted_seen = shifted_seen or (m > 1 and pair.xi(1) == 0)

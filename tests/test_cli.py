@@ -717,3 +717,57 @@ def test_failed_finite_eigen_check_is_an_internal_error(capsys, monkeypatch):
     code, out, err = run(capsys, "finite", "classify", "--matrix", "[[1,1],[1,1]]")
     assert (code, out) == (EXIT_INTERNAL, "")
     assert "internal error: eigen residual" in err
+
+
+# a JSON list where an object belongs -> (the command reading it, the part its message names)
+LISTS_FOR_OBJECTS = {
+    "spec-json": (HEIGHTS + ["--spec-json", "[1]"], "diagram document: [1] is not an object"),
+    "params": (HEIGHTS + _spec_json("ak", [1]), "params: [1] is not an object"),
+    "truncation": (
+        HEIGHTS + _spec_json("ak", {"a": 4, "k": 2}, truncation=[1]),
+        "truncation: [1] is not an object",
+    ),
+    "diagonal": (HEIGHTS + _spec_json("decreasing", {"diagonal": [1]}), "sequence: [1] is not an object"),
+    "request": (["eigen", "measure", *AK, "--request", "[1]"], "--request: [1] is not an object"),
+    "vectors": (["measure", "check-invariance", *AK, "--vectors", '{"vectors": [1]}'], "--vectors vectors: [1]"),
+    "tags": (["vershik", "classify", *AK, "--tags", '{"tags": [1]}'], "order tags: [1] is not an object"),
+}
+
+
+@pytest.mark.parametrize("case", list(LISTS_FOR_OBJECTS))
+def test_json_lists_where_objects_belong_exit_2(capsys, case):
+    argv, message = LISTS_FOR_OBJECTS[case]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert message in err and "internal error" not in err
+
+
+def test_config_file_holding_a_list_is_a_config_error(capsys, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text("[1]")
+    code, out, err = run(capsys, "--config", str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "config: [1] is not an object" in err
+
+
+# a_1 = 5 dominates the 68 threes but not a_70 = 6, past any fixed check window
+ROW_70 = ["--family", "decreasing", "--diagonal", "table:5," + "3," * 68 + "6:constant:2"]
+
+
+@pytest.mark.parametrize("command", [
+    ["eigen", "measure", "--cylinders", "(1,2);(0,60)"],
+    ["eigen", "verify"],
+    ["eigen", "compare"],
+])
+def test_dominance_is_decided_over_the_whole_diagonal(capsys, command):
+    code, out, err = run(capsys, *command[:2], *ROW_70, *command[2:])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "a_1=5 is not greater than a_70=6" in err
+
+
+def test_measure_classify_is_unchanged_on_the_row_70_diagonal(capsys):
+    code, out, _ = run(capsys, "--format", "json", "measure", "classify", *ROW_70, "--imax", "1")
+    assert code == EXIT_OK
+    (entry,) = json.loads(out)["entries"]
+    assert entry["mass"]["status"] == "infinite"
+    assert "climbing to vertex 70" in entry["mass"]["divergence_witness"]

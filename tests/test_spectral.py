@@ -24,7 +24,7 @@ from bratteli.diagram import (
 )
 from bratteli.extension import odometer_extension_mass
 from bratteli.measure import EndVertex, check_tail_invariance
-from bratteli.sequences import Constant, Table
+from bratteli.sequences import Arithmetic, Constant, Geometric, Polynomial, Table
 from bratteli.spectral import (
     EigenError,
     EigenPair,
@@ -90,6 +90,32 @@ def test_decreasing_shifted():
 def test_decreasing_dominance_guard():
     with pytest.raises(EigenError):
         eigenvector_decreasing(Table((5, 4), Constant(4)), 2)  # a_2 = a_3
+
+
+def test_dominance_is_decided_past_any_fixed_window():
+    # a_1 = 5 dominates the 68 threes, but a_70 = 6 does not
+    with pytest.raises(EigenError, match="a_1=5 is not greater than a_70=6"):
+        eigenvector_decreasing(Table((5,) + (3,) * 68 + (6,), Constant(2)), 1)
+    # the constant tail itself is checked, however far past the table the shift sits
+    with pytest.raises(EigenError, match="a_200=2 is not greater than a_201=2"):
+        eigenvector_decreasing(DEC53, 200)
+    with pytest.raises(EigenError, match="a_1=5 is not greater than a_3=5"):
+        eigenvector_decreasing(Table((5, 3), Constant(5)), 1)
+    assert eigenvector_decreasing(Table((5, 3), Arithmetic(2, 0)), 1).xi(4) == Fraction(1, 18)
+    assert eigenvector_decreasing(Table((9,) + (3,) * 80 + (8,), Constant(2)), 1).lam == 9
+
+
+@pytest.mark.parametrize("diag", [
+    Arithmetic(9, 1),  # unbounded above
+    Arithmetic(9, -1),  # falls below 1
+    Geometric(9, 2),
+    Polynomial((9, 0, 1)),
+    Table((9, 3)),  # no entries past the table
+    Table((9, 3), Arithmetic(2, 1)),
+])
+def test_diagonals_without_a_constant_tail_are_rejected(diag):
+    with pytest.raises(EigenError, match="constant tail"):
+        eigenvector_decreasing(diag, 1)
 
 
 # -- verification ----------------------------------------------------------------
@@ -231,3 +257,125 @@ def test_eigen_ops_require_stationary_chain():
         verify_eigenpair(nonstat, eigenvector_ak(4, 2), Truncation(3, 5))
     with pytest.raises(EigenError):
         compare_eigen_vs_extension(nonstat, 1, eigenvector_ak(4, 2), [EndVertex(0, 1)])
+
+
+# -- each entry once, the same values as the direct formulas ----------------------
+
+
+def _random_table(rng):
+    """A decreasing-family diagonal whose entry at ``shift`` dominates the rest."""
+    tail = rng.randint(1, 4)
+    top = rng.randint(tail + 1, tail + 6)
+    body = [rng.randint(1, top - 1) for _ in range(rng.randint(0, 8))]
+    shift = rng.randint(1, len(body) + 1)
+    return Table(tuple(body[: shift - 1] + [top] + body[shift - 1:]), Constant(tail)), shift
+
+
+def _running_product(diag, shift, i):
+    # the entry written out directly: zeros below the shift, then a product of 1/(lam - a_j)
+    if i < shift:
+        return Fraction(0)
+    lam = diag.value(shift - 1)
+    out = Fraction(1)
+    for j in range(shift + 1, i + 1):
+        out /= lam - diag.value(j - 1)
+    return out
+
+
+def test_recurrence_matches_the_running_product():
+    rng = random.Random(12)
+    for _ in range(30):
+        diag, shift = _random_table(rng)
+        rows = rng.randint(1, 300)
+        pair = eigenvector_decreasing(diag, shift)
+        order = list(range(1, rows + 1))
+        rng.shuffle(order)  # any access order grows the same prefix
+        got = {i: pair.xi(i) for i in order}
+        assert got == {i: _running_product(diag, shift, i) for i in range(1, rows + 1)}
+
+
+def _naive_residuals(diag, lam, entry, rows):
+    return {
+        i: diag.value(i - 1) * entry(i) + (entry(i - 1) if i >= 2 else 0) - lam * entry(i)
+        for i in range(1, rows + 1)
+    }
+
+
+def _naive_invariance(spec, value, window):
+    # F_n^T p^(n+1) = p^(n) on an odometer chain: a(w) p^(n+1)_w + p^(n+1)_{w-1} = p^(n)_w
+    failures, checked = [], 0
+    for n in range(window.max_level):
+        for w in range(1, window.max_vertex + 1):
+            checked += 1
+            lhs = spec.vertical_edges(n, w) * value(n + 1, w) + (value(n + 1, w - 1) if w >= 2 else 0)
+            if lhs != value(n, w):
+                failures.append((n, w))
+    return tuple(failures), checked
+
+
+def _pairs(rng):
+    for a, k in [(4, 2), (6, 1), (7, 3)]:
+        yield StationaryAK(a, k), eigenvector_ak(a, k), lambda i, a=a, k=k: Fraction(1, k ** (i - 1))
+    for _ in range(6):
+        diag, shift = _random_table(rng)
+        yield StationaryDecreasing(diag), eigenvector_decreasing(diag, shift), (
+            lambda i, diag=diag, shift=shift: _running_product(diag, shift, i)
+        )
+
+
+def test_residuals_match_a_naive_computation():
+    rng = random.Random(7)
+    for spec, pair, entry in _pairs(rng):
+        rows = rng.randint(1, 120)
+        report = verify_eigenpair(spec, pair, Truncation(3, rows))
+        assert report.residuals == _naive_residuals(spec.vertex_diag, pair.lam, entry, rows)
+        assert report.verified
+        # a wrong eigenvalue leaves exact nonzero residuals, the same ones
+        wrong = EigenPair(pair.lam + 1, pair.component)
+        report = verify_eigenpair(spec, wrong, Truncation(3, rows))
+        naive = _naive_residuals(spec.vertex_diag, pair.lam + 1, entry, rows)
+        assert report.residuals == naive
+        assert report.nonzero == tuple(i for i in range(1, rows + 1) if naive[i] != 0)
+
+
+def test_invariance_reports_match_a_naive_computation():
+    rng = random.Random(9)
+    for spec, pair, entry in _pairs(rng):
+        size = rng.randint(2, 14)
+        window = Truncation(size, size)
+        mv = eigen_measure(spec, pair, window).measure_vectors(window)
+        where = (rng.randint(0, size - 1), rng.randint(1, size - 1))
+        delta = Fraction(1, 10**12)
+        for perturbed in (False, True):
+            vectors = mv.perturbed(*where, delta) if perturbed else mv
+
+            def value(n, i, entry=entry, lam=pair.lam, perturbed=perturbed):
+                out = entry(i) / lam**n
+                return out + delta if perturbed and (n, i) == where else out
+
+            report = check_tail_invariance(spec, vectors, window)
+            failures, checked = _naive_invariance(spec, value, window)
+            assert (report.failures, report.checked_rows) == (failures, checked)
+            assert report.ok is not perturbed
+
+
+def test_each_entry_is_computed_once_per_pair():
+    calls = []
+
+    def component(i):
+        calls.append(i)
+        return Fraction(1, 2 ** (i - 1))
+
+    spec, window = StationaryAK(4, 2), Truncation(9, 30)
+    pair = EigenPair(Fraction(4), component, "counted")
+    em = eigen_measure(spec, pair, window)
+    assert sorted(calls) == list(range(1, 31))
+    assert check_tail_invariance(spec, em.measure_vectors(window), window).ok
+    cyls = [EndVertex(m, j) for m in range(4) for j in range(1, 40)]
+    assert all(em.cylinder_value(c) == Fraction(1, 2 ** (c.index - 1) * 4**c.length) for c in cyls)
+    compare_eigen_vs_extension(spec, 1, pair, cyls[:5])
+    assert sorted(calls) == list(range(1, 40))
+    # the entries are not part of the value: equal, hashed and printed as before
+    fresh = EigenPair(Fraction(4), component, "counted")
+    assert pair == fresh and hash(pair) == hash(fresh) and repr(pair) == repr(fresh)
+
