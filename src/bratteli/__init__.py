@@ -29,9 +29,8 @@ _EXPORTS = {
     ),
     "extension": (
         "FINITE", "INFINITE", "UNDETERMINED", "ConvergenceResult", "ErgodicClassification",
-        "ExtendedMeasure", "OracleVerdict", "SubdiagramSpec", "classify_ergodic_measures",
-        "closed_form_oracles", "odometer_extension_mass", "extend_odometer",
-        "extended_cylinder_measure", "extension_total_mass", "mass_series_terms",
+        "ExtendedMeasure", "OracleVerdict", "classify_ergodic_measures", "closed_form_oracles",
+        "odometer_extension_mass", "extend_odometer", "extended_cylinder_measure", "mass_series_terms",
     ),
     "finite_stationary": (
         "ClassDecomposition", "DistinguishedData", "FiniteStationaryMeasure", "decompose",
@@ -53,8 +52,8 @@ _EXPORTS = {
     ),
     "spectral": (
         "ComparisonReport", "EigenMeasure", "EigenPair", "ResidualReport",
-        "compare_eigen_vs_extension", "eigen_measure", "eigenvector_ak", "eigenvector_decreasing",
-        "verify_eigenpair",
+        "compare_eigen_vs_extension", "eigen_measure", "eigenvector", "eigenvector_ak",
+        "eigenvector_decreasing", "verify_eigenpair",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -45,7 +45,6 @@ if TYPE_CHECKING:
     from .extension import ConvergenceResult
     from .measure import EndVertex
     from .orders import QuasiStationary
-    from .spectral import EigenPair
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -355,16 +354,6 @@ def cmd_measure_cylinder(args, spec, window):
     return report, (["m", "j", "status", "value"], rows), EXIT_UNCERTIFIED if undetermined else EXIT_OK
 
 
-def _canonical_eigen_pair(spec: dg.DiagramSpec, shift: int) -> EigenPair:
-    from . import spectral as sp
-
-    if isinstance(spec, dg.StationaryAK):
-        return sp.eigenvector_ak(spec.a, spec.k)
-    if spec.vertex_diag is not None:
-        return sp.eigenvector_decreasing(spec.vertex_diag, shift)
-    raise ConfigError("this family has no constructive eigenpair")
-
-
 def cmd_measure_check_invariance(args, spec, window):
     from . import spectral as sp
     from .measure import MeasureVectors, check_tail_invariance
@@ -379,7 +368,7 @@ def cmd_measure_check_invariance(args, spec, window):
         mv = MeasureVectors.from_table(table, label="user vectors")
         window = dg.Truncation(min(window.max_level, mv.max_level), window.max_vertex)
     else:
-        pair = _canonical_eigen_pair(spec, args.shift)
+        pair = sp.eigenvector(spec, args.shift)
         mv = sp.eigen_measure(spec, pair, window).measure_vectors(window)
     rep = check_tail_invariance(spec, mv, window)
     report = {
@@ -396,7 +385,7 @@ def cmd_measure_check_invariance(args, spec, window):
 def cmd_eigen_verify(args, spec, window):
     from . import spectral as sp
 
-    pair = _canonical_eigen_pair(spec, args.shift)
+    pair = sp.eigenvector(spec, args.shift)
     window = dg.Truncation(window.max_level, max(window.max_vertex, args.rows))
     rep = sp.verify_eigenpair(spec, pair, window)
     report = {
@@ -415,7 +404,7 @@ def cmd_eigen_measure(args, spec, window):
     from . import spectral as sp
     from .measure import EndVertex
 
-    pair = _canonical_eigen_pair(spec, args.shift)
+    pair = sp.eigenvector(spec, args.shift)
     measure = sp.eigen_measure(spec, pair, window)
     if args.request:
         doc = _require_dict("--request", _load_doc(args.request), ConfigError)
@@ -445,7 +434,7 @@ def cmd_eigen_compare(args, spec, window):
     from . import spectral as sp
     from .measure import EndVertex
 
-    pair = _canonical_eigen_pair(spec, args.shift)
+    pair = sp.eigenvector(spec, args.shift)
     cyls = [EndVertex(m, j) for m in range(args.mmax + 1) for j in range(args.i, args.jmax + 1)]
     rep = sp.compare_eigen_vs_extension(spec, args.i, pair, cyls, args.max_terms)
     entries, rows = [], []
@@ -576,7 +565,7 @@ def cmd_vershik_orbit(args, spec, window):
 
 
 _MAX_TERMS = ("--max-terms", dict(type=_work_size, default=dg.DEFAULT_MAX_TERMS))
-_SHIFT = ("--shift", dict(type=int, default=1))
+_SHIFT = ("--shift", dict(type=int, default=1, help="odometer i whose eigenvalue a_i the eigenpair takes (any stationary family)"))
 _ODOMETER = ("--i", dict(type=int, default=1))
 _TAGS_HELP = (
     'order JSON ({"kind":"quasiStationary","tags":{"default":"middle"}}) '

@@ -154,8 +154,10 @@ class StationaryDecreasing(DiagramSpec):
     """Stationary chain with vertex multiplicities a_j read from a diagonal.
 
     The family is named for the dominated case a_1 > a_j (j >= 2), but any
-    diagonal is accepted; ``eigenvector_decreasing`` checks the dominance its
-    eigenpair needs.
+    diagonal is accepted; ``spectral.eigenvector`` checks the dominance the
+    eigenpair of odometer i needs.  Multiplicities are read through
+    ``vertical_edges``, which rejects one below 1; only the independent
+    ``closed_form_oracles`` reads the diagonal directly.
     """
 
     diagonal: IntSequence

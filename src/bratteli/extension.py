@@ -47,7 +47,6 @@ from .diagram import (
     StationaryAK,
     Truncation,
     WindowError,
-    heights,
 )
 from .measure import CylinderSpec, EndVertex, MeasureVectors, as_end_vertex
 from .sequences import Arithmetic, Geometric, IntSequence, Polynomial, Table
@@ -129,47 +128,6 @@ def _undetermined(partial, terms, note=None) -> ConvergenceResult:
 
 def _exact0() -> ConvergenceResult:
     return _finite(Fraction(0), 0, Fraction(0), "disjoint-support", exact=Fraction(0))
-
-
-# ---------------------------------------------------------------------------
-# Subdiagrams
-# ---------------------------------------------------------------------------
-
-
-@frozen
-class SubdiagramSpec:
-    """Vertex subdiagram: one nonempty proper vertex set per level.
-
-    ``odometer(i)`` is the one-vertex-per-level subdiagram {i}; the general
-    form lists explicit finite sets for levels 0..L.
-    """
-
-    levels: Optional[tuple[frozenset[int], ...]] = None
-    singleton: Optional[int] = None
-
-    def __post_init__(self):
-        if (self.levels is None) == (self.singleton is None):
-            raise DiagramError("subdiagram needs either explicit level sets or a singleton index")
-        if self.levels is not None:
-            if any(not s for s in self.levels):
-                raise DiagramError("subdiagram level sets must be nonempty")
-            object.__setattr__(self, "levels", tuple(frozenset(s) for s in self.levels))
-        if self.singleton is not None and self.singleton < 1:
-            raise DiagramError("odometer index must be >= 1")
-
-    @classmethod
-    def odometer(cls, i: int) -> "SubdiagramSpec":
-        return cls(singleton=i)
-
-    def at(self, n: int) -> frozenset[int]:
-        if self.singleton is not None:
-            return frozenset((self.singleton,))
-        if n >= len(self.levels):
-            raise WindowError(f"subdiagram not described at level {n}")
-        return self.levels[n]
-
-    def described_levels(self) -> Optional[int]:
-        return None if self.singleton is not None else len(self.levels)
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +235,15 @@ def _mass_vertex_table(spec: DiagramSpec, i: int, max_terms: int) -> Convergence
     # g >= a_i every term from n = e on stays above 1/(g^e a_i).  Otherwise
     # every multiplicity above i is below a_i and the series sums exactly to
     # the resolvent.
-    diag = spec.vertex_diag
-    a_i = diag.value(i - 1)
-    cf = diag.constant_from()
+    a_i = spec.vertical_edges(0, i)
+    cf = spec.vertex_diag.constant_from()
     # the diagonal is tau = cf[1] from vertex v_const on; a diagonal without a
     # constant tail is searched 65 vertices up
     v_const = i + 66 if cf is None else cf[0] + 1
     last = v_const - 1 if cf is None else max(v_const, i + 1)
     for w in range(i + 1, last + 1):
-        g = diag.value(w - 1) if w < v_const else cf[1] + 1
+        a_w = spec.vertical_edges(0, w)
+        g = a_w if w < v_const else a_w + 1
         if g >= a_i:
             e = w - i - 1
             eps = Fraction(1, g**e * a_i)
@@ -304,7 +262,7 @@ def _mass_vertex_table(spec: DiagramSpec, i: int, max_terms: int) -> Convergence
     # summed by back-substitution
     s = Fraction(1, a_i - cf[1] - 1)
     for v in range(v_const - 1, i, -1):
-        s = (1 + s) / (a_i - diag.value(v - 1))
+        s = (1 + s) / (a_i - spec.vertical_edges(0, v))
     return _finite(Fraction(1), 0, s, "resolvent-exact", exact=1 + s)
 
 
@@ -494,87 +452,15 @@ def odometer_extension_mass(spec: DiagramSpec, i: int, max_terms: int = DEFAULT_
     )
 
 
-def _check_subdiagram_invariance(
-    spec: DiagramSpec, sub: SubdiagramSpec, p: MeasureVectors, levels: int
-) -> None:
-    for n in range(levels):
-        w_n, w_next = sub.at(n), sub.at(n + 1)
-        for w in sorted(w_n):
-            lhs = Fraction(0)
-            for v in sorted(w_next):
-                row = spec.incidence_row(n, v)
-                if row is None:
-                    raise WindowError(f"incidence row {v} at level {n} unknown")
-                lhs += dict(row).get(w, 0) * p.value(n + 1, v)
-            if lhs != p.value(n, w):
-                raise DiagramError(
-                    f"vectors are not tail-invariant on the subdiagram (level {n}, vertex {w})"
-                )
-    total0 = sum((p.value(0, w) for w in sorted(sub.at(0))), Fraction(0))
-    if total0 != 1:
-        raise DiagramError("subdiagram measure must be a probability (level-0 values sum to 1)")
-
-
-def extension_total_mass(
-    spec: DiagramSpec,
-    sub: SubdiagramSpec,
-    p: MeasureVectors,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> ConvergenceResult:
-    """Certified evaluation of the extension-mass series for a subdiagram.
-
-    Terms are summed level by level, within a level by vertex index.  For the
-    one-odometer subdiagram this delegates to the certified odometer engine;
-    other subdiagrams get exact partial sums (their tails carry no generic
-    certificate and come back Undetermined).
-    """
-    check_levels = min(8, p.max_level)
-    if sub.described_levels() is not None:
-        check_levels = min(check_levels, sub.described_levels() - 1)
-    _check_subdiagram_invariance(spec, sub, p, check_levels)
-
-    if sub.singleton is not None:
-        return odometer_extension_mass(spec, sub.singleton, max_terms)
-
-    levels = sub.described_levels() - 1
-    levels = min(levels, p.max_level, max_terms)
-    partial = Fraction(1)
-    hv = None
-    for n in range(levels):
-        w_n, w_next = sub.at(n), sub.at(n + 1)
-        # heights of the complement vertices feeding W_{n+1}
-        needed = set()
-        rows = {}
-        for v in sorted(w_next):
-            row = spec.incidence_row(n, v)
-            if row is None:
-                raise WindowError(f"incidence row {v} at level {n} unknown")
-            rows[v] = row
-            needed.update(w for w, mult in row if mult > 0 and w not in w_n)
-        if needed:
-            width = max(needed)
-            hv = heights(spec, n, Truncation(max(n, 1) + 1, max(width, 2)))
-        term = Fraction(0)
-        for v in sorted(w_next):
-            pv = p.value(n + 1, v)
-            for w, mult in sorted(rows[v]):
-                if w in w_n or mult == 0:
-                    continue
-                term += mult * hv.value(w) * pv
-        partial += term
-    return _undetermined(partial, levels, "no certificate for general subdiagrams")
-
-
 # ---------------------------------------------------------------------------
 # Extended measures on cylinders
 # ---------------------------------------------------------------------------
 
 
 def _cylinder_series_vertex_table(spec, i, m, j, max_terms) -> ConvergenceResult:
-    diag = spec.vertex_diag
-    a_i = diag.value(i - 1)
+    a_i = spec.vertical_edges(0, i)
     d = j - i - 1
-    zone = [diag.value(v - 1) for v in range(i + 1, j + 1)]
+    zone = [spec.vertical_edges(0, v) for v in range(i + 1, j + 1)]
     top = max(zone)
     if top >= a_i:
         # the climb: refinements may sit on the vertical edges of the largest

@@ -287,15 +287,6 @@ class OdometerMeasure:
             return Fraction(0)
         return Fraction(1, self.level_denominator(cyl.length))
 
-    def subdiagram_vectors(self, window: Truncation) -> MeasureVectors:
-        """The vectors p^(n) of the measure on the one-vertex subdiagram."""
-        i = self.index
-
-        def fn(n: int, j: int) -> Fraction:
-            return Fraction(1, self.level_denominator(n)) if j == i else Fraction(0)
-
-        return MeasureVectors(fn, window.max_level, lambda n: max(window.max_vertex, i), label=f"odometer-{i}")
-
 
 def odometer_measure(spec: DiagramSpec, index: int) -> OdometerMeasure:
     return OdometerMeasure(spec, index)

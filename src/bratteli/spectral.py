@@ -2,14 +2,16 @@
 
 For a stationary chain the transpose A = F^T is lower bidiagonal, so an
 eigenpair can be written down in closed form and verified row by row in exact
-arithmetic: row 1 reads a_1 x_1 = lam x_1 and row i reads
-x_{i-1} + a_i x_i = lam x_i.  Solving row i for x_i gives the recurrence
-x_i = x_{i-1} / (lam - a_i) that builds the entries above the shift; a pair
-computes each entry once, and verification carries x_{i-1} from one row to
-the next, so it is linear in the number of rows.  A verified eigenpair
-induces a tail-invariant measure whose cylinder values are x_v / lam^m; this
-module builds those measures and checks their equality with extension
-measures on cylinder grids.
+arithmetic: row 1 reads a_1 x_1 = lam x_1 and row v reads
+x_{v-1} + a_v x_v = lam x_v.  One constructor, ``eigenvector(spec, i)``,
+serves every stationary family: it takes lam = a_i, the eigenvalue of
+odometer i, sets x_v = 0 below i and x_i = 1, and solves row v for the
+recurrence x_v = x_{v-1} / (a_i - a_v) above i.  A pair computes each entry
+once, and verification carries x_{v-1} from one row to the next, so it is
+linear in the number of rows.  A verified eigenpair induces a tail-invariant
+measure whose cylinder values are x_v / lam^m; this module builds those
+measures and checks their equality with extension measures on cylinder
+grids.
 
 No eigensolver for infinite matrices is attempted: only constructive closed
 forms (and user-supplied ones) are accepted, and windows bound verification,
@@ -22,7 +24,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ._frozen import frozen
-from .diagram import DEFAULT_MAX_TERMS, DiagramError, DiagramSpec, Truncation
+from .diagram import DEFAULT_MAX_TERMS, DiagramError, DiagramSpec, StationaryAK, StationaryDecreasing, Truncation
 from .measure import CylinderSpec, EndVertex, MeasureVectors, as_end_vertex
 from .sequences import IntSequence
 
@@ -48,8 +50,7 @@ class EigenError(DiagramError):
 class EigenPair:
     """Eigenvalue and a closed-form nonnegative eigenvector for A = F^T.
 
-    ``component(i)`` returns the exact i-th entry (1-based) for any index;
-    ``checked_to`` records how far the defining equations have been verified.
+    ``component(i)`` returns the exact i-th entry (1-based) for any index.
     ``xi`` calls ``component`` and validates its answer once per index and
     keeps the entry for the life of the pair (not a field: it takes no part
     in equality, hashing or printing).
@@ -58,7 +59,6 @@ class EigenPair:
     lam: Fraction
     component: Callable[[int], Fraction]
     label: str = "eigenpair"
-    checked_to: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "_entries", {})
@@ -78,34 +78,32 @@ class EigenPair:
         if factor <= 0:
             raise EigenError("scaling factor must be positive")
         base = self.component
-        return EigenPair(self.lam, lambda i: factor * base(i), f"{self.label} * {factor}", self.checked_to)
+        return EigenPair(self.lam, lambda i: factor * base(i), f"{self.label} * {factor}")
 
 
-def eigenvector_ak(a: int, k: int) -> EigenPair:
-    """The eigenpair lam = a, xi_i = k^-(i-1) of the two-parameter chain.
+def _require_stationary_chain(spec: DiagramSpec) -> IntSequence:
+    if not spec.is_odometer_chain or spec.vertex_diag is None:
+        raise EigenError("eigenpairs need a stationary odometer chain")
+    return spec.vertex_diag
 
-    For k = 1 this is the all-ones vector: the induced measure is infinite in
-    total but still finite on every cylinder.
+
+def eigenvector(spec: DiagramSpec, i: int = 1) -> EigenPair:
+    """Eigenpair lam = a_i of odometer i on a stationary chain dominated from i.
+
+    Entries: zeros below i, 1 at i, then xi_v = xi_(v-1) / (a_i - a_v),
+    grown as one prefix so that each entry costs one multiplication.  Every
+    multiplicity is read through ``spec.vertical_edges``, so the chain's own
+    validation applies.  Dominance, a_i > a_v for every v > i, is decided
+    exactly from the constant tail (``constant_from``): every entry up to its
+    start, then its first entry, which stands for the constant.  A diagonal
+    without a constant tail is rejected, since no other sequence is bounded
+    above and at least 1: arithmetic with step > 0, geometric with ratio >= 2
+    and polynomial of degree >= 1 are unbounded above, arithmetic with
+    step < 0 falls below 1, and a table without a tail rule has no entries
+    past its values.
     """
-    if a < 2 or k < 1 or a - k <= 1:
-        raise EigenError("need a >= 2, k >= 1 and a - k > 1")
-    return EigenPair(Fraction(a), lambda i: Fraction(1, k ** (i - 1)), f"ak(a={a},k={k})")
-
-
-def eigenvector_decreasing(diag: IntSequence, shift: int = 1) -> EigenPair:
-    """Eigenpair lam = a_m (m = ``shift``) for a diagonal dominated from m.
-
-    Entries: zeros below m, 1 at m, then xi_v = xi_{v-1} / (a_m - a_v), grown
-    as one prefix so that each entry costs one division.  Dominance,
-    a_m > a_v for every v > m, is decided exactly from the constant tail
-    (``constant_from``): every entry up to its start, then its first entry,
-    which stands for the constant.  A diagonal without a constant tail is
-    rejected, since no other sequence is bounded above and at least 1:
-    arithmetic with step > 0, geometric with ratio >= 2 and polynomial of
-    degree >= 1 are unbounded above, arithmetic with step < 0 falls below 1,
-    and a table without a tail rule has no entries past its values.
-    """
-    if shift < 1:
+    diag = _require_stationary_chain(spec)
+    if i < 1:
         raise EigenError("shift must be >= 1")
     tail = diag.constant_from()
     if tail is None:
@@ -113,24 +111,39 @@ def eigenvector_decreasing(diag: IntSequence, shift: int = 1) -> EigenPair:
             f"dominance needs a diagonal with a constant tail; {diag.to_json()} has none "
             "(it is unbounded above, falls below 1 or ends with its table)"
         )
-    a_m = diag.value(shift - 1)
-    # the last j is the first vertex of the constant tail
-    for j in range(shift + 1, max(tail[0], shift) + 2):
-        if diag.value(j - 1) >= a_m:
-            raise EigenError(
-                f"dominance violated: a_{shift}={a_m} is not greater than a_{j}={diag.value(j - 1)}"
-            )
-    prefix = [Fraction(1)]  # xi_shift, xi_{shift+1}, ...
+    a_i = spec.vertical_edges(0, i)
+    # the last v is the first vertex of the constant tail
+    for v in range(i + 1, max(tail[0], i) + 2):
+        a_v = spec.vertical_edges(0, v)
+        if a_v >= a_i:
+            raise EigenError(f"dominance violated: a_{i}={a_i} is not greater than a_{v}={a_v}")
+    # xi_i, xi_(i+1), ...: each step divides by a positive integer, so every
+    # entry is 1 over a running product and only the denominator is multiplied
+    prefix = [Fraction(1)]
 
-    def component(i: int) -> Fraction:
-        if i < shift:
+    def component(v: int) -> Fraction:
+        if v < i:
             return Fraction(0)
-        while len(prefix) <= i - shift:
-            v = shift + len(prefix)
-            prefix.append(prefix[-1] / (a_m - diag.value(v - 1)))
-        return prefix[i - shift]
+        while len(prefix) <= v - i:
+            a_v = spec.vertical_edges(0, i + len(prefix))
+            prefix.append(Fraction(1, prefix[-1].denominator * (a_i - a_v)))
+        return prefix[v - i]
 
-    return EigenPair(Fraction(a_m), component, f"decreasing(shift={shift},lam={a_m})")
+    return EigenPair(Fraction(a_i), component, f"{spec.family}(shift={i},lam={a_i})")
+
+
+def eigenvector_ak(a: int, k: int) -> EigenPair:
+    """``eigenvector(StationaryAK(a, k))``: lam = a, xi_i = k^-(i-1).
+
+    For k = 1 this is the all-ones vector: the induced measure is infinite in
+    total but still finite on every cylinder.
+    """
+    return eigenvector(StationaryAK(a, k))
+
+
+def eigenvector_decreasing(diag: IntSequence, shift: int = 1) -> EigenPair:
+    """``eigenvector(StationaryDecreasing(diag), shift)``."""
+    return eigenvector(StationaryDecreasing(diag), shift)
 
 
 @frozen
@@ -145,12 +158,6 @@ class ResidualReport:
         return not self.nonzero
 
 
-def _require_stationary_chain(spec: DiagramSpec) -> IntSequence:
-    if not spec.is_odometer_chain or spec.vertex_diag is None:
-        raise EigenError("eigen verification needs a stationary odometer chain")
-    return spec.vertex_diag
-
-
 def verify_eigenpair(spec: DiagramSpec, pair: EigenPair, window: Truncation) -> ResidualReport:
     """Row residuals of A xi = lam xi over rows 1..window.max_vertex, exact.
 
@@ -158,13 +165,13 @@ def verify_eigenpair(spec: DiagramSpec, pair: EigenPair, window: Truncation) -> 
     in-window row is fully certifiable; xi_{i-1} is carried over from the row
     before, so each row takes one new entry.
     """
-    diag = _require_stationary_chain(spec)
+    _require_stationary_chain(spec)
     residuals: dict[int, Fraction] = {}
     nonzero: list[int] = []
     prev = Fraction(0)  # xi_0: row 1 has no subdiagonal entry
     for i in range(1, window.max_vertex + 1):
         x = pair.xi(i)
-        res = (diag.value(i - 1) - pair.lam) * x + prev
+        res = (spec.vertical_edges(0, i) - pair.lam) * x + prev
         residuals[i] = res
         if res != 0:
             nonzero.append(i)

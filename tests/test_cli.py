@@ -771,3 +771,51 @@ def test_measure_classify_is_unchanged_on_the_row_70_diagonal(capsys):
     (entry,) = json.loads(out)["entries"]
     assert entry["mass"]["status"] == "infinite"
     assert "climbing to vertex 70" in entry["mass"]["divergence_witness"]
+
+
+# multiplicities are read through the chain, whichever command reads them
+MULTIPLICITY_READERS = {
+    "eigen verify": ["--rows", "5"],
+    "eigen measure": ["--cylinders", "(1,2)"],
+    "eigen compare": [],
+    "measure extend": [],
+    "measure cylinder": ["--cylinders", "(0,3)"],
+}
+
+
+@pytest.mark.parametrize("diagonal", ["table:5,-3:constant:2", "table:5,0:constant:2"])
+@pytest.mark.parametrize("command", list(MULTIPLICITY_READERS))
+def test_multiplicities_below_one_are_config_errors(capsys, command, diagonal):
+    argv = [*command.split(), "--family", "decreasing", "--diagonal", diagonal, *MULTIPLICITY_READERS[command]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "a_2=" in err and "must be >= 1" in err and "internal error" not in err
+
+
+def test_shift_applies_to_the_ak_family(capsys):
+    code, out, err = run(capsys, "eigen", "verify", *AK, "--shift", "2")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "a_2=2 is not greater than a_3=2" in err
+
+
+def test_eigen_commands_need_a_stationary_chain(capsys):
+    code, out, err = run(capsys, "eigen", "verify", "--family", "nonstat-uniform", "--an", "constant:2")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "stationary odometer chain" in err
+
+
+@pytest.mark.parametrize("command, keys", [
+    (["eigen", "verify", "--rows", "60"], ("lambda", "rows_checked", "verified", "nonzero_rows")),
+    (["eigen", "measure", "--cylinders", "(0,1);(0,3);(2,2);(4,7)"], ("entries",)),
+    (["eigen", "compare", "--mmax", "2", "--jmax", "3"], ("all_equal", "entries")),
+])
+def test_ak_with_a_minus_k_one_reports_like_its_decreasing_twin(capsys, command, keys):
+    docs = []
+    for family in (["--family", "ak", "--a", "3", "--k", "2"], ["--family", "decreasing", "--diagonal", "table:3:constant:1"]):
+        code, out, err = run(capsys, "--format", "json", *command[:2], *family, *command[2:])
+        assert code == EXIT_OK, err
+        docs.append(json.loads(out))
+    ak, twin = ({key: doc[key] for key in keys} for doc in docs)
+    assert ak == twin
+    if "eigenpair" in docs[0]:
+        assert (docs[0]["eigenpair"], docs[1]["eigenpair"]) == ("ak(shift=1,lam=3)", "decreasing(shift=1,lam=3)")

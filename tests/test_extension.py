@@ -34,17 +34,15 @@ from bratteli.extension import (
     FINITE,
     INFINITE,
     UNDETERMINED,
-    SubdiagramSpec,
     classify_ergodic_measures,
     closed_form_oracles,
     odometer_extension_mass,
     extend_odometer,
     extended_cylinder_measure,
-    extension_total_mass,
     mass_series_terms,
     _cylinder_series_terms,
 )
-from bratteli.measure import EndVertex, MeasureVectors, check_tail_invariance, odometer_measure
+from bratteli.measure import EndVertex, check_tail_invariance
 from bratteli.sequences import Arithmetic, Constant, Geometric, Polynomial, Table
 
 DEC = StationaryDecreasing(Table((5, 3), Constant(2)))
@@ -210,6 +208,20 @@ def test_general_chain_is_undetermined():
     assert res.partial_sum > 1
 
 
+@pytest.mark.parametrize("diag, vertex", [
+    (Table((5, -3), Constant(2)), 2),
+    (Table((5, 0), Constant(2)), 2),
+    (Table((5, 3), Constant(0)), 3),  # the tail value the resolvent sums with
+])
+def test_vertex_tables_read_multiplicities_through_the_chain(diag, vertex):
+    spec = StationaryDecreasing(diag)
+    message = f"a_{vertex}=.* must be >= 1"
+    with pytest.raises(DiagramError, match=message):
+        odometer_extension_mass(spec, 1)
+    with pytest.raises(DiagramError, match=message):
+        extended_cylinder_measure(spec, 1, EndVertex(0, 3))
+
+
 # -- series identities ----------------------------------------------------------
 
 
@@ -243,57 +255,6 @@ def test_reported_partial_matches_term_stream():
     res = odometer_extension_mass(spec, 1, 2000)
     terms = mass_series_terms(spec, 1, res.terms_used)
     assert res.partial_sum == 1 + sum(terms)
-
-
-# -- the general subdiagram entry point ------------------------------------------
-
-
-def test_total_mass_delegates_for_odometer_subdiagram():
-    spec = StationaryAK(4, 2)
-    window = Truncation(10, 8)
-    p = odometer_measure(spec, 1).subdiagram_vectors(window)
-    res = extension_total_mass(spec, SubdiagramSpec.odometer(1), p)
-    assert res.status == FINITE and res.exact_value == 2
-
-
-def test_total_mass_rejects_non_invariant_vectors():
-    spec = StationaryAK(4, 2)
-    window = Truncation(10, 8)
-    bad = MeasureVectors.from_function(lambda n, i: Fraction(1, 3**n), window)
-    with pytest.raises(DiagramError):
-        extension_total_mass(spec, SubdiagramSpec.odometer(1), bad)
-    # invariant but not a probability: level-0 values sum to 2, not 1
-    doubled = MeasureVectors.from_function(lambda n, i: Fraction(2, 4**n), window)
-    with pytest.raises(DiagramError):
-        extension_total_mass(spec, SubdiagramSpec.odometer(1), doubled)
-
-
-def test_total_mass_generic_subdiagram_partials():
-    # two-vertex subdiagram {1, 2} per level on the k = 1 chain; compare the
-    # generic evaluator against a direct transcription of the triple sum
-    spec = StationaryAK(4, 1)
-    a, b = 4, 3  # multiplicities of vertices 1 and 2
-    levels = tuple(frozenset((1, 2)) for _ in range(7))
-    window = Truncation(10, 8)
-
-    # invariant family on the subdiagram: p_1 from the eigen data of the
-    # induced 2x2 block [[a, 1], [0, b]]: xi = (1, 1), lambda = a... the
-    # induced block is [[a, 0], [1, b]]^T with eigenvector (1, 1/(a-b)).
-    def p_fn(n, i):
-        xi = {1: Fraction(1), 2: Fraction(1, a - b)}[i] if i <= 2 else Fraction(0)
-        scale = Fraction(1) + Fraction(1, a - b)
-        return xi / scale / Fraction(a) ** n
-
-    p = MeasureVectors.from_function(p_fn, window)
-    res = extension_total_mass(spec, SubdiagramSpec(levels=levels), p)
-    assert res.status == UNDETERMINED
-
-    expected = Fraction(1)
-    for n in range(6):
-        hv = heights(spec, n, Truncation(7, 4))
-        # rows v in {1,2}: only v = 2 meets the complement through column 3
-        expected += 1 * hv.value(3) * p.value(n + 1, 2)
-    assert res.partial_sum == expected
 
 
 # -- extended cylinder values -----------------------------------------------------

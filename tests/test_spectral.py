@@ -1,9 +1,10 @@
 """Constructive eigenpairs, exact verification, induced measures.
 
 Core claims:
-    - the two-parameter chain has lam = a, xi_i = k^-(i-1) (all ones at k=1)
-    - the decreasing chain has lam = a_m and running-product entries, with
-      m-1 leading zeros for shifted dominance
+    - one constructor, eigenvector(spec, i), serves every stationary family:
+      lam = a_i and running-product entries, with i-1 leading zeros
+    - the two-parameter chain has lam = a, xi_i = k^-(i-1) (all ones at k=1),
+      the same pair as its diagonal written as a decreasing table
     - verification is an exact residual per row; constructed pairs verify to
       zero on any window, wrong vectors do not
     - eigen measures evaluate xi_v / lam^m, pass tail invariance, scale
@@ -16,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from bratteli.diagram import (
+    DiagramError,
     NonStationaryUniform,
     StationaryAK,
     StationaryDecreasing,
@@ -30,6 +32,7 @@ from bratteli.spectral import (
     EigenPair,
     compare_eigen_vs_extension,
     eigen_measure,
+    eigenvector,
     eigenvector_ak,
     eigenvector_decreasing,
     verify_eigenpair,
@@ -57,10 +60,31 @@ def test_ak_row_equation_row2():
 
 
 def test_ak_parameter_guards():
-    with pytest.raises(EigenError):
-        eigenvector_ak(3, 2)  # a - k = 1
-    with pytest.raises(EigenError):
+    # a - k = 1 is a valid chain: its pair is lam = a, xi_i = k^-(i-1) like any other
+    pair = eigenvector_ak(3, 2)
+    assert (pair.lam, pair.label) == (3, "ak(shift=1,lam=3)")
+    assert [pair.xi(i) for i in (1, 2, 3)] == [1, Fraction(1, 2), Fraction(1, 4)]
+    with pytest.raises(DiagramError, match="a - k >= 1"):
         eigenvector_ak(4, 0)
+
+
+def test_shift_applies_to_every_stationary_family():
+    with pytest.raises(EigenError, match="a_2=2 is not greater than a_3=2"):
+        eigenvector(StationaryAK(4, 2), 2)
+    pair = eigenvector(StationaryDecreasing(Table((6, 4, 3), Constant(2))), 2)
+    assert (pair.lam, pair.label) == (4, "decreasing(shift=2,lam=4)")
+    with pytest.raises(EigenError, match="shift must be >= 1"):
+        eigenvector(StationaryAK(4, 2), 0)
+
+
+@pytest.mark.parametrize("diag, message", [
+    (Table((5, -3), Constant(2)), "a_2=-3 must be >= 1"),
+    (Table((5, 0), Constant(2)), "a_2=0 must be >= 1"),
+    (Table((5, 3), Constant(0)), "a_3=0 must be >= 1"),  # the constant tail is read through the chain too
+])
+def test_multiplicities_are_read_through_the_chain(diag, message):
+    with pytest.raises(DiagramError, match=message):
+        eigenvector(StationaryDecreasing(diag))
 
 
 def test_decreasing_eigenvector_values():
@@ -253,6 +277,8 @@ def test_compare_flags_infinite_undetermined_and_different_values():
 
 def test_eigen_ops_require_stationary_chain():
     nonstat = NonStationaryUniform(Constant(2))
+    with pytest.raises(EigenError, match="stationary odometer chain"):
+        eigenvector(nonstat)
     with pytest.raises(EigenError):
         verify_eigenpair(nonstat, eigenvector_ak(4, 2), Truncation(3, 5))
     with pytest.raises(EigenError):
@@ -313,14 +339,30 @@ def _naive_invariance(spec, value, window):
     return tuple(failures), checked
 
 
+def _closed_form_pairs():
+    # every ak chain with 2 <= a <= 8, a - k = 1 included, and the same chain
+    # written as a decreasing table: xi_i = k^-(i-1) either way
+    for a in range(2, 9):
+        for k in range(1, a):
+            for spec in (StationaryAK(a, k), StationaryDecreasing(Table((a,), Constant(a - k)))):
+                yield spec, eigenvector(spec), lambda i, k=k: Fraction(1, k ** (i - 1))
+
+
 def _pairs(rng):
-    for a, k in [(4, 2), (6, 1), (7, 3)]:
-        yield StationaryAK(a, k), eigenvector_ak(a, k), lambda i, a=a, k=k: Fraction(1, k ** (i - 1))
+    yield from _closed_form_pairs()
     for _ in range(6):
         diag, shift = _random_table(rng)
         yield StationaryDecreasing(diag), eigenvector_decreasing(diag, shift), (
             lambda i, diag=diag, shift=shift: _running_product(diag, shift, i)
         )
+
+
+def test_closed_form_pairs_to_row_200():
+    for spec, pair, entry in _closed_form_pairs():
+        a = spec.vertical_edges(0, 1)
+        assert (pair.lam, pair.label) == (a, f"{spec.family}(shift=1,lam={a})")
+        assert all(pair.xi(i) == entry(i) for i in range(1, 201))
+        assert verify_eigenpair(spec, pair, Truncation(3, 200)).verified
 
 
 def test_residuals_match_a_naive_computation():

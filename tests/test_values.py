@@ -62,12 +62,11 @@ SAMPLES = {
         ("finite", F(1, 2), 3, F(0), None, "geometric-exact", F(1, 2)),
         None,
     ),
-    "SubdiagramSpec": ("levels singleton", (None, 1), (None, None)),
     "ExtendedMeasure": ("spec index total_mass normalized", (AK42, 1, RESULT, False), None),
     "ErgodicEntry": ("index mass normalizing_constant", (1, RESULT, F(1, 2)), None),
     "ErgodicClassification": ("entries partial notes", ((), False, ("note",)), None),
     "OracleVerdict": ("status mass criterion", ("finite", F(2), "mass = 1 + 1/(k-1)"), None),
-    "EigenPair": ("lam component label checked_to", (F(4), _component, "ak", 0), None),
+    "EigenPair": ("lam component label", (F(4), _component, "ak"), None),
     "ResidualReport": ("residuals nonzero", ({1: F(0)}, ()), None),
     "EigenMeasure": ("spec pair", (AK42, bratteli.EigenPair(F(4), _component)), None),
     "CylinderComparison": (
@@ -88,9 +87,8 @@ DEFAULTS = {
     "ConvergenceResult": {
         "tail_bound": None, "divergence_witness": None, "certificate": None, "exact_value": None
     },
-    "SubdiagramSpec": {"levels": None, "singleton": None},
     "ExtendedMeasure": {"normalized": False},
-    "EigenPair": {"label": "eigenpair", "checked_to": 0},
+    "EigenPair": {"label": "eigenpair"},
 }
 
 REPRS = [
