@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "diagram": (
         "DiagramError", "DiagramSpec", "ExplicitFinite", "ExplicitLevels", "GeneralChain",
-        "HeightsVector", "LevelMatrix", "NonStationaryUniform", "StationaryAK",
+        "HeightsVector", "LevelMatrix", "NonStationaryUniform", "OdometerChain", "StationaryAK",
         "StationaryDecreasing", "StationaryIncreasing", "Truncation", "VertexId", "WindowError",
         "WorkBudgetError", "count_paths_bruteforce", "diagram_from_json", "heights", "incidence",
         "telescope",

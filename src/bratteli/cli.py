@@ -142,10 +142,7 @@ FAMILIES = {
     "increasing": ((), lambda args: dg.StationaryIncreasing()),
     "nonstat-uniform": _NONSTATIONARY_UNIFORM,
     "nonstationary-uniform": _NONSTATIONARY_UNIFORM,  # the spelling the JSON reports use
-    "general-chain": (
-        (),
-        lambda args: dg.GeneralChain(json.loads(args.entries or "[]"), args.default),
-    ),
+    "general-chain": ((), lambda args: dg.GeneralChain(json.loads(args.entries or "[]"), args.default)),
 }
 
 FAMILY_OPTIONS = [
@@ -434,7 +431,7 @@ def cmd_eigen_compare(args, spec, window):
     from . import spectral as sp
     from .measure import EndVertex
 
-    pair = sp.eigenvector(spec, args.shift)
+    pair = sp.eigenvector(spec, args.i)
     cyls = [EndVertex(m, j) for m in range(args.mmax + 1) for j in range(args.i, args.jmax + 1)]
     rep = sp.compare_eigen_vs_extension(spec, args.i, pair, cyls, args.max_terms)
     entries, rows = [], []
@@ -602,7 +599,7 @@ COMMANDS = {
         ("--request", dict(help="JSON file {cylinders: [[m, j], ...]}")),
         ("--cylinders", dict(type=_cylinder_pairs, help='inline "(m,j);(m,j)" list')), _SHIFT]),
     "eigen compare": ("eigen measure vs certified extension values", True, [
-        _ODOMETER, ("--mmax", dict(type=_work_size, default=5)), ("--jmax", dict(type=_work_size, default=5)), _SHIFT, _MAX_TERMS]),
+        _ODOMETER, ("--mmax", dict(type=_work_size, default=5)), ("--jmax", dict(type=_work_size, default=5)), _MAX_TERMS]),
     "finite classify": ("communicating classes, radii, measures", False, [
         ("--matrix", dict(required=True, help="JSON 2-D array (A = F^T) or a file path")),
         ("--tol", dict(type=float, default=1e-12))]),

@@ -5,9 +5,13 @@ and countably many vertices per level (indexed 1, 2, ...).  Edges only join
 consecutive levels; the level-n incidence matrix F_n counts edges between a
 vertex w of level n and a vertex v of level n+1 (entry ``f[v][w]``).
 
-Most families are "odometer chains": upper-bidiagonal incidence matrices
-``f[i][i] = a_n(i)`` (vertical edges of the i-th odometer) and
-``f[i][i+1] = 1`` (the single edge tying odometer i to odometer i+1).
+Most diagrams are "odometer chains", one type (:class:`OdometerChain`):
+upper-bidiagonal incidence matrices ``f[i][i] = a_n(i)`` (vertical edges of
+the i-th odometer) and ``f[i][i+1] = 1`` (the single edge tying odometer i to
+odometer i+1), with a_n(i) read from one integer sequence by vertex
+(stationary) or by level (non-stationary) and changed at finitely many
+places.  The families ak, decreasing, increasing, nonstationary-uniform and
+general-chain are spellings of it (``StationaryAK`` ... ``GeneralChain``).
 Everything is exact integer arithmetic; a :class:`Truncation` only bounds what
 a caller asks for, never the precision of what is returned.
 """
@@ -81,41 +85,15 @@ class Truncation:
 
 
 class DiagramSpec:
-    """Base class for diagram families."""
+    """Base class for diagram families.
 
-    family: str = "?"
-    is_odometer_chain: bool = False  # upper-bidiagonal odometer chain
-
-    # odometer-chain structure ------------------------------------------------
-    def vertical_edges(self, n: int, i: int) -> int:
-        """Vertical multiplicity a_n(i) of odometer i at level n."""
-        raise DiagramError(f"{self.family} family is not an odometer chain")
-
-    @property
-    def vertex_diag(self) -> Optional[IntSequence]:
-        """Vertex-indexed diagonal (value at sequence index i-1) when the
-        multiplicities depend on the vertex only."""
-        return None
-
-    @property
-    def level_diag(self) -> Optional[IntSequence]:
-        """Level-indexed diagonal when the multiplicities depend on the level
-        only (all vertices alike)."""
-        return None
-
-    # generic structure -----------------------------------------------------
-    def incidence_row(self, n: int, v: int) -> Optional[list[tuple[int, int]]]:
-        """Full row v of F_n as ``[(w, mult), ...]``, or None if unknown."""
-        if self.is_odometer_chain:
-            return [(v, self.vertical_edges(n, v)), (v + 1, 1)]
-        raise NotImplementedError
+    A family sets ``family`` and defines ``incidence_row(n, v)``, the full row v
+    of F_n as ``[(w, mult), ...]`` or None if unknown, and ``params_json()``.
+    """
 
     def vertex_count(self, n: int) -> Optional[int]:
         """Number of vertices at level n; None means countably infinite."""
         return None
-
-    def params_json(self) -> dict:
-        raise NotImplementedError
 
     def to_json(self, window: Optional[Truncation] = None) -> dict:
         doc = {"family": self.family, "params": self.params_json()}
@@ -124,114 +102,40 @@ class DiagramSpec:
         return doc
 
 
-@frozen
-class StationaryAK(DiagramSpec):
-    """Stationary chain with first odometer a and all later odometers a-k."""
-
-    a: int
-    k: int
-    family = "ak"
-    is_odometer_chain = True
-
-    def __post_init__(self):
-        _require_ints("ak family parameters a and k", (self.a, self.k), DiagramError)
-        if self.a < 2 or self.k < 1 or self.a - self.k < 1:
-            raise DiagramError("ak family needs a >= 2, k >= 1 and a - k >= 1")
-
-    def vertical_edges(self, n: int, i: int) -> int:
-        return self.a if i == 1 else self.a - self.k
-
-    @property
-    def vertex_diag(self) -> IntSequence:
-        return Table((self.a,), Constant(self.a - self.k))
-
-    def params_json(self) -> dict:
-        return {"a": self.a, "k": self.k}
+# odometer-chain family -> the params of its JSON document
+_CHAIN_PARAMS = {
+    "ak": lambda c: {"a": c.base.values[0], "k": c.base.values[0] - c.base.tail.c},
+    "decreasing": lambda c: {"diagonal": c.base.to_json()},
+    "increasing": lambda c: {},
+    "nonstationary-uniform": lambda c: {"levels": c.base.to_json()},
+    "general-chain": lambda c: {"entries": [list(e) for e in c.exceptions], "default": c.base.c},
+}
 
 
 @frozen
-class StationaryDecreasing(DiagramSpec):
-    """Stationary chain with vertex multiplicities a_j read from a diagonal.
+class OdometerChain(DiagramSpec):
+    """Upper-bidiagonal chain of odometers: ``f[i][i] = a_n(i)``, ``f[i][i+1] = 1``.
 
-    The family is named for the dominated case a_1 > a_j (j >= 2), but any
-    diagonal is accepted; ``spectral.eigenvector`` checks the dominance the
-    eigenpair of odometer i needs.  Multiplicities are read through
-    ``vertical_edges``, which rejects one below 1; only the independent
-    ``closed_form_oracles`` reads the diagonal directly.
+    a_n(i) is the exception at (n, i) if there is one, else ``base.value(n)``
+    when ``by_level`` is set and ``base.value(i - 1)`` otherwise.  Exceptions
+    are checked >= 2 here; a base value is checked when read, >= 1 by vertex
+    and >= 2 by level.  ``family`` is the JSON/CLI name the chain was built
+    under (the functions below set it); it picks the params of its JSON, and
+    a chain built under none has no JSON document.
     """
 
-    diagonal: IntSequence
-    family = "decreasing"
-    is_odometer_chain = True
-
-    def vertical_edges(self, n: int, i: int) -> int:
-        val = self.diagonal.value(i - 1)
-        if val < 1:
-            raise DiagramError(f"vertex multiplicity a_{i}={val} must be >= 1")
-        return val
-
-    @property
-    def vertex_diag(self) -> IntSequence:
-        return self.diagonal
-
-    def params_json(self) -> dict:
-        return {"diagonal": self.diagonal.to_json()}
-
-
-@frozen
-class StationaryIncreasing(DiagramSpec):
-    """Stationary chain with multiplicities 2, 3, 4, ... down the diagonal."""
-
-    family = "increasing"
-    is_odometer_chain = True
-
-    def vertical_edges(self, n: int, i: int) -> int:
-        return i + 1
-
-    @property
-    def vertex_diag(self) -> IntSequence:
-        return Arithmetic(2, 1)
-
-    def params_json(self) -> dict:
-        return {}
-
-
-@frozen
-class NonStationaryUniform(DiagramSpec):
-    """Non-stationary chain: at level n every odometer has a_n edges."""
-
-    levels: IntSequence
-    family = "nonstationary-uniform"
-    is_odometer_chain = True
-
-    def vertical_edges(self, n: int, i: int) -> int:
-        val = self.levels.value(n)
-        if val < 2:
-            raise DiagramError(f"level multiplicity a_{n}={val} must be >= 2")
-        return val
-
-    @property
-    def level_diag(self) -> IntSequence:
-        return self.levels
-
-    def params_json(self) -> dict:
-        return {"levels": self.levels.to_json()}
-
-
-@frozen
-class GeneralChain(DiagramSpec):
-    """Odometer chain with an explicit (level, vertex) multiplicity table."""
-
-    entries: tuple[tuple[int, int, int], ...]  # (level, vertex, multiplicity)
-    default: int = 2
-    family = "general-chain"
-    is_odometer_chain = True
+    base: IntSequence
+    by_level: bool = False
+    exceptions: tuple[tuple[int, int, int], ...] = ()
+    family: Optional[str] = None
 
     def __post_init__(self):
-        if not isinstance(self.entries, (tuple, list)):
+        if self.family is not None and self.family not in _CHAIN_PARAMS:
+            raise DiagramError(f"unknown odometer-chain family {self.family!r}")
+        if not isinstance(self.exceptions, (tuple, list)):
             raise DiagramError("general-chain entries must be a list of [level, vertex, multiplicity]")
         table = {}
-        for entry in self.entries:
+        for entry in self.exceptions:
             if not (isinstance(entry, (tuple, list)) and len(entry) == 3 and all(type(x) is int for x in entry)):
                 raise DiagramError(f"general-chain entry {entry!r} must be three ints [level, vertex, multiplicity]")
             n, i, val = entry
@@ -240,17 +144,86 @@ class GeneralChain(DiagramSpec):
             if val < 2:
                 raise DiagramError("odometer-chain multiplicities must be >= 2")
             table[(n, i)] = val
-        _require_ints("general-chain default", (self.default,), DiagramError)
-        if self.default < 2:
-            raise DiagramError("default multiplicity must be >= 2")
-        object.__setattr__(self, "entries", tuple(sorted((n, i, v) for (n, i), v in table.items())))
+        object.__setattr__(self, "exceptions", tuple(sorted((n, i, v) for (n, i), v in table.items())))
+        # not fields: the exceptions by position, and the base values by vertex read so far
         object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_column", [])
 
     def vertical_edges(self, n: int, i: int) -> int:
-        return self._table.get((n, i), self.default)
+        """Vertical multiplicity a_n(i) of odometer i at level n."""
+        if self._table and (n, i) in self._table:
+            return self._table[(n, i)]
+        val = self.base.value(n if self.by_level else i - 1)
+        if val < 1 + self.by_level:
+            what = f"level multiplicity a_{n}" if self.by_level else f"vertex multiplicity a_{i}"
+            raise DiagramError(f"{what}={val} must be >= {1 + self.by_level}")
+        return val
+
+    def multiplicities(self, n: int, count: int) -> list[int]:
+        """``vertical_edges(n, i)`` for i = 1..count; the base is read once per chain by vertex."""
+        if self.by_level:
+            col = [self.base.value(n)] * count
+        else:
+            column = self._column
+            while len(column) < count:
+                column.append(self.base.value(len(column)))
+            col = column[:count]
+        for level, i, val in self.exceptions:
+            if level == n and i <= count:
+                col[i - 1] = val
+        if count and min(col) < 1 + self.by_level:
+            for i in range(1, count + 1):
+                self.vertical_edges(n, i)  # raises at the first entry below its bound
+        return col
+
+    @property
+    def vertex_diag(self) -> Optional[IntSequence]:
+        """The base, read by vertex (index i-1), when no exception changes it."""
+        return None if self.by_level or self.exceptions else self.base
+
+    @property
+    def level_diag(self) -> Optional[IntSequence]:
+        """The base, read by level, when no exception changes it."""
+        return self.base if self.by_level and not self.exceptions else None
+
+    def incidence_row(self, n: int, v: int) -> list[tuple[int, int]]:
+        return [(v, self.vertical_edges(n, v)), (v + 1, 1)]
 
     def params_json(self) -> dict:
-        return {"entries": [list(e) for e in self.entries], "default": self.default}
+        if self.family is None:
+            raise DiagramError("an odometer chain built under no family name has no JSON document")
+        return _CHAIN_PARAMS[self.family](self)
+
+
+def StationaryAK(a: int, k: int) -> OdometerChain:
+    """Stationary chain with first odometer a and all later odometers a-k."""
+    _require_ints("ak family parameters a and k", (a, k), DiagramError)
+    if a < 2 or k < 1 or a - k < 1:
+        raise DiagramError("ak family needs a >= 2, k >= 1 and a - k >= 1")
+    return OdometerChain(Table((a,), Constant(a - k)), family="ak")
+
+
+def StationaryDecreasing(diagonal: IntSequence) -> OdometerChain:
+    """Stationary chain with vertex multiplicities read from a diagonal (any diagonal)."""
+    return OdometerChain(diagonal, family="decreasing")
+
+
+def StationaryIncreasing() -> OdometerChain:
+    """Stationary chain with multiplicities 2, 3, 4, ... down the diagonal."""
+    return OdometerChain(Arithmetic(2, 1), family="increasing")
+
+
+def NonStationaryUniform(levels: IntSequence) -> OdometerChain:
+    """Non-stationary chain: at level n every odometer has a_n edges."""
+    return OdometerChain(levels, True, family="nonstationary-uniform")
+
+
+def GeneralChain(entries, default: int = 2) -> OdometerChain:
+    """The constant chain ``default`` with (level, vertex, multiplicity) exceptions."""
+    _require_ints("general-chain default", (default,), DiagramError)
+    if default < 2:
+        raise DiagramError("default multiplicity must be >= 2")
+    return OdometerChain(Constant(default), exceptions=entries, family="general-chain")
 
 
 @frozen
@@ -437,26 +410,19 @@ def heights(spec: DiagramSpec, n: int, window: Truncation) -> HeightsVector:
         raise WindowError(f"level {n} outside window (max_level={window.max_level})")
     m = window.max_vertex
 
-    if spec.is_odometer_chain:
+    if isinstance(spec, OdometerChain):
         width = m + n  # dependence cone of the bidiagonal recursion
-        h = [1] * (width + 2)  # h[i] = H^(l)_i, 1-based
+        h = [1] * (width + 1)  # h[k] = H^(l)_(k+1)
         for lvl in range(n):
-            top = width - lvl
-            nxt = [0] * (width + 2)
-            for i in range(1, top + 1):
-                nxt[i] = spec.vertical_edges(lvl, i) * h[i] + h[i + 1]
-            h = nxt
-        return HeightsVector(n, {i: h[i] for i in range(1, m + 1)}, m)
+            # H^(l+1)_v = a_l(v) H^(l)_v + H^(l)_(v+1) for v = 1..width-l
+            h = [a * x + y for a, x, y in zip(spec.multiplicities(lvl, width - lvl), h, h[1:])]
+        return HeightsVector(n, {i: h[i - 1] for i in range(1, m + 1)}, m)
 
     if isinstance(spec, ExplicitFinite):
-        size = spec.size
-        h = {i: 1 for i in range(1, size + 1)}
+        h = {v: 1 for v in range(1, spec.size + 1)}
         for lvl in range(n):
-            nxt = {}
-            for v in range(1, size + 1):
-                nxt[v] = sum(mult * h[w] for w, mult in spec.incidence_row(lvl, v))
-            h = nxt
-        return HeightsVector(n, h, size)
+            h = {v: sum(mult * h[w] for w, mult in spec.incidence_row(lvl, v)) for v in h}
+        return HeightsVector(n, h, spec.size)
 
     if isinstance(spec, ExplicitLevels):
         certified: Optional[dict[int, int]] = None  # None = level 0, all ones
@@ -569,14 +535,10 @@ def count_paths_bruteforce(
             return 1
         count = spec.vertex_count(level - 1)
         total = 0
-        if spec.is_odometer_chain:
-            incoming = [(vertex, spec.vertical_edges(level - 1, vertex)), (vertex + 1, 1)]
-        else:
-            row = spec.incidence_row(level - 1, vertex)
-            if row is None:
-                raise WindowError(f"incidence row for vertex {vertex} at level {level - 1} unknown")
-            incoming = row
-        for src, mult in incoming:
+        row = spec.incidence_row(level - 1, vertex)
+        if row is None:
+            raise WindowError(f"incidence row for vertex {vertex} at level {level - 1} unknown")
+        for src, mult in row:
             if count is not None and src > count:
                 continue
             for _ in range(mult):

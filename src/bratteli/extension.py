@@ -44,11 +44,11 @@ from .diagram import (
     CertificateError,
     DiagramError,
     DiagramSpec,
-    StationaryAK,
+    OdometerChain,
     Truncation,
     WindowError,
 )
-from .measure import CylinderSpec, EndVertex, MeasureVectors, as_end_vertex
+from .measure import CylinderSpec, EndVertex, MeasureVectors, OdometerMeasure, as_end_vertex
 from .sequences import Arithmetic, Geometric, IntSequence, Polynomial, Table
 
 FINITE = "finite"
@@ -196,7 +196,7 @@ def _heights_of_vertex(spec: DiagramSpec, v0: int, count: int) -> list[int]:
 
 def mass_series_terms(spec: DiagramSpec, i: int, count: int) -> list[Fraction]:
     """Exact terms H^(n)_{i+1} / (a_0(i) ... a_n(i)) of the mass series."""
-    if not spec.is_odometer_chain:
+    if not isinstance(spec, OdometerChain):
         raise DiagramError("mass series terms are defined for odometer chains")
     hs = _heights_of_vertex(spec, i + 1, count)
     dens = _odometer_denominators(spec, i, count)
@@ -434,7 +434,7 @@ def odometer_extension_mass(spec: DiagramSpec, i: int, max_terms: int = DEFAULT_
 
     Equals 1 + sum_n H^(n)_{i+1} / (a_0(i) ... a_n(i)), certified.
     """
-    if not spec.is_odometer_chain:
+    if not isinstance(spec, OdometerChain):
         raise DiagramError("extension mass of an odometer requires an odometer chain")
     if i < 1:
         raise DiagramError("odometer index must be >= 1")
@@ -507,7 +507,7 @@ def extended_cylinder_measure(
     the base odometer value; j > i is a certified series over the cylinder
     refinements that enter the odometer.
     """
-    if not spec.is_odometer_chain:
+    if not isinstance(spec, OdometerChain):
         raise DiagramError("extended cylinder values require an odometer chain")
     if i < 1:
         raise DiagramError("odometer index must be >= 1")
@@ -516,8 +516,7 @@ def extended_cylinder_measure(
     if j < i:
         return _exact0()
     if j == i:
-        dens = _odometer_denominators(spec, i, m) if m else [1]
-        val = Fraction(1, dens[-1])
+        val = OdometerMeasure(spec, i).cylinder_value(end)
         return _finite(val, 0, Fraction(0), "restriction-exact", exact=val)
 
     if spec.vertex_diag is not None:
@@ -635,7 +634,7 @@ def classify_ergodic_measures(
     tail-invariant measures of the chain, and extensions from distinct
     odometers are mutually singular (their saturations are disjoint).
     """
-    if not spec.is_odometer_chain:
+    if not isinstance(spec, OdometerChain):
         raise DiagramError("the odometer classification requires an odometer chain")
     entries = []
     for i in range(1, i_max + 1):
@@ -670,15 +669,8 @@ def closed_form_oracles(spec: DiagramSpec, index: int = 1) -> Optional[OracleVer
     Used to cross-check the series engine; families without a closed form
     return None.
     """
-    if isinstance(spec, StationaryAK):
-        if index == 1:
-            if spec.k > 1:
-                return OracleVerdict(FINITE, 1 + Fraction(1, spec.k - 1), "mass = 1 + 1/(k-1)")
-            return OracleVerdict(INFINITE, None, "k = 1: the mass series has constant terms 1/a")
-        return OracleVerdict(
-            INFINITE, None, "odometers beyond the first have nondecreasing mass-series terms"
-        )
-
+    if not isinstance(spec, OdometerChain):
+        return None
     diag = spec.vertex_diag
     if diag is not None:
         a_i = diag.value(index - 1)
@@ -693,9 +685,8 @@ def closed_form_oracles(spec: DiagramSpec, index: int = 1) -> Optional[OracleVer
         for v in range(index + 1, max(v_const, index + 1) + 1):
             if diag.value(v - 1) >= a_i:
                 return OracleVerdict(INFINITE, None, f"a_{v} >= a_{index} forces divergence")
-        # criterion: sum over j > i of prod_{l=i+1..j} 1/(a_i - a_l)
-        if tau >= a_i:
-            return OracleVerdict(INFINITE, None, "tail multiplicity >= a_i forces divergence")
+        # criterion: sum over j > i of prod_{l=i+1..j} 1/(a_i - a_l); the loop
+        # above read the tail, so tau < a_i
         if a_i - tau == 1:
             return OracleVerdict(
                 INFINITE, None, "criterion terms stop shrinking: a_i - a_l = 1 along the tail"

@@ -10,11 +10,12 @@ single odometer of an odometer chain.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from ._frozen import frozen
-from .diagram import DiagramSpec, DiagramError, Truncation, WindowError
+from .diagram import DiagramSpec, DiagramError, OdometerChain, Truncation, WindowError
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +221,7 @@ def check_tail_invariance(spec: DiagramSpec, mv: MeasureVectors, window: Truncat
             # column w of F_n for an odometer chain: row w (vertical block)
             # and row w-1 (whose single diagonal entry sits in column w);
             # other families scan their rows for the column.
-            if spec.is_odometer_chain:
+            if isinstance(spec, OdometerChain):
                 contributors = [(w, spec.vertical_edges(n, w))]
                 if w >= 2:
                     contributors.append((w - 1, 1))
@@ -266,16 +267,13 @@ class OdometerMeasure:
     index: int
 
     def __post_init__(self):
-        if not self.spec.is_odometer_chain:
+        if not isinstance(self.spec, OdometerChain):
             raise DiagramError("odometer measures require an odometer-chain diagram")
         if self.index < 1:
             raise DiagramError("odometer index must be >= 1")
 
     def level_denominator(self, m: int) -> int:
-        out = 1
-        for level in range(m):
-            out *= self.spec.vertical_edges(level, self.index)
-        return out
+        return math.prod(self.spec.vertical_edges(level, self.index) for level in range(m))
 
     def cylinder_value(self, cyl: CylinderSpec) -> Fraction:
         if isinstance(cyl, ExplicitPath):

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from ._frozen import frozen
-from .diagram import DiagramError, DiagramSpec, Truncation
+from .diagram import DiagramError, DiagramSpec, OdometerChain, Truncation
 from .measure import DIAGONAL, VERTICAL, CylinderSpec, EndVertex, ExplicitPath, cylinder_measure
 from .sequences import _require_dict
 
@@ -207,7 +207,7 @@ def classify_odometer(spec: DiagramSpec, order: QuasiStationary, i: int) -> Odom
     Decidable exactly from the eventual tag alone; a finite window of
     explicit orders (``default=None``) cannot decide it.
     """
-    if not spec.is_odometer_chain:
+    if not isinstance(spec, OdometerChain):
         raise DiagramError("odometer classification requires an odometer chain")
     if order.default is None:
         return OdometerClass(None, None, "undecidable from a finite window of explicit orders")

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ._frozen import frozen
-from .diagram import DEFAULT_MAX_TERMS, DiagramError, DiagramSpec, StationaryAK, StationaryDecreasing, Truncation
+from .diagram import DEFAULT_MAX_TERMS, DiagramError, DiagramSpec, OdometerChain, StationaryAK, StationaryDecreasing, Truncation
 from .measure import CylinderSpec, EndVertex, MeasureVectors, as_end_vertex
 from .sequences import IntSequence
 
@@ -82,7 +82,7 @@ class EigenPair:
 
 
 def _require_stationary_chain(spec: DiagramSpec) -> IntSequence:
-    if not spec.is_odometer_chain or spec.vertex_diag is None:
+    if not isinstance(spec, OdometerChain) or spec.vertex_diag is None:
         raise EigenError("eigenpairs need a stationary odometer chain")
     return spec.vertex_diag
 

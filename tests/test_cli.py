@@ -165,6 +165,31 @@ def test_eigen_compare(capsys):
     assert json.loads(out)["all_equal"] is True
 
 
+def test_eigen_compare_takes_the_odometer_once(capsys):
+    # --i names the odometer of both the extension and the eigenpair
+    argv = ["--format", "csv", "eigen", "compare", "--family", "decreasing", "--diagonal", "table:6,4,3:constant:2",
+            "--i", "2", "--mmax", "1", "--jmax", "3"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    rows = out.splitlines()[1:]
+    assert len(rows) == 4 and all(row.endswith(",equal-exact") for row in rows)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--shift", "2"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --shift 2" in capsys.readouterr().err
+
+
+def test_general_chain_without_entries_is_the_constant_chain(capsys):
+    reports = []
+    for family in (["--family", "general-chain", "--default", "3"], ["--family", "decreasing", "--diagonal", "constant:3"]):
+        code, out, err = run(capsys, "--format", "json", "measure", "classify", *family, "--imax", "3")
+        assert (code, err) == (EXIT_OK, "")
+        reports.append(json.loads(out))
+    assert reports[0]["family"]["params"] == {"entries": [], "default": 3}
+    assert reports[0]["entries"] == reports[1]["entries"]
+    assert {e["mass"]["certificate"] for e in reports[0]["entries"]} == {"climb-lower-bound"}
+
+
 def test_finite_classify(capsys):
     code, out, _ = run(capsys, "--format", "json", "finite", "classify", "--matrix", "[[3,0],[1,2]]")
     assert code == EXIT_OK

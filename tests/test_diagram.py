@@ -20,6 +20,7 @@ from bratteli.diagram import (
     ExplicitLevels,
     GeneralChain,
     NonStationaryUniform,
+    OdometerChain,
     StationaryAK,
     StationaryDecreasing,
     StationaryIncreasing,
@@ -33,7 +34,7 @@ from bratteli.diagram import (
     incidence,
     telescope,
 )
-from bratteli.sequences import Constant, Geometric, Table
+from bratteli.sequences import Arithmetic, Constant, Geometric, Polynomial, Table
 
 
 # -- independent oracle -------------------------------------------------------
@@ -179,6 +180,17 @@ def test_bruteforce_examples():
     assert slow_path_count(StationaryIncreasing(), 2, 1) == 10
 
 
+def _random_base(rng, by_level):
+    """A small base sequence: by level every value >= 2, by vertex >= 1."""
+    low = 2 if by_level else 1
+    return rng.choice([
+        Constant(rng.randint(low, 3)),
+        Arithmetic(low, rng.randint(0, 1)),
+        Polynomial((low, 0, 1)),
+        Table(tuple(rng.randint(low, 4) for _ in range(rng.randint(1, 3))), Constant(low)),
+    ])
+
+
 def test_bruteforce_agrees_with_heights_on_random_tables():
     rng = random.Random(21)
     window = Truncation(6, 5)
@@ -191,6 +203,22 @@ def test_bruteforce_agrees_with_heights_on_random_tables():
             hv = heights(spec, n, window)
             for i in (1, 2, 3):
                 assert count_paths_bruteforce(spec, VertexId(n, i), window) == hv.value(i)
+    # vertex and level bases, each with and without exceptions
+    window = Truncation(5, 4)
+    for by_level in (False, True):
+        for with_exceptions in (False, True):
+            for _ in range(6):
+                entries = tuple(
+                    (n, i, rng.randint(2, 4)) for n in range(4) for i in range(1, 8) if rng.random() < 0.3
+                ) if with_exceptions else ()
+                spec = OdometerChain(_random_base(rng, by_level), by_level, entries)
+                assert (spec.vertex_diag is None, spec.level_diag is None) == (
+                    by_level or with_exceptions, not by_level or with_exceptions
+                )
+                for n in range(1, 5):
+                    hv = heights(spec, n, window)
+                    for i in range(1, 5):
+                        assert count_paths_bruteforce(spec, VertexId(n, i), window) == hv.value(i)
 
 
 def test_bruteforce_budget_and_level_guards():
@@ -272,21 +300,53 @@ def test_general_chain_entries_are_three_valid_ints(entry):
 
 
 def test_json_round_trip_all_families():
-    specs = [
-        StationaryAK(4, 2),
-        StationaryDecreasing(Table((5, 3), Constant(2))),
-        StationaryIncreasing(),
-        NonStationaryUniform(Geometric(2, 2)),
-        GeneralChain(((0, 1, 4),), default=3),
-        ExplicitFinite([[3, 0], [1, 2]]),
-        ExplicitLevels((((1, 1, 2), (1, 2, 1)),)),
-    ]
     window = Truncation(7, 9)
-    for spec in specs:
+    diagonal = {"kind": "table", "values": [5, 3], "tail": {"kind": "constant", "value": 2}}
+    cases = [
+        (StationaryAK(4, 2), "ak", {"a": 4, "k": 2}),
+        (StationaryDecreasing(Table((5, 3), Constant(2))), "decreasing", {"diagonal": diagonal}),
+        (StationaryIncreasing(), "increasing", {}),
+        (NonStationaryUniform(Geometric(2, 2)), "nonstationary-uniform", {"levels": {"kind": "geometric", "base": 2, "ratio": 2}}),
+        (GeneralChain(((1, 2, 5), (0, 1, 4)), default=3), "general-chain", {"entries": [[0, 1, 4], [1, 2, 5]], "default": 3}),
+        (GeneralChain(()), "general-chain", {"entries": [], "default": 2}),
+        (ExplicitFinite([[3, 0], [1, 2]]), "explicit-finite", {"matrix": [[3, 0], [1, 2]]}),
+        (ExplicitLevels((((1, 1, 2), (1, 2, 1)),)), "explicit-levels", {"levels": [[[1, 1, 2], [1, 2, 1]]]}),
+    ]
+    for spec, family, params in cases:
         doc = spec.to_json(window)
+        assert doc == {"family": family, "params": params, "truncation": {"maxLevel": 7, "maxVertex": 9}}
         back, win = diagram_from_json(doc)
         assert back == spec
         assert win == window
+
+
+def test_chain_spellings_are_one_type():
+    ak = StationaryAK(4, 2)
+    assert ak == OdometerChain(Table((4,), Constant(2)), family="ak")
+    assert ak != StationaryDecreasing(Table((4,), Constant(2)))  # same chain, other spelling
+    assert [ak.vertical_edges(3, i) for i in (1, 2, 9)] == [4, 2, 2]
+    assert NonStationaryUniform(Constant(3)) == OdometerChain(Constant(3), True, family="nonstationary-uniform")
+    chain = GeneralChain(((0, 2, 5),), default=3)
+    assert (chain.vertex_diag, chain.level_diag, chain.multiplicities(0, 3), chain.multiplicities(1, 3)) == (
+        None, None, [3, 5, 3], [3, 3, 3]
+    )
+    assert GeneralChain((), 3).vertex_diag == Constant(3)
+    with pytest.raises(DiagramError, match="unknown odometer-chain family"):
+        OdometerChain(Constant(2), family="nope")
+    with pytest.raises(DiagramError, match="no JSON document"):
+        OdometerChain(Constant(2), True).to_json()
+
+
+@pytest.mark.parametrize("spec, level, message", [
+    (StationaryDecreasing(Table((5, 3, 0), Constant(2))), 0, "vertex multiplicity a_3=0 must be >= 1"),
+    (NonStationaryUniform(Table((3, 1), Constant(2))), 1, "level multiplicity a_1=1 must be >= 2"),
+    (OdometerChain(Table((3, 1), Constant(2)), True, ((1, 1, 4),)), 1, "level multiplicity a_1=1 must be >= 2"),
+])
+def test_multiplicity_columns_check_what_they_read(spec, level, message):
+    with pytest.raises(DiagramError, match=message):
+        spec.multiplicities(level, 6)
+    with pytest.raises(DiagramError, match=message):
+        heights(spec, level + 1, Truncation(level + 1, 6))
 
 
 @pytest.mark.parametrize("bad", [4.5, 4.0, "4", True])

@@ -538,3 +538,12 @@ def test_oracle_values():
     assert closed_form_oracles(DEC, 1).status == FINITE
     assert closed_form_oracles(StationaryIncreasing(), 3).status == INFINITE
     assert closed_form_oracles(GeneralChain(((0, 1, 3),), default=2)) is None
+    # ak chains go through the vertex-indexed closed form: tau = a - k
+    for a in range(2, 11):
+        for k in range(1, a):
+            for i in (1, 2, 3):
+                verdict = closed_form_oracles(StationaryAK(a, k), i)
+                if i == 1 and k > 1:
+                    assert (verdict.status, verdict.mass) == (FINITE, 1 + Fraction(1, k - 1))
+                else:
+                    assert (verdict.status, verdict.mass) == (INFINITE, None)

@@ -24,11 +24,11 @@ def _component(i):
 SAMPLES = {
     "VertexId": ("level index", (1, 2), (-1, 2)),
     "Truncation": ("max_level max_vertex", (3, 4), (0, 4)),
-    "StationaryAK": ("a k", (4, 2), (4, 4)),
-    "StationaryDecreasing": ("diagonal", (bratteli.Table((5, 3), bratteli.Constant(2)),), None),
-    "StationaryIncreasing": ("", (), None),
-    "NonStationaryUniform": ("levels", (bratteli.Constant(2),), None),
-    "GeneralChain": ("entries default", (((0, 1, 3),), 2), (((0, 1, 1),), 2)),
+    "OdometerChain": (
+        "base by_level exceptions family",
+        (bratteli.Constant(3), False, ((0, 1, 4),), "general-chain"),
+        (bratteli.Constant(2), False, ((0, 1, 1),)),
+    ),
     "ExplicitFinite": ("a_matrix", (((3, 0), (1, 2)),), (((1, 0), (0, 0)),)),
     "ExplicitLevels": ("levels", ((((1, 1, 2),),),), ((((1, 1, -1),),),)),
     "LevelMatrix": ("level entries complete_rows max_vertex", (0, ((1, 1, 2),), frozenset({1}), 2), None),
@@ -80,7 +80,7 @@ SAMPLES = {
 
 # the fields that have defaults, with their values
 DEFAULTS = {
-    "GeneralChain": {"default": 2},
+    "OdometerChain": {"by_level": False, "exceptions": (), "family": None},
     "Table": {"tail": None},
     "QuasiStationary": {"tags": (), "default": ("middle",), "exceptions": ()},
     "OdometerClass": {"note": ""},
@@ -91,24 +91,34 @@ DEFAULTS = {
     "EigenPair": {"label": "eigenpair"},
 }
 
-REPRS = [
-    (bratteli.EndVertex(1, 2), "EndVertex(length=1, index=2)"),
-    (bratteli.StationaryAK(4, 2), "StationaryAK(a=4, k=2)"),
-    (bratteli.StationaryIncreasing(), "StationaryIncreasing()"),
-    (bratteli.Truncation(3, 4), "Truncation(max_level=3, max_vertex=4)"),
-    (bratteli.Table((5, 3), bratteli.Constant(2)), "Table(values=(5, 3), tail=Constant(c=2))"),
-    (bratteli.GeneralChain(((1, 2, 5), (0, 1, 3))), "GeneralChain(entries=((0, 1, 3), (1, 2, 5)), default=2)"),
-    (bratteli.ExplicitPath(2, (("v", 1), ("f", 0))), "ExplicitPath(start=2, edges=(('v', 1), ('f', 0)))"),
-    (
+# test id -> (object, its repr); a chain spelling prints as the OdometerChain it builds
+REPRS = {
+    "EndVertex": (bratteli.EndVertex(1, 2), "EndVertex(length=1, index=2)"),
+    "StationaryAK": (
+        bratteli.StationaryAK(4, 2),
+        "OdometerChain(base=Table(values=(4,), tail=Constant(c=2)), by_level=False, exceptions=(), family='ak')",
+    ),
+    "StationaryIncreasing": (
+        bratteli.StationaryIncreasing(),
+        "OdometerChain(base=Arithmetic(start=2, step=1), by_level=False, exceptions=(), family='increasing')",
+    ),
+    "Truncation": (bratteli.Truncation(3, 4), "Truncation(max_level=3, max_vertex=4)"),
+    "Table": (bratteli.Table((5, 3), bratteli.Constant(2)), "Table(values=(5, 3), tail=Constant(c=2))"),
+    "GeneralChain": (
+        bratteli.GeneralChain(((1, 2, 5), (0, 1, 3))),
+        "OdometerChain(base=Constant(c=2), by_level=False, exceptions=((0, 1, 3), (1, 2, 5)), family='general-chain')",
+    ),
+    "ExplicitPath": (bratteli.ExplicitPath(2, (("v", 1), ("f", 0))), "ExplicitPath(start=2, edges=(('v', 1), ('f', 0)))"),
+    "QuasiStationary": (
         bratteli.QuasiStationary(default=("left", "right")),
         "QuasiStationary(tags=(), default=('left', 'right'), exceptions=())",
     ),
-    (
+    "ConvergenceResult": (
         RESULT,
         "ConvergenceResult(status='finite', partial_sum=Fraction(1, 2), terms_used=3, tail_bound=Fraction(0, 1), "
         "divergence_witness=None, certificate='geometric-exact', exact_value=Fraction(1, 2))",
     ),
-]
+}
 
 
 def _layer_classes():
@@ -180,7 +190,7 @@ def test_value_class(name):
             cls(*invalid)
 
 
-@pytest.mark.parametrize("obj, text", REPRS, ids=[text.partition("(")[0] for _, text in REPRS])
+@pytest.mark.parametrize("obj, text", list(REPRS.values()), ids=list(REPRS))
 def test_repr_is_unchanged(obj, text):
     assert repr(obj) == text
 
