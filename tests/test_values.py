@@ -78,6 +78,16 @@ SAMPLES = {
     "FiniteStationaryMeasure": ("data lam xi_normalized xi_raw", (DATA, 3.0, (1.0, 0.0), (1.0, 0.0)), None),
 }
 
+# chain spelling -> (sample arguments, arguments it rejects or None); each is checked as the
+# OdometerChain it builds
+CHAIN_SPELLINGS = {
+    "StationaryAK": ((4, 2), (4, 4)),
+    "StationaryDecreasing": ((bratteli.Table((5, 3), bratteli.Constant(2)),), None),
+    "StationaryIncreasing": ((), None),
+    "NonStationaryUniform": ((bratteli.Constant(2),), None),
+    "GeneralChain": ((((0, 1, 3),), 2), (((0, 1, 1),), 2)),
+}
+
 # the fields that have defaults, with their values
 DEFAULTS = {
     "OdometerChain": {"by_level": False, "exceptions": (), "family": None},
@@ -137,11 +147,19 @@ def test_every_value_class_has_a_sample():
     assert {name for name, cls in LAYER_CLASSES.items() if "_fields" in vars(cls)} == set(SAMPLES)
 
 
-@pytest.mark.parametrize("name", sorted(SAMPLES))
+@pytest.mark.parametrize("name", sorted(SAMPLES) + sorted(CHAIN_SPELLINGS))
 def test_value_class(name):
-    cls = LAYER_CLASSES[name]
-    fields, args, invalid = SAMPLES[name]
-    fields = tuple(fields.split())
+    if name in CHAIN_SPELLINGS:
+        build, cls = getattr(bratteli, name), LAYER_CLASSES["OdometerChain"]
+        spelling_args, invalid = CHAIN_SPELLINGS[name]
+        fields = tuple(SAMPLES["OdometerChain"][0].split())
+        built = build(*spelling_args)
+        assert type(built) is cls and build(*spelling_args) == built
+        args = tuple(getattr(built, f) for f in fields)
+    else:
+        build = cls = LAYER_CLASSES[name]
+        fields, args, invalid = SAMPLES[name]
+        fields = tuple(fields.split())
     obj, twin = cls(*args), cls(*args)
 
     # equal fields: equal objects with equal hashes; hashing fails only on an unhashable field
@@ -161,7 +179,7 @@ def test_value_class(name):
     assert obj != values
 
     # repr lists every field in order
-    assert repr(obj) == f"{name}(" + ", ".join(f"{f}={getattr(obj, f)!r}" for f in fields) + ")"
+    assert repr(obj) == f"{cls.__name__}(" + ", ".join(f"{f}={getattr(obj, f)!r}" for f in fields) + ")"
 
     # immutable
     for field in fields + ("not_a_field",):
@@ -173,7 +191,7 @@ def test_value_class(name):
 
     # positional, keyword and default arguments bind alike
     assert cls(**dict(zip(fields, args))) == obj
-    defaults = DEFAULTS.get(name, {})
+    defaults = DEFAULTS.get(cls.__name__, {})
     assert cls(**{f: v for f, v in zip(fields, args) if f not in defaults or v != defaults[f]}) == obj
     required = [f for f in fields if f not in defaults]
     with pytest.raises(TypeError):
@@ -187,7 +205,7 @@ def test_value_class(name):
     # validation still runs on construction
     if invalid is not None:
         with pytest.raises(SequenceError if cls.__module__ == "bratteli.sequences" else DiagramError):
-            cls(*invalid)
+            build(*invalid)
 
 
 @pytest.mark.parametrize("obj, text", list(REPRS.values()), ids=list(REPRS))
