@@ -540,7 +540,11 @@ def cmd_vershik_orbit(args, spec, window):
     rows = []
     trace = []
     for step in range(args.steps):
-        ends = [current.vertex_at(l) for l in range(1, levels + 1)]
+        ends, idx = [], current.start
+        for kind, _ in current.edges[:levels]:
+            if kind == od.DIAGONAL:
+                idx -= 1
+            ends.append(idx)
         trace.append({"step": step, "end_vertices": ends})
         rows.append([str(step)] + [str(e) for e in ends])
         nxt = od.successor(spec, order, current)

@@ -120,8 +120,10 @@ class OdometerChain(DiagramSpec):
     when ``by_level`` is set and ``base.value(i - 1)`` otherwise.  Exceptions
     are checked >= 2 here; a base value is checked when read, >= 1 by vertex
     and >= 2 by level.  ``family`` is the JSON/CLI name the chain was built
-    under (the functions below set it); it picks the params of its JSON, and
-    a chain built under none has no JSON document.
+    under (the functions below set it); it picks the params of its JSON.  A
+    chain built under none, or one whose params read back through its family
+    as a different chain (a decreasing chain with an exception, say), has no
+    JSON document.
     """
 
     base: IntSequence
@@ -192,7 +194,14 @@ class OdometerChain(DiagramSpec):
     def params_json(self) -> dict:
         if self.family is None:
             raise DiagramError("an odometer chain built under no family name has no JSON document")
-        return _CHAIN_PARAMS[self.family](self)
+        try:
+            params = _CHAIN_PARAMS[self.family](self)
+            same = _FAMILIES[self.family](params) == self
+        except (AttributeError, ValueError):  # a base or default the family cannot spell
+            same = False
+        if not same:
+            raise DiagramError(f"this chain has no {self.family!r} document: its params read back as a different chain")
+        return params
 
 
 def StationaryAK(a: int, k: int) -> OdometerChain:

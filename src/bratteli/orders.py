@@ -24,6 +24,12 @@ and resets the prefix to the minimal path into the new source vertex.  An
 infinite path is only seen through such a finite prefix; a prefix whose edges
 are all maximal is reported as ``AllMaximalPrefix`` rather than pretending to
 decide the limit.
+
+One successor step costs O(m + L) for carry level m and path length L: it
+walks up the path once, keeping the vertex index, stops at the first
+non-maximal edge, walks down once to build the minimal prefix, and builds one
+``ExplicitPath``.  ``canonical_order`` returns one shared, immutable
+``VertexOrder`` per (tag, a), so no step builds an order.
 """
 
 from __future__ import annotations
@@ -90,20 +96,30 @@ class VertexOrder:
         return self.sequence[pos + 1] if pos + 1 < len(self.sequence) else None
 
 
+_CANONICAL: dict[tuple[str, int], VertexOrder] = {}  # (tag, a) -> its canonical order
+
+
 def canonical_order(tag: str, a: int) -> VertexOrder:
     """The canonical permutation per tag: left puts f first, right puts f
-    last, middle slots f between e_1 and e_2 (needs a >= 2)."""
+    last, middle slots f between e_1 and e_2 (needs a >= 2).  Each (tag, a)
+    gets one shared order, validated when it is first built."""
+    order = _CANONICAL.get((tag, a))
+    if order is not None:
+        return order
     verticals = [(VERTICAL, k) for k in range(1, a + 1)]
     f = (DIAGONAL, 0)
     if tag == LEFT:
-        return VertexOrder(tuple([f] + verticals))
-    if tag == RIGHT:
-        return VertexOrder(tuple(verticals + [f]))
-    if tag == MIDDLE:
+        sequence = [f] + verticals
+    elif tag == RIGHT:
+        sequence = verticals + [f]
+    elif tag == MIDDLE:
         if a < 2:
             raise DiagramError("a middle order needs at least two vertical edges")
-        return VertexOrder(tuple(verticals[:1] + [f] + verticals[1:]))
-    raise DiagramError(f"unknown tag {tag!r}")
+        sequence = verticals[:1] + [f] + verticals[1:]
+    else:
+        raise DiagramError(f"unknown tag {tag!r}")
+    order = _CANONICAL[(tag, a)] = VertexOrder(tuple(sequence))
+    return order
 
 
 @frozen
@@ -269,9 +285,10 @@ def vertical_path(spec: DiagramSpec, i: int, depth: int) -> ExplicitPath:
     return path
 
 
-def minimal_path_into(spec: DiagramSpec, order: QuasiStationary, level: int, index: int) -> ExplicitPath:
-    """The order-minimal finite path from level 0 into vertex (level, index),
-    built by walking down and always taking the minimal incoming edge."""
+def _minimal_prefix(spec: DiagramSpec, order: QuasiStationary, level: int, index: int) -> tuple[int, tuple[Edge, ...]]:
+    """Start and edges of the order-minimal path from level 0 into vertex
+    (level, index), built by walking down and always taking the minimal
+    incoming edge."""
     edges: list[Edge] = []
     cur = index
     for l in range(level, 0, -1):
@@ -280,7 +297,12 @@ def minimal_path_into(spec: DiagramSpec, order: QuasiStationary, level: int, ind
         if e[0] == DIAGONAL:
             cur += 1
     edges.reverse()
-    return ExplicitPath(cur, tuple(edges))
+    return cur, tuple(edges)
+
+
+def minimal_path_into(spec: DiagramSpec, order: QuasiStationary, level: int, index: int) -> ExplicitPath:
+    """The order-minimal finite path from level 0 into vertex (level, index)."""
+    return ExplicitPath(*_minimal_prefix(spec, order, level, index))
 
 
 def successor(
@@ -291,16 +313,17 @@ def successor(
     Finds the smallest level m whose edge is not maximal, advances it to the
     next edge in its vertex order, and replaces everything below with the
     minimal path into the new source vertex; the tail is kept unchanged.
+    The walk up keeps the vertex index, so a step costs O(m + path length).
     """
-    for m in range(len(path.edges)):
-        w = path.vertex_at(m + 1)
-        vo = order_at(spec, order, m + 1, w)
-        nxt = vo.successor_of(path.edges[m])
-        if nxt is None:
-            continue
-        source = w if nxt[0] == VERTICAL else w + 1
-        prefix = minimal_path_into(spec, order, m, source)
-        return ExplicitPath(prefix.start, prefix.edges + (nxt,) + path.edges[m + 1 :])
+    edges = path.edges
+    w = path.start
+    for m, edge in enumerate(edges):
+        if edge[0] == DIAGONAL:
+            w -= 1
+        nxt = order_at(spec, order, m + 1, w).successor_of(edge)
+        if nxt is not None:
+            start, prefix = _minimal_prefix(spec, order, m, w if nxt[0] == VERTICAL else w + 1)
+            return ExplicitPath(start, prefix + (nxt,) + edges[m + 1 :])
     return AllMaximalPrefix()
 
 
@@ -339,12 +362,16 @@ def orbit_frequencies(
     value, so any concrete representative serves for the comparison).
     Theoretical values, when a measure is supplied, must evaluate exactly.
     """
+    # one tally per cylinder length, keyed by (start, edges); duplicate
+    # cylinders share a key, so each reads the same count
+    tallies: dict[int, dict] = {}
     matchers = []
     for cyl in cylinders:
         path = minimal_path_into(spec, order, cyl.length, cyl.index) if isinstance(cyl, EndVertex) else cyl
-        matchers.append((cyl, path.start, path.edges))
+        key = (path.start, path.edges)
+        tallies.setdefault(len(path.edges), {})[key] = 0
+        matchers.append((cyl, key))
 
-    counts = [0] * len(matchers)
     current = start
     done = 0
     aborted = False
@@ -353,9 +380,10 @@ def orbit_frequencies(
             (current.vertex_at(l) for l in range(len(current.edges) + 1)), default=current.start
         ) > window.max_vertex:
             raise DiagramError("orbit left the certified window")
-        for idx, (_, cstart, cedges) in enumerate(matchers):
-            if current.start == cstart and current.edges[: len(cedges)] == cedges:
-                counts[idx] += 1
+        for length, tally in tallies.items():
+            key = (current.start, current.edges[:length])
+            if key in tally:
+                tally[key] += 1
         done += 1
         step = successor(spec, order, current)
         if isinstance(step, AllMaximalPrefix):
@@ -364,8 +392,8 @@ def orbit_frequencies(
         current = step
 
     entries = []
-    for (cyl, _, _), count in zip(matchers, counts):
-        emp = Fraction(count, done) if done else Fraction(0)
+    for cyl, key in matchers:
+        emp = Fraction(tallies[len(key[1])][key], done) if done else Fraction(0)
         theo = None
         if measure is not None:
             val = cylinder_measure(measure, cyl)

@@ -337,6 +337,19 @@ def test_chain_spellings_are_one_type():
         OdometerChain(Constant(2), True).to_json()
 
 
+@pytest.mark.parametrize("chain", [
+    # the decreasing params would drop the exception: a_0(1) would read back as 5, not 3
+    OdometerChain(Table((5, 3), Constant(2)), exceptions=((0, 1, 3),), family="decreasing"),
+    OdometerChain(Table((4, 5), Constant(2)), family="ak"),  # ak params keep only the first entry
+    OdometerChain(Constant(3), family="ak"),  # no table for a to come from
+    OdometerChain(Constant(3), True, family="decreasing"),  # read by level, the family reads by vertex
+    OdometerChain(Table((5,), Constant(2)), exceptions=((0, 1, 3),), family="general-chain"),
+], ids=["decreasing-with-exception", "ak-long-table", "ak-constant", "decreasing-by-level", "general-table"])
+def test_a_chain_its_family_cannot_spell_has_no_json(chain):
+    with pytest.raises(DiagramError, match=f"no '{chain.family}' document"):
+        chain.to_json()
+
+
 @pytest.mark.parametrize("spec, level, message", [
     (StationaryDecreasing(Table((5, 3, 0), Constant(2))), 0, "vertex multiplicity a_3=0 must be >= 1"),
     (NonStationaryUniform(Table((3, 1), Constant(2))), 1, "level multiplicity a_1=1 must be >= 2"),

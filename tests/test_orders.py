@@ -12,13 +12,24 @@ Core claims:
     - orbit frequencies approximate the normalized extension measure
     - the orbit through all paths into (N, v) visits each cylinder exactly
       as often as telescoping counts paths from its end vertex to (N, v)
+    - the successor, the minimal paths and the orbit counts equal a
+      reference written out level by level, with a fresh order per level
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from bratteli.diagram import DiagramError, StationaryAK, StationaryDecreasing, Truncation, heights, telescope
+from bratteli.diagram import (
+    DiagramError,
+    GeneralChain,
+    StationaryAK,
+    StationaryDecreasing,
+    Truncation,
+    heights,
+    telescope,
+)
 from bratteli.extension import extend_odometer
 from bratteli.measure import DIAGONAL, VERTICAL, EndVertex, ExplicitPath
 from bratteli.orders import (
@@ -26,6 +37,7 @@ from bratteli.orders import (
     LEFT,
     MIDDLE,
     RIGHT,
+    TAGS,
     AllMaximalPrefix,
     QuasiStationary,
     VertexOrder,
@@ -55,6 +67,19 @@ def test_canonical_orders_and_tags():
     assert right.tag == RIGHT and right.maximal == (DIAGONAL, 0)
     assert middle.tag == MIDDLE
     assert middle.sequence == ((VERTICAL, 1), (DIAGONAL, 0), (VERTICAL, 2), (VERTICAL, 3))
+
+
+def test_canonical_orders_are_shared_per_tag_and_size():
+    for tag in TAGS:
+        for a in (2, 3, 5):
+            assert canonical_order(tag, a) is canonical_order(tag, a)
+    assert canonical_order(LEFT, 3) != canonical_order(RIGHT, 3)
+    assert order_at(SPEC, QuasiStationary(default=(LEFT,)), 3, 1) is canonical_order(LEFT, 4)
+    for _ in range(2):  # a rejected request is never remembered
+        with pytest.raises(DiagramError, match="at least two vertical edges"):
+            canonical_order(MIDDLE, 1)
+        with pytest.raises(DiagramError, match="unknown tag"):
+            canonical_order("up", 3)
 
 
 def test_vertex_order_validation():
@@ -382,3 +407,140 @@ def test_tower_orbit_counts_match_telescoped_path_counts(spec, tags, exception):
                 m, j = entry.cylinder.length, entry.cylinder.index
                 counts = {(row, col): c for row, col, c in telescope(spec, [0, m, top], window).levels[1]}
                 assert entry.empirical * paths_into == counts.get((v, j), 0)
+
+
+# -- differential: the successor written out level by level ------------------------
+
+
+def _reference_order_at(spec, order, n, i):
+    """A fresh ``VertexOrder`` for vertex (n, i), spelled out from its tag."""
+    e = dict(order.exceptions).get((n, i), order.tag_of(i))
+    if isinstance(e, VertexOrder):
+        return VertexOrder(tuple(e.sequence))
+    verticals = [(VERTICAL, k) for k in range(1, spec.vertical_edges(n - 1, i) + 1)]
+    f = (DIAGONAL, 0)
+    return VertexOrder(tuple({LEFT: [f] + verticals, RIGHT: verticals + [f], MIDDLE: verticals[:1] + [f] + verticals[1:]}[e]))
+
+
+def _reference_minimal_path_into(spec, order, level, index):
+    edges, cur = [], index
+    for l in range(level, 0, -1):
+        e = _reference_order_at(spec, order, l, cur).minimal
+        edges.append(e)
+        if e[0] == DIAGONAL:
+            cur += 1
+    return ExplicitPath(cur, tuple(reversed(edges)))
+
+
+def _reference_successor(spec, order, path):
+    """The successor with ``vertex_at`` and a fresh order at every level it inspects."""
+    for m in range(len(path.edges)):
+        w = path.vertex_at(m + 1)
+        nxt = _reference_order_at(spec, order, m + 1, w).successor_of(path.edges[m])
+        if nxt is None:
+            continue
+        prefix = _reference_minimal_path_into(spec, order, m, w if nxt[0] == VERTICAL else w + 1)
+        return ExplicitPath(prefix.start, prefix.edges + (nxt,) + path.edges[m + 1 :])
+    return AllMaximalPrefix()
+
+
+def _reference_orbit(spec, order, start, steps, cylinders):
+    """Counts, steps done and abort flag, comparing every cylinder's slice on every step."""
+    paths = [
+        _reference_minimal_path_into(spec, order, c.length, c.index) if isinstance(c, EndVertex) else c
+        for c in cylinders
+    ]
+    counts, current, done = [0] * len(paths), start, 0
+    for _ in range(steps):
+        for idx, p in enumerate(paths):
+            if current.start == p.start and current.edges[: len(p.edges)] == p.edges:
+                counts[idx] += 1
+        done += 1
+        current = _reference_successor(spec, order, current)
+        if isinstance(current, AllMaximalPrefix):
+            return counts, done, True
+    return counts, done, False
+
+
+def _random_path(rng, spec, order, depth):
+    """A valid path of ``depth`` edges, often taking the maximal edge so carries run deep."""
+    start = rng.randint(1, 3 + depth // 3)
+    edges, idx = [], start
+    for l in range(depth):
+        top = _reference_order_at(spec, order, l + 1, idx).maximal
+        if top[0] == VERTICAL and rng.random() < 0.6:
+            edges.append(top)
+        elif idx > 1 and rng.random() < 0.3:
+            edges.append((DIAGONAL, 0))
+            idx -= 1
+        else:
+            edges.append((VERTICAL, rng.randint(1, spec.vertical_edges(l, idx))))
+    return ExplicitPath(start, tuple(edges))
+
+
+DIFF_SPECS = {
+    "ak": SPEC,
+    "decreasing": StationaryDecreasing(Table((5, 3), Constant(2))),
+    "general-chain": GeneralChain(((0, 1, 3), (1, 2, 5), (2, 1, 4), (4, 3, 3)), default=2),
+}
+
+
+def _shuffled_order(spec, n, i, seed):
+    sequence = list(canonical_order(LEFT, spec.vertical_edges(n - 1, i)).sequence)
+    random.Random(seed).shuffle(sequence)
+    return VertexOrder(tuple(sequence))
+
+
+DIFF_ORDERS = {
+    "left": lambda spec: QuasiStationary(default=(LEFT,)),
+    "right": lambda spec: QuasiStationary(default=(RIGHT,)),
+    "middle": lambda spec: QuasiStationary(default=(MIDDLE,)),
+    "left-right": lambda spec: QuasiStationary(default=(LEFT, RIGHT)),
+    "tag-exceptions": lambda spec: QuasiStationary(
+        ((2, MIDDLE),), default=(LEFT, RIGHT), exceptions=(((3, 2), RIGHT), ((1, 1), MIDDLE), ((6, 3), LEFT))
+    ),
+    "order-exceptions": lambda spec: QuasiStationary(
+        default=(RIGHT,),
+        exceptions=tuple(((n, i), _shuffled_order(spec, n, i, 7 * n + i)) for n, i in ((1, 1), (2, 1), (3, 2), (5, 3))),
+    ),
+}
+
+
+@pytest.mark.parametrize("order_name", list(DIFF_ORDERS))
+@pytest.mark.parametrize("spec_name", list(DIFF_SPECS))
+def test_successor_matches_the_level_by_level_reference(spec_name, order_name):
+    spec = DIFF_SPECS[spec_name]
+    order = DIFF_ORDERS[order_name](spec)
+    rng = random.Random(f"{spec_name}/{order_name}")
+    for trial in range(60):
+        path = _random_path(rng, spec, order, 1 + trial % 64 if trial < 40 else rng.randint(1, 64))
+        for _ in range(8):  # a few steps along the orbit, each compared from the same input
+            got, want = successor(spec, order, path), _reference_successor(spec, order, path)
+            if isinstance(want, AllMaximalPrefix):
+                assert isinstance(got, AllMaximalPrefix)
+                break
+            assert got == want
+            path = got
+    for level in range(0, 9):
+        for index in (1, 2, 3, 5):
+            assert minimal_path_into(spec, order, level, index) == _reference_minimal_path_into(spec, order, level, index)
+
+
+@pytest.mark.parametrize("order_name", list(DIFF_ORDERS))
+@pytest.mark.parametrize("spec_name", list(DIFF_SPECS))
+def test_orbit_counts_match_a_slice_per_cylinder(spec_name, order_name):
+    spec = DIFF_SPECS[spec_name]
+    order = DIFF_ORDERS[order_name](spec)
+    rng = random.Random(f"orbit/{spec_name}/{order_name}")
+    starts = [(vertical_path(spec, 1, 7), 300), (minimal_path_into(spec, order, 4, 2), 400)]
+    for start, steps in starts:
+        mixed = [EndVertex(2, 1), EndVertex(0, 1), EndVertex(1, 2), EndVertex(3, 2), ExplicitPath(1, ((VERTICAL, 1),))]
+        mixed.append(_reference_minimal_path_into(spec, order, 2, 1))  # the same key as EndVertex(2, 1)
+        mixed += [_random_path(rng, spec, order, rng.randint(0, 3)) for _ in range(6)]
+        mixed += [mixed[0], mixed[4], mixed[-1]]  # duplicates each count
+        rep = orbit_frequencies(spec, order, start, steps, mixed)
+        counts, done, aborted = _reference_orbit(spec, order, start, steps, mixed)
+        assert (rep.steps_done, rep.aborted) == (done, aborted)
+        assert [e.cylinder for e in rep.entries] == mixed
+        assert [e.empirical for e in rep.entries] == [Fraction(c, done) for c in counts]
+        assert any(counts)
