@@ -389,7 +389,7 @@ def cmd_eigen_verify(args, spec, window):
         "family": spec.to_json(window),
         "eigenpair": pair.label,
         "lambda": fr_str(pair.lam),
-        "rows_checked": args.rows,
+        "rows_checked": len(rep.residuals),
         "verified": rep.verified,
         "nonzero_rows": [{"row": i, "residual": fr_str(rep.residuals[i])} for i in rep.nonzero],
     }

@@ -12,6 +12,9 @@ odometer i+1), with a_n(i) read from one integer sequence by vertex
 (stationary) or by level (non-stationary) and changed at finitely many
 places.  The families ak, decreasing, increasing, nonstationary-uniform and
 general-chain are spellings of it (``StationaryAK`` ... ``GeneralChain``).
+Its path counts obey one recursion, N_(n+1)(v) = a_n(v) N_n(v) + N_n(v+1),
+written once as :meth:`OdometerChain.path_step`: tower heights here, and the
+mass-series heights and cylinder terms of ``extension``, all step through it.
 Everything is exact integer arithmetic; a :class:`Truncation` only bounds what
 a caller asks for, never the precision of what is returned.
 """
@@ -161,22 +164,37 @@ class OdometerChain(DiagramSpec):
             raise DiagramError(f"{what}={val} must be >= {1 + self.by_level}")
         return val
 
-    def multiplicities(self, n: int, count: int) -> list[int]:
-        """``vertical_edges(n, i)`` for i = 1..count; the base is read once per chain by vertex."""
+    def multiplicities(self, n: int, hi: int, lo: int = 1) -> list[int]:
+        """``vertical_edges(n, i)`` for i = lo..hi; the base is read once per chain by vertex."""
         if self.by_level:
-            col = [self.base.value(n)] * count
+            col = [self.base.value(n)] * (hi - lo + 1)
         else:
             column = self._column
-            while len(column) < count:
+            while len(column) < hi:
                 column.append(self.base.value(len(column)))
-            col = column[:count]
+            col = column[lo - 1:hi]
         for level, i, val in self.exceptions:
-            if level == n and i <= count:
-                col[i - 1] = val
-        if count and min(col) < 1 + self.by_level:
-            for i in range(1, count + 1):
+            if level == n and lo <= i <= hi:
+                col[i - lo] = val
+        if col and min(col) < 1 + self.by_level:
+            for i in range(lo, hi + 1):
                 self.vertical_edges(n, i)  # raises at the first entry below its bound
         return col
+
+    def path_step(self, n: int, lo: int, counts: list[int], top: Optional[int] = None) -> list[int]:
+        """One level of the path-count recursion N_(n+1)(v) = a_n(v) N_n(v) + N_n(v+1).
+
+        ``counts`` holds N_n(v) for v = lo, lo+1, ... and ``top`` the count at
+        the vertex just above them: 0 for the paths from a cylinder's end
+        vertex, a closed-form height, or None when it is unknown, and then the
+        top vertex drops out of the result.  Tower heights, the mass-series
+        heights and the cylinder terms all take their levels from here.
+        """
+        col = self.multiplicities(n, lo + len(counts) - 1 - (top is None), lo)
+        nxt = [a * x + y for a, x, y in zip(col, counts, counts[1:])]
+        if top is not None and counts:
+            nxt.append(col[-1] * counts[-1] + top)
+        return nxt
 
     @property
     def vertex_diag(self) -> Optional[IntSequence]:
@@ -187,6 +205,13 @@ class OdometerChain(DiagramSpec):
     def level_diag(self) -> Optional[IntSequence]:
         """The base, read by level, when no exception changes it."""
         return self.base if self.by_level and not self.exceptions else None
+
+    @property
+    def constant_range(self) -> Optional[tuple[int, int]]:
+        """``(v_const, tau)`` when a_n(v) = tau for every vertex v >= v_const, on a vertex-indexed chain."""
+        diag = self.vertex_diag
+        tail = None if diag is None else diag.constant_from()
+        return None if tail is None else (tail[0] + 1, tail[1])
 
     def incidence_row(self, n: int, v: int) -> list[tuple[int, int]]:
         return [(v, self.vertical_edges(n, v)), (v + 1, 1)]
@@ -413,18 +438,17 @@ def heights(spec: DiagramSpec, n: int, window: Truncation) -> HeightsVector:
 
     For odometer chains the recursion only looks at vertices i..i+n (the
     matrices are upper bidiagonal), so the computation widens its own scratch
-    window and every requested entry comes out exact.
+    window, steps it up with :meth:`OdometerChain.path_step`, and every
+    requested entry comes out exact.
     """
     if n < 0 or n > window.max_level:
         raise WindowError(f"level {n} outside window (max_level={window.max_level})")
     m = window.max_vertex
 
     if isinstance(spec, OdometerChain):
-        width = m + n  # dependence cone of the bidiagonal recursion
-        h = [1] * (width + 1)  # h[k] = H^(l)_(k+1)
+        h = [1] * (m + n + 1)  # H^(0) on the dependence cone; h[k] = H^(l)_(k+1)
         for lvl in range(n):
-            # H^(l+1)_v = a_l(v) H^(l)_v + H^(l)_(v+1) for v = 1..width-l
-            h = [a * x + y for a, x, y in zip(spec.multiplicities(lvl, width - lvl), h, h[1:])]
+            h = spec.path_step(lvl, 1, h)  # the unknown top vertex drops out
         return HeightsVector(n, {i: h[i - 1] for i in range(1, m + 1)}, m)
 
     if isinstance(spec, ExplicitFinite):

@@ -6,7 +6,9 @@ The total mass of the canonical extension of a subdiagram measure is
         f^(n)_{v,w} * H^(n)_w * p^(n+1)_v
 
 a series of nonnegative rational terms.  For one odometer of an odometer
-chain this collapses to  sum_n H^(n)_{i+1} / (a_0(i) ... a_n(i)).
+chain this collapses to  sum_n H^(n)_{i+1} / (a_0(i) ... a_n(i)).  Its
+heights, and the path counts N_n(i+1) of the cylinder series, come from the
+chain's one path-count step, :meth:`OdometerChain.path_step`.
 
 The engine never reports a finite or infinite verdict without a certificate:
 
@@ -144,53 +146,25 @@ def _odometer_denominators(spec: DiagramSpec, i: int, count: int) -> list[int]:
     return out
 
 
-def _heights_of_vertex(spec: DiagramSpec, v0: int, count: int) -> list[int]:
-    """H^(n)_{v0} for n = 0..count-1, exact.
+def _heights_of_vertex(spec: OdometerChain, v0: int, count: int) -> list[int]:
+    """H^(n)_{v0} for n = 0..count-1, exact, by the chain's ``path_step``.
 
-    Vertex-indexed families with an eventually constant diagonal use the
-    closed form H^(n)_v = (tau+1)^n for v in the constant range, so the
-    recursion only tracks the finitely many vertices below that range;
-    otherwise the full dependence cone is walked.
+    From a vertex ``free`` on, heights have the closed form
+    H^(n)_v = prod_(l<n) (a_l(free) + 1): ``free`` is the first vertex of the
+    constant range of a vertex-indexed chain and vertex 1 of a level-indexed
+    one.  The loop tracks v0..free-1 and feeds the closed form in as the top
+    count; without such a vertex it walks the dependence cone of v0.
     """
-    diag = spec.vertex_diag
-    if diag is not None:
-        cf = diag.constant_from()
-        if cf is not None:
-            first, tau = cf
-            v_const = first + 1  # diagonal equals tau for vertices >= v_const
-            if v0 >= v_const:
-                # entirely inside the constant range: pure closed form
-                return [(tau + 1) ** n for n in range(count)]
-            # track vertices v0..v_const-1; the closed form feeds the top
-            vals = {v: 1 for v in range(v0, v_const)}
-            const_pow = 1  # (tau+1)^n, the previous level's value at v_const
-            out = [1]
-            for n in range(1, count):
-                nxt = {}
-                for v in range(v0, v_const):
-                    upper = const_pow if v + 1 >= v_const else vals[v + 1]
-                    nxt[v] = spec.vertical_edges(n - 1, v) * vals[v] + upper
-                const_pow *= tau + 1
-                vals = nxt
-                out.append(vals[v0])
-            return out
-    level = spec.level_diag
-    if level is not None:
-        out, acc = [1], 1
-        for n in range(1, count):
-            acc *= level.value(n - 1) + 1
-            out.append(acc)
-        return out
-    # general cone recursion
-    width = v0 + count
-    h = {v: 1 for v in range(v0, width + 1)}
+    const = spec.constant_range
+    free = const[0] if const else (1 if spec.level_diag is not None else None)
+    counts = [1] * (count + 1 if free is None else max(free - v0, 0))
+    top = None if free is None else 1
     out = [1]
     for n in range(1, count):
-        nxt = {}
-        for v in range(v0, width - n + 1):
-            nxt[v] = spec.vertical_edges(n - 1, v) * h[v] + h[v + 1]
-        h = nxt
-        out.append(h[v0])
+        counts = spec.path_step(n - 1, v0, counts, top)
+        if top is not None:
+            top *= spec.vertical_edges(n - 1, free) + 1
+        out.append(counts[0] if counts else top)
     return out
 
 
@@ -206,16 +180,15 @@ def mass_series_terms(spec: DiagramSpec, i: int, count: int) -> list[Fraction]:
 def _cylinder_series_terms(spec: DiagramSpec, i: int, m: int, j: int, count: int) -> list[Fraction]:
     """Exact terms N_n(i+1) / (a_0(i) ... a_n(i)) for n = m..m+count-1.
 
-    N_n(v) counts the paths from (m, j) up to (n, v), by the path-count
-    recursion N_(n+1)(v) = a_n(v) N_n(v) + N_n(v+1) on the vertices i+1..j.
+    N_n(v) counts the paths from (m, j) up to (n, v), stepped up by the
+    chain's ``path_step`` on the vertices i+1..j.
     """
     dens = _odometer_denominators(spec, i, m + count)
-    n_vec = {v: 0 for v in range(i + 1, j + 1)}
-    n_vec[j] = 1
+    counts = [0] * (j - i - 1) + [1]  # N_m(i+1..j); no path from (m, j) reaches vertex j+1
     out = []
     for n in range(m, m + count):
-        out.append(Fraction(n_vec[i + 1], dens[n]))
-        n_vec = {v: spec.vertical_edges(n, v) * n_vec[v] + n_vec.get(v + 1, 0) for v in range(i + 1, j + 1)}
+        out.append(Fraction(counts[0], dens[n]))
+        counts = spec.path_step(n, i + 1, counts, 0)
     return out
 
 
@@ -236,11 +209,11 @@ def _mass_vertex_table(spec: DiagramSpec, i: int, max_terms: int) -> Convergence
     # every multiplicity above i is below a_i and the series sums exactly to
     # the resolvent.
     a_i = spec.vertical_edges(0, i)
-    cf = spec.vertex_diag.constant_from()
-    # the diagonal is tau = cf[1] from vertex v_const on; a diagonal without a
-    # constant tail is searched 65 vertices up
-    v_const = i + 66 if cf is None else cf[0] + 1
-    last = v_const - 1 if cf is None else max(v_const, i + 1)
+    const = spec.constant_range
+    # the diagonal is tau = const[1] from vertex v_const on; a diagonal without
+    # a constant tail is searched 65 vertices up
+    v_const = i + 66 if const is None else const[0]
+    last = v_const - 1 if const is None else max(v_const, i + 1)
     for w in range(i + 1, last + 1):
         a_w = spec.vertical_edges(0, w)
         g = a_w if w < v_const else a_w + 1
@@ -252,7 +225,7 @@ def _mass_vertex_table(spec: DiagramSpec, i: int, max_terms: int) -> Convergence
                 f"at least {g}-fold per level, and {g} >= {a_i}, so t_n >= {eps} for n >= {e}"
             )
             return _climb(lambda c: mass_series_terms(spec, i, c), Fraction(1), 0, e, eps, why, max_terms)
-    if cf is None:
+    if const is None:
         return _undetermined(
             1 + sum(mass_series_terms(spec, i, min(max_terms, 64))),
             min(max_terms, 64),
@@ -260,7 +233,7 @@ def _mass_vertex_table(spec: DiagramSpec, i: int, max_terms: int) -> Convergence
         )
     # the Neumann series of a triangular matrix with diagonal below a_i,
     # summed by back-substitution
-    s = Fraction(1, a_i - cf[1] - 1)
+    s = Fraction(1, a_i - const[1] - 1)
     for v in range(v_const - 1, i, -1):
         s = (1 + s) / (a_i - spec.vertical_edges(0, v))
     return _finite(Fraction(1), 0, s, "resolvent-exact", exact=1 + s)

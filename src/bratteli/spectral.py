@@ -94,8 +94,8 @@ def eigenvector(spec: DiagramSpec, i: int = 1) -> EigenPair:
     grown as one prefix so that each entry costs one multiplication.  Every
     multiplicity is read through ``spec.vertical_edges``, so the chain's own
     validation applies.  Dominance, a_i > a_v for every v > i, is decided
-    exactly from the constant tail (``constant_from``): every entry up to its
-    start, then its first entry, which stands for the constant.  A diagonal
+    exactly from the constant range (``constant_range``): every entry up to
+    its start, then its first entry, which stands for the constant.  A diagonal
     without a constant tail is rejected, since no other sequence is bounded
     above and at least 1: arithmetic with step > 0, geometric with ratio >= 2
     and polynomial of degree >= 1 are unbounded above, arithmetic with
@@ -105,15 +105,15 @@ def eigenvector(spec: DiagramSpec, i: int = 1) -> EigenPair:
     diag = _require_stationary_chain(spec)
     if i < 1:
         raise EigenError("shift must be >= 1")
-    tail = diag.constant_from()
-    if tail is None:
+    const = spec.constant_range
+    if const is None:
         raise EigenError(
             f"dominance needs a diagonal with a constant tail; {diag.to_json()} has none "
             "(it is unbounded above, falls below 1 or ends with its table)"
         )
     a_i = spec.vertical_edges(0, i)
-    # the last v is the first vertex of the constant tail
-    for v in range(i + 1, max(tail[0], i) + 2):
+    # the last v is the first vertex of the constant range
+    for v in range(i + 1, max(const[0], i + 1) + 1):
         a_v = spec.vertical_edges(0, v)
         if a_v >= a_i:
             raise EigenError(f"dominance violated: a_{i}={a_i} is not greater than a_{v}={a_v}")

@@ -133,6 +133,20 @@ def test_eigen_verify_and_measure(capsys):
     assert values[(0, 2)] == "1/2" and values[(3, 1)] == "1/64"
 
 
+@pytest.mark.parametrize("window, checked", [
+    (["--rows", "5"], 12),  # the default --max-vertex 12 widens the rows
+    (["--rows", "60", "--max-vertex", "4"], 60),
+])
+def test_eigen_verify_reports_the_rows_it_checks(capsys, window, checked):
+    code, out, _ = run(
+        capsys, "--format", "json", "eigen", "verify", "--family", "decreasing", "--diagonal", "table:5,3:constant:2",
+        *window,
+    )
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["rows_checked"] == doc["family"]["truncation"]["maxVertex"] == checked
+
+
 def test_measure_extend_trace_csv(capsys):
     code, out, _ = run(
         capsys, "--format", "csv", "measure", "extend", "--family", "ak", "--a", "4", "--k", "2",

@@ -212,6 +212,7 @@ def test_general_chain_is_undetermined():
     (Table((5, -3), Constant(2)), 2),
     (Table((5, 0), Constant(2)), 2),
     (Table((5, 3), Constant(0)), 3),  # the tail value the resolvent sums with
+    (Table((2, 5), Constant(0)), 3),  # the tail value the climb's closed-form heights grow by
 ])
 def test_vertex_tables_read_multiplicities_through_the_chain(diag, vertex):
     spec = StationaryDecreasing(diag)
