@@ -446,7 +446,7 @@ def heights(spec: DiagramSpec, n: int, window: Truncation) -> HeightsVector:
     m = window.max_vertex
 
     if isinstance(spec, OdometerChain):
-        h = [1] * (m + n + 1)  # H^(0) on the dependence cone; h[k] = H^(l)_(k+1)
+        h = [1] * (m + n)  # H^(0) on the dependence cone; h[k] = H^(l)_(k+1)
         for lvl in range(n):
             h = spec.path_step(lvl, 1, h)  # the unknown top vertex drops out
         return HeightsVector(n, {i: h[i - 1] for i in range(1, m + 1)}, m)

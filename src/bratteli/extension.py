@@ -157,7 +157,7 @@ def _heights_of_vertex(spec: OdometerChain, v0: int, count: int) -> list[int]:
     """
     const = spec.constant_range
     free = const[0] if const else (1 if spec.level_diag is not None else None)
-    counts = [1] * (count + 1 if free is None else max(free - v0, 0))
+    counts = [1] * (count if free is None else max(free - v0, 0))
     top = None if free is None else 1
     out = [1]
     for n in range(1, count):
@@ -172,6 +172,8 @@ def mass_series_terms(spec: DiagramSpec, i: int, count: int) -> list[Fraction]:
     """Exact terms H^(n)_{i+1} / (a_0(i) ... a_n(i)) of the mass series."""
     if not isinstance(spec, OdometerChain):
         raise DiagramError("mass series terms are defined for odometer chains")
+    if i < 1:
+        raise DiagramError("odometer index must be >= 1")
     hs = _heights_of_vertex(spec, i + 1, count)
     dens = _odometer_denominators(spec, i, count)
     return [Fraction(h, d) for h, d in zip(hs, dens)]

@@ -202,51 +202,78 @@ class InvarianceReport:
         return self.failures[0] if self.failures else None
 
 
+def _columns(spec: DiagramSpec, n: int, top: int) -> Optional[dict[int, list[tuple[int, int]]]]:
+    """Column w of F_n as ``[(v, mult), ...]`` over rows 1..top; None if a row is unknown."""
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for v in range(1, top + 1):
+        row = spec.incidence_row(n, v)
+        if row is None:
+            return None
+        for w, mult in dict(row).items():
+            if mult:
+                columns.setdefault(w, []).append((v, mult))
+    return columns
+
+
 def check_tail_invariance(spec: DiagramSpec, mv: MeasureVectors, window: Truncation) -> InvarianceReport:
     """Exact equality test of sum_v f^(n)_{v,w} p^(n+1)_v = p^(n)_w.
 
     The relation at level n, vertex w uses column w of F_n, i.e. the rows v
     whose support contains w.  Only rows certified on both sides are tested.
+    Each row is decided over integers: both sides are multiplied by the
+    product of the denominators of its entries.  Each entry is evaluated once
+    per check through ``mv.value``, so its width and sign checks apply to
+    every entry, and kept as (numerator, denominator) while its level is in use.
     """
     if mv.max_level < window.max_level:
         raise WindowError("measure vectors are narrower than the requested window")
     levels: dict[int, bool] = {}
     failures: list[tuple[int, int]] = []
     checked = 0
+    odometer = isinstance(spec, OdometerChain)
+
+    def entry(level: int, read: dict[int, tuple[int, int]], v: int) -> tuple[int, int]:
+        pair = read.get(v)
+        if pair is None:
+            val = mv.value(level, v)
+            pair = read[v] = (val.numerator, val.denominator)
+        return pair
+
+    below: dict[int, tuple[int, int]] = {}  # entries of p^(n) read so far
     for n in range(window.max_level):
+        above: dict[int, tuple[int, int]] = {}  # entries of p^(n+1) read so far
         w_n = min(mv.width(n), window.max_vertex)
         w_next = mv.width(n + 1)
+        columns = None
+        if not odometer and w_n:
+            count = spec.vertex_count(n + 1)
+            columns = _columns(spec, n, count if count is not None else w_next)
         level_ok = True
         for w in range(1, w_n + 1):
             # column w of F_n for an odometer chain: row w (vertical block)
             # and row w-1 (whose single diagonal entry sits in column w);
-            # other families scan their rows for the column.
-            if isinstance(spec, OdometerChain):
+            # other families read it from their rows.
+            if odometer:
                 contributors = [(w, spec.vertical_edges(n, w))]
                 if w >= 2:
                     contributors.append((w - 1, 1))
+            elif columns is None:
+                break  # an unknown row: no column of this level is checkable
             else:
-                count = spec.vertex_count(n + 1)
-                contributors = []
-                top = count if count is not None else w_next
-                for v in range(1, top + 1):
-                    row = spec.incidence_row(n, v)
-                    if row is None:
-                        contributors = None
-                        break
-                    mult = dict(row).get(w, 0)
-                    if mult:
-                        contributors.append((v, mult))
-            if contributors is None:
-                continue
+                contributors = columns.get(w, [])
             if any(v > w_next for v, _ in contributors):
                 continue  # uncertified upstream entry; not checkable
             checked += 1
-            lhs = sum((mult * mv.value(n + 1, v) for v, mult in contributors), Fraction(0))
-            if lhs != mv.value(n, w):
+            lhs, lhs_den = 0, 1
+            for v, mult in contributors:
+                num, den = entry(n + 1, above, v)
+                lhs, lhs_den = lhs * den + mult * num * lhs_den, lhs_den * den
+            num, den = entry(n, below, w)
+            if lhs * den != num * lhs_den:
                 level_ok = False
                 failures.append((n, w))
         levels[n] = level_ok
+        below = above
     return InvarianceReport(levels, tuple(failures), checked)
 
 

@@ -42,6 +42,9 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+_ZERO = Fraction(0)
+
+
 class EigenError(DiagramError):
     """Invalid eigenpair request or failed verification."""
 
@@ -163,19 +166,27 @@ def verify_eigenpair(spec: DiagramSpec, pair: EigenPair, window: Truncation) -> 
 
     A is lower bidiagonal, so row i only involves xi_{i-1} and xi_i and every
     in-window row is fully certifiable; xi_{i-1} is carried over from the row
-    before, so each row takes one new entry.
+    before, so each row takes one new entry.  A row is decided over integers:
+    its residual is written over the common denominator of lam, xi_{i-1} and
+    xi_i, and only a nonzero numerator becomes a ``Fraction``; zero rows share
+    one ``Fraction(0)``.
     """
     _require_stationary_chain(spec)
     residuals: dict[int, Fraction] = {}
     nonzero: list[int] = []
-    prev = Fraction(0)  # xi_0: row 1 has no subdiagonal entry
+    p, q = pair.lam.numerator, pair.lam.denominator
+    prev, prev_den = 0, 1  # xi_0: row 1 has no subdiagonal entry
     for i in range(1, window.max_vertex + 1):
         x = pair.xi(i)
-        res = (spec.vertical_edges(0, i) - pair.lam) * x + prev
-        residuals[i] = res
-        if res != 0:
+        num, den = x.numerator, x.denominator
+        # (a_i - p/q) num/den + prev/prev_den, times q den prev_den
+        res = (spec.vertical_edges(0, i) * q - p) * num * prev_den + prev * den * q
+        if res:
+            residuals[i] = Fraction(res, q * den * prev_den)
             nonzero.append(i)
-        prev = x
+        else:
+            residuals[i] = _ZERO
+        prev, prev_den = num, den
     return ResidualReport(residuals, tuple(nonzero))
 
 

@@ -448,6 +448,21 @@ def test_odometer_index_below_one_is_a_config_error(capsys):
         assert "odometer index must be >= 1" in err
 
 
+def test_tailless_diagonals_need_only_the_dependence_cone(capsys):
+    code, out, _ = run(
+        capsys, "--format", "json", "diagram", "heights", "--family", "decreasing", "--diagonal", "table:2,5,3",
+        "--level", "1", "--max-vertex", "3",
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["heights"] == {"1": "3", "2": "6", "3": "4"}
+    code, out, _ = run(
+        capsys, "--format", "json", "measure", "extend", "--family", "decreasing", "--diagonal", "table:2,5",
+        "--max-terms", "2",
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["mass"]["terms_used"] == 2
+
+
 def test_finite_matrix_without_outgoing_edges_is_a_config_error(capsys):
     code, out, err = run(capsys, "finite", "classify", "--matrix", "[[1,1],[0,0]]")
     assert code == EXIT_CONFIG and not out

@@ -34,7 +34,7 @@ from bratteli.diagram import (
     incidence,
     telescope,
 )
-from bratteli.sequences import Arithmetic, Constant, Geometric, Polynomial, Table
+from bratteli.sequences import Arithmetic, Constant, Geometric, Polynomial, SequenceError, Table
 
 
 # -- independent oracle -------------------------------------------------------
@@ -137,6 +137,16 @@ def test_heights_satisfy_recursion_exactly():
         for v in range(1, 7):
             expect = spec.vertical_edges(n, v) * h_n.value(v) + h_n.value(v + 1)
             assert h_next.value(v) == expect
+
+
+def test_heights_read_only_the_dependence_cone():
+    # H^(n)_1..m need a_1..a_(m+n-1): a table without a tail rule certifies exactly that far
+    spec = StationaryDecreasing(Table((2, 5, 3)))
+    assert heights(spec, 1, Truncation(1, 3)).values == {1: 3, 2: 6, 3: 4}
+    for n in (1, 2):
+        assert heights(spec, n, Truncation(n, 4 - n)).values == {i: slow_path_count(spec, n, i) for i in range(1, 5 - n)}
+        with pytest.raises(SequenceError, match="no tail rule"):
+            heights(spec, n, Truncation(n, 5 - n))
 
 
 def test_heights_general_chain_matches_enumeration():

@@ -43,7 +43,7 @@ from bratteli.extension import (
     _cylinder_series_terms,
 )
 from bratteli.measure import EndVertex, check_tail_invariance
-from bratteli.sequences import Arithmetic, Constant, Geometric, Polynomial, Table
+from bratteli.sequences import Arithmetic, Constant, Geometric, Polynomial, SequenceError, Table
 
 DEC = StationaryDecreasing(Table((5, 3), Constant(2)))
 
@@ -114,6 +114,20 @@ def test_decreasing_mass_contains_product_sum():
     assert oracle.mass == Fraction(7, 4)
     assert res.exact_value == Fraction(7, 4)
     assert res.contains(oracle.mass)
+
+
+def test_mass_terms_need_an_odometer_index_of_at_least_one():
+    for i in (0, -1, -3):
+        with pytest.raises(DiagramError, match="odometer index must be >= 1"):
+            mass_series_terms(StationaryAK(4, 2), i, 4)
+
+
+def test_mass_terms_read_only_the_dependence_cone():
+    # H^(1)_2 = a_2 + 1 needs a_2 alone: two terms fit a table without a tail rule, three do not
+    spec = StationaryDecreasing(Table((2, 5)))
+    assert mass_series_terms(spec, 1, 2) == [Fraction(1, 2), Fraction(3, 2)]
+    with pytest.raises(SequenceError, match="no tail rule"):
+        mass_series_terms(spec, 1, 3)
 
 
 def test_mass_terms_match_windowed_heights():

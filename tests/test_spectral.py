@@ -18,14 +18,17 @@ import pytest
 
 from bratteli.diagram import (
     DiagramError,
+    ExplicitFinite,
+    ExplicitLevels,
     NonStationaryUniform,
     StationaryAK,
     StationaryDecreasing,
     Truncation,
+    WindowError,
     heights,
 )
 from bratteli.extension import odometer_extension_mass
-from bratteli.measure import EndVertex, check_tail_invariance
+from bratteli.measure import EndVertex, MeasureVectors, check_tail_invariance
 from bratteli.sequences import Arithmetic, Constant, Geometric, Polynomial, Table
 from bratteli.spectral import (
     EigenError,
@@ -399,6 +402,131 @@ def test_invariance_reports_match_a_naive_computation():
             failures, checked = _naive_invariance(spec, value, window)
             assert (report.failures, report.checked_rows) == (failures, checked)
             assert report.ok is not perturbed
+
+
+def test_residuals_of_a_fractional_eigenvalue_match_a_naive_computation():
+    # lam = 7/2 is no multiplicity: the rows from the shift on leave residuals, with denominators other than 1
+    rng = random.Random(11)
+    for spec, pair, entry in _pairs(rng):
+        rows = rng.randint(2, 80)
+        report = verify_eigenpair(spec, EigenPair(Fraction(7, 2), pair.component), Truncation(3, rows))
+        naive = _naive_residuals(spec.vertex_diag, Fraction(7, 2), entry, rows)
+        assert report.residuals == naive
+        assert report.nonzero == tuple(i for i in range(1, rows + 1) if naive[i] != 0)
+        assert report.nonzero and any(r.denominator != 1 for r in report.residuals.values())
+        assert not report.verified
+
+
+def _naive_table_invariance(spec, table, window):
+    # the relation read off the rows of F_n: sum_v f^(n)_{v,w} p^(n+1)_v = p^(n)_w, where a
+    # row beyond the certified width of p^(n+1) leaves its column unchecked and an unknown row
+    # leaves the whole level unchecked
+    failures, checked = [], 0
+    for n in range(window.max_level):
+        below, above = table[n], table[n + 1]
+        count = spec.vertex_count(n + 1) or len(above)
+        rows = [spec.incidence_row(n, v) for v in range(1, count + 1)]
+        if None in rows:
+            continue
+        for w in range(1, min(len(below), window.max_vertex) + 1):
+            terms = [(v, dict(row).get(w, 0)) for v, row in enumerate(rows, 1)]
+            terms = [(v, f) for v, f in terms if f]
+            if any(v > len(above) for v, _ in terms):
+                continue
+            checked += 1
+            if sum(f * above[v] for v, f in terms) != below[w]:
+                failures.append((n, w))
+    return tuple(failures), checked
+
+
+def _invariant_table(rng, spec, levels, size):
+    # p^(top) at random, then p^(n)_w = sum_v f^(n)_{v,w} p^(n+1)_v level by level down
+    table = {levels: {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in range(1, size + 1)}}
+    for n in reversed(range(levels)):
+        below = dict.fromkeys(range(1, size + 1), Fraction(0))
+        for v, p in table[n + 1].items():
+            for w, f in spec.incidence_row(n, v):
+                below[w] += f * p
+        table[n] = below
+    return table
+
+
+def _user_tables(rng):
+    for _ in range(12):
+        size = rng.randint(1, 4)
+        mat = [[rng.randint(0, 2) for _ in range(size)] for _ in range(size)]
+        for v in range(size):
+            mat[v][v] += 1
+        yield ExplicitFinite(mat), size
+        # rows 1..size described on every level; row size+1 is unknown
+        levels = [
+            [(v, w, rng.randint(1, 3)) for v in range(1, size + 1) for w in range(1, size + 1) if w == v or rng.random() < 0.4]
+            for _ in range(4)
+        ]
+        yield ExplicitLevels(levels), size
+
+
+def test_invariance_of_user_tables_matches_a_naive_computation():
+    # ExplicitFinite and ExplicitLevels read their columns off their rows
+    rng = random.Random(13)
+    for spec, size in _user_tables(rng):
+        table = _invariant_table(rng, spec, 3, size)
+        bumped = {n: dict(row) for n, row in table.items()}
+        bumped[rng.randint(0, 3)][rng.randint(1, size)] += Fraction(1, 10**12)
+        widths = [rng.randint(0, size) for _ in range(4)]
+        ragged = {n: {v: p for v, p in row.items() if v <= widths[n]} for n, row in table.items()}
+        # an entry past the rows: no column holds it, and ExplicitLevels does not know row size+1
+        wide = {n: {**row, size + 1: Fraction(1)} for n, row in table.items()}
+        for vectors in (table, bumped, ragged, wide):
+            for window in (Truncation(3, size + 1), Truncation(2, max(size - 1, 2))):
+                report = check_tail_invariance(spec, MeasureVectors.from_table(vectors), window)
+                failures, checked = _naive_table_invariance(spec, vectors, window)
+                assert (report.failures, report.checked_rows) == (failures, checked)
+                assert report.levels == {n: all(f[0] != n for f in failures) for n in range(window.max_level)}
+        assert check_tail_invariance(spec, MeasureVectors.from_table(table), Truncation(3, size + 1)).ok
+        assert not check_tail_invariance(spec, MeasureVectors.from_table(bumped), Truncation(3, size + 1)).ok
+
+
+def _counted(fn, max_level, width):
+    # measure vectors that record how often each entry is evaluated
+    calls = {}
+
+    def value(n, i):
+        calls[n, i] = calls.get((n, i), 0) + 1
+        return fn(n, i)
+
+    return MeasureVectors(value, max_level, width), calls
+
+
+@pytest.mark.parametrize("spec, width, value", [
+    (StationaryAK(4, 2), 12, lambda n, i: Fraction(1, 2 ** (i - 1) * 4**n)),
+    (ExplicitFinite([[3, 0], [1, 2]]), 2, lambda n, i: Fraction(1, 3**n)),
+])
+def test_invariance_evaluates_each_entry_once(spec, width, value):
+    mv, calls = _counted(value, 9, lambda n: width)
+    assert check_tail_invariance(spec, mv, Truncation(9, width)).ok
+    assert calls == {(n, i): 1 for n in range(10) for i in range(1, width + 1)}
+
+
+def test_invariance_keeps_the_checks_of_each_entry():
+    spec, window = StationaryAK(4, 2), Truncation(4, 5)
+    # a negative entry is rejected when the check first reads it
+    negative, calls = _counted(
+        lambda n, i: Fraction(-1) if (n, i) == (2, 3) else Fraction(1, 2 ** (i - 1) * 4**n), 4, lambda n: 5
+    )
+    with pytest.raises(DiagramError, match="nonnegative"):
+        check_tail_invariance(spec, negative, window)
+    assert calls[2, 3] == 1
+    # rows that need an entry past the certified width are skipped, and the entry is never read
+    narrow, calls = _counted(lambda n, i: Fraction(1, 2 ** (i - 1) * 4**n), 4, lambda n: 5 - n)
+    report = check_tail_invariance(spec, narrow, window)
+    assert report.ok and report.checked_rows == 4 + 3 + 2 + 1
+    assert all(i <= 5 - n for n, i in calls)
+    # a window past the last level is refused before any entry is read
+    short, calls = _counted(lambda n, i: Fraction(1), 3, lambda n: 5)
+    with pytest.raises(WindowError):
+        check_tail_invariance(spec, short, window)
+    assert not calls
 
 
 def test_each_entry_is_computed_once_per_pair():
