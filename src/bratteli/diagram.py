@@ -90,13 +90,21 @@ class Truncation:
 class DiagramSpec:
     """Base class for diagram families.
 
-    A family sets ``family`` and defines ``incidence_row(n, v)``, the full row v
-    of F_n as ``[(w, mult), ...]`` or None if unknown, and ``params_json()``.
+    A family sets ``family``, defines ``params_json()`` and gives the rows of
+    F_n one of two ways.  An explicit family builds ``level_rows(n)`` once:
+    ``{v: {w: mult}}`` over every described row, columns ascending, no zero,
+    shared by all readers, who must not change it; ``incidence_row`` reads it.
+    An odometer chain, whose rows never end, defines ``incidence_row(n, v)``.
     """
 
     def vertex_count(self, n: int) -> Optional[int]:
         """Number of vertices at level n; None means countably infinite."""
         return None
+
+    def incidence_row(self, n: int, v: int) -> Optional[list[tuple[int, int]]]:
+        """The full row v of F_n as ``[(w, mult), ...]`` in column order, or None if unknown."""
+        row = self.level_rows(n).get(v)
+        return None if row is None else list(row.items())
 
     def to_json(self, window: Optional[Truncation] = None) -> dict:
         doc = {"family": self.family, "params": self.params_json()}
@@ -279,25 +287,20 @@ class ExplicitFinite(DiagramSpec):
         _require_ints("matrix entries", (x for r in rows for x in r), DiagramError)
         if any(x < 0 for r in rows for x in r):
             raise DiagramError("matrix entries must be nonnegative")
+        f_rows = {v: {w: x for w, x in enumerate(col, 1) if x} for v, col in enumerate(zip(*rows), 1)}
+        object.__setattr__(self, "_rows", f_rows)  # not a field: the rows of F = A^T (columns of A), on every level
         # diagram validity: every vertex needs incoming and outgoing edges
-        for v in range(n):
-            if all(rows[w][v] == 0 for w in range(n)):
-                raise DiagramError(f"vertex {v + 1} has no incoming edges (column {v + 1} of A is zero)")
-            if all(x == 0 for x in rows[v]):
-                raise DiagramError(f"vertex {v + 1} has no outgoing edges (row {v + 1} of A is zero)")
+        for v in range(1, n + 1):
+            if not f_rows[v]:
+                raise DiagramError(f"vertex {v} has no incoming edges (column {v} of A is zero)")
+            if not any(rows[v - 1]):
+                raise DiagramError(f"vertex {v} has no outgoing edges (row {v} of A is zero)")
 
-    @property
-    def size(self) -> int:
-        return len(self.a_matrix)
-
-    def incidence_row(self, n: int, v: int) -> Optional[list[tuple[int, int]]]:
-        if not 1 <= v <= self.size:
-            return None
-        # F = A^T, so f[v][w] = a[w][v]
-        return [(w, self.a_matrix[w - 1][v - 1]) for w in range(1, self.size + 1) if self.a_matrix[w - 1][v - 1] > 0]
+    def level_rows(self, n: int) -> dict[int, dict[int, int]]:
+        return self._rows
 
     def vertex_count(self, n: int) -> int:
-        return self.size
+        return len(self.a_matrix)
 
     def params_json(self) -> dict:
         return {"matrix": [list(r) for r in self.a_matrix]}
@@ -307,16 +310,16 @@ class ExplicitFinite(DiagramSpec):
 class ExplicitLevels(DiagramSpec):
     """Explicit sparse incidence matrices within a window.
 
-    ``levels[n]`` lists entries ``(v, w, mult)`` of F_n.  Every row that
-    appears is taken to be a complete description of that row; absent rows are
-    unknown, not zero.
+    ``levels[n]`` lists entries ``(v, w, mult)`` of F_n, added up by position
+    into the row maps of ``level_rows``.  Every row that appears is a complete
+    description of that row; absent rows are unknown, not zero.
     """
 
     levels: tuple[tuple[tuple[int, int, int], ...], ...]
     family = "explicit-levels"
 
     def __post_init__(self):
-        norm = []
+        norm, maps = [], []
         for lvl in _require_list("explicit-levels levels", self.levels, DiagramError):
             entries = tuple(
                 tuple(_require_list("explicit-levels entry", e, DiagramError, 3))
@@ -326,28 +329,22 @@ class ExplicitLevels(DiagramSpec):
             entries = tuple(sorted(entries))
             if any(m < 0 for _, _, m in entries):
                 raise DiagramError("multiplicities must be nonnegative")
-            rows: dict[int, int] = {}
+            rows: dict[int, dict[int, int]] = {}
             for v, w, m in entries:
-                rows[v] = rows.get(v, 0) + m
-            if any(total == 0 for total in rows.values()):
+                row = rows.setdefault(v, {})
+                if m:
+                    row[w] = row.get(w, 0) + m
+            if not all(rows.values()):
                 raise DiagramError("every described incidence row must be nonzero")
             norm.append(entries)
+            maps.append(rows)
         object.__setattr__(self, "levels", tuple(norm))
+        object.__setattr__(self, "_rows", tuple(maps))  # not a field: the row maps by level
 
     def level_rows(self, n: int) -> dict[int, dict[int, int]]:
-        if not 0 <= n < len(self.levels):
+        if not 0 <= n < len(self._rows):
             raise WindowError(f"explicit-levels diagram has no level {n} matrix")
-        rows: dict[int, dict[int, int]] = {}
-        for v, w, m in self.levels[n]:
-            if m > 0:
-                rows.setdefault(v, {})[w] = rows.setdefault(v, {}).get(w, 0) + m
-        return rows
-
-    def incidence_row(self, n: int, v: int) -> Optional[list[tuple[int, int]]]:
-        rows = self.level_rows(n)
-        if v not in rows:
-            return None
-        return sorted(rows[v].items())
+        return self._rows[n]
 
     def params_json(self) -> dict:
         return {"levels": [[list(e) for e in lvl] for lvl in self.levels]}
@@ -401,15 +398,13 @@ def incidence(spec: DiagramSpec, n: int, window: Truncation) -> LevelMatrix:
     m = window.max_vertex
     entries: list[tuple[int, int, int]] = []
     complete: set[int] = set()
-    count = spec.vertex_count(n + 1)
-    top = m if count is None else min(m, count)
-    for v in range(1, top + 1):
+    for v in range(1, m + 1):
         row = spec.incidence_row(n, v)
         if row is None:
             continue
-        kept = [(v, w, mult) for w, mult in row if w <= m and mult > 0]
+        kept = [(v, w, mult) for w, mult in row if w <= m]
         entries.extend(kept)
-        if len(kept) == sum(1 for _, mult in row if mult > 0):
+        if len(kept) == len(row):
             complete.add(v)
     return LevelMatrix(n, tuple(sorted(entries)), frozenset(complete), m)
 
@@ -417,6 +412,11 @@ def incidence(spec: DiagramSpec, n: int, window: Truncation) -> LevelMatrix:
 # ---------------------------------------------------------------------------
 # Heights
 # ---------------------------------------------------------------------------
+
+
+def _prefix_width(present) -> int:
+    """The largest w with 1..w all in ``present``: the certified width of a vector."""
+    return next(w for w in range(len(present) + 1) if w + 1 not in present)
 
 
 @frozen
@@ -451,29 +451,20 @@ def heights(spec: DiagramSpec, n: int, window: Truncation) -> HeightsVector:
             h = spec.path_step(lvl, 1, h)  # the unknown top vertex drops out
         return HeightsVector(n, {i: h[i - 1] for i in range(1, m + 1)}, m)
 
-    if isinstance(spec, ExplicitFinite):
-        h = {v: 1 for v in range(1, spec.size + 1)}
-        for lvl in range(n):
-            h = {v: sum(mult * h[w] for w, mult in spec.incidence_row(lvl, v)) for v in h}
-        return HeightsVector(n, h, spec.size)
-
-    if isinstance(spec, ExplicitLevels):
+    if isinstance(spec, (ExplicitFinite, ExplicitLevels)):
         certified: Optional[dict[int, int]] = None  # None = level 0, all ones
         for lvl in range(n):
-            rows = spec.level_rows(lvl)
             nxt = {}
-            for v, row in rows.items():
+            for v, row in spec.level_rows(lvl).items():
                 if certified is None:
                     nxt[v] = sum(row.values())
                 elif all(w in certified for w in row):
                     nxt[v] = sum(mult * certified[w] for w, mult in row.items())
             certified = nxt
         if certified is None:
-            certified = {i: 1 for i in range(1, m + 1)}
+            certified = dict.fromkeys(range(1, min(m, spec.vertex_count(0) or m) + 1), 1)
         values = {i: certified[i] for i in certified if i <= m}
-        width = 0
-        while (width + 1) in values:
-            width += 1
+        width = _prefix_width(values)
         if width == 0 and n > 0:
             raise WindowError(f"window too small to certify any height at level {n}")
         return HeightsVector(n, values, width)
@@ -566,14 +557,11 @@ def count_paths_bruteforce(
         nonlocal steps
         if level == 0:
             return 1
-        count = spec.vertex_count(level - 1)
         total = 0
         row = spec.incidence_row(level - 1, vertex)
         if row is None:
             raise WindowError(f"incidence row for vertex {vertex} at level {level - 1} unknown")
         for src, mult in row:
-            if count is not None and src > count:
-                continue
             for _ in range(mult):
                 steps += 1
                 if steps > budget:

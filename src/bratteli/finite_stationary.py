@@ -434,7 +434,7 @@ class DistinguishedData:
     """Eigen data of one distinguished class.
 
     ``xi`` has length N with entries exactly 0.0 outside the access set of
-    the class; ``rho`` is the bracketed Perron root.
+    the class; ``rho`` is the bracketed Perron root, at most 2^-40 wide.
     """
 
     class_index: int
@@ -501,7 +501,7 @@ def _solve(factors: tuple[list[list[float]], list[int]], rhs: list[float]) -> li
 
 # inverse iterations on a class block before its Perron vector must have settled
 _INVERSE_ITERATIONS = 8
-# the bracket width the inverse-iteration shift is taken from, whatever tol is
+# the bracket width all eigen data are taken from, whatever tol is
 _VECTOR_WIDTH = Fraction(1, 2**40)
 
 
@@ -516,8 +516,6 @@ def _perron_vector(block: tuple[tuple[int, ...], ...], radius: PerronBracket) ->
     n = len(block)
     if n == 1:
         return [1.0]
-    if radius.high - radius.low > _VECTOR_WIDTH:
-        radius = _newton_bracket(radius.poly, radius.high, _VECTOR_WIDTH)
     shift = radius[1] * (1 + 2.0**-40) + 2.0**-40
     factors = _factor([[(shift if i == j else 0.0) - block[i][j] for j in range(n)] for i in range(n)])
     x = [1.0 / n] * n
@@ -535,6 +533,8 @@ def _perron_vector(block: tuple[tuple[int, ...], ...], radius: PerronBracket) ->
 def _eigenvector(dec: ClassDecomposition, alpha: int, radius: PerronBracket, tol: float) -> DistinguishedData:
     a = dec.matrix
     n = dec.size
+    if radius.high - radius.low > _VECTOR_WIDTH:
+        radius = _newton_bracket(radius.poly, radius.high, _VECTOR_WIDTH)
     rho = 0.5 * (radius[0] + radius[1])
     x = [0.0] * n
     for v, value in zip(dec.classes[alpha], _perron_vector(dec.class_matrix(alpha), radius)):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from ._frozen import frozen
-from .diagram import DiagramSpec, DiagramError, OdometerChain, Truncation, WindowError
+from .diagram import DiagramSpec, DiagramError, OdometerChain, Truncation, WindowError, _prefix_width
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +139,8 @@ class MeasureVectors:
         if levels != list(range(len(levels))):
             raise DiagramError("measure vector table must cover levels 0..N contiguously")
 
-        def width(n: int) -> int:
-            row = table[n]
-            w = 0
-            while (w + 1) in row:
-                w += 1
-            return w
-
-        return cls(lambda n, i: Fraction(table[n][i]), len(levels) - 1, width, label)
+        widths = [_prefix_width(table[n]) for n in levels]  # scanned once, not per value
+        return cls(lambda n, i: Fraction(table[n][i]), len(levels) - 1, widths.__getitem__, label)
 
     @classmethod
     def from_function(
@@ -203,15 +197,14 @@ class InvarianceReport:
 
 
 def _columns(spec: DiagramSpec, n: int, top: int) -> Optional[dict[int, list[tuple[int, int]]]]:
-    """Column w of F_n as ``[(v, mult), ...]`` over rows 1..top; None if a row is unknown."""
+    """Column w of F_n as ``[(v, mult), ...]`` over every described row; None if a row 1..top is unknown."""
+    rows = spec.level_rows(n)
+    if any(v not in rows for v in range(1, top + 1)):
+        return None
     columns: dict[int, list[tuple[int, int]]] = {}
-    for v in range(1, top + 1):
-        row = spec.incidence_row(n, v)
-        if row is None:
-            return None
-        for w, mult in dict(row).items():
-            if mult:
-                columns.setdefault(w, []).append((v, mult))
+    for v, row in rows.items():
+        for w, mult in row.items():
+            columns.setdefault(w, []).append((v, mult))
     return columns
 
 
@@ -219,11 +212,14 @@ def check_tail_invariance(spec: DiagramSpec, mv: MeasureVectors, window: Truncat
     """Exact equality test of sum_v f^(n)_{v,w} p^(n+1)_v = p^(n)_w.
 
     The relation at level n, vertex w uses column w of F_n, i.e. the rows v
-    whose support contains w.  Only rows certified on both sides are tested.
-    Each row is decided over integers: both sides are multiplied by the
-    product of the denominators of its entries.  Each entry is evaluated once
-    per check through ``mv.value``, so its width and sign checks apply to
-    every entry, and kept as (numerator, denominator) while its level is in use.
+    whose support contains w.  An explicit family's columns are read off every
+    row it describes: a row past the certified width of p^(n+1) leaves the
+    columns it meets unchecked, and an unknown row among 1..width(n+1) (1..size
+    on a finite diagram) the whole level.  Each row is decided over integers:
+    both sides are multiplied by the product of the denominators of its
+    entries.  Each entry is evaluated once per check through ``mv.value``, so
+    its width and sign checks apply to every entry, and kept as (numerator,
+    denominator) while its level is in use.
     """
     if mv.max_level < window.max_level:
         raise WindowError("measure vectors are narrower than the requested window")
@@ -246,8 +242,7 @@ def check_tail_invariance(spec: DiagramSpec, mv: MeasureVectors, window: Truncat
         w_next = mv.width(n + 1)
         columns = None
         if not odometer and w_n:
-            count = spec.vertex_count(n + 1)
-            columns = _columns(spec, n, count if count is not None else w_next)
+            columns = _columns(spec, n, spec.vertex_count(n + 1) or w_next)
         level_ok = True
         for w in range(1, w_n + 1):
             # column w of F_n for an odometer chain: row w (vertical block)

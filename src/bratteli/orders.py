@@ -188,12 +188,18 @@ def order_from_json(doc: dict) -> QuasiStationary:
     kind = _require_dict("order", doc, DiagramError).get("kind", "quasiStationary")
     if kind not in ("quasiStationary", "eventuallyQuasiStationary"):
         raise DiagramError(f"unknown order kind {kind!r}")
+    if kind == "quasiStationary" and "exceptions" in doc:
+        raise DiagramError("a quasiStationary order has no exceptions; give them under kind eventuallyQuasiStationary")
     raw = dict(_require_dict("order tags", doc.get("tags", {}), DiagramError))
     default = raw.pop("default", MIDDLE)
     tags = tuple((int(k), str(v)) for k, v in raw.items())
-    cells = doc.get("exceptions", {}) if kind == "eventuallyQuasiStationary" else {}
-    _require_dict("order exceptions", cells, DiagramError)
-    exceptions = tuple((tuple(int(x) for x in k.split(",")), str(v)) for k, v in cells.items())
+    exceptions = []
+    for key, tag in _require_dict("order exceptions", doc.get("exceptions", {}), DiagramError).items():
+        try:
+            level, index = (int(x) for x in key.split(","))
+        except ValueError:
+            raise DiagramError(f"order exception key {key!r} must be \"level,index\"") from None
+        exceptions.append(((level, index), str(tag)))
     return QuasiStationary(tags, default, exceptions)
 
 

@@ -873,3 +873,104 @@ def test_ak_with_a_minus_k_one_reports_like_its_decreasing_twin(capsys, command,
     assert ak == twin
     if "eigenpair" in docs[0]:
         assert (docs[0]["eigenpair"], docs[1]["eigenpair"]) == ("ak(shift=1,lam=3)", "decreasing(shift=1,lam=3)")
+
+
+def test_explicit_levels_invariance_skips_columns_a_row_past_the_width_meets(capsys):
+    spec = {"family": "explicit-levels", "params": {"levels": [[[1, 1, 1], [2, 1, 1]]]},
+            "truncation": {"maxLevel": 1, "maxVertex": 2}}
+    for vectors, checked in (({"1": "1/2"}, 0), ({"1": "1/2", "2": "1/2"}, 1)):
+        doc = json.dumps({"vectors": {"0": {"1": "1"}, "1": vectors}})
+        code, out, err = run(
+            capsys, "--format", "json", "measure", "check-invariance", "--spec-json", json.dumps(spec), "--vectors", doc
+        )
+        assert code == EXIT_OK, err
+        report = json.loads(out)
+        assert (report["ok"], report["checked_rows"], report["failures"]) == (True, checked, [])
+
+
+def test_explicit_finite_heights_report_only_the_window(capsys):
+    matrix = [[2 if v == w else int(w == v + 1) for w in range(14)] for v in range(14)]
+    spec = json.dumps({"family": "explicit-finite", "params": {"matrix": matrix}})
+    args = ["diagram", "heights", "--spec-json", spec, "--level", "2", "--max-vertex", "3", "--verify-bruteforce"]
+    code, out, _ = run(capsys, "--format", "csv", *args)
+    assert code == EXIT_OK
+    assert out.splitlines() == ["vertex,height", "1,4", "2,8", "3,9"]
+    code, out, _ = run(capsys, "--format", "json", *args)
+    report = json.loads(out)
+    assert (report["exact_width"], report["bruteforce"], report["bruteforce_mismatches"]) == (
+        3, {"1": "4", "2": "8", "3": "9"}, []
+    )
+
+
+def test_finite_classify_takes_its_eigen_data_from_a_narrow_bracket(capsys):
+    args = ["--format", "json", "finite", "classify", "--matrix", "[[2,1,0],[1,1,0],[1,0,1]]"]
+    code, out, _ = run(capsys, *args, "--tol", "0.5")
+    assert code == EXIT_OK
+    wide = json.loads(out)
+    assert wide["classes"][1]["radius"] == {"lo": 2.5625, "hi": 2.625}  # the bracket tol asks for
+    code, out, _ = run(capsys, *args)
+    narrow = json.loads(out)
+    assert abs(wide["measures"][1]["lambda"] - (3 + 5**0.5) / 2) <= 1e-12
+    for got, want in zip(wide["measures"], narrow["measures"]):
+        assert abs(got["lambda"] - want["lambda"]) <= 1e-12
+        assert all(abs(x - y) <= 1e-12 for x, y in zip(got["xi_raw"], want["xi_raw"]))
+
+
+@pytest.mark.parametrize("tags, message", [
+    ({"kind": "quasiStationary", "tags": {"default": "left"}, "exceptions": {"1,1": "right"}}, "eventuallyQuasiStationary"),
+    ({"kind": "eventuallyQuasiStationary", "tags": {"default": "left"}, "exceptions": {"2": "right"}}, "key '2'"),
+])
+def test_order_documents_that_lose_or_misplace_exceptions_exit_2(capsys, tags, message):
+    code, out, err = run(capsys, "vershik", "classify", *AK, "--tags", json.dumps(tags))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert message in err and "internal error" not in err
+
+
+def test_general_chain_cylinders_have_no_certificate(capsys):
+    code, out, _ = run(
+        capsys, "--format", "json", "measure", "cylinder", "--family", "general-chain", "--entries", "[[0,1,5],[1,2,3]]",
+        "--cylinders", "(0,2)",
+    )
+    assert code == EXIT_UNCERTIFIED
+    value = json.loads(out)["entries"][0]["value"]
+    assert (value["status"], value["certificate"], value["terms_used"]) == (
+        "undetermined", "no certificate for this family/cylinder", 64
+    )
+
+
+@pytest.mark.parametrize("levels, note, terms", [
+    ("table:3,5", "level sequence has no tail rule usable for certification", 2),
+    ("arithmetic:40,-3", "decreasing level sequence has no certificate", 0),
+])
+def test_level_sequences_without_a_tail_rule_are_undetermined(capsys, levels, note, terms):
+    for command in (["cylinder", "--cylinders", "(0,2)"], ["classify", "--imax", "1"]):
+        code, out, _ = run(
+            capsys, "--format", "json", "measure", command[0], "--family", "nonstat-uniform", "--an", levels, *command[1:]
+        )
+        assert code == EXIT_UNCERTIFIED
+        entry = json.loads(out)["entries"][0]
+        value = entry.get("value") or entry["mass"]
+        assert (value["status"], value["certificate"], value["terms_used"]) == ("undetermined", note, terms)
+
+
+def test_diagonal_without_a_tail_rule_is_undetermined(capsys):
+    code, out, _ = run(
+        capsys, "--format", "json", "measure", "classify", "--family", "decreasing", "--diagonal", "arithmetic:200,-1",
+        "--imax", "1",
+    )
+    assert code == EXIT_UNCERTIFIED
+    mass = json.loads(out)["entries"][0]["mass"]
+    assert (mass["status"], mass["certificate"], mass["terms_used"]) == (
+        "undetermined", "diagonal sequence has no tail rule usable for certification", 64
+    )
+
+
+def test_csv_prints_the_partial_sum_of_a_finite_value_that_is_not_exact(capsys):
+    args = ["measure", "cylinder", "--family", "nonstat-uniform", "--an", "poly:4,4,1", "--cylinders", "(0,2)"]
+    code, out, _ = run(capsys, "--format", "json", *args)
+    assert code == EXIT_OK
+    value = json.loads(out)["entries"][0]["value"]
+    assert value["status"] == "finite" and "exact_value" not in value
+    code, out, _ = run(capsys, "--format", "csv", *args)
+    assert code == EXIT_OK
+    assert out.splitlines()[1] == f"0,2,finite,{value['partial_sum']['exact']}"

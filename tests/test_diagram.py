@@ -176,6 +176,37 @@ def test_heights_explicit_levels_certification():
         hv2.value(3)
 
 
+def test_explicit_rows_are_built_once_per_diagram():
+    finite = ExplicitFinite([[3, 0], [1, 2]])
+    assert finite.level_rows(0) is finite.level_rows(0) is finite.level_rows(5)
+    assert finite.level_rows(0) == {1: {1: 3, 2: 1}, 2: {2: 2}}
+    # entries at one position add up, a zero entry is dropped, a row left out is unknown
+    levels = ExplicitLevels((((2, 3, 1), (1, 2, 0), (1, 2, 4), (2, 1, 5), (2, 3, 2)), ((1, 1, 1),)))
+    for n in (0, 1):
+        assert levels.level_rows(n) is levels.level_rows(n)
+    assert levels.level_rows(0) == {1: {2: 4}, 2: {1: 5, 3: 3}}
+    assert levels.incidence_row(0, 2) == [(1, 5), (3, 3)]
+    assert levels.incidence_row(1, 2) is None
+    for spec in (finite, levels):
+        for v, row in spec.level_rows(0).items():
+            assert spec.incidence_row(0, v) == sorted(row.items())
+    with pytest.raises(DiagramError, match="nonzero"):
+        ExplicitLevels((((1, 1, 0), (1, 2, 0)),))
+
+
+def test_explicit_finite_heights_report_only_the_window():
+    rng = random.Random(5)
+    a = [[rng.randint(0, 2) + (v == w) for w in range(6)] for v in range(6)]
+    spec = ExplicitFinite(a)
+    for n in range(4):
+        hv = heights(spec, n, Truncation(4, 3))
+        assert sorted(hv.values) == [1, 2, 3] and hv.exact_width == 3
+        assert all(hv.value(i) == slow_path_count(spec, n, i) for i in (1, 2, 3))
+    # a window wider than the matrix reports every vertex
+    assert sorted(heights(ExplicitFinite([[2]]), 2, Truncation(3, 4)).values) == [1]
+    assert heights(ExplicitFinite([[2]]), 0, Truncation(3, 4)).values == {1: 1}
+
+
 # -- brute-force enumeration --------------------------------------------------
 
 

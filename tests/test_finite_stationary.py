@@ -376,6 +376,22 @@ def test_measure_vectors_satisfy_level_relation(a):
             assert np.max(np.abs(arr @ p_next - p_n)) <= 10 * tol * np.max(np.abs(p_n)) + 1e-13
 
 
+@pytest.mark.parametrize("tol", [0.5, 100.0])
+def test_eigen_data_do_not_depend_on_a_wide_tol(tol):
+    # the class {1, 2} has Perron root (3 + sqrt 5)/2; a wide tol widens its radius bracket only
+    a = [[2, 1, 0], [1, 1, 0], [1, 0, 1]]
+    golden = (3 + 5**0.5) / 2
+    lo, hi = spectral_radius([[2, 1], [1, 1]], tol)
+    assert hi - lo > 2**-40 and lo <= golden <= hi
+    for got, want in zip(measures_finite_stationary(a, tol), measures_finite_stationary(a)):
+        assert got.data.class_index == want.data.class_index
+        assert abs(got.lam - want.lam) <= 1e-12
+        assert all(abs(x - y) <= 1e-12 for x, y in zip(got.xi_raw, want.xi_raw))
+        assert got.data.rho[1] - got.data.rho[0] <= 2**-39
+    lam = measures_finite_stationary(a, tol)[1].lam
+    assert abs(lam - golden) <= 1e-12
+
+
 def test_importing_the_package_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     code = "import sys, bratteli; print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('bratteli')))"

@@ -18,6 +18,7 @@ import pytest
 from bratteli.diagram import (
     DiagramError,
     ExplicitFinite,
+    ExplicitLevels,
     NonStationaryUniform,
     StationaryAK,
     StationaryDecreasing,
@@ -112,6 +113,41 @@ def test_explicit_finite_relation():
     # invariant family from the distinguished pair (lambda=3, xi=(1,1)):
     mv = MeasureVectors.from_function(lambda n, i: Fraction(1, 3**n), window)
     assert check_tail_invariance(spec, mv, window).ok
+
+
+def test_described_rows_past_the_width_leave_their_columns_unchecked():
+    # rows 1 and 2 of F_0 both meet column 1: p^(0)_1 = p^(1)_1 + p^(1)_2
+    spec, window = ExplicitLevels((((1, 1, 1), (2, 1, 1)),)), Truncation(1, 2)
+    narrow = MeasureVectors.from_table({0: {1: Fraction(1)}, 1: {1: Fraction(1, 2)}})
+    report = check_tail_invariance(spec, narrow, window)
+    assert report.ok and report.checked_rows == 0 and report.levels == {0: True}
+    full = MeasureVectors.from_table({0: {1: Fraction(1)}, 1: {1: Fraction(1, 2), 2: Fraction(1, 2)}})
+    report = check_tail_invariance(spec, full, window)
+    assert report.ok and report.checked_rows == 1
+    bumped = MeasureVectors.from_table({0: {1: Fraction(1)}, 1: {1: Fraction(1, 2), 2: Fraction(1, 3)}})
+    assert check_tail_invariance(spec, bumped, window).failures == ((0, 1),)
+
+
+class _CountingRow(dict):
+    """A table row that counts membership tests, the reads a width scan makes."""
+
+    scans = 0
+
+    def __contains__(self, key):
+        _CountingRow.scans += 1
+        return super().__contains__(key)
+
+
+def test_table_widths_are_scanned_once():
+    widths = {0: 5, 1: 3, 2: 0, 3: 4}
+    table = {n: _CountingRow({i: Fraction(1, i) for i in range(1, w + 1)}) for n, w in widths.items()}
+    _CountingRow.scans = 0
+    mv = MeasureVectors.from_table(table)
+    assert _CountingRow.scans == sum(w + 1 for w in widths.values())
+    for _ in range(3):
+        assert [mv.width(n) for n in range(5)] == [5, 3, 0, 4, 0]
+        assert all(mv.value(n, i) == Fraction(1, i) for n, w in widths.items() for i in range(1, w + 1))
+    assert _CountingRow.scans == sum(w + 1 for w in widths.values())
 
 
 # -- odometer measures --------------------------------------------------------

@@ -17,6 +17,7 @@ Core claims:
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,19 @@ def test_order_json():
     assert order.tag_of(9) == RIGHT
     alt = order_from_json({"kind": "quasiStationary", "tags": {"default": ["left", "right"]}})
     assert [alt.tag_of(i) for i in (1, 2, 3, 4)] == [LEFT, RIGHT, LEFT, RIGHT]
+
+
+def test_order_json_exceptions_need_their_kind_and_a_position():
+    # a quasiStationary document (the default kind) has no exceptions to drop
+    for doc in (
+        {"kind": "quasiStationary", "tags": {"default": "left"}, "exceptions": {"1,1": "right"}},
+        {"tags": {"default": "left"}, "exceptions": {"1,1": "right"}},
+    ):
+        with pytest.raises(DiagramError, match="eventuallyQuasiStationary"):
+            order_from_json(doc)
+    for key in ("2", "1,2,3", "a,1", ""):
+        with pytest.raises(DiagramError, match=re.escape(f"key {key!r} must be")):
+            order_from_json({"kind": "eventuallyQuasiStationary", "exceptions": {key: "right"}})
 
 
 def test_eventually_quasi_stationary_json_and_overrides():
@@ -356,6 +370,15 @@ def test_orbit_unreachable_cylinder_has_zero_frequency():
     far = ExplicitPath(9, ((VERTICAL, 1),))
     rep = orbit_frequencies(SPEC, order, vertical_path(SPEC, 1, 6), 500, [far], window=Truncation(8, 30))
     assert rep.entries[0].empirical == 0
+
+
+def test_orbit_that_leaves_the_window_is_refused():
+    order, start, cyls = QuasiStationary(default=(MIDDLE,)), vertical_path(SPEC, 1, 3), [EndVertex(1, 1)]
+    # the seventh path of this orbit runs through vertex 3: two diagonal edges, then a vertical one
+    assert orbit_frequencies(SPEC, order, start, 6, cyls, window=Truncation(4, 2)).steps_done == 6
+    with pytest.raises(DiagramError, match="orbit left the certified window"):
+        orbit_frequencies(SPEC, order, start, 7, cyls, window=Truncation(4, 2))
+    assert orbit_frequencies(SPEC, order, start, 7, cyls, window=Truncation(4, 3)).steps_done == 7
 
 
 def test_orbit_matches_measure_roughly():
