@@ -192,6 +192,11 @@ def _cylinder_pairs(text: str) -> list[tuple[int, int]]:
     return out
 
 
+def _breakpoints(text: str) -> list[int]:
+    """argparse type of ``--breakpoints``: comma separated levels, each within the work budget."""
+    return [_work_size(x) for x in text.split(",")]
+
+
 def _end_vertices(pairs: list[tuple[int, int]]) -> list[EndVertex]:
     from .measure import EndVertex
 
@@ -285,9 +290,8 @@ def cmd_diagram_heights(args, spec, window):
 
 
 def cmd_telescope(args, spec, window):
-    pts = [int(x) for x in args.breakpoints.split(",")]
-    out = dg.telescope(spec, pts, window)
-    report = {"breakpoints": pts, "levels": [[list(e) for e in lvl] for lvl in out.levels]}
+    out = dg.telescope(spec, args.breakpoints, window)
+    report = {"breakpoints": args.breakpoints, "levels": [[list(e) for e in lvl] for lvl in out.levels]}
     csv_rows = [[str(k), str(v), str(w), _int_str(m)] for k, lvl in enumerate(out.levels) for v, w, m in lvl]
     return report, (["level", "row", "col", "multiplicity"], csv_rows), EXIT_OK
 
@@ -588,7 +592,7 @@ COMMANDS = {
     "diagram heights": ("tower heights at one level", True, [
         ("--level", dict(type=int, required=True)), ("--verify-bruteforce", dict(action="store_true"))]),
     "telescope": ("collapse levels between breakpoints", True, [
-        ("--breakpoints", dict(required=True, help="comma separated, starting at 0"))]),
+        ("--breakpoints", dict(type=_breakpoints, required=True, help="comma separated, starting at 0"))]),
     "measure classify": ("extension mass of every odometer up to imax", True, [
         ("--imax", dict(type=_work_size, default=5)), _MAX_TERMS]),
     "measure extend": ("extension mass of one odometer", True, [

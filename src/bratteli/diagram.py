@@ -480,8 +480,10 @@ def heights(spec: DiagramSpec, n: int, window: Truncation) -> HeightsVector:
 def telescope(spec: DiagramSpec, breakpoints: Iterable[int], window: Truncation) -> ExplicitLevels:
     """Collapse levels between consecutive breakpoints, composing edges.
 
-    The output level-k matrix is the product F_{n_{k+1}-1} ... F_{n_k}; only
-    rows certified exact inside the window are emitted.
+    The output level-k matrix is the product F_{n_{k+1}-1} ... F_{n_k} on its
+    certified rows: every vertex 1..max_vertex at level n_k, then each known
+    row whose sources are all certified.  So a row that is unknown or leaves
+    the window drops every row composed through it.
     """
     pts = list(breakpoints)
     if not pts or pts[0] != 0:
@@ -491,39 +493,24 @@ def telescope(spec: DiagramSpec, breakpoints: Iterable[int], window: Truncation)
     if pts[-1] > window.max_level:
         raise WindowError("breakpoints exceed the window")
 
+    vertices = range(1, window.max_vertex + 1)
     out_levels = []
     for n_k, n_next in zip(pts, pts[1:]):
-        # product[v] maps w -> number of paths from (n_k, w) to (current, v)
-        product: dict[int, dict[int, int]] = {}
-        complete: dict[int, bool] = {}
-        for v in range(1, window.max_vertex + 1):
-            product[v] = {v: 1}
-            complete[v] = True
+        # product[v] maps w -> number of paths from (n_k, w) to (current, v), certified rows only
+        product = {v: {v: 1} for v in vertices}
         for lvl in range(n_k, n_next):
-            mat = incidence(spec, lvl, window)
-            rows = mat.row_map()
             nxt: dict[int, dict[int, int]] = {}
-            nxt_complete: dict[int, bool] = {}
-            for v, row in rows.items():
+            for v in vertices:
+                row = spec.incidence_row(lvl, v)
+                if row is None or any(u not in product for u, _ in row):
+                    continue
                 acc: dict[int, int] = {}
-                ok = v in mat.complete_rows
-                for u, mult in row.items():
-                    if u not in product:
-                        ok = False
-                        continue
-                    ok = ok and complete[u]
+                for u, mult in row:
                     for w, c in product[u].items():
                         acc[w] = acc.get(w, 0) + mult * c
                 nxt[v] = acc
-                nxt_complete[v] = ok
-            product, complete = nxt, nxt_complete
-        entries = tuple(
-            (v, w, c)
-            for v in sorted(product)
-            if complete[v]
-            for w, c in sorted(product[v].items())
-            if c > 0
-        )
+            product = nxt
+        entries = tuple((v, w, c) for v, acc in product.items() for w, c in sorted(acc.items()))
         if not entries:
             raise WindowError(
                 f"telescoping between levels {n_k} and {n_next} cannot be certified in this window"

@@ -146,6 +146,8 @@ class QuasiStationary:
             object.__setattr__(self, "default", default)
         if any(n < 1 or i < 1 for (n, i), _ in self.exceptions):
             raise DiagramError("exception positions need level >= 1 and index >= 1")
+        if any(i < 1 for i, _ in self.tags):
+            raise DiagramError("tag indices need index >= 1")
         for t in [t for _, t in self.tags] + list(self.default or ()) + [e for _, e in self.exceptions]:
             if not isinstance(t, VertexOrder) and t not in TAGS:
                 raise DiagramError(f"unknown tag {t!r}")
@@ -192,7 +194,12 @@ def order_from_json(doc: dict) -> QuasiStationary:
         raise DiagramError("a quasiStationary order has no exceptions; give them under kind eventuallyQuasiStationary")
     raw = dict(_require_dict("order tags", doc.get("tags", {}), DiagramError))
     default = raw.pop("default", MIDDLE)
-    tags = tuple((int(k), str(v)) for k, v in raw.items())
+    tags = []
+    for key, tag in raw.items():
+        try:
+            tags.append((int(key), str(tag)))
+        except ValueError:
+            raise DiagramError(f"order tag key {key!r} must be an odometer index or \"default\"") from None
     exceptions = []
     for key, tag in _require_dict("order exceptions", doc.get("exceptions", {}), DiagramError).items():
         try:
@@ -254,6 +261,8 @@ def extension_verdict(spec: DiagramSpec, order: QuasiStationary, i_max: int = 20
     A Borel extension exists iff the cardinalities agree; a homeomorphism
     needs both sets empty, which no quasi-stationary order achieves.
     """
+    if not isinstance(spec, OdometerChain):
+        raise DiagramError("extension verdict requires an odometer chain")
     if order.default is None:
         raise DiagramError("extension verdict is undecidable from finite explicit-order data")
 

@@ -104,6 +104,18 @@ def test_telescope_csv(capsys):
     assert out.splitlines()[0] == "level,row,col,multiplicity"
 
 
+def test_breakpoints_errors_name_the_flag_or_the_rule(capsys):
+    ak = ["telescope", "--family", "ak", "--a", "4", "--k", "2"]
+    for text in ("0,,3", "0,x", "0,2,"):
+        with pytest.raises(SystemExit) as exc:
+            main([*ak, "--breakpoints", text])
+        assert exc.value.code == EXIT_CONFIG
+        assert "argument --breakpoints: invalid int value" in capsys.readouterr().err
+    for text, rule in [("1,3", "must start at 0"), ("0,3,3", "must be strictly increasing")]:
+        code, out, err = run(capsys, *ak, "--breakpoints", text)
+        assert (code, out, err) == (EXIT_CONFIG, "", f"error: breakpoints {rule}\n")
+
+
 def test_measure_cylinder(capsys):
     code, out, _ = run(
         capsys, "--format", "json", "measure", "cylinder", "--family", "ak", "--a", "4", "--k", "2",
@@ -245,6 +257,15 @@ def test_vershik_classify(capsys):
     assert doc["homeomorphism"] == "no-quasi-stationary"
 
 
+def test_vershik_tag_below_index_one_is_a_config_error(capsys):
+    tags = json.dumps({"tags": {"default": "right", "-3": "left"}})
+    code, out, err = run(
+        capsys, "vershik", "classify", "--family", "ak", "--a", "4", "--k", "2", "--tags", tags, "--imax", "3"
+    )
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "tag indices need index >= 1" in err
+
+
 def test_vershik_tags_shorthand(capsys):
     code, out, _ = run(
         capsys, "--format", "json", "vershik", "classify", "--family", "ak", "--a", "4", "--k", "2",
@@ -336,6 +357,29 @@ def test_climbs_past_the_term_budget_are_undetermined(capsys):
         assert (value["status"], value["certificate"]) == (status, cert)
     code, out, _ = run(capsys, "--format", "csv", "measure", "classify", *chain, "--imax", "1", "--max-terms", "2")
     assert out.splitlines()[1] == "1,undetermined,34/25,,2,"  # 1 + 1/5 + 4/25
+
+
+def test_level_series_budgets_below_the_tail_certificate_are_undetermined(capsys):
+    short = "maxTerms too small to reach the first term the certificate checks"
+    # the comparison bound on the polynomial tail sums to 1 after three terms (one tail level), 1/2 after four
+    chain = ("--family", "nonstat-uniform", "--an", "table:5,7:poly:2,2,1", "--i", "1")
+    for budget, code_want, status, cert, used in [
+        ("3", EXIT_UNCERTIFIED, "undetermined", short, 3),
+        ("4", EXIT_OK, "finite", "comparison-integral-tail", 4),
+    ]:
+        code, out, err = run(capsys, "--format", "json", "measure", "extend", *chain, "--max-terms", budget)
+        assert (code, err) == (code_want, "")
+        mass = json.loads(out)["mass"]
+        assert (mass["status"], mass["certificate"], mass["terms_used"]) == (status, cert, used)
+    # cylinder (0, 9) of odometer 1 is c e_8(...), a tail series of 8 terms, past a budget of 5; (0, 3) has 2
+    code, out, err = run(
+        capsys, "--format", "json", "measure", "cylinder", "--family", "nonstat-uniform", "--an", "geometric:2,2",
+        "--i", "1", "--cylinders", "(0,9);(0,3)", "--max-terms", "5",
+    )
+    assert (code, err) == (EXIT_UNCERTIFIED, "")
+    far, near = (entry["value"] for entry in json.loads(out)["entries"])
+    assert (far["status"], far["certificate"]) == ("undetermined", short)
+    assert (near["status"], near["exact_value"]["exact"]) == ("finite", "1/3")
 
 
 def test_long_exact_values_print_in_full(capsys):
@@ -558,6 +602,7 @@ def test_size_flags_are_bounded_by_the_work_budget(capsys, monkeypatch):
         # both numbers of every (m, j) pair
         (["measure", "cylinder", *AK], "--cylinders", "(0,{})"),
         (["eigen", "measure", *AK], "--cylinders", "(1,1);({},2)"),
+        (["telescope", *AK, "--max-level", "50", "--max-vertex", "50"], "--breakpoints", "0,1,{}"),
     ]
     for argv, flag, form in cases:
         assert run(capsys, *argv, flag, form.format(50))[0] == EXIT_OK

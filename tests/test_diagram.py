@@ -307,6 +307,21 @@ def test_telescope_explicit_finite_square():
         assert rows == {(1, 1): 9, (1, 2): 5, (2, 2): 4}
 
 
+# row 1 of F_0 meets vertex 3, outside a max_vertex 2 window
+PARTIAL_LEVELS = [[(1, 1, 1), (1, 3, 1), (2, 2, 2)], [(1, 1, 1), (2, 2, 1)]]
+
+
+def test_telescope_drops_rows_composed_through_a_row_leaving_the_window():
+    window = Truncation(2, 2)
+    spec = ExplicitLevels(PARTIAL_LEVELS)
+    # level-1 row 1 reads level-0 row 1, which leaves the window, so it drops too
+    assert telescope(spec, [0, 2], window).levels == (((2, 2, 2),),)
+    assert telescope(spec, [0, 1, 2], window).levels == (((2, 2, 2),), ((1, 1, 1), (2, 2, 1)))
+    spec = ExplicitLevels([PARTIAL_LEVELS[0], PARTIAL_LEVELS[1] + [(2, 1, 1)]])
+    with pytest.raises(WindowError, match="telescoping between levels 0 and 2 cannot be certified in this window"):
+        telescope(spec, [0, 2], window)
+
+
 def test_telescope_rejects_bad_breakpoints():
     spec = StationaryAK(4, 2)
     with pytest.raises(DiagramError):

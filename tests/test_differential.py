@@ -8,6 +8,10 @@ share no code with ``OdometerChain.path_step`` are compared with it:
 * ``heights`` against ``count_paths_bruteforce``, which walks every path;
 * each mass-series term times a_0(i) ... a_n(i) against the height of i + 1;
 * each cylinder-series numerator against the entry of a ``telescope`` block.
+
+``telescope`` is that last reference, so it is itself checked against a walk
+down every path of a block, on those chains and on random explicit diagrams
+with unknown rows and rows that leave the window.
 """
 
 import random
@@ -15,6 +19,8 @@ import random
 import pytest
 
 from bratteli.diagram import (
+    ExplicitFinite,
+    ExplicitLevels,
     GeneralChain,
     NonStationaryUniform,
     OdometerChain,
@@ -23,6 +29,7 @@ from bratteli.diagram import (
     StationaryIncreasing,
     Truncation,
     VertexId,
+    WindowError,
     count_paths_bruteforce,
     heights,
     telescope,
@@ -115,3 +122,75 @@ def test_cylinder_numerators_match_telescoped_blocks(kind):
                     block = telescope(spec, [0, m, n] if m else [0, n], window).levels[-1]
                     paths = {(v, w): c for v, w, c in block}.get((i + 1, j), 0)
                 assert term * den == paths, (seed, i, m, j, n)
+
+
+def _paths_down(spec, level, v, bottom, max_vertex):
+    """Path counts from (level, v) down to each source at level ``bottom``, by
+    walking every vertex path; None when a step reads an unknown row or
+    leaves vertices 1..max_vertex."""
+    if level == bottom:
+        return {v: 1}
+    row = spec.incidence_row(level - 1, v)
+    if row is None:
+        return None
+    tally = {}
+    for u, mult in row:
+        below = _paths_down(spec, level - 1, u, bottom, max_vertex) if 1 <= u <= max_vertex else None
+        if below is None:
+            return None
+        for w, c in below.items():
+            tally[w] = tally.get(w, 0) + mult * c
+    return tally
+
+
+def _explicit_levels(rng: random.Random, count: int, width: int) -> ExplicitLevels:
+    """Random rows over vertices 1..width+1: some rows left out (unknown), some
+    meeting vertex width+1 (outside a max_vertex ``width`` window)."""
+    levels = []
+    for _ in range(count):
+        entries = []
+        for v in range(1, width + 2):
+            if rng.random() < 0.8:
+                entries += [(v, rng.randint(1, width + 1), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        levels.append(entries)
+    return ExplicitLevels(levels)
+
+
+def _explicit_finite(rng: random.Random, size: int) -> ExplicitFinite:
+    return ExplicitFinite([[rng.randint(1, 3) if v == w else rng.randint(0, 2) for w in range(size)] for v in range(size)])
+
+
+def _breakpoints(rng: random.Random, top: int) -> list[int]:
+    return [0] + sorted(rng.sample(range(1, top + 1), rng.randint(1, top)))
+
+
+@pytest.mark.parametrize("kind", KINDS + ["explicit-levels", "explicit-finite"])
+def test_telescope_matches_a_walk_down_every_path(kind):
+    outcomes = set()
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        for _ in range(4):
+            width = rng.randint(2, 5)
+            if kind == "explicit-levels":
+                top = rng.randint(1, 4)
+                spec = _explicit_levels(rng, top, width)
+            else:
+                top = rng.randint(1, 6)
+                spec = _explicit_finite(rng, width + 1) if kind == "explicit-finite" else _chains(seed)[kind]
+            window = Truncation(top, width)
+            pts = _breakpoints(rng, top)
+            want = []
+            for n_k, n_next in zip(pts, pts[1:]):
+                rows = {v: _paths_down(spec, n_next, v, n_k, width) for v in range(1, width + 1)}
+                want.append(tuple((v, w, c) for v, row in rows.items() if row for w, c in sorted(row.items())))
+                outcomes.update(row is None for row in rows.values())
+            empty = [k for k, block in enumerate(want) if not block]
+            if not empty:
+                assert telescope(spec, pts, window).levels == tuple(want), (seed, pts)
+            else:
+                k = empty[0]
+                with pytest.raises(WindowError, match=f"between levels {pts[k]} and {pts[k + 1]} cannot be certified"):
+                    telescope(spec, pts, window)
+                outcomes.add("uncertified")
+    # every kind drops rows somewhere; the explicit diagrams also lose whole blocks
+    assert outcomes >= ({True, False, "uncertified"} if kind == "explicit-levels" else {True, False})

@@ -507,6 +507,14 @@ def test_normalized_cylinder_interval_uses_mass_bounds():
     assert res.contains(1 / hi) and res.contains(1 / lo)
 
 
+def test_normalized_cylinder_passes_an_undetermined_value_through():
+    # (0, 9) on odometer 1 needs more than five terms; dividing by the mass would claim more than is known
+    spec = NonStationaryUniform(Geometric(2, 2))
+    value = extended_cylinder_measure(spec, 1, EndVertex(0, 9), max_terms=5)
+    assert value.status == UNDETERMINED
+    assert extend_odometer(spec, 1).normalize().cylinder_value(EndVertex(0, 9), max_terms=5) == value
+
+
 def test_normalized_vectors_need_exact_mass():
     ext = extend_odometer(NonStationaryUniform(Geometric(2, 2)), 1).normalize()
     with pytest.raises(WindowError, match="not exact"):

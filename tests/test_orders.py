@@ -24,6 +24,7 @@ import pytest
 
 from bratteli.diagram import (
     DiagramError,
+    ExplicitFinite,
     GeneralChain,
     StationaryAK,
     StationaryDecreasing,
@@ -133,6 +134,18 @@ def test_exceptions_are_validated():
         QuasiStationary(exceptions=(((1, 1), "up"),))
 
 
+def test_tag_indices_are_validated():
+    # a tag no odometer carries would still count towards a cardinality
+    for index in (0, -3):
+        with pytest.raises(DiagramError, match="tag indices need index >= 1"):
+            QuasiStationary(tags=((index, LEFT),), default=(RIGHT,))
+        with pytest.raises(DiagramError, match="tag indices need index >= 1"):
+            order_from_json({"tags": {"default": "right", str(index): "left"}})
+    for key in ("x", "1.5", ""):
+        with pytest.raises(DiagramError, match=re.escape(f"order tag key {key!r} must be an odometer index")):
+            order_from_json({"tags": {key: "left"}})
+
+
 def test_order_json():
     order = order_from_json(
         {"kind": "quasiStationary", "tags": {"1": "left", "2": "middle", "default": "right"}}
@@ -239,6 +252,11 @@ def test_verdict_rejects_explicit_orders():
     orders = (((1, 1), canonical_order(RIGHT, 4)),)
     with pytest.raises(DiagramError):
         extension_verdict(SPEC, QuasiStationary(default=None, exceptions=orders))
+
+
+def test_verdict_needs_an_odometer_chain():
+    with pytest.raises(DiagramError, match="requires an odometer chain"):
+        extension_verdict(ExplicitFinite([[2, 1], [0, 3]]), QuasiStationary())
 
 
 def test_hand_rule_on_random_assignments():
