@@ -311,8 +311,9 @@ class ExplicitLevels(DiagramSpec):
     """Explicit sparse incidence matrices within a window.
 
     ``levels[n]`` lists entries ``(v, w, mult)`` of F_n, added up by position
-    into the row maps of ``level_rows``.  Every row that appears is a complete
-    description of that row; absent rows are unknown, not zero.
+    into the row maps of ``level_rows``; vertex indices v and w start at 1.
+    Every row that appears is a complete description of that row; absent
+    rows are unknown, not zero.
     """
 
     levels: tuple[tuple[tuple[int, int, int], ...], ...]
@@ -327,6 +328,8 @@ class ExplicitLevels(DiagramSpec):
             )
             _require_ints("explicit-levels entries", (x for e in entries for x in e), DiagramError)
             entries = tuple(sorted(entries))
+            if any(v < 1 or w < 1 for v, w, _ in entries):
+                raise DiagramError("explicit-levels vertex indices start at 1")
             if any(m < 0 for _, _, m in entries):
                 raise DiagramError("multiplicities must be nonnegative")
             rows: dict[int, dict[int, int]] = {}

@@ -486,7 +486,7 @@ def extended_cylinder_measure(
         raise DiagramError("extended cylinder values require an odometer chain")
     if i < 1:
         raise DiagramError("odometer index must be >= 1")
-    end = as_end_vertex(cyl)
+    end = as_end_vertex(spec, cyl)
     m, j = end.length, end.index
     if j < i:
         return _exact0()

@@ -2,11 +2,15 @@
 
 For a finite stationary standard diagram with incidence matrix F, write
 A = F^T and decompose the directed graph of A into communicating classes.
-A class is distinguished when its Perron root strictly exceeds the root of
-every class with access to it; each distinguished class carries a nonnegative
-eigenvector, positive exactly on the vertices with access to the class, and
-that eigenpair induces an ergodic probability measure with cylinder values
-xi(w) / lambda^(n-1) at level n >= 1.
+The classes, their access and their order come from one reach relation,
+bit rows closed by Warshall's algorithm: a class is a mutual-reach set, a
+class has access to every class it reaches, and the classes are numbered in
+Kahn's order over access, ties going to the class a depth-first search
+(roots and successors ascending) finishes first.  A class is distinguished when its Perron root strictly
+exceeds the root of every class with access to it; each distinguished class
+carries a nonnegative eigenvector, positive exactly on the vertices with
+access to the class, and that eigenpair induces an ergodic probability
+measure with cylinder values xi(w) / lambda^(n-1) at level n >= 1.
 
 Perron roots are generally irrational, so each is held in an exact dyadic
 bracket at most ``tol`` wide.  The Perron root of a class block is the
@@ -79,98 +83,50 @@ class ClassDecomposition:
 
 
 def decompose(a_matrix) -> ClassDecomposition:
-    """Strongly connected components of G(A) plus the access relation.
+    """Communicating classes of G(A), their order and access, from one reach relation.
 
-    Edge i -> j exists iff a[i][j] > 0.  Tarjan's algorithm (iterative), then
-    the condensation's transitive closure gives the reduced graph.
+    Edge i -> j exists iff a[i][j] > 0.  ``reach[i]`` is an int bit row with
+    bit j set iff j is reachable from i (reflexive), closed by Warshall's
+    algorithm.  The classes are the mutual-reach sets, and class beta has
+    access to class alpha iff beta's vertices reach alpha's.  The order is
+    Kahn's over that relation: of the classes whose accessing classes are all
+    placed, the next is the one whose vertices a depth-first search (roots
+    and successors ascending) finishes first.  Two such classes do not reach
+    each other, so the search enters them in the same order as it finishes
+    them, and the classes are numbered by entry.
     """
     rows = ExplicitFinite(a_matrix).a_matrix
     n = len(rows)
-    adj = [[j for j in range(n) if rows[i][j] > 0] for i in range(n)]
+    succ = [[j for j, x in enumerate(row) if x] for row in rows]
+    reach = [sum(1 << j for j in out) | 1 << i for i, out in enumerate(succ)]
+    for k in range(n):
+        reach = [r | reach[k] if r >> k & 1 else r for r in reach]
 
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ei = work.pop()
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            for j in range(ei, len(adj[v])):
-                w = adj[v][j]
-                if index[w] == -1:
-                    work.append((v, j + 1))
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+    # the search pops vertices in the preorder of the recursive one; heads[c]
+    # is the vertex it enters class c by
+    heads, classes, placed = [], [], set()
+    seen, stack = [False] * n, list(range(n - 1, -1, -1))
+    while stack:
+        v = stack.pop()
+        if not seen[v]:
+            seen[v] = True
+            stack.extend(reversed(succ[v]))
+            if v not in placed:
+                heads.append(v)
+                classes.append([j for j in range(n) if reach[v] >> j & 1 and reach[j] >> v & 1])
+                placed.update(classes[-1])
 
-    comp_of = {}
-    for ci, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = ci
-    m = len(sccs)
-    cond = [set() for _ in range(m)]
-    for i in range(n):
-        for j in adj[i]:
-            if comp_of[i] != comp_of[j]:
-                cond[comp_of[i]].add(comp_of[j])
-
-    # topological order: accessing classes first
-    indeg = [0] * m
-    for u in range(m):
-        for v in cond[u]:
-            indeg[v] += 1
-    queue = sorted(u for u in range(m) if indeg[u] == 0)
-    topo: list[int] = []
-    while queue:
-        u = queue.pop(0)
-        topo.append(u)
-        for v in sorted(cond[u]):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-        queue.sort()
-    if len(topo) != m:
-        raise DiagramError("condensation is not acyclic (internal error)")
-
-    rank = {ci: pos for pos, ci in enumerate(topo)}
-    classes = tuple(tuple(v + 1 for v in sccs[ci]) for ci in topo)
-
-    # transitive closure over the condensation, in the topological numbering
-    reach = [set() for _ in range(m)]
-    for pos in range(m - 1, -1, -1):
-        ci = topo[pos]
-        for cj in cond[ci]:
-            pj = rank[cj]
-            reach[pos].add(pj)
-            reach[pos].update(reach[pj])
-    reduced = tuple(sorted((b, a) for b in range(m) for a in reach[b]))
+    # accessing[c]: bit b set iff class b != c has access to class c
+    accessing = [sum(1 << b for b, h in enumerate(heads) if h != head and reach[h] >> head & 1) for head in heads]
+    order, left = [], (1 << len(heads)) - 1
+    while left:
+        c = next((c for c in range(len(heads)) if left >> c & 1 and not accessing[c] & left), None)
+        if c is None:
+            raise DiagramError("condensation is not acyclic (internal error)")
+        order.append(c)
+        left ^= 1 << c
+    classes = tuple(tuple(v + 1 for v in classes[c]) for c in order)
+    reduced = tuple((x, y) for x, b in enumerate(order) for y, a in enumerate(order) if accessing[a] >> b & 1)
     return ClassDecomposition(rows, classes, reduced)
 
 

@@ -88,6 +88,8 @@ class ExplicitPath:
 
     def validate(self, spec: DiagramSpec) -> None:
         """Check edge indices against the multiplicities of ``spec``."""
+        if not isinstance(spec, OdometerChain):
+            raise DiagramError("explicit paths need an odometer-chain diagram")
         idx = self.start
         for level, (kind, k) in enumerate(self.edges):
             if kind == VERTICAL:
@@ -103,9 +105,15 @@ class ExplicitPath:
 CylinderSpec = Union[EndVertex, ExplicitPath]
 
 
-def as_end_vertex(cyl: CylinderSpec) -> EndVertex:
-    """Canonical query form: every cylinder reduces to (length, end vertex)."""
-    return cyl if isinstance(cyl, EndVertex) else cyl.end()
+def as_end_vertex(spec: DiagramSpec, cyl: CylinderSpec) -> EndVertex:
+    """Canonical query form: every cylinder reduces to (length, end vertex).
+
+    An explicit path is first checked to be a path of ``spec``.
+    """
+    if isinstance(cyl, EndVertex):
+        return cyl
+    cyl.validate(spec)
+    return cyl.end()
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +306,13 @@ class OdometerMeasure:
         return math.prod(self.spec.vertical_edges(level, self.index) for level in range(m))
 
     def cylinder_value(self, cyl: CylinderSpec) -> Fraction:
-        if isinstance(cyl, ExplicitPath):
-            cyl.validate(self.spec)
-            if any(kind == DIAGONAL for kind, _ in cyl.edges) or cyl.start != self.index:
-                return Fraction(0)
-            cyl = cyl.end()
-        if cyl.index != self.index:
+        end = as_end_vertex(self.spec, cyl)
+        # a path stays in the odometer iff it starts and ends at its vertex:
+        # every diagonal edge lowers the index
+        start = cyl.start if isinstance(cyl, ExplicitPath) else end.index
+        if start != self.index or end.index != self.index:
             return Fraction(0)
-        return Fraction(1, self.level_denominator(cyl.length))
+        return Fraction(1, self.level_denominator(end.length))
 
 
 def odometer_measure(spec: DiagramSpec, index: int) -> OdometerMeasure:
@@ -322,10 +329,12 @@ def cylinder_measure(measure, cyl: CylinderSpec):
 
     Returns an exact :class:`fractions.Fraction` when the measure is exact at
     that cylinder; extension measures may return a certified series result
-    (finite interval, infinite, or undetermined) instead.
+    (finite interval, infinite, or undetermined) instead.  Bare
+    :class:`MeasureVectors` carry no diagram, so an explicit path is read
+    through its end vertex only, unchecked against any diagram.
     """
     if isinstance(measure, MeasureVectors):
-        end = as_end_vertex(cyl)
+        end = cyl if isinstance(cyl, EndVertex) else cyl.end()
         return measure.value(end.length, end.index)
     if hasattr(measure, "cylinder_value"):
         return measure.cylinder_value(cyl)

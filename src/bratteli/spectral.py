@@ -211,7 +211,7 @@ class EigenMeasure:
         return self.pair.xi(v) / power
 
     def cylinder_value(self, cyl: CylinderSpec) -> Fraction:
-        end = as_end_vertex(cyl)
+        end = as_end_vertex(self.spec, cyl)
         return self._value(end.length, end.index)
 
     def measure_vectors(self, window: Truncation) -> MeasureVectors:
@@ -271,7 +271,7 @@ def compare_eigen_vs_extension(
     measure = EigenMeasure(spec, pair)
     entries = []
     for cyl in cylinders:
-        end = as_end_vertex(cyl)
+        end = as_end_vertex(spec, cyl)
         eigen_val = measure.cylinder_value(end)
         ext = extended_cylinder_measure(spec, i, end, max_terms)
         if ext.status == UNDETERMINED:

@@ -266,6 +266,15 @@ def test_vershik_tag_below_index_one_is_a_config_error(capsys):
     assert "tag indices need index >= 1" in err
 
 
+def test_explicit_levels_vertex_below_one_is_a_config_error(capsys):
+    doc = json.dumps({"family": "explicit-levels", "params": {"levels": [[[1, -5, 1]]]}})
+    code, out, err = run(
+        capsys, "diagram", "heights", "--spec-json", doc, "--level", "1", "--max-level", "1", "--max-vertex", "2"
+    )
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "explicit-levels vertex indices start at 1" in err
+
+
 def test_vershik_tags_shorthand(capsys):
     code, out, _ = run(
         capsys, "--format", "json", "vershik", "classify", "--family", "ak", "--a", "4", "--k", "2",

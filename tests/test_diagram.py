@@ -194,6 +194,15 @@ def test_explicit_rows_are_built_once_per_diagram():
         ExplicitLevels((((1, 1, 0), (1, 2, 0)),))
 
 
+@pytest.mark.parametrize("entry", [(1, 0, 1), (0, 1, 4), (1, -5, 1), (-1, 2, 3)])
+def test_explicit_levels_vertex_indices_start_at_one(entry):
+    # there is no vertex 0: heights would report a value at it
+    with pytest.raises(DiagramError, match="explicit-levels vertex indices start at 1"):
+        ExplicitLevels([[(2, 2, 1), entry]])
+    with pytest.raises(DiagramError, match="explicit-levels vertex indices start at 1"):
+        diagram_from_json({"family": "explicit-levels", "params": {"levels": [[list(entry)]]}})
+
+
 def test_explicit_finite_heights_report_only_the_window():
     rng = random.Random(5)
     a = [[rng.randint(0, 2) + (v == w) for w in range(6)] for v in range(6)]

@@ -192,6 +192,31 @@ def test_explicit_path_validation():
         ExplicitPath(1, ((DIAGONAL, 0),))  # walks below vertex 1
     with pytest.raises(DiagramError):
         ExplicitPath(2, ((VERTICAL, 5),)).validate(spec)  # only a-k=2 verticals at vertex 2
+    with pytest.raises(DiagramError, match="odometer-chain"):
+        ExplicitPath(1, ((VERTICAL, 1),)).validate(ExplicitFinite([[2]]))
+
+
+def test_every_diagram_reader_checks_an_explicit_path():
+    from bratteli.extension import extend_odometer, extended_cylinder_measure
+    from bratteli.spectral import compare_eigen_vs_extension, eigen_measure, eigenvector
+
+    spec = StationaryAK(4, 2)
+    pair = eigenvector(spec, 1)
+    readers = {
+        "odometer": odometer_measure(spec, 1).cylinder_value,
+        "eigen": eigen_measure(spec, pair).cylinder_value,
+        "extension": lambda cyl: extended_cylinder_measure(spec, 1, cyl).exact_value,
+        "extended": extend_odometer(spec, 1).cylinder_value,
+        "compare": lambda cyl: compare_eigen_vs_extension(spec, 1, pair, [cyl]).entries[0].eigen_value,
+    }
+    good = ExplicitPath(1, ((VERTICAL, 4),))
+    for name, read in readers.items():
+        assert read(good) == read(EndVertex(1, 1)) == Fraction(1, 4), name
+        with pytest.raises(DiagramError, match="vertical edge 99 out of range 1..4 at level 0, vertex 1"):
+            read(ExplicitPath(1, ((VERTICAL, 99),)))
+    # bare vectors have no diagram to check a path against
+    vectors = ak_eigen_vectors(4, 2, Truncation(2, 2))
+    assert cylinder_measure(vectors, ExplicitPath(1, ((VERTICAL, 99),))) == Fraction(1, 4)
 
 
 def random_path_to(spec, rng, length, end_index):
