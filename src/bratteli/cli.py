@@ -355,6 +355,17 @@ def cmd_measure_cylinder(args, spec, window):
     return report, (["m", "j", "status", "value"], rows), EXIT_UNCERTIFIED if undetermined else EXIT_OK
 
 
+def _vector_entry(level: str, vertex: str, val) -> Fraction:
+    """One ``--vectors`` entry: an int, a float or a string that ``Fraction`` reads, with a nonzero denominator."""
+    where = f"--vectors entry at (level={level}, vertex={vertex})"
+    if isinstance(val, bool) or not isinstance(val, (int, float, str)):
+        raise ConfigError(f"{where} must be a number or a 'num/den' string, not {json.dumps(val)}")
+    try:
+        return Fraction(val)
+    except (ZeroDivisionError, OverflowError):
+        raise ConfigError(f"{where} is not a finite rational: {val!r}") from None
+
+
 def cmd_measure_check_invariance(args, spec, window):
     from . import spectral as sp
     from .measure import MeasureVectors, check_tail_invariance
@@ -363,7 +374,7 @@ def cmd_measure_check_invariance(args, spec, window):
         doc = _require_dict("--vectors", _load_doc(args.vectors), ConfigError)
         levels = _require_dict("--vectors vectors", doc["vectors"], ConfigError)
         table = {
-            int(level): {int(i): Fraction(val) for i, val in _require_dict("--vectors level", row, ConfigError).items()}
+            int(level): {int(i): _vector_entry(level, i, v) for i, v in _require_dict("--vectors level", row, ConfigError).items()}
             for level, row in levels.items()
         }
         mv = MeasureVectors.from_table(table, label="user vectors")
@@ -541,14 +552,9 @@ def cmd_vershik_orbit(args, spec, window):
         raise ConfigError(f"--levels {levels} is deeper than the orbit's paths (max level {window.max_level})")
     order = _load_order(args.tags)
     current = od.vertical_path(spec, args.start_odometer, window.max_level)
-    rows = []
-    trace = []
+    rows, trace = [], []
     for step in range(args.steps):
-        ends, idx = [], current.start
-        for kind, _ in current.edges[:levels]:
-            if kind == od.DIAGONAL:
-                idx -= 1
-            ends.append(idx)
+        ends = [current.vertex_at(l) for l in range(1, levels + 1)]
         trace.append({"step": step, "end_vertices": ends})
         rows.append([str(step)] + [str(e) for e in ends])
         nxt = od.successor(spec, order, current)

@@ -128,10 +128,6 @@ def _undetermined(partial, terms, note=None) -> ConvergenceResult:
     return ConvergenceResult(UNDETERMINED, partial, terms, certificate=note)
 
 
-def _exact0() -> ConvergenceResult:
-    return _finite(Fraction(0), 0, Fraction(0), "disjoint-support", exact=Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # Term streams
 # ---------------------------------------------------------------------------
@@ -228,11 +224,8 @@ def _mass_vertex_table(spec: DiagramSpec, i: int, max_terms: int) -> Convergence
             )
             return _climb(lambda c: mass_series_terms(spec, i, c), Fraction(1), 0, e, eps, why, max_terms)
     if const is None:
-        return _undetermined(
-            1 + sum(mass_series_terms(spec, i, min(max_terms, 64))),
-            min(max_terms, 64),
-            "diagonal sequence has no tail rule usable for certification",
-        )
+        note = "diagonal sequence has no tail rule usable for certification"
+        return _uncertified(lambda c: mass_series_terms(spec, i, c), Fraction(1), 0, note, max_terms)
     # the Neumann series of a triangular matrix with diagonal below a_i,
     # summed by back-substitution
     s = Fraction(1, a_i - const[1] - 1)
@@ -257,6 +250,12 @@ def _climb(terms_of, lead, m, n0, eps, why, max_terms) -> ConvergenceResult:
         if terms[n] < eps:
             raise CertificateError(f"term {m + n} fell below its climb lower bound")
     return _infinite(partial, m + count, why, "climb-lower-bound")
+
+
+def _uncertified(terms_of, lead, m, note, max_terms) -> ConvergenceResult:
+    """Exact sum of the first min(max_terms, 64) terms after ``lead`` (as for ``_climb``), no certificate."""
+    count = min(max_terms, 64)
+    return _undetermined(lead + sum(terms_of(count), Fraction(0)), m + count, note)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +342,7 @@ def _level_series(spec: DiagramSpec, i: int, m: int, r: Optional[int], max_terms
         levels, note = 0, "decreasing level sequence has no certificate"
     count = min(max_terms, max(offset + levels - m, 0))
 
-    den = 1
-    for n in range(m):
-        den *= spec.vertical_edges(n, i)
+    den = OdometerMeasure(spec, i).level_denominator(m)
     top, e = 1, [1] + [0] * min(r or 0, count)
     for n in range(m, m + count):
         a = spec.vertical_edges(n, i)
@@ -419,12 +416,8 @@ def odometer_extension_mass(spec: DiagramSpec, i: int, max_terms: int = DEFAULT_
         return _mass_vertex_table(spec, i, max_terms)
     if spec.level_diag is not None:
         return _level_series(spec, i, 0, None, max_terms)
-    m = min(max_terms, 64)
-    return _undetermined(
-        Fraction(1) + sum(mass_series_terms(spec, i, m)),
-        m,
-        "general multiplicity tables carry no certificate",
-    )
+    note = "general multiplicity tables carry no certificate"
+    return _uncertified(lambda c: mass_series_terms(spec, i, c), Fraction(1), 0, note, max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +482,7 @@ def extended_cylinder_measure(
     end = as_end_vertex(spec, cyl)
     m, j = end.length, end.index
     if j < i:
-        return _exact0()
+        return _finite(Fraction(0), 0, Fraction(0), "disjoint-support", exact=Fraction(0))
     if j == i:
         val = OdometerMeasure(spec, i).cylinder_value(end)
         return _finite(val, 0, Fraction(0), "restriction-exact", exact=val)
@@ -500,10 +493,8 @@ def extended_cylinder_measure(
     if spec.level_diag is not None:
         return _level_series(spec, i, m, j - i, max_terms)
 
-    # exact partial sums, no certificate
-    count = min(max_terms, 64)
-    partial = sum(_cylinder_series_terms(spec, i, m, j, count), Fraction(0))
-    return _undetermined(partial, m + count, "no certificate for this family/cylinder")
+    note = "no certificate for this family/cylinder"
+    return _uncertified(lambda c: _cylinder_series_terms(spec, i, m, j, c), Fraction(0), m, note, max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -537,39 +528,30 @@ class ExtendedMeasure:
             return res.exact_value / self.total_mass.exact_value
         # value in [v_lo, v_hi], mass in [lo, hi]: the quotient lies in
         # [v_lo/hi, v_hi/lo]
-        v_lo, v_hi = res.interval()
-        if res.is_exact:
-            v_lo = v_hi = res.exact_value
+        v_lo, v_hi = (res.exact_value, res.exact_value) if res.is_exact else res.interval()
         lo, hi = self.total_mass.interval()
-        return ConvergenceResult(
-            FINITE,
-            v_lo / hi,
-            res.terms_used,
-            tail_bound=v_hi / lo - v_lo / hi,
-            certificate=f"{res.certificate} / mass interval",
-        )
+        return _finite(v_lo / hi, res.terms_used, v_hi / lo - v_lo / hi, f"{res.certificate} / mass interval")
 
     def measure_vectors(self, window: Truncation) -> MeasureVectors:
-        """Ambient vectors p^(n)_j when every needed cylinder value is exact."""
+        """Ambient vectors p^(n)_j = ``cylinder_value(EndVertex(n, j))``, each value exact or a ``WindowError``.
+
+        A normalized measure whose mass is not exact raises before any value is read.
+        """
         if self.normalized and not self.total_mass.is_exact:
             raise WindowError(
                 f"extension mass of odometer {self.index} is not exact; "
                 "normalized ambient vectors unavailable"
             )
 
-        def fn(n: int, jj: int) -> Fraction:
-            res = extended_cylinder_measure(self.spec, self.index, EndVertex(n, jj))
-            if not res.is_exact:
+        def fn(n: int, j: int) -> Fraction:
+            val = self.cylinder_value(EndVertex(n, j))
+            if not isinstance(val, Fraction):
                 raise WindowError(
-                    f"extension value at (level={n}, vertex={jj}) is not exact; "
-                    "ambient vectors unavailable"
+                    f"extension value at (level={n}, vertex={j}) is not exact; ambient vectors unavailable"
                 )
-            val = res.exact_value
-            if self.normalized:
-                val /= self.total_mass.exact_value
             return val
 
-        return MeasureVectors(fn, window.max_level, lambda n: window.max_vertex, label=f"extension-{self.index}")
+        return MeasureVectors.from_function(fn, window, label=f"extension-{self.index}")
 
 
 def extend_odometer(spec: DiagramSpec, i: int, max_terms: int = DEFAULT_MAX_TERMS) -> ExtendedMeasure:

@@ -173,13 +173,11 @@ class MeasureVectors:
         return val
 
     def perturbed(self, level: int, index: int, delta: Fraction) -> "MeasureVectors":
-        base = self
-
         def fn(n: int, i: int) -> Fraction:
-            v = base._value_fn(n, i)
+            v = self._value_fn(n, i)
             return v + delta if (n, i) == (level, index) else v
 
-        return MeasureVectors(fn, base.max_level, base._width_fn, label=f"{base.label}+perturbation")
+        return MeasureVectors(fn, self.max_level, self._width_fn, label=f"{self.label}+perturbation")
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +221,13 @@ def check_tail_invariance(spec: DiagramSpec, mv: MeasureVectors, window: Truncat
     whose support contains w.  An explicit family's columns are read off every
     row it describes: a row past the certified width of p^(n+1) leaves the
     columns it meets unchecked, and an unknown row among 1..width(n+1) (1..size
-    on a finite diagram) the whole level.  Each row is decided over integers:
-    both sides are multiplied by the product of the denominators of its
-    entries.  Each entry is evaluated once per check through ``mv.value``, so
-    its width and sign checks apply to every entry, and kept as (numerator,
-    denominator) while its level is in use.
+    on a finite diagram) the whole level.  An explicit-levels row past that width
+    which the document leaves out is taken not to meet the checked columns (no
+    vertex count per level tells it from a row past the last vertex).  Each row
+    is decided over integers: both sides are multiplied by the product of the
+    denominators of its entries.  Each entry is evaluated once per check through
+    ``mv.value``, so its width and sign checks apply to every entry, and kept as
+    (numerator, denominator) while its level is in use.
     """
     if mv.max_level < window.max_level:
         raise WindowError("measure vectors are narrower than the requested window")

@@ -40,7 +40,7 @@ from typing import Optional, Union
 from ._frozen import frozen
 from .diagram import DiagramError, DiagramSpec, OdometerChain, Truncation
 from .measure import DIAGONAL, VERTICAL, CylinderSpec, EndVertex, ExplicitPath, cylinder_measure
-from .sequences import _require_dict
+from .sequences import _require_dict, _require_list
 
 LEFT = "left"
 RIGHT = "right"
@@ -140,7 +140,8 @@ class QuasiStationary:
         object.__setattr__(self, "tags", tuple(sorted(dict(self.tags).items())))
         object.__setattr__(self, "exceptions", tuple(sorted(dict(self.exceptions).items())))
         if self.default is not None:
-            default = (self.default,) if isinstance(self.default, str) else tuple(self.default)
+            default = (self.default,) if isinstance(self.default, str) else self.default
+            default = tuple(_require_list("the order default must be a tag or a list of tags", default, DiagramError))
             if not default:
                 raise DiagramError("the default tag cycle needs at least one tag")
             object.__setattr__(self, "default", default)

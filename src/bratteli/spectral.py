@@ -192,30 +192,24 @@ def verify_eigenpair(spec: DiagramSpec, pair: EigenPair, window: Truncation) -> 
 
 @frozen
 class EigenMeasure:
-    """Tail-invariant measure with cylinder values xi_v / lam^m.
+    """Tail-invariant measure with cylinder values xi_v / lam^m, each one ``Fraction`` of integer powers.
 
-    lam^m is computed once per length m and kept with the measure (not a
-    field: it takes no part in equality, hashing or printing).
+    A cylinder is read through its end vertex (m, v); ``measure_vectors`` reads p^(n)_v the same way.
     """
 
     spec: DiagramSpec
     pair: EigenPair
 
-    def __post_init__(self):
-        object.__setattr__(self, "_powers", {})
-
     def _value(self, m: int, v: int) -> Fraction:
-        power = self._powers.get(m)
-        if power is None:
-            power = self._powers[m] = self.pair.lam**m
-        return self.pair.xi(v) / power
+        x, lam = self.pair.xi(v), self.pair.lam
+        return Fraction(x.numerator * lam.denominator**m, x.denominator * lam.numerator**m)
 
     def cylinder_value(self, cyl: CylinderSpec) -> Fraction:
         end = as_end_vertex(self.spec, cyl)
         return self._value(end.length, end.index)
 
     def measure_vectors(self, window: Truncation) -> MeasureVectors:
-        return MeasureVectors(self._value, window.max_level, lambda n: window.max_vertex, label=self.pair.label)
+        return MeasureVectors.from_function(self._value, window, label=self.pair.label)
 
 
 def eigen_measure(spec: DiagramSpec, pair: EigenPair, window: Optional[Truncation] = None) -> EigenMeasure:

@@ -298,6 +298,18 @@ def test_vershik_orbit_csv(capsys):
     assert len(lines) == 11
 
 
+def test_vershik_orbit_reports_the_path_vertex_at_each_level(capsys):
+    code, out, _ = run(
+        capsys, "--format", "csv", "vershik", "orbit", "--family", "ak", "--a", "3", "--k", "1",
+        "--tags", "all-middle", "--steps", "8", "--levels", "4", "--start-odometer", "3",
+    )
+    assert code == EXIT_OK
+    # a path that starts above vertex 3 comes down to it by diagonal edges: steps 3-5 are at vertex 4 on level 1
+    assert out.splitlines()[1:] == [
+        "0,3,3,3,3", "1,3,3,3,3", "2,3,3,3,3", "3,4,3,3,3", "4,4,3,3,3", "5,4,3,3,3", "6,3,3,3,3", "7,3,3,3,3"
+    ]
+
+
 def test_check_invariance(capsys):
     code, out, _ = run(
         capsys, "--format", "json", "measure", "check-invariance", "--family", "ak", "--a", "4", "--k", "2"
@@ -316,6 +328,45 @@ def test_check_invariance_user_vectors(capsys, tmp_path):
     )
     assert code == EXIT_UNCERTIFIED
     assert json.loads(out)["ok"] is False
+
+
+def _check_one_vector_entry(capsys, entry):
+    """check-invariance of p^(0)_1 = 1 and p^(1)_1 = ``entry`` on ak(4, 2), whose relation needs 1/4."""
+    vectors = json.dumps({"vectors": {"0": {"1": 1}, "1": {"1": entry}}})
+    return run(
+        capsys, "--format", "json", "measure", "check-invariance", "--family", "ak", "--a", "4", "--k", "2",
+        "--vectors", vectors,
+    )
+
+
+@pytest.mark.parametrize("entry, rule", [
+    (None, "must be a number or a 'num/den' string, not null"),
+    (True, "must be a number or a 'num/den' string, not true"),
+    ([1], "must be a number or a 'num/den' string, not [1]"),
+    ({"a": 1}, 'must be a number or a \'num/den\' string, not {"a": 1}'),
+    ("1/0", "is not a finite rational: '1/0'"),
+    (float("inf"), "is not a finite rational: inf"),
+], ids=["null", "true", "list", "object", "zero-denominator", "infinity"])
+def test_vector_entries_that_are_not_numbers_are_config_errors(capsys, entry, rule):
+    code, out, err = _check_one_vector_entry(capsys, entry)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert f"--vectors entry at (level=1, vertex=1) {rule}" in err
+
+
+@pytest.mark.parametrize("entry, ok", [(0.25, True), ("1/4", True), ("0.25", True), (1, False), ("2/8", True)])
+def test_vector_entries_read_ints_floats_and_fraction_strings(capsys, entry, ok):
+    code, out, _ = _check_one_vector_entry(capsys, entry)
+    assert code == (EXIT_OK if ok else EXIT_UNCERTIFIED)
+    assert (json.loads(out)["ok"], json.loads(out)["checked_rows"]) == (ok, 1)
+
+
+@pytest.mark.parametrize("default", ["5", "2.5", "true"])
+@pytest.mark.parametrize("command", [["classify", "--imax", "3"], ["orbit", "--steps", "5"]])
+def test_order_default_that_is_not_a_tag_or_a_list_is_a_config_error(capsys, command, default):
+    tags = '{"tags":{"default":%s}}' % default
+    code, out, err = run(capsys, "vershik", *command, "--family", "ak", "--a", "4", "--k", "2", "--tags", tags)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "the order default must be a tag or a list of tags" in err
 
 
 def test_undetermined_exit_code(capsys):

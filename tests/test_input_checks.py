@@ -1,0 +1,135 @@
+"""Input checks across the layers: each bad input raises its own error type and message."""
+
+from fractions import Fraction
+
+import pytest
+
+from bratteli.diagram import (
+    DiagramError,
+    ExplicitFinite,
+    ExplicitLevels,
+    GeneralChain,
+    StationaryAK,
+    Truncation,
+    VertexId,
+    WindowError,
+    count_paths_bruteforce,
+    diagram_from_json,
+    heights,
+)
+from bratteli.extension import classify_ergodic_measures, extended_cylinder_measure, odometer_extension_mass
+from bratteli.finite_stationary import measures_finite_stationary, spectral_radius
+from bratteli.measure import EndVertex, ExplicitPath, MeasureVectors, cylinder_measure
+from bratteli.orders import QuasiStationary, canonical_order, classify_odometer, order_at, order_from_json
+from bratteli.sequences import SequenceError, seq_from_json, seq_from_text
+from bratteli.spectral import EigenError, EigenPair
+
+AK42 = StationaryAK(4, 2)
+FINITE = ExplicitFinite([[2, 1], [0, 2]])
+ONE_ROW = ExplicitLevels([[(2, 1, 1)]])  # level 0 describes vertex 2 only
+ONES = EigenPair(Fraction(2), lambda i: Fraction(1))
+
+# case -> (the call, the error type it raises, its message)
+CASES = {
+    # diagram
+    "vertex-index-0": (lambda: VertexId(0, 0), DiagramError, "vertex index must be >= 1"),
+    "truncation-one-vertex": (lambda: Truncation(1, 1), DiagramError, "truncation needs max_vertex >= 2"),
+    "general-chain-default-1": (lambda: GeneralChain((), 1), DiagramError, "default multiplicity must be >= 2"),
+    "finite-negative-entry": (
+        lambda: ExplicitFinite([[1, -1], [1, 1]]), DiagramError, "matrix entries must be nonnegative"
+    ),
+    "unknown-family": (lambda: diagram_from_json({"family": "nope"}), DiagramError, "unknown diagram family: 'nope'"),
+    "heights-past-window": (
+        lambda: heights(AK42, 5, Truncation(3, 4)), WindowError, "level 5 outside window (max_level=3)"
+    ),
+    "heights-window-too-small": (
+        lambda: heights(ONE_ROW, 1, Truncation(1, 2)),
+        WindowError,
+        "window too small to certify any height at level 1",
+    ),
+    "bruteforce-past-window": (
+        lambda: count_paths_bruteforce(AK42, VertexId(4, 1), Truncation(3, 4)), WindowError, "target outside window"
+    ),
+    "bruteforce-unknown-row": (
+        lambda: count_paths_bruteforce(ONE_ROW, VertexId(1, 1), Truncation(1, 2)),
+        WindowError,
+        "incidence row for vertex 1 at level 0 unknown",
+    ),
+    # extension
+    "mass-not-a-chain": (
+        lambda: odometer_extension_mass(FINITE, 1),
+        DiagramError,
+        "extension mass of an odometer requires an odometer chain",
+    ),
+    "mass-odometer-0": (lambda: odometer_extension_mass(AK42, 0), DiagramError, "odometer index must be >= 1"),
+    "mass-max-terms-1": (lambda: odometer_extension_mass(AK42, 1, 1), DiagramError, "max_terms must be at least 2"),
+    "cylinder-not-a-chain": (
+        lambda: extended_cylinder_measure(FINITE, 1, EndVertex(0, 1)),
+        DiagramError,
+        "extended cylinder values require an odometer chain",
+    ),
+    "classify-not-a-chain": (
+        lambda: classify_ergodic_measures(FINITE, 2),
+        DiagramError,
+        "the odometer classification requires an odometer chain",
+    ),
+    # measure
+    "path-start-0": (lambda: ExplicitPath(0, ()), DiagramError, "path start index must be >= 1"),
+    "path-edge-kind": (lambda: ExplicitPath(1, (("z", 1),)), DiagramError, "unknown edge kind 'z'"),
+    "vector-table-gap": (
+        lambda: MeasureVectors.from_table({0: {1: 1}, 2: {1: 1}}),
+        DiagramError,
+        "measure vector table must cover levels 0..N contiguously",
+    ),
+    "cylinder-under-object": (
+        lambda: cylinder_measure(object(), EndVertex(0, 1)), DiagramError, "cannot evaluate cylinders under object"
+    ),
+    # orders
+    "unknown-order-kind": (lambda: order_from_json({"kind": "x"}), DiagramError, "unknown order kind 'x'"),
+    "order-at-level-0": (
+        lambda: order_at(AK42, QuasiStationary(), 0, 1), DiagramError, "level-0 vertices have no incoming edges"
+    ),
+    "position-of-a-foreign-edge": (
+        lambda: canonical_order("left", 2).position(("v", 9)),
+        DiagramError,
+        "edge ('v', 9) is not incoming at this vertex",
+    ),
+    "classify-odometer-not-a-chain": (
+        lambda: classify_odometer(FINITE, QuasiStationary(), 1),
+        DiagramError,
+        "odometer classification requires an odometer chain",
+    ),
+    # sequences
+    "unknown-sequence-kind": (lambda: seq_from_json({"kind": "x"}), SequenceError, "unknown sequence kind: 'x'"),
+    "unparsable-sequence": (
+        lambda: seq_from_text("bogus:1"), SequenceError, "cannot parse sequence text: 'bogus:1'"
+    ),
+    # spectral
+    "eigen-entry-0": (lambda: ONES.xi(0), EigenError, "eigenvector entries are indexed from 1"),
+    "eigen-entry-negative": (
+        lambda: EigenPair(Fraction(2), lambda i: Fraction(-1)).xi(1),
+        EigenError,
+        "eigenvector entries must be nonnegative",
+    ),
+    "eigen-scaled-by-0": (lambda: ONES.scaled(0), EigenError, "scaling factor must be positive"),
+    # finite_stationary
+    "radius-not-square": (lambda: spectral_radius([[1, 2]]), DiagramError, "block must be square and nonempty"),
+    "radius-negative": (lambda: spectral_radius([[-1]]), DiagramError, "block entries must be nonnegative"),
+    "radius-not-integer": (lambda: spectral_radius([[1.5]]), DiagramError, "block entry 1.5 is not an integer"),
+    "radius-tol-0": (
+        lambda: spectral_radius([[1]], tol=0), DiagramError, "tol must be a positive finite number, not 0"
+    ),
+    "finite-cylinder-level-0": (
+        lambda: measures_finite_stationary([[2]])[0].cylinder_value(0, 1),
+        DiagramError,
+        "cylinder level must be >= 1 on a standard diagram",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_each_input_check_raises_its_type_and_message(case):
+    call, error, message = CASES[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert (info.type, str(info.value)) == (error, message)

@@ -100,6 +100,21 @@ def test_empty_default_tag_cycle_is_rejected():
         order_from_json({"kind": "quasiStationary", "tags": {"default": []}})
 
 
+@pytest.mark.parametrize("default", [5, 2.5, True, {"left": 1}])
+def test_default_that_is_neither_a_tag_nor_a_list_of_tags_is_rejected(default):
+    rule = "the order default must be a tag or a list of tags"
+    with pytest.raises(DiagramError, match=rule):
+        QuasiStationary(default=default)
+    with pytest.raises(DiagramError, match=rule):
+        order_from_json({"tags": {"default": default}})
+
+
+def test_null_default_stays_the_explicit_window_mode():
+    assert order_from_json({"tags": {"default": None}}).default is None
+    assert QuasiStationary(default=[LEFT, RIGHT]).default == (LEFT, RIGHT)
+    assert QuasiStationary(default=LEFT).default == (LEFT,)
+
+
 def test_explicit_order_must_fit_its_vertex():
     # vertex 2 of ak(4, 2) has two vertical edges; this order lists three
     order = QuasiStationary(default=None, exceptions=(((1, 2), canonical_order(RIGHT, 3)),))
