@@ -552,12 +552,17 @@ def cmd_vershik_orbit(args, spec, window):
         raise ConfigError(f"--levels {levels} is deeper than the orbit's paths (max level {window.max_level})")
     order = _load_order(args.tags)
     current = od.vertical_path(spec, args.start_odometer, window.max_level)
+    walk = od._Walk(spec, order)  # the path is valid, so its steps are too
     rows, trace = [], []
     for step in range(args.steps):
-        ends = [current.vertex_at(l) for l in range(1, levels + 1)]
+        ends, idx = [], current.start
+        for kind, _ in current.edges[:levels]:  # one pass up: the vertices at levels 1..levels
+            if kind == od.DIAGONAL:
+                idx -= 1
+            ends.append(idx)
         trace.append({"step": step, "end_vertices": ends})
         rows.append([str(step)] + [str(e) for e in ends])
-        nxt = od.successor(spec, order, current)
+        nxt = walk.step(current)[0]
         if isinstance(nxt, od.AllMaximalPrefix):
             break
         current = nxt

@@ -98,6 +98,8 @@ class ExplicitPath:
                     raise DiagramError(
                         f"vertical edge {k} out of range 1..{mult} at level {level}, vertex {idx}"
                     )
+            elif k != 0:
+                raise DiagramError(f"diagonal edge {k} is not 0 at level {level}, vertex {idx}")
             else:
                 idx -= 1
 

@@ -25,11 +25,16 @@ infinite path is only seen through such a finite prefix; a prefix whose edges
 are all maximal is reported as ``AllMaximalPrefix`` rather than pretending to
 decide the limit.
 
-One successor step costs O(m + L) for carry level m and path length L: it
-walks up the path once, keeping the vertex index, stops at the first
-non-maximal edge, walks down once to build the minimal prefix, and builds one
-``ExplicitPath``.  ``canonical_order`` returns one shared, immutable
-``VertexOrder`` per (tag, a), so no step builds an order.
+An orbit keeps two tables for the length of one call: the order at each
+vertex (n, i) and the minimal prefix into each vertex (m, w).  A step then
+walks up the path to its carry level m, the first non-maximal edge, reading
+each order from the table, takes the minimal prefix below m from the other
+table, and builds one ``ExplicitPath``, which costs O(L) for path length L.
+Below m the new path is that minimal prefix, so an ``EndVertex`` cylinder
+(m', j) is visited exactly when m' <= m and the path passes j at level m':
+the orbit counts those in one pass up to m.  ``successor`` validates its
+path and takes one step with fresh tables.  ``canonical_order`` returns one
+shared, immutable ``VertexOrder`` per (tag, a), so no step builds an order.
 """
 
 from __future__ import annotations
@@ -301,46 +306,95 @@ def vertical_path(spec: DiagramSpec, i: int, depth: int) -> ExplicitPath:
     return path
 
 
-def _minimal_prefix(spec: DiagramSpec, order: QuasiStationary, level: int, index: int) -> tuple[int, tuple[Edge, ...]]:
-    """Start and edges of the order-minimal path from level 0 into vertex
-    (level, index), built by walking down and always taking the minimal
-    incoming edge."""
-    edges: list[Edge] = []
-    cur = index
-    for l in range(level, 0, -1):
-        e = order_at(spec, order, l, cur).minimal
-        edges.append(e)
-        if e[0] == DIAGONAL:
-            cur += 1
-    edges.reverse()
-    return cur, tuple(edges)
+class _Walk:
+    """Successor steps on ``spec`` under ``order``, with two tables that live
+    as long as the walk: the order at each vertex (n, i), and the minimal
+    prefix into each vertex (m, w).  Both fill lazily, so a walk pays only for
+    the vertices its steps meet.  Steps do not validate their paths against
+    ``spec``: a step of a valid path is valid."""
+
+    __slots__ = ("spec", "order", "orders", "prefixes")
+
+    def __init__(self, spec: DiagramSpec, order: QuasiStationary):
+        self.spec = spec
+        self.order = order
+        self.orders: dict[tuple[int, int], VertexOrder] = {}
+        self.prefixes: dict[tuple[int, int], tuple[int, tuple[Edge, ...]]] = {}
+
+    def order_at(self, n: int, i: int) -> VertexOrder:
+        vo = self.orders.get((n, i))
+        if vo is None:
+            vo = self.orders[n, i] = order_at(self.spec, self.order, n, i)
+        return vo
+
+    def prefix(self, level: int, index: int) -> tuple[int, tuple[Edge, ...]]:
+        """Start and edges of the order-minimal path from level 0 into vertex
+        (level, index), built by walking down and always taking the minimal
+        incoming edge."""
+        found = self.prefixes.get((level, index))
+        if found is None:
+            edges: list[Edge] = []
+            cur = index
+            for l in range(level, 0, -1):
+                e = self.order_at(l, cur).minimal
+                edges.append(e)
+                if e[0] == DIAGONAL:
+                    cur += 1
+            edges.reverse()
+            found = self.prefixes[level, index] = (cur, tuple(edges))
+        return found
+
+    def minimal_depth(self, path: ExplicitPath) -> int:
+        """How many leading edges of ``path`` are minimal at their vertex:
+        below that level the path is the minimal prefix into its vertex."""
+        w = path.start
+        for m, edge in enumerate(path.edges):
+            if edge[0] == DIAGONAL:
+                w -= 1
+            if edge != self.order_at(m + 1, w).minimal:
+                return m
+        return len(path.edges)
+
+    def step(self, path: ExplicitPath) -> tuple[Union[ExplicitPath, AllMaximalPrefix], int]:
+        """The successor of ``path`` and its carry level c: the new path is
+        the minimal prefix into its vertex at level c, then the advanced edge
+        at level c, then the unchanged tail.  When every edge is maximal the
+        step is ``AllMaximalPrefix`` and c is the path length."""
+        edges = path.edges
+        orders, prefixes = self.orders, self.prefixes
+        w = path.start
+        for m, edge in enumerate(edges):
+            if edge[0] == DIAGONAL:
+                w -= 1
+            vo = orders.get((m + 1, w)) or self.order_at(m + 1, w)
+            if edge != vo.sequence[-1]:  # the first edge that is not maximal: carry here
+                nxt = vo.successor_of(edge)
+                key = (m, w if nxt[0] == VERTICAL else w + 1)
+                start, prefix = prefixes.get(key) or self.prefix(*key)
+                return ExplicitPath(start, prefix + (nxt,) + edges[m + 1 :]), m
+        return AllMaximalPrefix(), len(edges)
 
 
 def minimal_path_into(spec: DiagramSpec, order: QuasiStationary, level: int, index: int) -> ExplicitPath:
     """The order-minimal finite path from level 0 into vertex (level, index)."""
-    return ExplicitPath(*_minimal_prefix(spec, order, level, index))
+    return ExplicitPath(*_Walk(spec, order).prefix(level, index))
 
 
 def successor(
     spec: DiagramSpec, order: QuasiStationary, path: ExplicitPath
 ) -> Union[ExplicitPath, AllMaximalPrefix]:
-    """One step of the adic successor map on a finite path.
+    """One step of the adic successor map on a finite path of ``spec``.
 
     Finds the smallest level m whose edge is not maximal, advances it to the
     next edge in its vertex order, and replaces everything below with the
     minimal path into the new source vertex; the tail is kept unchanged.
-    The walk up keeps the vertex index, so a step costs O(m + path length).
+    The path is validated first, so a call costs O(path length); the walk up
+    keeps the vertex index and reads each order once.  An orbit steps
+    through ``orbit_frequencies``, which validates once and keeps its tables
+    across steps.
     """
-    edges = path.edges
-    w = path.start
-    for m, edge in enumerate(edges):
-        if edge[0] == DIAGONAL:
-            w -= 1
-        nxt = order_at(spec, order, m + 1, w).successor_of(edge)
-        if nxt is not None:
-            start, prefix = _minimal_prefix(spec, order, m, w if nxt[0] == VERTICAL else w + 1)
-            return ExplicitPath(start, prefix + (nxt,) + edges[m + 1 :])
-    return AllMaximalPrefix()
+    path.validate(spec)
+    return _Walk(spec, order).step(path)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +431,29 @@ def orbit_frequencies(
     that vertex (all cylinders with the same end vertex share one measure
     value, so any concrete representative serves for the comparison).
     Theoretical values, when a measure is supplied, must evaluate exactly.
+    ``start`` and every explicit cylinder must be paths of ``spec``.
     """
-    # one tally per cylinder length, keyed by (start, edges); duplicate
-    # cylinders share a key, so each reads the same count
+    if steps < 0:
+        raise DiagramError(f"steps must be >= 0, not {steps}")
+    start.validate(spec)
+    # An EndVertex(m, j) cylinder is the minimal path into (m, j), so a path
+    # whose first c edges are minimal lies in it exactly when m <= c and the
+    # path's vertex at level m is j: one pass up to c counts them all.
+    # Explicit cylinders keep one tally per length, keyed by (start, edges).
+    # Duplicate cylinders share a key, so each reads the same count.
+    visits: dict[tuple[int, int], int] = {}
     tallies: dict[int, dict] = {}
-    matchers = []
     for cyl in cylinders:
-        path = minimal_path_into(spec, order, cyl.length, cyl.index) if isinstance(cyl, EndVertex) else cyl
-        key = (path.start, path.edges)
-        tallies.setdefault(len(path.edges), {})[key] = 0
-        matchers.append((cyl, key))
+        if isinstance(cyl, EndVertex):
+            visits[cyl.length, cyl.index] = 0
+        else:
+            cyl.validate(spec)
+            tallies.setdefault(len(cyl.edges), {})[cyl.start, cyl.edges] = 0
+    top = max((m for m, _ in visits), default=-1)
 
+    walk = _Walk(spec, order)
     current = start
+    depth = walk.minimal_depth(start)
     done = 0
     aborted = False
     for _ in range(steps):
@@ -400,16 +465,27 @@ def orbit_frequencies(
             key = (current.start, current.edges[:length])
             if key in tally:
                 tally[key] += 1
+        idx = current.start
+        for m in range(min(depth, top) + 1):
+            if m and current.edges[m - 1][0] == DIAGONAL:
+                idx -= 1
+            key = (m, idx)
+            if key in visits:
+                visits[key] += 1
         done += 1
-        step = successor(spec, order, current)
+        step, depth = walk.step(current)
         if isinstance(step, AllMaximalPrefix):
             aborted = True
             break
         current = step
 
     entries = []
-    for cyl, key in matchers:
-        emp = Fraction(tallies[len(key[1])][key], done) if done else Fraction(0)
+    for cyl in cylinders:
+        if isinstance(cyl, EndVertex):
+            count = visits[cyl.length, cyl.index]
+        else:
+            count = tallies[len(cyl.edges)][cyl.start, cyl.edges]
+        emp = Fraction(count, done) if done else Fraction(0)
         theo = None
         if measure is not None:
             val = cylinder_measure(measure, cyl)

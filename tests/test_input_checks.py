@@ -20,7 +20,15 @@ from bratteli.diagram import (
 from bratteli.extension import classify_ergodic_measures, extended_cylinder_measure, odometer_extension_mass
 from bratteli.finite_stationary import measures_finite_stationary, spectral_radius
 from bratteli.measure import EndVertex, ExplicitPath, MeasureVectors, cylinder_measure
-from bratteli.orders import QuasiStationary, canonical_order, classify_odometer, order_at, order_from_json
+from bratteli.orders import (
+    QuasiStationary,
+    canonical_order,
+    classify_odometer,
+    orbit_frequencies,
+    order_at,
+    order_from_json,
+    successor,
+)
 from bratteli.sequences import SequenceError, seq_from_json, seq_from_text
 from bratteli.spectral import EigenError, EigenPair
 
@@ -28,6 +36,7 @@ AK42 = StationaryAK(4, 2)
 FINITE = ExplicitFinite([[2, 1], [0, 2]])
 ONE_ROW = ExplicitLevels([[(2, 1, 1)]])  # level 0 describes vertex 2 only
 ONES = EigenPair(Fraction(2), lambda i: Fraction(1))
+OFF_AK42 = ExplicitPath(1, (("v", 1), ("v", 9)))  # ak(4,2) has 4 vertical edges into (2, 1)
 
 # case -> (the call, the error type it raises, its message)
 CASES = {
@@ -81,6 +90,9 @@ CASES = {
         DiagramError,
         "measure vector table must cover levels 0..N contiguously",
     ),
+    "path-diagonal-edge-not-0": (
+        lambda: ExplicitPath(2, (("f", 5),)).validate(AK42), DiagramError, "diagonal edge 5 is not 0 at level 0, vertex 2"
+    ),
     "cylinder-under-object": (
         lambda: cylinder_measure(object(), EndVertex(0, 1)), DiagramError, "cannot evaluate cylinders under object"
     ),
@@ -93,6 +105,26 @@ CASES = {
         lambda: canonical_order("left", 2).position(("v", 9)),
         DiagramError,
         "edge ('v', 9) is not incoming at this vertex",
+    ),
+    "successor-path-not-in-diagram": (
+        lambda: successor(AK42, QuasiStationary(), OFF_AK42),
+        DiagramError,
+        "vertical edge 9 out of range 1..4 at level 1, vertex 1",
+    ),
+    "orbit-start-not-in-diagram": (
+        lambda: orbit_frequencies(AK42, QuasiStationary(), OFF_AK42, 3, [EndVertex(1, 1)]),
+        DiagramError,
+        "vertical edge 9 out of range 1..4 at level 1, vertex 1",
+    ),
+    "orbit-cylinder-not-in-diagram": (
+        lambda: orbit_frequencies(AK42, QuasiStationary(), ExplicitPath(1, ()), 3, [OFF_AK42]),
+        DiagramError,
+        "vertical edge 9 out of range 1..4 at level 1, vertex 1",
+    ),
+    "orbit-negative-steps": (
+        lambda: orbit_frequencies(AK42, QuasiStationary(), ExplicitPath(1, ()), -1, []),
+        DiagramError,
+        "steps must be >= 0, not -1",
     ),
     "classify-odometer-not-a-chain": (
         lambda: classify_odometer(FINITE, QuasiStationary(), 1),

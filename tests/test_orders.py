@@ -582,6 +582,36 @@ def test_successor_matches_the_level_by_level_reference(spec_name, order_name):
             assert minimal_path_into(spec, order, level, index) == _reference_minimal_path_into(spec, order, level, index)
 
 
+def _path_of_minimal_depth(rng, spec, order, length, depth):
+    """A path of ``length`` edges whose first ``depth`` edges are minimal at
+    their vertex and whose next edge, if any, is not: built from the top down."""
+    top, w = [], rng.randint(1, 4)
+    for n in range(length, depth, -1):  # the edge into (n, w) comes from level n - 1
+        sequence = _reference_order_at(spec, order, n, w).sequence
+        e = rng.choice(sequence[1:] if n == depth + 1 else sequence)
+        top.append(e)
+        if e[0] == DIAGONAL:
+            w += 1
+    prefix = _reference_minimal_path_into(spec, order, depth, w)
+    return ExplicitPath(prefix.start, prefix.edges + tuple(reversed(top)))
+
+
+def _reference_minimal_depth(spec, order, path):
+    for m in range(len(path.edges)):
+        if path.edges[m] != _reference_order_at(spec, order, m + 1, path.vertex_at(m + 1)).minimal:
+            return m
+    return len(path.edges)
+
+
+def _assert_orbit_matches_reference(spec, order, start, steps, cylinders):
+    rep = orbit_frequencies(spec, order, start, steps, cylinders)
+    counts, done, aborted = _reference_orbit(spec, order, start, steps, cylinders)
+    assert (rep.steps_done, rep.aborted) == (done, aborted)
+    assert [e.cylinder for e in rep.entries] == cylinders
+    assert [e.empirical for e in rep.entries] == [Fraction(c, done) for c in counts]
+    return counts
+
+
 @pytest.mark.parametrize("order_name", list(DIFF_ORDERS))
 @pytest.mark.parametrize("spec_name", list(DIFF_SPECS))
 def test_orbit_counts_match_a_slice_per_cylinder(spec_name, order_name):
@@ -589,14 +619,33 @@ def test_orbit_counts_match_a_slice_per_cylinder(spec_name, order_name):
     order = DIFF_ORDERS[order_name](spec)
     rng = random.Random(f"orbit/{spec_name}/{order_name}")
     starts = [(vertical_path(spec, 1, 7), 300), (minimal_path_into(spec, order, 4, 2), 400)]
+    # starts whose minimal depth is each of 0..L: counting at the carry level
+    # must read the start's own cylinders from that depth
+    for length in (3, 6):
+        for depth in range(length + 1):
+            path = _path_of_minimal_depth(rng, spec, order, length, depth)
+            assert _reference_minimal_depth(spec, order, path) == depth
+            starts.append((path, 60))
     for start, steps in starts:
+        length = len(start.edges)
         mixed = [EndVertex(2, 1), EndVertex(0, 1), EndVertex(1, 2), EndVertex(3, 2), ExplicitPath(1, ((VERTICAL, 1),))]
         mixed.append(_reference_minimal_path_into(spec, order, 2, 1))  # the same key as EndVertex(2, 1)
         mixed += [_random_path(rng, spec, order, rng.randint(0, 3)) for _ in range(6)]
-        mixed += [mixed[0], mixed[4], mixed[-1]]  # duplicates each count
-        rep = orbit_frequencies(spec, order, start, steps, mixed)
-        counts, done, aborted = _reference_orbit(spec, order, start, steps, mixed)
-        assert (rep.steps_done, rep.aborted) == (done, aborted)
-        assert [e.cylinder for e in rep.entries] == mixed
-        assert [e.empirical for e in rep.entries] == [Fraction(c, done) for c in counts]
+        mixed += [EndVertex(m, start.vertex_at(m)) for m in range(length + 1)]  # along the start
+        beyond = [EndVertex(length + 1, 1), EndVertex(length + 3, start.start)]  # longer than every path
+        mixed += beyond + [mixed[0], mixed[4], mixed[-1]]  # duplicates each count
+        counts = _assert_orbit_matches_reference(spec, order, start, steps, mixed)
         assert any(counts)
+        assert [counts[mixed.index(c)] for c in beyond] == [0, 0]
+
+
+@pytest.mark.parametrize("spec_name", list(DIFF_SPECS))
+def test_orbits_under_different_orders_back_to_back(spec_name):
+    """Tables live for one call: an orbit under one order leaves nothing for the next."""
+    spec = DIFF_SPECS[spec_name]
+    rng = random.Random(f"back-to-back/{spec_name}")
+    cyls = [EndVertex(m, j) for m in range(4) for j in (1, 2, 3)]
+    cyls += [_random_path(rng, spec, DIFF_ORDERS["left"](spec), rng.randint(1, 3)) for _ in range(4)]
+    start = vertical_path(spec, 2, 6)
+    for order_name in ("left", "right", "order-exceptions", "left", "tag-exceptions", "right"):
+        _assert_orbit_matches_reference(spec, DIFF_ORDERS[order_name](spec), start, 150, cyls)
