@@ -468,7 +468,7 @@ def cmd_finite_classify(args, spec, window):
     tol = args.tol
     dec = fs.decompose(matrix)
     radii = fs.class_radii(dec, tol)
-    measures = fs.class_measures(dec, radii, tol)
+    measures = fs.class_measures(dec, radii)
     distinguished = {m.data.class_index for m in measures}
     classes_doc = []
     for idx, (cls, (lo, hi)) in enumerate(zip(dec.classes, radii)):
@@ -526,12 +526,12 @@ def cmd_vershik_classify(args, spec, window):
     verdict = od.extension_verdict(spec, order, args.imax)
     per_odometer = []
     rows = []
+    # the verdict raised on an undecidable order, so the witnesses name every finite side
+    fr, fl = set(verdict.fr_witness), set(verdict.fl_witness)
     for i in range(1, args.imax + 1):
-        c = od.classify_odometer(spec, order, i)
-        per_odometer.append(
-            {"odometer": i, "finite_right": c.finite_right, "finite_left": c.finite_left}
-        )
-        rows.append([str(i), str(c.finite_right), str(c.finite_left)])
+        right, left = i in fr, i in fl
+        per_odometer.append({"odometer": i, "finite_right": right, "finite_left": left})
+        rows.append([str(i), str(right), str(left)])
     report = {
         "i_fr": verdict.i_fr,
         "i_fl": verdict.i_fl,

@@ -14,7 +14,8 @@ places.  The families ak, decreasing, increasing, nonstationary-uniform and
 general-chain are spellings of it (``StationaryAK`` ... ``GeneralChain``).
 Its path counts obey one recursion, N_(n+1)(v) = a_n(v) N_n(v) + N_n(v+1),
 written once as :meth:`OdometerChain.path_step`: tower heights here, and the
-mass-series heights and cylinder terms of ``extension``, all step through it.
+one series-term stream of ``extension`` for masses and cylinders, step
+through it.
 Everything is exact integer arithmetic; a :class:`Truncation` only bounds what
 a caller asks for, never the precision of what is returned.
 """
@@ -195,8 +196,9 @@ class OdometerChain(DiagramSpec):
         ``counts`` holds N_n(v) for v = lo, lo+1, ... and ``top`` the count at
         the vertex just above them: 0 for the paths from a cylinder's end
         vertex, a closed-form height, or None when it is unknown, and then the
-        top vertex drops out of the result.  Tower heights, the mass-series
-        heights and the cylinder terms all take their levels from here.
+        top vertex drops out of the result.  Tower heights and the extension
+        series terms, of masses and cylinders alike, take their levels from
+        here.
         """
         col = self.multiplicities(n, lo + len(counts) - 1 - (top is None), lo)
         nxt = [a * x + y for a, x, y in zip(col, counts, counts[1:])]

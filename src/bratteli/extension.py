@@ -6,9 +6,11 @@ The total mass of the canonical extension of a subdiagram measure is
         f^(n)_{v,w} * H^(n)_w * p^(n+1)_v
 
 a series of nonnegative rational terms.  For one odometer of an odometer
-chain this collapses to  sum_n H^(n)_{i+1} / (a_0(i) ... a_n(i)).  Its
-heights, and the path counts N_n(i+1) of the cylinder series, come from the
-chain's one path-count step, :meth:`OdometerChain.path_step`.
+chain this collapses to  1 + sum_n H^(n)_{i+1} / (a_0(i) ... a_n(i)), and a
+cylinder value to the same series over the paths from the cylinder's end
+vertex.  One term stream yields both: it steps the path counts N_n(i+1) up
+with the chain's :meth:`OdometerChain.path_step`, from every vertex of level
+0 for the mass and from the end vertex for a cylinder.
 
 The engine never reports a finite or infinite verdict without a certificate:
 
@@ -133,34 +135,35 @@ def _undetermined(partial, terms, note=None) -> ConvergenceResult:
 # ---------------------------------------------------------------------------
 
 
-def _odometer_denominators(spec: DiagramSpec, i: int, count: int) -> list[int]:
-    """Partial products a_0(i) ... a_n(i) for n = 0..count-1."""
-    out, acc = [], 1
-    for n in range(count):
-        acc *= spec.vertical_edges(n, i)
-        out.append(acc)
-    return out
+def _series_terms(spec: OdometerChain, i: int, m: int, j: Optional[int], count: int) -> list[Fraction]:
+    """Exact terms N_n(i+1) / (a_0(i) ... a_n(i)) for n = m..m+count-1.
 
-
-def _heights_of_vertex(spec: OdometerChain, v0: int, count: int) -> list[int]:
-    """H^(n)_{v0} for n = 0..count-1, exact, by the chain's ``path_step``.
-
-    From a vertex ``free`` on, heights have the closed form
+    N_n(v) counts the paths up to (n, v), stepped up by the chain's
+    ``path_step`` from vertex i+1 on.  A cylinder's paths start at its end
+    vertex (m, j), so no path reaches vertex j+1.  The mass (j None, m = 0)
+    counts the paths from every vertex of level 0, the heights H^(n)_(i+1).
+    From a vertex ``free`` on they have the closed form
     H^(n)_v = prod_(l<n) (a_l(free) + 1): ``free`` is the first vertex of the
     constant range of a vertex-indexed chain and vertex 1 of a level-indexed
-    one.  The loop tracks v0..free-1 and feeds the closed form in as the top
-    count; without such a vertex it walks the dependence cone of v0.
+    one.  The loop tracks i+1..free-1 and feeds the closed form in as the top
+    count; without such a vertex it walks the dependence cone of i+1.
     """
-    const = spec.constant_range
-    free = const[0] if const else (1 if spec.level_diag is not None else None)
-    counts = [1] * (count if free is None else max(free - v0, 0))
-    top = None if free is None else 1
-    out = [1]
-    for n in range(1, count):
-        counts = spec.path_step(n - 1, v0, counts, top)
-        if top is not None:
-            top *= spec.vertical_edges(n - 1, free) + 1
-        out.append(counts[0] if counts else top)
+    if j is None:
+        const = spec.constant_range
+        free = const[0] if const else (1 if spec.level_diag is not None else None)
+        counts = [1] * (count if free is None else max(free - i - 1, 0))
+        top = None if free is None else 1
+    else:
+        free, counts, top = None, [0] * (j - i - 1) + [1], 0
+    den = OdometerMeasure(spec, i).level_denominator(m)
+    out = []
+    for n in range(m, m + count):
+        if n > m:
+            counts = spec.path_step(n - 1, i + 1, counts, top)
+            if free is not None:
+                top *= spec.vertical_edges(n - 1, free) + 1
+        den *= spec.vertical_edges(n, i)
+        out.append(Fraction(counts[0] if counts else top, den))
     return out
 
 
@@ -170,24 +173,7 @@ def mass_series_terms(spec: DiagramSpec, i: int, count: int) -> list[Fraction]:
         raise DiagramError("mass series terms are defined for odometer chains")
     if i < 1:
         raise DiagramError("odometer index must be >= 1")
-    hs = _heights_of_vertex(spec, i + 1, count)
-    dens = _odometer_denominators(spec, i, count)
-    return [Fraction(h, d) for h, d in zip(hs, dens)]
-
-
-def _cylinder_series_terms(spec: DiagramSpec, i: int, m: int, j: int, count: int) -> list[Fraction]:
-    """Exact terms N_n(i+1) / (a_0(i) ... a_n(i)) for n = m..m+count-1.
-
-    N_n(v) counts the paths from (m, j) up to (n, v), stepped up by the
-    chain's ``path_step`` on the vertices i+1..j.
-    """
-    dens = _odometer_denominators(spec, i, m + count)
-    counts = [0] * (j - i - 1) + [1]  # N_m(i+1..j); no path from (m, j) reaches vertex j+1
-    out = []
-    for n in range(m, m + count):
-        out.append(Fraction(counts[0], dens[n]))
-        counts = spec.path_step(n, i + 1, counts, 0)
-    return out
+    return _series_terms(spec, i, 0, None, count)
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +208,10 @@ def _mass_vertex_table(spec: DiagramSpec, i: int, max_terms: int) -> Convergence
                 f"H^(n)_{i + 1} >= {g}^{_exponent(e)} by climbing to vertex {w}, whose heights grow "
                 f"at least {g}-fold per level, and {g} >= {a_i}, so t_n >= {eps} for n >= {e}"
             )
-            return _climb(lambda c: mass_series_terms(spec, i, c), Fraction(1), 0, e, eps, why, max_terms)
+            return _climb(spec, i, 0, None, e, eps, why, max_terms)
     if const is None:
         note = "diagonal sequence has no tail rule usable for certification"
-        return _uncertified(lambda c: mass_series_terms(spec, i, c), Fraction(1), 0, note, max_terms)
+        return _uncertified(spec, i, 0, None, note, max_terms)
     # the Neumann series of a triangular matrix with diagonal below a_i,
     # summed by back-substitution
     s = Fraction(1, a_i - const[1] - 1)
@@ -234,16 +220,16 @@ def _mass_vertex_table(spec: DiagramSpec, i: int, max_terms: int) -> Convergence
     return _finite(Fraction(1), 0, s, "resolvent-exact", exact=1 + s)
 
 
-def _climb(terms_of, lead, m, n0, eps, why, max_terms) -> ConvergenceResult:
+def _climb(spec, i, m, j, n0, eps, why, max_terms) -> ConvergenceResult:
     """Divergence from t_n >= eps for n >= n0, checked on the terms computed.
 
-    ``terms_of(count)`` gives the series terms from index m on; the result
-    sums them after ``lead``.  A budget that stops at or before term n0
+    The terms are those of ``_series_terms(spec, i, m, j, ...)``, summed after
+    the leading 1 of a mass.  A budget that stops at or before term n0
     checks nothing and stays undetermined.
     """
     count = min(max_terms, max(n0 + 8, 48))
-    terms = terms_of(count)
-    partial = lead + sum(terms, Fraction(0))
+    terms = _series_terms(spec, i, m, j, count)
+    partial = sum(terms, Fraction(j is None))
     if count <= n0:
         return _undetermined(partial, m + count, _SHORT)
     for n in range(n0, count):
@@ -252,10 +238,10 @@ def _climb(terms_of, lead, m, n0, eps, why, max_terms) -> ConvergenceResult:
     return _infinite(partial, m + count, why, "climb-lower-bound")
 
 
-def _uncertified(terms_of, lead, m, note, max_terms) -> ConvergenceResult:
-    """Exact sum of the first min(max_terms, 64) terms after ``lead`` (as for ``_climb``), no certificate."""
+def _uncertified(spec, i, m, j, note, max_terms) -> ConvergenceResult:
+    """Exact sum of the first min(max_terms, 64) terms (as for ``_climb``), no certificate."""
     count = min(max_terms, 64)
-    return _undetermined(lead + sum(terms_of(count), Fraction(0)), m + count, note)
+    return _undetermined(sum(_series_terms(spec, i, m, j, count), Fraction(j is None)), m + count, note)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +403,7 @@ def odometer_extension_mass(spec: DiagramSpec, i: int, max_terms: int = DEFAULT_
     if spec.level_diag is not None:
         return _level_series(spec, i, 0, None, max_terms)
     note = "general multiplicity tables carry no certificate"
-    return _uncertified(lambda c: mass_series_terms(spec, i, c), Fraction(1), 0, note, max_terms)
+    return _uncertified(spec, i, 0, None, note, max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +426,7 @@ def _cylinder_series_vertex_table(spec, i, m, j, max_terms) -> ConvergenceResult
             f"vertical edges of odometer {w}, and {top} >= {a_i}, so t_n >= {eps} "
             f"for n >= {m + d}"
         )
-        return _climb(lambda c: _cylinder_series_terms(spec, i, m, j, c), Fraction(0), m, d, eps, why, max_terms)
+        return _climb(spec, i, m, j, d, eps, why, max_terms)
     if min(zone) == top:
         # one constant multiplicity below a_i: partial sums of
         # C(n-m, d) top^(n-m-d) / a_i^(n+1) toward their exact total
@@ -494,7 +480,7 @@ def extended_cylinder_measure(
         return _level_series(spec, i, m, j - i, max_terms)
 
     note = "no certificate for this family/cylinder"
-    return _uncertified(lambda c: _cylinder_series_terms(spec, i, m, j, c), Fraction(0), m, note, max_terms)
+    return _uncertified(spec, i, m, j, note, max_terms)
 
 
 # ---------------------------------------------------------------------------

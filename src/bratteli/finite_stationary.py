@@ -420,7 +420,7 @@ def distinguished_eigenvector(
             raise DiagramError(
                 f"class {alpha} is not distinguished: class {beta} has access to it and a radius as large"
             )
-    return _eigenvector(dec, alpha, radius, tol)
+    return _eigenvector(dec, alpha, radius)
 
 
 def _factor(m: list[list[float]]) -> tuple[list[list[float]], list[int]]:
@@ -486,7 +486,7 @@ def _perron_vector(block: tuple[tuple[int, ...], ...], radius: PerronBracket) ->
     raise CertificateError("inverse iteration did not settle on a Perron vector")
 
 
-def _eigenvector(dec: ClassDecomposition, alpha: int, radius: PerronBracket, tol: float) -> DistinguishedData:
+def _eigenvector(dec: ClassDecomposition, alpha: int, radius: PerronBracket) -> DistinguishedData:
     a = dec.matrix
     n = dec.size
     if radius.high - radius.low > _VECTOR_WIDTH:
@@ -508,9 +508,12 @@ def _eigenvector(dec: ClassDecomposition, alpha: int, radius: PerronBracket, tol
     support = dec.access_set(alpha)
     if any(x[v - 1] <= 0 for v in support):
         raise CertificateError(f"eigenvector of class {alpha} is not positive on its access set")
+    # the vector comes from a bracket at most 2^-40 wide and sums of n float
+    # products of size up to rho_hi |x|, whatever the reported radius width
     residual = max(abs(sum(map(operator.mul, row, x)) - rho * xi) for row, xi in zip(a, x))
-    if residual > 10 * max(tol, 1e-15) * max(x):
-        raise CertificateError(f"eigen residual {residual} of class {alpha} exceeds 10 * tol")
+    bound = 10 * (2.0**-40 + n * radius[1] * 2.0**-52) * max(x)
+    if residual > bound:
+        raise CertificateError(f"eigen residual {residual} of class {alpha} exceeds its bound {bound}")
     return DistinguishedData(alpha, radius, tuple(x), support)
 
 
@@ -539,17 +542,15 @@ class FiniteStationaryMeasure:
 def measures_finite_stationary(a_matrix, tol: float = 1e-12) -> list[FiniteStationaryMeasure]:
     """One ergodic probability measure per distinguished class of A = F^T."""
     dec = decompose(a_matrix)
-    return class_measures(dec, class_radii(dec, tol), tol)
+    return class_measures(dec, class_radii(dec, tol))
 
 
-def class_measures(
-    dec: ClassDecomposition, radii: list[PerronBracket], tol: float
-) -> list[FiniteStationaryMeasure]:
+def class_measures(dec: ClassDecomposition, radii: list[PerronBracket]) -> list[FiniteStationaryMeasure]:
     """``measures_finite_stationary`` on a decomposition whose class radii
-    ``class_radii(dec, tol)`` already bracketed."""
+    ``class_radii`` already bracketed."""
     out = []
     for alpha in _distinguished(dec, radii):
-        data = _eigenvector(dec, alpha, radii[alpha], tol)
+        data = _eigenvector(dec, alpha, radii[alpha])
         total = sum(data.xi)
         xi_norm = tuple(v / total for v in data.xi)
         out.append(FiniteStationaryMeasure(data, data.rho_mid, xi_norm, data.xi))

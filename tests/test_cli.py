@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from decimal import getcontext, localcontext
@@ -648,6 +649,56 @@ def test_every_command_in_every_format(capsys, command, fmt):
         assert out.strip()
 
 
+def test_a_cylinder_that_is_not_a_pair_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "cylinder", *AK, "--cylinders", "(3)"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "argument --cylinders: '(3)' is not an (m,j) pair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["measure", "cylinder", *AK, "--cylinders", ";"], "error: no cylinders given"),
+    (["eigen", "measure", *AK], "error: eigen measure needs --request or --cylinders"),
+    (["measure", "classify"], "error: no diagram family given (use --family or --spec-json)"),
+])
+def test_missing_inputs_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert message in err
+
+
+def test_config_commands_as_lists_and_true_flags(capsys, tmp_path):
+    path = tmp_path / "run.json"
+    options = {"family": "ak", "a": 4, "k": 2, "level": 2, "max_vertex": 3, "verify_bruteforce": True}
+    path.write_text(json.dumps({"command": ["diagram", "heights"], "format": "json", "options": options}))
+    code, out, _ = run(capsys, "--config", str(path))
+    report = json.loads(out)
+    assert code == EXIT_OK and report["command"] == "diagram heights"
+    assert report["bruteforce"] == {"1": "23", "2": "9", "3": "9"} and report["bruteforce_mismatches"] == []
+    path.write_text(json.dumps({"command": 5, "options": options}))
+    code, out, err = run(capsys, "--config", str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "config error: config needs a 'command' string or list" in err
+
+
+def test_bruteforce_heights_past_the_work_budget_report_no_mismatches(capsys, monkeypatch):
+    monkeypatch.setenv("BRATTELI_MAX_WORK", "5")
+    args = ["--format", "json", "diagram", "heights", *AK, "--level", "2", "--max-vertex", "3", "--verify-bruteforce"]
+    code, out, _ = run(capsys, *args)
+    report = json.loads(out)
+    assert code == EXIT_OK
+    assert report["bruteforce"] == dict.fromkeys(("1", "2", "3"), "budget-exceeded")
+    assert report["bruteforce_mismatches"] == []
+
+
+def test_orbit_stops_at_its_all_maximal_prefix(capsys):
+    argv = ["--format", "json", "vershik", "orbit", "--family", "ak", "--a", "3", "--k", "2", "--tags", "all-left"]
+    code, out, _ = run(capsys, *argv, "--max-level", "2", "--levels", "2", "--steps", "100")
+    report = json.loads(out)
+    assert code == EXIT_OK
+    assert report["steps"] == len(report["trace"]) == 11
+
+
 def test_size_flags_are_bounded_by_the_work_budget(capsys, monkeypatch):
     monkeypatch.setenv("BRATTELI_MAX_WORK", "50")
     orbit = ["vershik", "orbit", *AK, "--tags", "all-left"]
@@ -1019,6 +1070,25 @@ def test_finite_classify_takes_its_eigen_data_from_a_narrow_bracket(capsys):
     for got, want in zip(wide["measures"], narrow["measures"]):
         assert abs(got["lambda"] - want["lambda"]) <= 1e-12
         assert all(abs(x - y) <= 1e-12 for x, y in zip(got["xi_raw"], want["xi_raw"]))
+
+
+def test_finite_classify_certifies_eigenvectors_below_any_tol(capsys):
+    # seeded matrices of size 2-30; at --tol 1e-15 a residual bound of
+    # 10 * tol refused 19 of the first 100, the smallest 18x18
+    rng = random.Random(5)
+    solved = 0
+    for _ in range(100):
+        n = rng.randint(2, 30)
+        matrix = [[rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(n)]
+        if n < 18:
+            continue
+        code, out, err = run(capsys, "--format", "json", "finite", "classify", "--matrix", json.dumps(matrix), "--tol", "1e-15")
+        if "has no incoming edges" in err or "has no outgoing edges" in err:
+            assert code == EXIT_CONFIG
+            continue
+        assert (code, err) == (EXIT_OK, ""), n
+        solved += len(json.loads(out)["measures"])
+    assert solved == 44
 
 
 @pytest.mark.parametrize("tags, message", [

@@ -34,7 +34,7 @@ from bratteli.diagram import (
     heights,
     telescope,
 )
-from bratteli.extension import _cylinder_series_terms, mass_series_terms
+from bratteli.extension import _series_terms, mass_series_terms
 from bratteli.sequences import Arithmetic, Constant, Geometric, Table
 
 SEEDS = range(6)
@@ -114,7 +114,7 @@ def test_cylinder_numerators_match_telescoped_blocks(kind):
             den = 1
             for n in range(m):
                 den *= spec.vertical_edges(n, i)
-            for n, term in enumerate(_cylinder_series_terms(spec, i, m, j, count), start=m):
+            for n, term in enumerate(_series_terms(spec, i, m, j, count), start=m):
                 den *= spec.vertical_edges(n, i)
                 if n == m:
                     paths = int(j == i + 1)

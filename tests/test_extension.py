@@ -12,6 +12,7 @@ Core claims:
       sigma-finite k = 1 case, and add up across levels to the total mass
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -19,9 +20,12 @@ from fractions import Fraction
 import pytest
 
 from bratteli.diagram import (
+    DEFAULT_MAX_TERMS,
     DiagramError,
+    ExplicitFinite,
     GeneralChain,
     NonStationaryUniform,
+    OdometerChain,
     StationaryAK,
     StationaryDecreasing,
     StationaryIncreasing,
@@ -40,7 +44,7 @@ from bratteli.extension import (
     extend_odometer,
     extended_cylinder_measure,
     mass_series_terms,
-    _cylinder_series_terms,
+    _series_terms,
 )
 from bratteli.measure import EndVertex, check_tail_invariance
 from bratteli.sequences import Arithmetic, Constant, Geometric, Polynomial, SequenceError, Table
@@ -272,6 +276,61 @@ def test_reported_partial_matches_term_stream():
     assert res.partial_sum == 1 + sum(terms)
 
 
+def _pinned_chains():
+    """Seeded chains of every kind, decreasing and level tables with and without a tail."""
+    rng = random.Random(23)
+    chains = [StationaryIncreasing(), StationaryDecreasing(Arithmetic(9, -1))]
+    for _ in range(2):
+        a = rng.randint(2, 6)
+        entries = [[rng.randint(0, 5), rng.randint(1, 5), rng.randint(2, 4)] for _ in range(rng.randint(1, 4))]
+        chains += [
+            StationaryAK(a, rng.randint(1, a - 1)),
+            StationaryDecreasing(Table(tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 4))), Constant(rng.randint(1, 4)))),
+            StationaryDecreasing(Table(tuple(sorted((rng.randint(2, 9) for _ in range(4)), reverse=True)))),
+            # long enough for every term the uncertified sum reads
+            StationaryDecreasing(Table((9,) + tuple(rng.randint(2, 8) for _ in range(80)))),
+            NonStationaryUniform(Constant(rng.randint(2, 4))),
+            NonStationaryUniform(Arithmetic(rng.randint(2, 4), rng.randint(1, 3))),
+            NonStationaryUniform(Geometric(rng.randint(2, 3), rng.randint(2, 3))),
+            NonStationaryUniform(Polynomial((rng.randint(2, 5), rng.randint(0, 3), rng.randint(1, 2)))),
+            NonStationaryUniform(Table(tuple(rng.randint(2, 9) for _ in range(rng.randint(1, 3))), Geometric(3, 2))),
+            NonStationaryUniform(Table(tuple(rng.randint(2, 9) for _ in range(rng.randint(1, 3))))),
+            GeneralChain(entries, rng.randint(2, 3)),
+            OdometerChain(Constant(rng.randint(2, 3)), True, entries),
+        ]
+    return chains
+
+
+def _pinned(call):
+    """Every field of a series result, or the error a call raised."""
+    try:
+        res = call()
+    except ValueError as exc:
+        return (type(exc).__name__, str(exc))
+    if isinstance(res, list):
+        return res
+    return tuple(getattr(res, name) for name in res.__slots__)
+
+
+def test_series_answers_digest_on_a_seeded_corpus():
+    # every term, partial sum, terms_used, verdict and certificate string of
+    # the masses and cylinders, on chains of every kind
+    digest = hashlib.sha256()
+    for spec in _pinned_chains():
+        for i in (1, 2, 3):
+            answers = [_pinned(lambda: mass_series_terms(spec, i, 40))]
+            for m in (0, 1, 2):
+                answers += [_pinned(lambda: _series_terms(spec, i, m, j, 24)) for j in range(i + 1, i + 5)]
+            for max_terms in (2, 8, DEFAULT_MAX_TERMS):
+                answers.append(_pinned(lambda: odometer_extension_mass(spec, i, max_terms)))
+                for m in (0, 1, 2):
+                    for j in range(1, i + 5):
+                        answers.append(_pinned(lambda: extended_cylinder_measure(spec, i, EndVertex(m, j), max_terms)))
+            digest.update(repr((spec, i, answers)).encode())
+    # computed with the three term helpers the one term stream replaced
+    assert digest.hexdigest() == "8a0db65206c4c3e02e07fec2bd517a14abb706926402f4efb51c421745322557"
+
+
 # -- extended cylinder values -----------------------------------------------------
 
 
@@ -380,7 +439,7 @@ def test_level_intervals_contain_bruteforce_partial_sums():
         for m, j in [(0, 2), (0, 3), (1, 4), (2, 6)]:
             res = extended_cylinder_measure(spec, 1, EndVertex(m, j))
             assert res.status != UNDETERMINED
-            terms = _cylinder_series_terms(spec, 1, m, j, res.terms_used + 40)
+            terms = _series_terms(spec, 1, m, j, res.terms_used + 40)
             assert res.partial_sum == sum(terms[: res.terms_used], Fraction(0))
             if res.status == FINITE:
                 for cut in (j, res.terms_used // 2, len(terms)):
@@ -521,6 +580,15 @@ def test_normalized_vectors_need_exact_mass():
         ext.measure_vectors(Truncation(3, 3))
 
 
+def test_unnormalized_vectors_refuse_a_value_that_is_not_exact():
+    # odometer 2 of the (4, 2) chain: vertex 3 has a_3 = a_2, so the cylinder
+    # (1, 3) climbs to an infinite value
+    mv = extend_odometer(StationaryAK(4, 2), 2).measure_vectors(Truncation(2, 4))
+    assert mv.value(1, 2) == Fraction(1, 2)
+    with pytest.raises(WindowError, match=r"extension value at \(level=1, vertex=3\) is not exact"):
+        mv.value(1, 3)
+
+
 # -- classification ---------------------------------------------------------------
 
 
@@ -561,6 +629,9 @@ def test_oracle_values():
     assert closed_form_oracles(DEC, 1).status == FINITE
     assert closed_form_oracles(StationaryIncreasing(), 3).status == INFINITE
     assert closed_form_oracles(GeneralChain(((0, 1, 3),), default=2)) is None
+    assert closed_form_oracles(ExplicitFinite([[2, 0], [1, 3]])) is None
+    # a diagonal without a constant tail whose next entry is smaller has no closed form
+    assert closed_form_oracles(StationaryDecreasing(Arithmetic(9, -1)), 1) is None
     # ak chains go through the vertex-indexed closed form: tau = a - k
     for a in range(2, 11):
         for k in range(1, a):

@@ -8,7 +8,8 @@ Core claims:
     - spectral radii are bracketed within tolerance (exact on 1x1 blocks),
       and the brackets hold numpy's eigenvalues on random and tied matrices
     - equal radii across an access pair are decided exactly, rational or not
-    - eigenvectors have small residuals and exact positivity patterns
+    - eigenvectors have small residuals and exact positivity patterns, and
+      a residual bound that no tol loosens or tightens
     - the induced vectors satisfy the level relation within 10 * tol
 """
 
@@ -22,7 +23,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bratteli.diagram import DiagramError
+from bratteli import finite_stationary as fs
+from bratteli.diagram import CertificateError, DiagramError
 from bratteli.finite_stationary import (
     decompose,
     distinguished_classes,
@@ -391,6 +393,20 @@ def test_block_diagonal_indicator_vectors():
         support = [v - 1 for v in data.support]
         assert len(support) == 1
         assert data.xi[support[0]] > 0
+
+
+@pytest.mark.parametrize("a", [[[2, 1], [1, 2]], [[3, 1, 0], [1, 3, 0], [1, 1, 1]]])
+@pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-3, 0.5])
+def test_a_perturbed_perron_vector_is_refused_at_every_tol(monkeypatch, a, tol):
+    perron = fs._perron_vector
+
+    def perturbed(block, radius):
+        x = perron(block, radius)
+        return [x[0] * (1 + 1e-6)] + x[1:]
+
+    monkeypatch.setattr(fs, "_perron_vector", perturbed)
+    with pytest.raises(CertificateError, match="eigen residual .* exceeds its bound"):
+        measures_finite_stationary(a, tol)
 
 
 def test_eigenvector_of_a_class_that_is_not_distinguished_is_refused():

@@ -23,6 +23,7 @@ from bratteli.diagram import (
     StationaryAK,
     StationaryDecreasing,
     Truncation,
+    WindowError,
 )
 from bratteli.measure import (
     DIAGONAL,
@@ -148,6 +149,14 @@ def test_table_widths_are_scanned_once():
         assert [mv.width(n) for n in range(5)] == [5, 3, 0, 4, 0]
         assert all(mv.value(n, i) == Fraction(1, i) for n, w in widths.items() for i in range(1, w + 1))
     assert _CountingRow.scans == sum(w + 1 for w in widths.values())
+
+
+def test_values_outside_the_width_are_not_certified():
+    mv = MeasureVectors.from_function(lambda n, i: Fraction(1, i), Truncation(2, 3))
+    assert mv.value(2, 3) == Fraction(1, 3)
+    for level, index in ((0, 4), (3, 1), (-1, 1), (0, 0)):
+        with pytest.raises(WindowError, match=rf"entry \(level={level}, vertex={index}\) is not certified"):
+            mv.value(level, index)
 
 
 # -- odometer measures --------------------------------------------------------
