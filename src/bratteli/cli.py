@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Optional
 
 # every --family needs these two; each handler imports the other layers it uses
 from . import diagram as dg
-from .sequences import _require_dict, _require_ints, _require_list, seq_from_text
+from .sequences import _int_str, _require_dict, _require_ints, _require_list, seq_from_text
 
 if TYPE_CHECKING:
     from .extension import ConvergenceResult
@@ -59,11 +59,6 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # Value formatting
 # ---------------------------------------------------------------------------
-
-
-def _int_str(n: int) -> str:
-    # Decimal prints an integer of any length; str(int) refuses beyond sys.get_int_max_str_digits()
-    return str(Decimal(n))
 
 
 def fr_str(x: Fraction) -> str:

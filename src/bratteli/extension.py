@@ -19,7 +19,8 @@ The engine never reports a finite or infinite verdict without a certificate:
   series is the Neumann series of a triangular matrix with diagonal below
   a_i, summed exactly by one back-substitution to e^T (a_i I - M)^(-1) r
   (``resolvent-exact``; a cylinder whose zone is one constant multiplicity
-  keeps its negative-binomial term sum, ``negative-binomial-exact``).
+  keeps its negative-binomial term sum toward that value,
+  ``negative-binomial-exact``).
   Otherwise a path climbs by diagonal steps to a vertex whose heights grow
   at least a_i-fold per level, which keeps every later term above a positive
   rational (``climb-lower-bound``);
@@ -53,7 +54,7 @@ from .diagram import (
     WindowError,
 )
 from .measure import CylinderSpec, EndVertex, MeasureVectors, OdometerMeasure, as_end_vertex
-from .sequences import Arithmetic, Geometric, IntSequence, Polynomial, Table
+from .sequences import Arithmetic, Geometric, IntSequence, Polynomial, Table, _int_str
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -153,6 +154,8 @@ def _series_terms(spec: OdometerChain, i: int, m: int, j: Optional[int], count: 
         free = const[0] if const else (1 if spec.level_diag is not None else None)
         counts = [1] * (count if free is None else max(free - i - 1, 0))
         top = None if free is None else 1
+    elif j - i > count:  # a path from (m, j) reaches vertex i+1 only after j-i-1 levels
+        return [Fraction(0)] * count
     else:
         free, counts, top = None, [0] * (j - i - 1) + [1], 0
     den = OdometerMeasure(spec, i).level_denominator(m)
@@ -181,17 +184,11 @@ def mass_series_terms(spec: DiagramSpec, i: int, count: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _exponent(e: int) -> str:
-    return "n" if e == 0 else f"(n-{e})"
-
-
 def _mass_vertex_table(spec: DiagramSpec, i: int, max_terms: int) -> ConvergenceResult:
-    # the climb: a path may take e = w - i - 1 diagonal steps to a vertex w
-    # whose heights grow at least g-fold per level (g = a_w below the constant
-    # range, exactly tau + 1 inside it), so H^(n)_{i+1} >= g^(n-e); once
-    # g >= a_i every term from n = e on stays above 1/(g^e a_i).  Otherwise
-    # every multiplicity above i is below a_i and the series sums exactly to
-    # the resolvent.
+    # the climb: a path may take w - i - 1 diagonal steps to a vertex w whose
+    # heights grow at least g-fold per level (g = a_w below the constant
+    # range, exactly tau + 1 inside it).  Otherwise every multiplicity above i
+    # is below a_i and the series sums exactly to the resolvent.
     a_i = spec.vertical_edges(0, i)
     const = spec.constant_range
     # the diagonal is tau = const[1] from vertex v_const on; a diagonal without
@@ -202,13 +199,7 @@ def _mass_vertex_table(spec: DiagramSpec, i: int, max_terms: int) -> Convergence
         a_w = spec.vertical_edges(0, w)
         g = a_w if w < v_const else a_w + 1
         if g >= a_i:
-            e = w - i - 1
-            eps = Fraction(1, g**e * a_i)
-            why = (
-                f"H^(n)_{i + 1} >= {g}^{_exponent(e)} by climbing to vertex {w}, whose heights grow "
-                f"at least {g}-fold per level, and {g} >= {a_i}, so t_n >= {eps} for n >= {e}"
-            )
-            return _climb(spec, i, 0, None, e, eps, why, max_terms)
+            return _climb(spec, i, 0, None, w, g, w - i - 1, max_terms)
     if const is None:
         note = "diagonal sequence has no tail rule usable for certification"
         return _uncertified(spec, i, 0, None, note, max_terms)
@@ -220,21 +211,35 @@ def _mass_vertex_table(spec: DiagramSpec, i: int, max_terms: int) -> Convergence
     return _finite(Fraction(1), 0, s, "resolvent-exact", exact=1 + s)
 
 
-def _climb(spec, i, m, j, n0, eps, why, max_terms) -> ConvergenceResult:
-    """Divergence from t_n >= eps for n >= n0, checked on the terms computed.
+def _climb(spec, i, m, j, w, g, n0, max_terms) -> ConvergenceResult:
+    """Divergence from t_n >= eps = 1/(g^(m+n0) a_i) for n >= m+n0, checked on the terms computed.
 
-    The terms are those of ``_series_terms(spec, i, m, j, ...)``, summed after
-    the leading 1 of a mass.  A budget that stops at or before term n0
-    checks nothing and stays undetermined.
+    The paths climb to vertex w, whose counts grow at least g-fold per level,
+    g >= a_i, so N_n(i+1) >= g^(n-m-n0).  The terms are those of
+    ``_series_terms(spec, i, m, j, ...)``, summed after the leading 1 of a
+    mass.  A budget that stops at or before term m+n0 checks nothing and
+    stays undetermined.
     """
     count = min(max_terms, max(n0 + 8, 48))
     terms = _series_terms(spec, i, m, j, count)
     partial = sum(terms, Fraction(j is None))
     if count <= n0:
         return _undetermined(partial, m + count, _SHORT)
+    a_i = spec.vertical_edges(0, i)
+    e = m + n0
+    den = g**e * a_i
+    eps = Fraction(1, den)
     for n in range(n0, count):
         if terms[n] < eps:
             raise CertificateError(f"term {m + n} fell below its climb lower bound")
+    gs = _int_str(g)
+    power = f"{gs}^" + ("n" if e == 0 else f"(n-{e})")
+    if j is None:
+        why = f"H^(n)_{i + 1} >= {power} by climbing to vertex {w}, whose heights grow at least {gs}-fold per level"
+    else:
+        why = f"N_n({i + 1}) >= {power} by routing refinements through the vertical edges of odometer {w}"
+    bound = "1" if den == 1 else f"1/{_int_str(den)}"
+    why += f", and {gs} >= {_int_str(a_i)}, so t_n >= {bound} for n >= {e}"
     return _infinite(partial, m + count, why, "climb-lower-bound")
 
 
@@ -418,19 +423,13 @@ def _cylinder_series_vertex_table(spec, i, m, j, max_terms) -> ConvergenceResult
     top = max(zone)
     if top >= a_i:
         # the climb: refinements may sit on the vertical edges of the largest
-        # zone vertex w, so N_n(i+1) >= a_w^(n-m-d) and terms stay bounded below
-        w = i + 1 + zone.index(top)
-        eps = Fraction(1, top ** (m + d) * a_i)
-        why = (
-            f"N_n({i + 1}) >= {top}^{_exponent(m + d)} by routing refinements through the "
-            f"vertical edges of odometer {w}, and {top} >= {a_i}, so t_n >= {eps} "
-            f"for n >= {m + d}"
-        )
-        return _climb(spec, i, m, j, d, eps, why, max_terms)
+        # zone vertex, d levels after the cylinder's
+        return _climb(spec, i, m, j, i + 1 + zone.index(top), top, d, max_terms)
+    # resolvent of the triangular path-count recursion, exact
+    total = Fraction(1, a_i**m * math.prod(a_i - a_v for a_v in zone))
     if min(zone) == top:
         # one constant multiplicity below a_i: partial sums of
-        # C(n-m, d) top^(n-m-d) / a_i^(n+1) toward their exact total
-        total = Fraction(1, a_i**m * (a_i - top) ** (d + 1))
+        # C(n-m, d) top^(n-m-d) / a_i^(n+1) toward the resolvent value
         partial = Fraction(0)
         used = 0
         binom, power, den = 1, 1, a_i ** (m + d + 1)
@@ -444,11 +443,7 @@ def _cylinder_series_vertex_table(spec, i, m, j, max_terms) -> ConvergenceResult
             power *= top
             den *= a_i
         return _finite(partial, used, total - partial, "negative-binomial-exact", exact=total)
-    # resolvent of the triangular path-count recursion, exact
-    val = Fraction(1, a_i**m)
-    for a_v in zone:
-        val /= a_i - a_v
-    return _finite(Fraction(0), 0, val, "resolvent-exact", exact=val)
+    return _finite(Fraction(0), 0, total, "resolvent-exact", exact=total)
 
 
 def extended_cylinder_measure(

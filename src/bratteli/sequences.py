@@ -10,6 +10,7 @@ tail rule is allowed but limits certification to the table range.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from typing import Optional
 
 from ._frozen import frozen
@@ -17,6 +18,11 @@ from ._frozen import frozen
 
 class SequenceError(ValueError):
     """Malformed sequence description."""
+
+
+def _int_str(n: int) -> str:
+    # Decimal prints an integer of any length; str(int) refuses beyond sys.get_int_max_str_digits()
+    return str(Decimal(n))
 
 
 def _require_ints(what: str, values, error: type[Exception] = SequenceError) -> None:

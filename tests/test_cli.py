@@ -457,6 +457,32 @@ def test_long_exact_values_print_in_full(capsys):
     assert fr_str(expected) == partial
 
 
+def test_climbs_past_the_int_digit_limit(capsys):
+    # climb bounds 1/(g^(m+n0) a_i) of more digits than the interpreter's
+    # int-to-str limit: a climb past the term budget writes no witness (exit 3),
+    # and a certified one prints its bound in full (exit 0)
+    short = "maxTerms too small to reach the first term the certificate checks"
+    increasing = ("--format", "json", "measure", "cylinder", "--family", "increasing", "--cylinders")
+    code, out, err = run(capsys, *increasing, "(0,2000)")
+    assert (code, err) == (EXIT_UNCERTIFIED, "")
+    value = json.loads(out)["entries"][0]["value"]
+    assert (value["status"], value["certificate"]) == ("undetermined", short)
+    code, out, err = run(capsys, *increasing, "(7200,3)")
+    assert (code, err) == (EXIT_OK, "")
+    value = json.loads(out)["entries"][0]["value"]
+    assert (value["status"], value["certificate"]) == ("infinite", "climb-lower-bound")
+    assert len(value["divergence_witness"]) > 4300
+    assert value["divergence_witness"].endswith("for n >= 7201")
+    diagonal = "table:3," + "2," * 9100 + "3:constant:2"
+    code, out, err = run(
+        capsys, "--format", "json", "measure", "extend", "--family", "decreasing", "--diagonal", diagonal,
+        "--max-terms", "20",
+    )
+    assert (code, err) == (EXIT_UNCERTIFIED, "")
+    mass = json.loads(out)["mass"]
+    assert (mass["status"], mass["certificate"]) == ("undetermined", short)
+
+
 def test_long_telescoped_multiplicities_print_in_full(capsys):
     # 44 levels of multiplicity 10^100 collapse to one of 10^4400: 4401 digits,
     # past the interpreter's int-to-str limit; JSON keeps it an integer

@@ -201,6 +201,30 @@ def test_random_vertex_cylinders_match_the_product_formula():
                     assert res.certificate == "climb-lower-bound"
 
 
+def test_paper_rule_decides_every_odometer_of_a_random_table():
+    # on a table with constant tail tau, odometer i's mass is finite exactly when
+    # every later multiplicity is below a_i and a_i > tau + 1; a dominated
+    # odometer with a_i = tau + 1 is a distinguished eigenvalue whose extension
+    # is infinite, where Bezuglyi-Kwiatkowski-Medynets-Solomyak fails
+    rng = random.Random(3)
+    verdicts, bkms = [], 0
+    for _ in range(600):
+        table = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 6)))
+        tau = rng.randint(1, 5)
+        spec = StationaryDecreasing(Table(table, Constant(tau)))
+        a = table + (tau,) * 4
+        for i in range(1, len(table) + 3):
+            dominated = all(a_v < a[i - 1] for a_v in a[i:])
+            finite = dominated and a[i - 1] > tau + 1
+            res = odometer_extension_mass(spec, i)
+            want = (FINITE, "resolvent-exact") if finite else (INFINITE, "climb-lower-bound")
+            assert (res.status, res.certificate) == want, (table, tau, i)
+            verdicts.append(finite)
+            bkms += dominated and a[i - 1] == tau + 1
+    assert (verdicts.count(True), verdicts.count(False)) == (731, 2604)
+    assert bkms > 0
+
+
 def test_random_telescopings_preserve_heights():
     rng = random.Random(83)
     for _ in range(20):
@@ -329,6 +353,52 @@ def test_series_answers_digest_on_a_seeded_corpus():
             digest.update(repr((spec, i, answers)).encode())
     # computed with the three term helpers the one term stream replaced
     assert digest.hexdigest() == "8a0db65206c4c3e02e07fec2bd517a14abb706926402f4efb51c421745322557"
+
+
+@pytest.mark.parametrize("spec, i, cyl, witness", [
+    (
+        StationaryAK(3, 2), 2, None,
+        "H^(n)_3 >= 2^n by climbing to vertex 3, whose heights grow at least 2-fold per level, "
+        "and 2 >= 1, so t_n >= 1 for n >= 0",
+    ),
+    (
+        StationaryDecreasing(Table((3, 4), Constant(2))), 1, None,
+        "H^(n)_2 >= 4^n by climbing to vertex 2, whose heights grow at least 4-fold per level, "
+        "and 4 >= 3, so t_n >= 1/3 for n >= 0",
+    ),
+    (
+        StationaryIncreasing(), 1, EndVertex(2, 4),
+        "N_n(2) >= 5^(n-4) by routing refinements through the vertical edges of odometer 4, "
+        "and 5 >= 2, so t_n >= 1/1250 for n >= 4",
+    ),
+])
+def test_climb_witnesses_are_pinned(spec, i, cyl, witness):
+    res = odometer_extension_mass(spec, i) if cyl is None else extended_cylinder_measure(spec, i, cyl)
+    assert (res.status, res.certificate, res.divergence_witness) == (INFINITE, "climb-lower-bound", witness)
+
+
+def test_far_cylinders_step_no_more_counts_than_terms(monkeypatch):
+    # a path from (m, j) reaches vertex v only after j - v levels, so a stream of
+    # count terms never needs more than count path counts per level
+    widest = []
+    step = OdometerChain.path_step
+
+    def recording_step(self, n, lo, counts, top=None):
+        widest.append(len(counts))
+        return step(self, n, lo, counts, top)
+
+    monkeypatch.setattr(OdometerChain, "path_step", recording_step)
+    spec = StationaryIncreasing()
+    for j in (20, 21, 22, 23, 200):
+        widest.clear()
+        terms = _series_terms(spec, 1, 2, j, 20)
+        assert max(widest, default=0) <= 20
+        assert terms == _series_terms(spec, 1, 2, j, 30)[:20]
+        assert any(terms) == (j <= 21)
+    widest.clear()
+    res = extended_cylinder_measure(spec, 1, EndVertex(0, 200000))
+    assert (res.status, res.partial_sum, res.terms_used) == (UNDETERMINED, 0, DEFAULT_MAX_TERMS)
+    assert max(widest, default=0) <= DEFAULT_MAX_TERMS
 
 
 # -- extended cylinder values -----------------------------------------------------
