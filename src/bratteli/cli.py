@@ -3,23 +3,27 @@
 Subcommands: ``diagram show|heights``, ``telescope``, ``measure
 classify|extend|cylinder|check-invariance``, ``eigen verify|measure|compare``,
 ``finite classify``, ``vershik classify|orbit``.  Output formats: human
-(text), json (deterministic, sorted keys), csv (fixed columns per command).
+(text), json (deterministic, sorted keys), csv (the columns ``COMMANDS``
+declares).
 Exact rationals are emitted as ``num/den`` strings plus a 12-significant-digit
 decimal; infinite outcomes as the literal ``inf`` with their divergence
 witness attached.
 
 One table, ``COMMANDS``, drives the surface: it maps each command name to
 its help text, whether it takes a diagram family (the ``FAMILY_OPTIONS``
-flags, built by ``FAMILIES``), and its own arguments.  ``main`` builds the
-diagram once and calls ``cmd_<group>_<name>(args, spec, window)`` (``spec``
-and ``window`` are ``None`` for commands without a family).  A handler
-returns ``(body, (csv_header, csv_rows), exit_code)``; ``main`` puts
-``command`` and ``family`` in front of the body, so a handler that changes
-the window reports its own ``family``.  A handler imports the layer it uses
-inside its body: at import time this module loads only ``diagram`` and
-``sequences``, which every ``--family`` needs, so each command pays only for
-its own layers.  Size flags are bounded by the ``BRATTELI_MAX_WORK`` work
-budget.
+flags, built by ``FAMILIES``), its own arguments and its CSV form.  ``main``
+builds the diagram once and calls ``cmd_<group>_<name>(args, spec, window)``
+(``spec`` and ``window`` are ``None`` for commands without a family).  A
+handler returns ``(body, exit_code)``; ``main`` puts ``command`` and
+``family`` in front of the body, so a handler that changes the window
+reports its own ``family``.  Human and JSON output print that report; a CSV
+row is one entry of the list that the command's ``COMMANDS`` row names, with
+the columns that row declares, each read from the entry by a key path or a
+function, and a missing key is an empty cell.  A handler imports the layer
+it uses inside its body: at import time this module loads only ``diagram``
+and ``sequences``, which every ``--family`` needs, so each command pays only
+for its own layers.  Size flags are bounded by the ``BRATTELI_MAX_WORK``
+work budget.
 
 Exit status: 0 success, 1 internal error, 2 configuration error, 3 at least
 one result could not be certified (undetermined).
@@ -30,6 +34,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -95,16 +100,11 @@ def result_doc(res: ConvergenceResult) -> dict:
     return doc
 
 
-def result_cell(res: ConvergenceResult) -> str:
-    from . import extension as ext
-
-    if res.status == ext.INFINITE:
-        return "inf"
-    if res.status == ext.UNDETERMINED:
-        return "undetermined"
-    if res.is_exact:
-        return fr_str(res.exact_value)
-    return fr_str(res.partial_sum)
+def _result_value(doc: dict) -> str:
+    """The CSV value of a ``result_doc``: ``inf``, ``undetermined``, or its exact value or partial sum."""
+    if doc["status"] != "finite":
+        return doc.get("value", doc["status"])
+    return doc.get("exact_value", doc["partial_sum"])["exact"]
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +205,33 @@ def _end_vertices(pairs: list[tuple[int, int]]) -> list[EndVertex]:
 # ---------------------------------------------------------------------------
 
 
-def emit(report: dict, fmt: str, csv_table: tuple[list[str], list[list[str]]]) -> None:
-    if fmt == "csv":
-        header, rows = csv_table
+def _read(doc, path):
+    """``path(doc)``, or the value at the dotted key path ``path`` (``mass.partial_sum.exact``,
+    ``cylinder.0``) in ``doc``; None where a key is missing."""
+    if callable(path):
+        return path(doc)
+    try:
+        for key in path.split("."):
+            doc = doc[key] if isinstance(doc, dict) else doc[int(key)]
+    except KeyError:
+        return None
+    return doc
+
+
+def _cell(val) -> str:
+    """One CSV cell: empty for a missing value; an int of any length prints through ``_int_str``."""
+    return "" if val is None else _int_str(val) if type(val) is int else str(val)
+
+
+def emit(report: dict, args) -> None:
+    """Print ``report`` in ``args.format``; a CSV row is one entry of the list its ``COMMANDS`` row names."""
+    if args.format == "csv":
+        rows, columns = COMMANDS[report["command"]][3:]
+        columns = columns(args) if callable(columns) else columns
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        writer.writerows([_cell(_read(row, path)) for path in columns.values()] for row in _read(report, rows) or ())
         print(buf.getvalue(), end="")
         return
     # reports hold integers of any length (telescoped multiplicities); the
@@ -221,7 +241,7 @@ def emit(report: dict, fmt: str, csv_table: tuple[list[str], list[list[str]]]) -
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        if fmt == "json":
+        if args.format == "json":
             print(json.dumps(report, indent=2, sort_keys=True))
         else:
             _emit_human(report)
@@ -258,10 +278,8 @@ def _emit_human(doc, indent: int = 0) -> None:
 
 def cmd_diagram_show(args, spec, window):
     mat = dg.incidence(spec, args.level, window)
-    entries = [list(e) for e in mat.entries]
-    report = {"level": args.level, "entries": entries, "complete_rows": sorted(mat.complete_rows)}
-    csv_rows = [[str(v), str(w), str(m)] for v, w, m in mat.entries]
-    return report, (["row", "col", "multiplicity"], csv_rows), EXIT_OK
+    report = {"level": args.level, "entries": [list(e) for e in mat.entries], "complete_rows": sorted(mat.complete_rows)}
+    return report, EXIT_OK
 
 
 def cmd_diagram_heights(args, spec, window):
@@ -280,30 +298,23 @@ def cmd_diagram_heights(args, spec, window):
         report["bruteforce_mismatches"] = [
             k for k, v in checked.items() if v != "budget-exceeded" and int(values[k]) != v
         ]
-    csv_rows = [[str(i), values[str(i)]] for i in sorted(hv.values)]
-    return report, (["vertex", "height"], csv_rows), EXIT_OK
+    return report, EXIT_OK
 
 
 def cmd_telescope(args, spec, window):
     out = dg.telescope(spec, args.breakpoints, window)
-    report = {"breakpoints": args.breakpoints, "levels": [[list(e) for e in lvl] for lvl in out.levels]}
-    csv_rows = [[str(k), str(v), str(w), _int_str(m)] for k, lvl in enumerate(out.levels) for v, w, m in lvl]
-    return report, (["level", "row", "col", "multiplicity"], csv_rows), EXIT_OK
+    return {"breakpoints": args.breakpoints, "levels": [[list(e) for e in lvl] for lvl in out.levels]}, EXIT_OK
 
 
 def cmd_measure_classify(args, spec, window):
     from . import extension as ext
 
     cls = ext.classify_ergodic_measures(spec, args.imax, args.max_terms)
-    entries, rows = [], []
-    for e in cls.entries:
-        norm = fr_str(e.normalizing_constant) if e.normalizing_constant is not None else ""
-        bound = fr_str(e.mass.tail_bound) if e.mass.tail_bound is not None else ""
-        rows.append([str(e.index), e.mass.status, fr_str(e.mass.partial_sum), bound, str(e.mass.terms_used), norm])
-        doc = {"odometer": e.index, "mass": result_doc(e.mass)}
-        if e.normalizing_constant is not None:
-            doc["normalizing_constant"] = rational_doc(e.normalizing_constant)
-        entries.append(doc)
+    entries = [
+        {"odometer": e.index, "mass": result_doc(e.mass), **({} if e.normalizing_constant is None else {
+            "normalizing_constant": rational_doc(e.normalizing_constant)})}
+        for e in cls.entries
+    ]
     report = {
         "imax": args.imax,
         "max_terms": args.max_terms,
@@ -311,9 +322,7 @@ def cmd_measure_classify(args, spec, window):
         "finite_odometers": list(cls.finite_indices),
         "notes": list(cls.notes),
     }
-    code = EXIT_UNCERTIFIED if cls.partial else EXIT_OK
-    header = ["i", "status", "partial_sum", "tail_bound", "terms_used", "normalized_mass"]
-    return report, (header, rows), code
+    return report, EXIT_UNCERTIFIED if cls.partial else EXIT_OK
 
 
 def cmd_measure_extend(args, spec, window):
@@ -321,33 +330,24 @@ def cmd_measure_extend(args, spec, window):
 
     res = ext.odometer_extension_mass(spec, args.i, args.max_terms)
     report = {"odometer": args.i, "mass": result_doc(res)}
-    rows = []
     if args.trace:
         terms = ext.mass_series_terms(spec, args.i, min(args.max_terms, args.trace))
-        partial = Fraction(1)
-        trace = []
-        for n, t in enumerate(terms):
-            partial += t
-            trace.append({"n": n, "term": fr_str(t), "partial_sum": fr_str(partial)})
-            rows.append([str(n), fr_str(t), fr_str(partial)])
-        report["trace"] = trace
-    code = EXIT_UNCERTIFIED if res.status == ext.UNDETERMINED else EXIT_OK
-    return report, (["n", "term", "partial_sum"], rows), code
+        sums = itertools.accumulate(terms, initial=Fraction(1))
+        next(sums)
+        report["trace"] = [
+            {"n": n, "term": fr_str(t), "partial_sum": fr_str(s)} for n, (t, s) in enumerate(zip(terms, sums))
+        ]
+    return report, EXIT_UNCERTIFIED if res.status == ext.UNDETERMINED else EXIT_OK
 
 
 def cmd_measure_cylinder(args, spec, window):
     from . import extension as ext
 
     cyls = _end_vertices(args.cylinders)
-    entries, rows = [], []
-    undetermined = False
-    for cyl in cyls:
-        res = ext.extended_cylinder_measure(spec, args.i, cyl, args.max_terms)
-        undetermined = undetermined or res.status == ext.UNDETERMINED
-        entries.append({"cylinder": [cyl.length, cyl.index], "value": result_doc(res)})
-        rows.append([str(cyl.length), str(cyl.index), res.status, result_cell(res)])
-    report = {"odometer": args.i, "entries": entries}
-    return report, (["m", "j", "status", "value"], rows), EXIT_UNCERTIFIED if undetermined else EXIT_OK
+    values = [result_doc(ext.extended_cylinder_measure(spec, args.i, cyl, args.max_terms)) for cyl in cyls]
+    entries = [{"cylinder": [cyl.length, cyl.index], "value": value} for cyl, value in zip(cyls, values)]
+    code = EXIT_UNCERTIFIED if any(value["status"] == ext.UNDETERMINED for value in values) else EXIT_OK
+    return {"odometer": args.i, "entries": entries}, code
 
 
 def _vector_entry(level: str, vertex: str, val) -> Fraction:
@@ -385,8 +385,7 @@ def cmd_measure_check_invariance(args, spec, window):
         "checked_rows": rep.checked_rows,
         "failures": [list(f) for f in rep.failures],
     }
-    rows = [[str(n), str(v)] for n, v in rep.failures]
-    return report, (["level", "vertex"], rows), EXIT_OK if rep.ok else EXIT_UNCERTIFIED
+    return report, EXIT_OK if rep.ok else EXIT_UNCERTIFIED
 
 
 def cmd_eigen_verify(args, spec, window):
@@ -403,8 +402,7 @@ def cmd_eigen_verify(args, spec, window):
         "verified": rep.verified,
         "nonzero_rows": [{"row": i, "residual": fr_str(rep.residuals[i])} for i in rep.nonzero],
     }
-    rows = [[str(i), fr_str(rep.residuals[i])] for i in rep.nonzero]
-    return report, (["row", "residual"], rows), EXIT_OK if rep.verified else EXIT_UNCERTIFIED
+    return report, EXIT_OK if rep.verified else EXIT_UNCERTIFIED
 
 
 def cmd_eigen_measure(args, spec, window):
@@ -428,13 +426,8 @@ def cmd_eigen_measure(args, spec, window):
         cyls = _end_vertices(args.cylinders)
     else:
         raise ConfigError("eigen measure needs --request or --cylinders")
-    entries, rows = [], []
-    for cyl in cyls:
-        val = measure.cylinder_value(cyl)
-        entries.append({"cylinder": [cyl.length, cyl.index], "value": rational_doc(val)})
-        rows.append([str(cyl.length), str(cyl.index), fr_str(val), fr_decimal(val)])
-    report = {"eigenpair": pair.label, "entries": entries}
-    return report, (["m", "j", "value", "decimal"], rows), EXIT_OK
+    entries = [{"cylinder": [cyl.length, cyl.index], "value": rational_doc(measure.cylinder_value(cyl))} for cyl in cyls]
+    return {"eigenpair": pair.label, "entries": entries}, EXIT_OK
 
 
 def cmd_eigen_compare(args, spec, window):
@@ -444,16 +437,15 @@ def cmd_eigen_compare(args, spec, window):
     pair = sp.eigenvector(spec, args.i)
     cyls = [EndVertex(m, j) for m in range(args.mmax + 1) for j in range(args.i, args.jmax + 1)]
     rep = sp.compare_eigen_vs_extension(spec, args.i, pair, cyls, args.max_terms)
-    entries, rows = [], []
-    for e in rep.entries:
-        cylinder = [e.cylinder.length, e.cylinder.index]
-        entries.append({
-            "cylinder": cylinder, "eigen": rational_doc(e.eigen_value),
+    entries = [
+        {
+            "cylinder": [e.cylinder.length, e.cylinder.index], "eigen": rational_doc(e.eigen_value),
             "extension": result_doc(e.extension), "verdict": e.verdict,
-        })
-        rows.append([*map(str, cylinder), fr_str(e.eigen_value), e.verdict])
+        }
+        for e in rep.entries
+    ]
     report = {"odometer": args.i, "all_equal": rep.all_equal, "entries": entries}
-    return report, (["m", "j", "eigen_value", "verdict"], rows), EXIT_OK if rep.all_equal else EXIT_UNCERTIFIED
+    return report, EXIT_OK if rep.all_equal else EXIT_UNCERTIFIED
 
 
 def cmd_finite_classify(args, spec, window):
@@ -465,16 +457,10 @@ def cmd_finite_classify(args, spec, window):
     radii = fs.class_radii(dec, tol)
     measures = fs.class_measures(dec, radii)
     distinguished = {m.data.class_index for m in measures}
-    classes_doc = []
-    for idx, (cls, (lo, hi)) in enumerate(zip(dec.classes, radii)):
-        classes_doc.append(
-            {
-                "class": idx,
-                "vertices": list(cls),
-                "radius": {"lo": lo, "hi": hi},
-                "distinguished": idx in distinguished,
-            }
-        )
+    classes_doc = [
+        {"class": idx, "vertices": list(cls), "radius": {"lo": lo, "hi": hi}, "distinguished": idx in distinguished}
+        for idx, (cls, (lo, hi)) in enumerate(zip(dec.classes, radii))
+    ]
     measures_doc = [
         {
             "class": m.data.class_index,
@@ -493,11 +479,7 @@ def cmd_finite_classify(args, spec, window):
         "measures": measures_doc,
         "tolerance": tol,
     }
-    rows = [
-        [str(c["class"]), " ".join(map(str, c["vertices"])), repr(c["radius"]["lo"]), repr(c["radius"]["hi"]), str(c["distinguished"])]
-        for c in classes_doc
-    ]
-    return report, (["class", "vertices", "radius_lo", "radius_hi", "distinguished"], rows), EXIT_OK
+    return report, EXIT_OK
 
 
 def _load_order(text: str) -> QuasiStationary:
@@ -519,14 +501,8 @@ def cmd_vershik_classify(args, spec, window):
 
     order = _load_order(args.tags)
     verdict = od.extension_verdict(spec, order, args.imax)
-    per_odometer = []
-    rows = []
     # the verdict raised on an undecidable order, so the witnesses name every finite side
     fr, fl = set(verdict.fr_witness), set(verdict.fl_witness)
-    for i in range(1, args.imax + 1):
-        right, left = i in fr, i in fl
-        per_odometer.append({"odometer": i, "finite_right": right, "finite_left": left})
-        rows.append([str(i), str(right), str(left)])
     report = {
         "i_fr": verdict.i_fr,
         "i_fl": verdict.i_fl,
@@ -534,9 +510,11 @@ def cmd_vershik_classify(args, spec, window):
         "fl_witness": list(verdict.fl_witness),
         "borel_extension": verdict.borel_extension,
         "homeomorphism": verdict.homeomorphism,
-        "per_odometer": per_odometer,
+        "per_odometer": [
+            {"odometer": i, "finite_right": i in fr, "finite_left": i in fl} for i in range(1, args.imax + 1)
+        ],
     }
-    return report, (["i", "finite_right", "finite_left"], rows), EXIT_OK
+    return report, EXIT_OK
 
 
 def cmd_vershik_orbit(args, spec, window):
@@ -548,7 +526,7 @@ def cmd_vershik_orbit(args, spec, window):
     order = _load_order(args.tags)
     current = od.vertical_path(spec, args.start_odometer, window.max_level)
     walk = od._Walk(spec, order)  # the path is valid, so its steps are too
-    rows, trace = [], []
+    trace = []
     for step in range(args.steps):
         ends, idx = [], current.start
         for kind, _ in current.edges[:levels]:  # one pass up: the vertices at levels 1..levels
@@ -556,18 +534,11 @@ def cmd_vershik_orbit(args, spec, window):
                 idx -= 1
             ends.append(idx)
         trace.append({"step": step, "end_vertices": ends})
-        rows.append([str(step)] + [str(e) for e in ends])
         nxt = walk.step(current)[0]
         if isinstance(nxt, od.AllMaximalPrefix):
             break
         current = nxt
-    report = {
-        "start_odometer": args.start_odometer,
-        "steps": len(trace),
-        "trace": trace,
-    }
-    header = ["step"] + [f"end_vertex_level_{l}" for l in range(1, levels + 1)]
-    return report, (header, rows), EXIT_OK
+    return {"start_odometer": args.start_odometer, "steps": len(trace), "trace": trace}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -591,37 +562,59 @@ GROUPS = {
     "vershik": "orders and successor dynamics",
 }
 
-# command name -> (help, takes a diagram family, its own arguments in order);
-# main calls cmd_<group>_<name> for each
+_CYLINDER = {"m": "cylinder.0", "j": "cylinder.1"}
+
+# command name -> (help, takes a diagram family, its own arguments in order,
+# CSV rows, CSV columns); main calls cmd_<group>_<name> for each.  The rows
+# are one list of the report, named by a key path or a function of it; a
+# column maps its header to a key path into a row or a function of the row,
+# and the columns of vershik orbit are a function of the arguments
 COMMANDS = {
-    "diagram show": ("windowed incidence matrix of one level", True, [("--level", dict(type=int, default=0))]),
+    "diagram show": ("windowed incidence matrix of one level", True, [("--level", dict(type=int, default=0))],
+        "entries", {"row": "0", "col": "1", "multiplicity": "2"}),
     "diagram heights": ("tower heights at one level", True, [
-        ("--level", dict(type=int, required=True)), ("--verify-bruteforce", dict(action="store_true"))]),
+        ("--level", dict(type=int, required=True)), ("--verify-bruteforce", dict(action="store_true"))],
+        lambda report: report["heights"].items(), {"vertex": "0", "height": "1"}),
     "telescope": ("collapse levels between breakpoints", True, [
-        ("--breakpoints", dict(type=_breakpoints, required=True, help="comma separated, starting at 0"))]),
+        ("--breakpoints", dict(type=_breakpoints, required=True, help="comma separated, starting at 0"))],
+        lambda report: [[k, *e] for k, lvl in enumerate(report["levels"]) for e in lvl],
+        {"level": "0", "row": "1", "col": "2", "multiplicity": "3"}),
     "measure classify": ("extension mass of every odometer up to imax", True, [
-        ("--imax", dict(type=_work_size, default=5)), _MAX_TERMS]),
+        ("--imax", dict(type=_work_size, default=5)), _MAX_TERMS], "entries", {
+        "i": "odometer", "status": "mass.status", "partial_sum": "mass.partial_sum.exact",
+        "tail_bound": "mass.tail_bound.exact", "terms_used": "mass.terms_used",
+        "normalized_mass": "normalizing_constant.exact"}),
     "measure extend": ("extension mass of one odometer", True, [
-        _ODOMETER, _MAX_TERMS, ("--trace", dict(type=_work_size, default=0, help="emit the first N series terms"))]),
+        _ODOMETER, _MAX_TERMS, ("--trace", dict(type=_work_size, default=0, help="emit the first N series terms"))],
+        "trace", {"n": "n", "term": "term", "partial_sum": "partial_sum"}),
     "measure cylinder": ("extended measure of (m, j) cylinders", True, [
-        _ODOMETER, ("--cylinders", dict(type=_cylinder_pairs, required=True, help='e.g. "(0,2);(1,3)"')), _MAX_TERMS]),
+        _ODOMETER, ("--cylinders", dict(type=_cylinder_pairs, required=True, help='e.g. "(0,2);(1,3)"')), _MAX_TERMS],
+        "entries", {**_CYLINDER, "status": "value.status", "value": lambda e: _result_value(e["value"])}),
     "measure check-invariance": ("exact tail-invariance check", True, [
-        ("--vectors", dict(help="JSON file {vectors: {level: {vertex: 'num/den'}}}")), _SHIFT]),
+        ("--vectors", dict(help="JSON file {vectors: {level: {vertex: 'num/den'}}}")), _SHIFT],
+        "failures", {"level": "0", "vertex": "1"}),
     "eigen verify": ("exact row residuals of the eigen equations", True, [
-        ("--rows", dict(type=_work_size, default=100)), _SHIFT]),
+        ("--rows", dict(type=_work_size, default=100)), _SHIFT], "nonzero_rows", {"row": "row", "residual": "residual"}),
     "eigen measure": ("eigen measure values on cylinders", True, [
         ("--request", dict(help="JSON file {cylinders: [[m, j], ...]}")),
-        ("--cylinders", dict(type=_cylinder_pairs, help='inline "(m,j);(m,j)" list')), _SHIFT]),
+        ("--cylinders", dict(type=_cylinder_pairs, help='inline "(m,j);(m,j)" list')), _SHIFT],
+        "entries", {**_CYLINDER, "value": "value.exact", "decimal": "value.decimal"}),
     "eigen compare": ("eigen measure vs certified extension values", True, [
-        _ODOMETER, ("--mmax", dict(type=_work_size, default=5)), ("--jmax", dict(type=_work_size, default=5)), _MAX_TERMS]),
+        _ODOMETER, ("--mmax", dict(type=_work_size, default=5)), ("--jmax", dict(type=_work_size, default=5)), _MAX_TERMS],
+        "entries", {**_CYLINDER, "eigen_value": "eigen.exact", "verdict": "verdict"}),
     "finite classify": ("communicating classes, radii, measures", False, [
         ("--matrix", dict(required=True, help="JSON 2-D array (A = F^T) or a file path")),
-        ("--tol", dict(type=float, default=1e-12))]),
+        ("--tol", dict(type=float, default=1e-12))], "classes", {
+        "class": "class", "vertices": lambda c: " ".join(map(str, c["vertices"])), "radius_lo": "radius.lo",
+        "radius_hi": "radius.hi", "distinguished": "distinguished"}),
     "vershik classify": ("finite-right/left sets and extension verdict", True, [
-        ("--tags", dict(required=True, help=_TAGS_HELP)), ("--imax", dict(type=_work_size, default=10))]),
+        ("--tags", dict(required=True, help=_TAGS_HELP)), ("--imax", dict(type=_work_size, default=10))],
+        "per_odometer", {"i": "odometer", "finite_right": "finite_right", "finite_left": "finite_left"}),
     "vershik orbit": ("successor orbit trace", True, [
         ("--tags", dict(required=True)), ("--steps", dict(type=_work_size, default=100)),
-        ("--levels", dict(type=_work_size, default=3)), ("--start-odometer", dict(type=int, default=1))]),
+        ("--levels", dict(type=_work_size, default=3)), ("--start-odometer", dict(type=int, default=1))],
+        "trace", lambda args: {"step": "step", **{
+            f"end_vertex_level_{l}": f"end_vertices.{l - 1}" for l in range(1, args.levels + 1)}}),
 }
 
 
@@ -634,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="RunConfig JSON file: {command, options, format}")
     sub = parser.add_subparsers(dest="group")
     groups = {}
-    for name, (help_text, has_family, options) in COMMANDS.items():
+    for name, (help_text, has_family, options, *_) in COMMANDS.items():
         group, _, leaf = name.partition(" ")
         if not leaf:
             command_parser = sub.add_parser(group, help=help_text)
@@ -686,7 +679,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     handler = globals()["cmd_" + args.cmd.replace(" ", "_").replace("-", "_")]
     try:
         spec, window = _build_spec(args) if COMMANDS[args.cmd][1] else (None, None)
-        body, csv_table, code = handler(args, spec, window)
+        body, code = handler(args, spec, window)
         family = {} if spec is None else {"family": spec.to_json(window)}
         report = {"command": args.cmd, **family, **body}
     except dg.CertificateError as exc:
@@ -699,7 +692,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     try:
-        emit(report, args.format, csv_table)
+        emit(report, args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader stopped early; keep the interpreter's final flush quiet

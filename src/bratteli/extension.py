@@ -460,6 +460,8 @@ def extended_cylinder_measure(
         raise DiagramError("extended cylinder values require an odometer chain")
     if i < 1:
         raise DiagramError("odometer index must be >= 1")
+    if max_terms < 0:
+        raise DiagramError(f"max_terms must be >= 0, not {max_terms}")
     end = as_end_vertex(spec, cyl)
     m, j = end.length, end.index
     if j < i:

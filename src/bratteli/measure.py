@@ -25,7 +25,7 @@ from .diagram import DiagramSpec, DiagramError, OdometerChain, Truncation, Windo
 VERTICAL = "v"
 DIAGONAL = "f"
 
-# ExplicitPath is built twice per orbit step and EndVertex once per cylinder
+# ExplicitPath is built once per orbit step and EndVertex once per cylinder
 # query, so their hand-written constructors skip the shared argument binding
 _set = object.__setattr__
 
@@ -333,11 +333,20 @@ def cylinder_measure(measure, cyl: CylinderSpec):
     that cylinder; extension measures may return a certified series result
     (finite interval, infinite, or undetermined) instead.  Bare
     :class:`MeasureVectors` carry no diagram, so an explicit path is read
-    through its end vertex only, unchecked against any diagram.
+    through its end vertex only, unchecked against any diagram.  A
+    finite-stationary measure is read at an :class:`EndVertex` (level, vertex).
     """
+    from .finite_stationary import FiniteStationaryMeasure
+
     if isinstance(measure, MeasureVectors):
         end = cyl if isinstance(cyl, EndVertex) else cyl.end()
         return measure.value(end.length, end.index)
+    if isinstance(measure, FiniteStationaryMeasure):
+        if not isinstance(cyl, EndVertex):
+            raise DiagramError(
+                "explicit paths describe odometer chains only; read a finite-stationary measure at an EndVertex"
+            )
+        return measure.cylinder_value(cyl.length, cyl.index)
     if hasattr(measure, "cylinder_value"):
         return measure.cylinder_value(cyl)
     raise DiagramError(f"cannot evaluate cylinders under {type(measure).__name__}")

@@ -138,7 +138,7 @@ class Polynomial(IntSequence):
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+        coeffs = tuple(_require_list("polynomial sequence coeffs", self.coeffs))
         object.__setattr__(self, "coeffs", coeffs)
         _require_ints("polynomial sequence", coeffs)
         if not coeffs or all(c == 0 for c in coeffs):
@@ -176,7 +176,7 @@ class Table(IntSequence):
     tail: Optional[IntSequence] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", tuple(_require_list("table sequence values", self.values)))
         if not self.values:
             raise SequenceError("table sequence needs at least one value")
         _require_ints("table sequence", self.values)

@@ -1,5 +1,6 @@
 """Command-line surface: dispatch, formats, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import random
@@ -655,8 +656,18 @@ EVERY_COMMAND = {
 }
 
 
-def test_every_command_is_tested():
+# sha256 of the stdout and exit code of every EVERY_COMMAND run in every format
+EVERY_COMMAND_DIGEST = "0419da8fe340fd38c7d3c4496d134924cdd448cfed012369c51f822e4c6e24d6"
+
+
+def test_every_command_is_tested(capsys):
     assert set(EVERY_COMMAND) == set(cli.COMMANDS)
+    digest = hashlib.sha256()
+    for command, (argv, _) in EVERY_COMMAND.items():
+        for fmt in ("human", "json", "csv"):
+            code, out, _ = run(capsys, "--format", fmt, *command.split(), *argv)
+            digest.update(f"{command} {fmt} {code}\n{out}\n".encode())
+    assert digest.hexdigest() == EVERY_COMMAND_DIGEST
 
 
 @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
@@ -723,6 +734,12 @@ def test_orbit_stops_at_its_all_maximal_prefix(capsys):
     report = json.loads(out)
     assert code == EXIT_OK
     assert report["steps"] == len(report["trace"]) == 11
+
+
+def test_a_zero_step_orbit_keeps_its_csv_header(capsys):
+    # the end-vertex columns come from --levels, not from the (empty) trace
+    code, out, _ = run(capsys, "--format", "csv", "vershik", "orbit", *AK, "--tags", "all-left", "--steps", "0", "--levels", "3")
+    assert (code, out) == (EXIT_OK, "step,end_vertex_level_1,end_vertex_level_2,end_vertex_level_3\n")
 
 
 def test_size_flags_are_bounded_by_the_work_budget(capsys, monkeypatch):
@@ -924,6 +941,18 @@ NUMBERS_FOR_LISTS = {
     "explicit-levels-entry": (
         HEIGHTS + _spec_json("explicit-levels", {"levels": [[5]]}),
         "explicit-levels entry: 5 is not a list of 3",
+    ),
+    "polynomial-coeffs": (
+        ["diagram", "show", *_spec_json("decreasing", {"diagonal": {"kind": "polynomial", "coeffs": 5}})],
+        "polynomial sequence coeffs: 5 is not a list",
+    ),
+    "table-values": (
+        ["diagram", "show", *_spec_json("decreasing", {"diagonal": {"kind": "table", "values": 5}})],
+        "table sequence values: 5 is not a list",
+    ),
+    "table-tail-coeffs": (
+        ["diagram", "show", *_spec_json("decreasing", {"diagonal": {**DECREASING, "tail": {"kind": "polynomial", "coeffs": 7}}})],
+        "polynomial sequence coeffs: 7 is not a list",
     ),
 }
 

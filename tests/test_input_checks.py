@@ -9,7 +9,9 @@ from bratteli.diagram import (
     ExplicitFinite,
     ExplicitLevels,
     GeneralChain,
+    NonStationaryUniform,
     StationaryAK,
+    StationaryIncreasing,
     Truncation,
     VertexId,
     WindowError,
@@ -29,7 +31,7 @@ from bratteli.orders import (
     order_from_json,
     successor,
 )
-from bratteli.sequences import SequenceError, seq_from_json, seq_from_text
+from bratteli.sequences import Geometric, SequenceError, seq_from_json, seq_from_text
 from bratteli.spectral import EigenError, EigenPair
 
 AK42 = StationaryAK(4, 2)
@@ -76,6 +78,22 @@ CASES = {
         lambda: extended_cylinder_measure(FINITE, 1, EndVertex(0, 1)),
         DiagramError,
         "extended cylinder values require an odometer chain",
+    ),
+    # negative term budgets, on a level-indexed chain, a vertex-indexed one and one with no certificate
+    "cylinder-max-terms-negative-level-chain": (
+        lambda: extended_cylinder_measure(NonStationaryUniform(Geometric(2, 2)), 1, EndVertex(0, 3), -5),
+        DiagramError,
+        "max_terms must be >= 0, not -5",
+    ),
+    "cylinder-max-terms-negative-increasing": (
+        lambda: extended_cylinder_measure(StationaryIncreasing(), 1, EndVertex(0, 3), -1),
+        DiagramError,
+        "max_terms must be >= 0, not -1",
+    ),
+    "cylinder-max-terms-negative-general-chain": (
+        lambda: extended_cylinder_measure(GeneralChain(((0, 1, 5),)), 1, EndVertex(0, 3), -2),
+        DiagramError,
+        "max_terms must be >= 0, not -2",
     ),
     "classify-not-a-chain": (
         lambda: classify_ergodic_measures(FINITE, 2),
@@ -135,6 +153,27 @@ CASES = {
     "unknown-sequence-kind": (lambda: seq_from_json({"kind": "x"}), SequenceError, "unknown sequence kind: 'x'"),
     "unparsable-sequence": (
         lambda: seq_from_text("bogus:1"), SequenceError, "cannot parse sequence text: 'bogus:1'"
+    ),
+    "polynomial-coeffs-a-number": (
+        lambda: seq_from_json({"kind": "polynomial", "coeffs": 5}), SequenceError, "polynomial sequence coeffs: 5 is not a list"
+    ),
+    "polynomial-coeffs-a-string": (
+        lambda: seq_from_json({"kind": "polynomial", "coeffs": "12"}),
+        SequenceError,
+        "polynomial sequence coeffs: '12' is not a list",
+    ),
+    "table-values-a-number": (
+        lambda: seq_from_json({"kind": "table", "values": 5}), SequenceError, "table sequence values: 5 is not a list"
+    ),
+    "table-values-an-object": (
+        lambda: seq_from_json({"kind": "table", "values": {"a": 1}}),
+        SequenceError,
+        "table sequence values: {'a': 1} is not a list",
+    ),
+    "table-tail-coeffs-a-number": (
+        lambda: seq_from_json({"kind": "table", "values": [3], "tail": {"kind": "polynomial", "coeffs": 7}}),
+        SequenceError,
+        "polynomial sequence coeffs: 7 is not a list",
     ),
     # spectral
     "eigen-entry-0": (lambda: ONES.xi(0), EigenError, "eigenvector entries are indexed from 1"),

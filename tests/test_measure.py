@@ -280,6 +280,18 @@ def test_cylinder_measure_dispatches_across_measure_kinds():
     assert isinstance(res, ConvergenceResult) and res.status == "infinite"
 
 
+def test_cylinder_measure_reads_finite_stationary_measures_at_end_vertices():
+    from bratteli.finite_stationary import measures_finite_stationary
+
+    measure = measures_finite_stationary([[2, 1], [1, 2]])[0]  # lambda 3, xi (1/2, 1/2)
+    assert cylinder_measure(measure, EndVertex(1, 1)) == 0.5
+    assert cylinder_measure(measure, EndVertex(3, 2)) == measure.cylinder_value(3, 2) == 0.5 / 9
+    with pytest.raises(DiagramError, match="cylinder level must be >= 1"):
+        cylinder_measure(measure, EndVertex(0, 1))
+    with pytest.raises(DiagramError, match="explicit paths describe odometer chains only"):
+        cylinder_measure(measure, ExplicitPath(1, ((VERTICAL, 1),)))
+
+
 def test_additivity_of_refinements():
     spec = StationaryDecreasing(Table((5, 3), Constant(2)))
     window = Truncation(8, 12)
