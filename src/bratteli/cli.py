@@ -161,6 +161,21 @@ def _load_doc(text_or_path: str):
     return json.loads(text_or_path)
 
 
+def _doc_key(flag: str, doc: dict, key: str):
+    """``doc[key]`` of the JSON document given to ``flag``; a missing key is refused naming both."""
+    if key not in doc:
+        raise ConfigError(f"{flag}: missing key {json.dumps(key)}")
+    return doc[key]
+
+
+def _int_key(what: str, key: str) -> int:
+    """A JSON object key that names a level or vertex (``what``), read as an int."""
+    try:
+        return int(key)
+    except ValueError:
+        raise ConfigError(f"{what} key {json.dumps(key)} is not an integer") from None
+
+
 def _build_spec(args) -> tuple[dg.DiagramSpec, dg.Truncation]:
     window = dg.Truncation(args.max_level, args.max_vertex)
     if args.spec_json:
@@ -367,9 +382,12 @@ def cmd_measure_check_invariance(args, spec, window):
 
     if args.vectors:
         doc = _require_dict("--vectors", _load_doc(args.vectors), ConfigError)
-        levels = _require_dict("--vectors vectors", doc["vectors"], ConfigError)
+        levels = _require_dict("--vectors vectors", _doc_key("--vectors", doc, "vectors"), ConfigError)
         table = {
-            int(level): {int(i): _vector_entry(level, i, v) for i, v in _require_dict("--vectors level", row, ConfigError).items()}
+            _int_key("--vectors: level", level): {
+                _int_key(f"--vectors: level {level} vertex", i): _vector_entry(level, i, v)
+                for i, v in _require_dict("--vectors level", row, ConfigError).items()
+            }
             for level, row in levels.items()
         }
         mv = MeasureVectors.from_table(table, label="user vectors")
@@ -415,7 +433,7 @@ def cmd_eigen_measure(args, spec, window):
         doc = _require_dict("--request", _load_doc(args.request), ConfigError)
         requested = [
             _require_list("--request cylinder", mj, ConfigError, 2)
-            for mj in _require_list("--request cylinders", doc["cylinders"], ConfigError)
+            for mj in _require_list("--request cylinders", _doc_key("--request", doc, "cylinders"), ConfigError)
         ]
         _require_ints("--request cylinders", (x for mj in requested for x in mj), ConfigError)
         try:

@@ -39,7 +39,9 @@ attached.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from fractions import Fraction
 from typing import Optional
 
@@ -265,12 +267,14 @@ def _resolve_level_seq(seq: IntSequence) -> tuple[IntSequence, int]:
     return seq, offset
 
 
+@functools.lru_cache(maxsize=4)
 def _poly_comparison(poly: Polynomial) -> tuple[Fraction, int]:
     """Return (alpha, n1) with poly(u) >= alpha*(u+1)^2 for all u >= n1.
 
     alpha is the leading coefficient where poly(u) - alpha*(u+1)^2 keeps a
     positive leading coefficient, half of it otherwise; n1 comes from a root
-    bound of that difference polynomial, beyond which it is positive.
+    bound of that difference polynomial, beyond which it is positive.  A
+    sequence's pair is computed once, not once per cylinder of a grid.
     """
     deg = poly.degree()
     if deg < 2:
@@ -290,16 +294,63 @@ def _poly_comparison(poly: Polynomial) -> tuple[Fraction, int]:
     raise CertificateError("difference polynomial must have a positive leading coefficient")
 
 
+# suffix-product tables of the level chains read last, keyed by (level
+# sequence, end level): a grid's cylinders share one, and one polynomial
+# chain's table runs to about half a megabyte, so only this many are kept,
+# and none on the spec.  Tables grow in place, under the lock.
+_TABLES_KEPT = 2
+_tables: dict = {}
+_tables_lock = threading.Lock()
+
+
+def _suffix_row(spec: OdometerChain, i: int, n_end: int, m: int, r: int) -> tuple[int, list[int]]:
+    """(prod_(n<n_end) a_n, coefficients of t^0..t^r of P_m), P_m = prod_(m<=n<n_end) (a_n + t).
+
+    The table starts at P_(n_end) = 1 and steps P_m = (a_m + t) P_(m+1)
+    down, keeping terms up to the highest degree asked of it; a row of
+    lower degree has fewer coefficients.  It grows down to the lowest row and
+    up to the highest degree asked for, so one O(n_end * r) pass serves every
+    cylinder of a grid.
+    """
+    key = (spec.level_diag, n_end)
+    with _tables_lock:
+        entry = _tables.pop(key, None)
+        if entry is None:
+            levels = [spec.vertical_edges(n, i) for n in range(n_end)]
+            entry = [levels, math.prod(levels), 0, [[1]]]  # rows[k] is P_(n_end-k)
+        _tables[key] = entry
+        if len(_tables) > _TABLES_KEPT:
+            del _tables[next(iter(_tables))]
+        levels, den, degree, rows = entry
+        if r > degree:
+            for k in range(1, len(rows)):
+                _times_level(rows[k], rows[k - 1], levels[n_end - k], min(r, k))
+            entry[2] = degree = r
+        while len(rows) <= n_end - m:
+            k = len(rows)
+            row = []
+            _times_level(row, rows[-1], levels[n_end - k], min(degree, k))
+            rows.append(row)
+        return den, rows[n_end - m]
+
+
+def _times_level(row: list[int], below: list[int], a: int, top: int) -> None:
+    """Append coefficients len(row)..top of (a + t) * below to ``row``."""
+    for s in range(len(row), top + 1):
+        row.append((a * below[s] if s < len(below) else 0) + (below[s - 1] if s else 0))
+
+
 def _level_series(spec: DiagramSpec, i: int, m: int, r: Optional[int], max_terms: int) -> ConvergenceResult:
     """The mass E(1) (r None) or the cylinder value c e_r(x_m, x_(m+1), ...), certified.
 
-    Here x_n = 1/a_n and c = 1/(a_0 ... a_(m-1)).  An exact prefix over N
-    levels is summed in integers over the common denominator: the product of
-    the a_n + 1 for the mass, the path-count recursion E_s <- a E_s + E_(s-1)
-    for e_0..e_r.  The tail sequence supplies S >= sum of x_n over the later
-    levels; since e_s of the tail is at most S^s/s!, the mass lies in
-    [P_N, P_N/(1 - S)] and the cylinder in [c e_r, c sum_s e_(r-s) S^s/s!].
-    Geometric tails are exact by Euler's q-binomial identity
+    Here x_n = 1/a_n and c = 1/(a_0 ... a_(m-1)).  An exact prefix over the
+    levels below N is summed in integers over the common denominator
+    prod_(n<N) a_n: the product of the a_n + 1 for the mass, coefficient r of
+    the suffix product prod_(m<=n<N) (a_n + t) (``_suffix_row``) for e_r.  The
+    tail sequence supplies S >= sum of x_n over the later levels; since e_s
+    of the tail is at most S^s/s!, the mass lies in [P_N, P_N/(1 - S)] and
+    the cylinder in [c e_r, c sum_s e_(r-s) S^s/s!].  Geometric tails are
+    exact by Euler's q-binomial identity
     e_s(y, yq, yq^2, ...) = y^s q^(s(s-1)/2) / prod_(t=1..s) (1 - q^t).
     """
     tail_seq, offset = _resolve_level_seq(spec.level_diag)
@@ -320,10 +371,13 @@ def _level_series(spec: DiagramSpec, i: int, m: int, r: Optional[int], max_terms
         levels = 48
     elif geometric:
         levels = 0  # cylinders are exact without a tail prefix
-        if r is None:  # refine the mass until S/(1 - S) is negligible
-            levels = 2
-            while levels < 512 and _geometric_tail(tail_seq, levels) * (1 + _NEGLIGIBLE) > _NEGLIGIBLE:
-                levels += 1
+        if r is None:
+            # refine the mass until S/(1 - S) is negligible: S (1 + eps) <= eps
+            # with S = q/((q - 1) a_L) and eps = p/den, in integers
+            p, eps_den, q = _NEGLIGIBLE.numerator, _NEGLIGIBLE.denominator, tail_seq.ratio
+            levels, a_l = 2, tail_seq.value(2)
+            while levels < 512 and (q - 1) * p * a_l < q * (eps_den + p):
+                levels, a_l = levels + 1, a_l * q
     elif poly:
         alpha, need = _poly_comparison(tail_seq)
         levels = max(need, 256)
@@ -333,18 +387,13 @@ def _level_series(spec: DiagramSpec, i: int, m: int, r: Optional[int], max_terms
         levels, note = 0, "decreasing level sequence has no certificate"
     count = min(max_terms, max(offset + levels - m, 0))
 
-    den = OdometerMeasure(spec, i).level_denominator(m)
-    top, e = 1, [1] + [0] * min(r or 0, count)
-    for n in range(m, m + count):
-        a = spec.vertical_edges(n, i)
-        den *= a
-        if r is None:
-            top *= a + 1
-        else:
-            e = [a * e[0]] + [a * e[s] + e[s - 1] for s in range(1, len(e))]
-    if r is not None:
-        top = e[r] if r < len(e) else 0
-    partial = Fraction(top, den)
+    if r is None:  # m = 0
+        prefix = [spec.vertical_edges(n, i) for n in range(count)]
+        den = math.prod(prefix)
+        partial = Fraction(math.prod(a + 1 for a in prefix), den)
+    else:
+        den, e = _suffix_row(spec, i, m + count, m, r)
+        partial = Fraction(e[r] if r < len(e) else 0, den)
 
     used = m + count - offset  # tail levels inside the prefix
     if note is not None:
@@ -367,16 +416,18 @@ def _level_series(spec: DiagramSpec, i: int, m: int, r: Optional[int], max_terms
         return _finite(partial, count, partial * tail_sum / (1 - tail_sum), cert)
     if r > max_terms:  # the tail series has r terms
         return _undetermined(partial, count, _SHORT)
+    # sum_s e_(r-s) w_s over one denominator, where w_s = w_(s-1) u_s/v_s is
     # e_s of the tail: exact for geometric tails, at most S^s/s! otherwise
-    weight, tail = Fraction(1), Fraction(0)
+    num, u_pow, v_prod = 0, 1, den
     for s in range(1, r + 1):
         if geometric:
-            weight *= Fraction(tail_seq.ratio, tail_seq.value(used) * (tail_seq.ratio**s - 1))
+            u, v = tail_seq.ratio, tail_seq.value(used) * (tail_seq.ratio**s - 1)
         else:
-            weight *= tail_sum / s
-        if r - s < len(e):
-            tail += e[r - s] * weight
-    tail /= den
+            u, v = tail_sum.numerator, tail_sum.denominator * s
+        u_pow *= u
+        num = num * v + (e[r - s] * u_pow if r - s < len(e) else 0)
+        v_prod *= v
+    tail = Fraction(num, v_prod)
     if geometric:
         return _finite(partial, count, tail, "geometric-exact", exact=partial + tail)
     return _finite(partial, count, tail, "comparison-integral-tail")
@@ -570,9 +621,10 @@ def classify_ergodic_measures(
 ) -> ErgodicClassification:
     """Extension mass of every odometer i <= i_max, with certificates.
 
-    The normalized finite entries exhaust the ergodic probability
-    tail-invariant measures of the chain, and extensions from distinct
-    odometers are mutually singular (their saturations are disjoint).
+    Among odometers i <= i_max, the normalized finite entries exhaust the
+    ergodic probability tail-invariant measures; later odometers are not
+    examined.  Extensions from distinct odometers are mutually singular
+    (their saturations are disjoint).
     """
     if not isinstance(spec, OdometerChain):
         raise DiagramError("the odometer classification requires an odometer chain")
@@ -583,7 +635,7 @@ def classify_ergodic_measures(
         entries.append(ErgodicEntry(i, res, norm))
     partial = any(e.mass.status == UNDETERMINED for e in entries)
     notes = (
-        "normalized finite entries exhaust the ergodic probability tail-invariant measures",
+        f"normalized finite entries exhaust the ergodic probability tail-invariant measures among odometers i <= {i_max}",
         "distinct entries are mutually singular: their supporting saturations are disjoint",
     )
     if partial:

@@ -536,6 +536,8 @@ class FiniteStationaryMeasure:
     def cylinder_value(self, level: int, vertex: int) -> float:
         if level < 1:
             raise DiagramError("cylinder level must be >= 1 on a standard diagram")
+        if not 1 <= vertex <= len(self.xi_normalized):
+            raise DiagramError(f"vertex {vertex} is outside 1..{len(self.xi_normalized)} of this diagram")
         return self.xi_normalized[vertex - 1] / self.lam ** (level - 1)
 
 

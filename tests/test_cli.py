@@ -657,7 +657,7 @@ EVERY_COMMAND = {
 
 
 # sha256 of the stdout and exit code of every EVERY_COMMAND run in every format
-EVERY_COMMAND_DIGEST = "0419da8fe340fd38c7d3c4496d134924cdd448cfed012369c51f822e4c6e24d6"
+EVERY_COMMAND_DIGEST = "a07067a85ede0eb3dfdca999cb63acc17a1cf7afea315b3e6848b0b8fb52a5e9"
 
 
 def test_every_command_is_tested(capsys):
@@ -1005,6 +1005,27 @@ def test_json_lists_where_objects_belong_exit_2(capsys, case):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (EXIT_CONFIG, "")
     assert message in err and "internal error" not in err
+
+
+# a JSON document missing a key or with a key that is not an integer -> (the command, its whole error line)
+BAD_DOCUMENT_KEYS = {
+    "request-missing": (["eigen", "measure", *AK, "--request", "{}"], '--request: missing key "cylinders"'),
+    "vectors-missing": (["measure", "check-invariance", *AK, "--vectors", "{}"], '--vectors: missing key "vectors"'),
+    "vectors-level": (
+        ["measure", "check-invariance", *AK, "--vectors", '{"vectors": {"x": {}}}'],
+        '--vectors: level key "x" is not an integer',
+    ),
+    "vectors-vertex": (
+        ["measure", "check-invariance", *AK, "--vectors", '{"vectors": {"1": {"1.5": 1}}}'],
+        '--vectors: level 1 vertex key "1.5" is not an integer',
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_DOCUMENT_KEYS))
+def test_document_key_errors_name_the_flag_and_the_key(capsys, case):
+    argv, message = BAD_DOCUMENT_KEYS[case]
+    assert run(capsys, *argv) == (EXIT_CONFIG, "", f"error: {message}\n")
 
 
 def test_config_file_holding_a_list_is_a_config_error(capsys, tmp_path):

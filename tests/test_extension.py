@@ -15,10 +15,13 @@ Core claims:
 import hashlib
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from bratteli import extension as ext
 from bratteli.diagram import (
     DEFAULT_MAX_TERMS,
     DiagramError,
@@ -518,6 +521,177 @@ def test_level_intervals_contain_bruteforce_partial_sums():
                     assert res.contains(res.exact_value)
 
 
+def _forward_level_series(spec, i, m, r, max_terms):
+    """Reference for level-indexed masses and cylinders: the prefix stepped forward level by level.
+
+    The masses take (1 + 1/a_n) and the cylinders the coefficients
+    E_s <- a E_s + E_(s-1) one level at a time from level m, the geometric
+    mass search and the tail weights are Fraction steps; the certificates are
+    the engine's own.
+    """
+    tail_seq, offset = ext._resolve_level_seq(spec.level_diag)
+    cf = tail_seq.constant_from()
+    slope = (cf[1], 0) if cf is not None else None
+    if slope is None and isinstance(tail_seq, Arithmetic) and tail_seq.step > 0:
+        slope = (tail_seq.start, tail_seq.step)
+    if slope is None and isinstance(tail_seq, Polynomial) and tail_seq.degree() == 1:
+        slope = tail_seq.coeffs[:2]
+    geometric = isinstance(tail_seq, Geometric) and tail_seq.ratio >= 2
+    poly = isinstance(tail_seq, Polynomial) and tail_seq.degree() >= 2
+    need, note = 0, None
+    if slope is not None:
+        levels = 48
+    elif geometric:
+        levels = 0
+        if r is None:
+            levels = 2
+            while levels < 512 and ext._geometric_tail(tail_seq, levels) * (1 + ext._NEGLIGIBLE) > ext._NEGLIGIBLE:
+                levels += 1
+    elif poly:
+        alpha, need = ext._poly_comparison(tail_seq)
+        levels = max(need, 256)
+    elif isinstance(tail_seq, Table):
+        levels, note = len(tail_seq.values), "level sequence has no tail rule usable for certification"
+    else:
+        levels, note = 0, "decreasing level sequence has no certificate"
+    count = min(max_terms, max(offset + levels - m, 0))
+    den = math.prod(spec.vertical_edges(n, i) for n in range(m))
+    top, e = 1, [1] + [0] * min(r or 0, count)
+    for n in range(m, m + count):
+        a = spec.vertical_edges(n, i)
+        den *= a
+        if r is None:
+            top *= a + 1
+        else:
+            e = [a * e[0]] + [a * e[s] + e[s - 1] for s in range(1, len(e))]
+    if r is not None:
+        top = e[r] if r < len(e) else 0
+    partial = Fraction(top, den)
+    used = m + count - offset
+    if note is not None or used < need:
+        return _pinned(lambda: ext._undetermined(partial, count, note or ext._SHORT))
+    if slope is not None:
+        return ("infinite", partial, count)
+    tail_sum = ext._geometric_tail(tail_seq, used) if geometric else 1 / (alpha * used)
+    if r is None:
+        if tail_sum >= 1:
+            return _pinned(lambda: ext._undetermined(partial, count, ext._SHORT))
+        cert = "geometric-tail" if geometric else "comparison-integral-tail"
+        return _pinned(lambda: ext._finite(partial, count, partial * tail_sum / (1 - tail_sum), cert))
+    if r > max_terms:
+        return _pinned(lambda: ext._undetermined(partial, count, ext._SHORT))
+    weight, tail = Fraction(1), Fraction(0)
+    for s in range(1, r + 1):
+        if geometric:
+            weight *= Fraction(tail_seq.ratio, tail_seq.value(used) * (tail_seq.ratio**s - 1))
+        else:
+            weight *= tail_sum / s
+        if r - s < len(e):
+            tail += e[r - s] * weight
+    tail /= den
+    if geometric:
+        return _pinned(lambda: ext._finite(partial, count, tail, "geometric-exact", exact=partial + tail))
+    return _pinned(lambda: ext._finite(partial, count, tail, "comparison-integral-tail"))
+
+
+def _engine_level_series(spec, i, m, j, max_terms):
+    """The engine's answer in the reference's form: a divergent series by status, partial sum and terms."""
+    if j is None:
+        res = odometer_extension_mass(spec, i, max_terms)
+    else:
+        res = extended_cylinder_measure(spec, i, EndVertex(m, j), max_terms)
+    if res.status == INFINITE:
+        return (res.status, res.partial_sum, res.terms_used)
+    return _pinned(lambda: res)
+
+
+def _raised_or(call):
+    """What ``call`` returns, or the type and message of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _seeded_level_chains(seed):
+    """Level chains of every tail kind, bare, behind a table prefix, and a table with no tail."""
+    rng = random.Random(seed)
+    chains = []
+    for kind in range(5):
+        tail = _random_level_sequence(random.Random(rng.random()), kind)
+        tail = tail.tail if isinstance(tail, Table) else tail
+        chains += [tail, Table(tuple(rng.randint(2, 9) for _ in range(rng.randint(1, 4))), tail)]
+    chains.append(Table(tuple(rng.randint(2, 9) for _ in range(rng.randint(1, 12)))))
+    return [NonStationaryUniform(seq) for seq in chains]
+
+
+@pytest.mark.parametrize("max_terms", [0, 2, 8, DEFAULT_MAX_TERMS])
+def test_level_series_matches_the_forward_reference(max_terms):
+    # one suffix-product table per chain and end level serves every cell;
+    # cells and masses must equal the level-by-level forward recursion
+    for spec in _seeded_level_chains(20261020 + max_terms):
+        for i in (1, 2):
+            cells = [(m, j) for m in range(7) for j in range(i + 1, i + 7)] + [(0, None)] * (max_terms >= 2)
+            for m, j in cells:
+                got = _raised_or(lambda: _engine_level_series(spec, i, m, j, max_terms))
+                want = _raised_or(lambda: _forward_level_series(spec, i, m, j and j - i, max_terms))
+                assert got == want, (spec, i, m, j)
+
+
+def test_level_series_answers_do_not_depend_on_the_order_of_queries():
+    # the tables of the chains read last are kept: answers interleaved across
+    # three chains equal answers given one chain at a time, and the memo never
+    # holds more than its bound
+    chains = [
+        NonStationaryUniform(Polynomial((3, 1, 1))),
+        NonStationaryUniform(Table((4, 7), Geometric(2, 3))),
+        NonStationaryUniform(Table((5, 2, 3), Arithmetic(2, 1))),
+    ]
+    cells = [(m, j, max_terms) for max_terms in (8, DEFAULT_MAX_TERMS) for m in range(4) for j in (2, 4, 3, 7)]
+    alone = []
+    for spec in chains:
+        ext._tables.clear()
+        alone.append([_pinned(lambda: extended_cylinder_measure(spec, 1, EndVertex(m, j), t)) for m, j, t in cells])
+    ext._tables.clear()
+    mixed = [[] for _ in chains]
+    for m, j, t in cells:
+        for spec, out in zip(chains, mixed):
+            out.append(_pinned(lambda: extended_cylinder_measure(spec, 1, EndVertex(m, j), t)))
+            assert len(ext._tables) <= ext._TABLES_KEPT
+    assert mixed == alone
+
+
+def test_level_series_tables_are_shared_safely_across_threads():
+    # more threads than cores grow the same fresh table, row by row and degree
+    # by degree, at a short switch interval; each must see a lone caller's answers
+    spec = NonStationaryUniform(Polynomial((3, 1, 1)))
+    cells = [(m, j) for m in range(6, -1, -1) for j in range(2, 9)]
+    ext._tables.clear()
+    want = [_pinned(lambda: extended_cylinder_measure(spec, 1, EndVertex(m, j))) for m, j in cells]
+    results = []
+
+    def work(start):
+        start.wait(timeout=60)
+        results.append([_pinned(lambda: extended_cylinder_measure(spec, 1, EndVertex(m, j))) for m, j in cells])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(12):
+            ext._tables.clear()
+            start = threading.Barrier(8)
+            threads = [threading.Thread(target=work, args=(start,)) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == 8 and all(got == want for got in results)
+            results.clear()
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_geometric_level_cylinders_are_exact():
     spec = NonStationaryUniform(Geometric(2, 2))
     # e_2(1/2, 1/4, 1/8, ...) = (1/4) / ((1 - 1/2)(1 - 1/4)) = 1/3
@@ -681,6 +855,18 @@ def test_classify_increasing_none_finite():
 def test_classify_nonstationary_all_finite():
     cls = classify_ergodic_measures(NonStationaryUniform(Geometric(2, 2)), 4)
     assert cls.finite_indices == (1, 2, 3, 4)
+
+
+def test_classify_note_names_the_odometers_it_examined():
+    # odometer 3 of this chain is finite too, so the finite entries of i <= 2
+    # exhaust the measures only among those odometers
+    spec = StationaryDecreasing(Table((9, 7, 5), Constant(2)))
+    cls = classify_ergodic_measures(spec, 2)
+    assert cls.finite_indices == (1, 2)
+    assert classify_ergodic_measures(spec, 3).finite_indices == (1, 2, 3)
+    assert cls.notes[0] == (
+        "normalized finite entries exhaust the ergodic probability tail-invariant measures among odometers i <= 2"
+    )
 
 
 def test_classify_flags_undetermined():

@@ -429,6 +429,13 @@ def test_measures_per_distinguished_class():
     assert m.cylinder_value(1, 2) == 1.0  # normalized: level-1 masses sum to 1
 
 
+@pytest.mark.parametrize("vertex", [0, -1, 3])
+def test_cylinder_value_refuses_vertices_outside_the_diagram(vertex):
+    m = measures_finite_stationary([[3, 0], [1, 2]])[0]
+    with pytest.raises(DiagramError, match=rf"vertex {vertex} is outside 1\.\.2"):
+        m.cylinder_value(1, vertex)
+
+
 def test_single_class_full_support():
     ms = measures_finite_stationary([[1, 1], [1, 1]])
     assert len(ms) == 1
