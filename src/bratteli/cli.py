@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Optional
 
 # every --family needs these two; each handler imports the other layers it uses
 from . import diagram as dg
-from .sequences import _int_str, _require_dict, _require_ints, _require_list, seq_from_text
+from .sequences import _int_str, _require_dict, _require_ints, _require_key, _require_list, seq_from_text
 
 if TYPE_CHECKING:
     from .extension import ConvergenceResult
@@ -161,19 +161,21 @@ def _load_doc(text_or_path: str):
     return json.loads(text_or_path)
 
 
-def _doc_key(flag: str, doc: dict, key: str):
-    """``doc[key]`` of the JSON document given to ``flag``; a missing key is refused naming both."""
-    if key not in doc:
-        raise ConfigError(f"{flag}: missing key {json.dumps(key)}")
-    return doc[key]
+def _int_keys(what: str, doc: dict) -> dict:
+    """``doc`` with its keys, which name levels or vertices (``what``), read as ints.
 
-
-def _int_key(what: str, key: str) -> int:
-    """A JSON object key that names a level or vertex (``what``), read as an int."""
-    try:
-        return int(key)
-    except ValueError:
-        raise ConfigError(f"{what} key {json.dumps(key)} is not an integer") from None
+    Two keys that name one number (``"1"`` and ``"01"``) are refused.
+    """
+    out, names = {}, {}
+    for key, val in doc.items():
+        try:
+            n = int(key)
+        except ValueError:
+            raise ConfigError(f"{what} key {json.dumps(key)} is not an integer") from None
+        if n in names:
+            raise ConfigError(f"{what} keys {json.dumps(names[n])} and {json.dumps(key)} both name {n}")
+        names[n], out[n] = key, val
+    return out
 
 
 def _build_spec(args) -> tuple[dg.DiagramSpec, dg.Truncation]:
@@ -365,7 +367,7 @@ def cmd_measure_cylinder(args, spec, window):
     return {"odometer": args.i, "entries": entries}, code
 
 
-def _vector_entry(level: str, vertex: str, val) -> Fraction:
+def _vector_entry(level: int, vertex: int, val) -> Fraction:
     """One ``--vectors`` entry: an int, a float or a string that ``Fraction`` reads, with a nonzero denominator."""
     where = f"--vectors entry at (level={level}, vertex={vertex})"
     if isinstance(val, bool) or not isinstance(val, (int, float, str)):
@@ -382,14 +384,11 @@ def cmd_measure_check_invariance(args, spec, window):
 
     if args.vectors:
         doc = _require_dict("--vectors", _load_doc(args.vectors), ConfigError)
-        levels = _require_dict("--vectors vectors", _doc_key("--vectors", doc, "vectors"), ConfigError)
-        table = {
-            _int_key("--vectors: level", level): {
-                _int_key(f"--vectors: level {level} vertex", i): _vector_entry(level, i, v)
-                for i, v in _require_dict("--vectors level", row, ConfigError).items()
-            }
-            for level, row in levels.items()
-        }
+        levels = _require_dict("--vectors vectors", _require_key("--vectors", doc, "vectors", ConfigError), ConfigError)
+        table = {}
+        for level, row in _int_keys("--vectors: level", levels).items():
+            row = _int_keys(f"--vectors: level {level} vertex", _require_dict("--vectors level", row, ConfigError))
+            table[level] = {i: _vector_entry(level, i, v) for i, v in row.items()}
         mv = MeasureVectors.from_table(table, label="user vectors")
         window = dg.Truncation(min(window.max_level, mv.max_level), window.max_vertex)
     else:
@@ -431,9 +430,10 @@ def cmd_eigen_measure(args, spec, window):
     measure = sp.eigen_measure(spec, pair, window)
     if args.request:
         doc = _require_dict("--request", _load_doc(args.request), ConfigError)
+        cylinders = _require_key("--request", doc, "cylinders", ConfigError)
         requested = [
             _require_list("--request cylinder", mj, ConfigError, 2)
-            for mj in _require_list("--request cylinders", _doc_key("--request", doc, "cylinders"), ConfigError)
+            for mj in _require_list("--request cylinders", cylinders, ConfigError)
         ]
         _require_ints("--request cylinders", (x for mj in requested for x in mj), ConfigError)
         try:

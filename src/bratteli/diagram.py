@@ -25,7 +25,9 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ._frozen import frozen
-from .sequences import Arithmetic, Constant, IntSequence, Table, _require_dict, _require_ints, _require_list, seq_from_json
+from .sequences import (
+    Arithmetic, Constant, IntSequence, Table, _require_dict, _require_ints, _require_key, _require_list, seq_from_json
+)
 
 
 class DiagramError(ValueError):
@@ -80,7 +82,7 @@ class Truncation:
     @staticmethod
     def from_json(doc: dict) -> "Truncation":
         _require_dict("truncation", doc, DiagramError)
-        return Truncation(doc["maxLevel"], doc["maxVertex"])
+        return Truncation(*(_require_key("truncation", doc, key, DiagramError) for key in ("maxLevel", "maxVertex")))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +233,7 @@ class OdometerChain(DiagramSpec):
             raise DiagramError("an odometer chain built under no family name has no JSON document")
         try:
             params = _CHAIN_PARAMS[self.family](self)
-            same = _FAMILIES[self.family](params) == self
+            same = _spec_from_params(self.family, params) == self
         except (AttributeError, ValueError):  # a base or default the family cannot spell
             same = False
         if not same:
@@ -355,22 +357,28 @@ class ExplicitLevels(DiagramSpec):
         return {"levels": [[list(e) for e in lvl] for lvl in self.levels]}
 
 
+# family -> its spec from ``key``, which reads a required params key, and the params themselves
 _FAMILIES = {
-    "ak": lambda p: StationaryAK(p["a"], p["k"]),
-    "decreasing": lambda p: StationaryDecreasing(seq_from_json(p["diagonal"])),
-    "increasing": lambda p: StationaryIncreasing(),
-    "nonstationary-uniform": lambda p: NonStationaryUniform(seq_from_json(p["levels"])),
-    "general-chain": lambda p: GeneralChain(p.get("entries", ()), p.get("default", 2)),
-    "explicit-finite": lambda p: ExplicitFinite(p["matrix"]),
-    "explicit-levels": lambda p: ExplicitLevels(p["levels"]),
+    "ak": lambda key, p: StationaryAK(key("a"), key("k")),
+    "decreasing": lambda key, p: StationaryDecreasing(seq_from_json(key("diagonal"))),
+    "increasing": lambda key, p: StationaryIncreasing(),
+    "nonstationary-uniform": lambda key, p: NonStationaryUniform(seq_from_json(key("levels"))),
+    "general-chain": lambda key, p: GeneralChain(p.get("entries", ()), p.get("default", 2)),
+    "explicit-finite": lambda key, p: ExplicitFinite(key("matrix")),
+    "explicit-levels": lambda key, p: ExplicitLevels(key("levels")),
 }
+
+
+def _spec_from_params(family: str, params: dict) -> DiagramSpec:
+    """The ``family`` spec that ``params`` describe; a missing required key is refused naming both."""
+    return _FAMILIES[family](lambda key: _require_key(f"{family} params", params, key, DiagramError), params)
 
 
 def diagram_from_json(doc: dict) -> tuple[DiagramSpec, Optional[Truncation]]:
     family = _require_dict("diagram document", doc, DiagramError).get("family")
     if family not in _FAMILIES:
         raise DiagramError(f"unknown diagram family: {family!r}")
-    spec = _FAMILIES[family](_require_dict("params", doc.get("params", {}), DiagramError))
+    spec = _spec_from_params(family, _require_dict("params", doc.get("params", {}), DiagramError))
     window = Truncation.from_json(doc["truncation"]) if "truncation" in doc else None
     return spec, window
 

@@ -630,7 +630,9 @@ def classify_ergodic_measures(
         raise DiagramError("the odometer classification requires an odometer chain")
     entries = []
     for i in range(1, i_max + 1):
-        res = odometer_extension_mass(spec, i, max_terms)
+        # on a level-indexed chain every odometer has the same mass series
+        shared = entries and spec.level_diag is not None
+        res = entries[0].mass if shared else odometer_extension_mass(spec, i, max_terms)
         norm = Fraction(1) / res.exact_value if res.status == FINITE and res.is_exact else None
         entries.append(ErgodicEntry(i, res, norm))
     partial = any(e.mass.status == UNDETERMINED for e in entries)

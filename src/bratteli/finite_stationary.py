@@ -22,9 +22,9 @@ never passes below the root, and any point where p < 0 lies below it.
 Radii are compared exactly: two brackets that overlap across an access
 pair are narrowed until they separate, or found equal when the gcd of the
 two polynomials has a root in both (a Sturm count).  Eigenvectors are
-floats, from inverse iteration on the class block and one Gaussian solve
-per accessing class, checked by their residual and sign pattern.  The module
-uses Python integers, fractions and floats only.
+floats, each from one inverse iteration on A over its class's access set,
+checked by their residual and sign pattern.  The module uses Python
+integers, fractions and floats only.
 """
 
 from __future__ import annotations
@@ -314,10 +314,11 @@ def spectral_radius(block, tol: float = 1e-12) -> PerronBracket:
     ``block`` is a square nested sequence of integers, such as
     ``ClassDecomposition.class_matrix``; integral floats (a float array)
     are read as the integers they equal.  The root lies in an exact dyadic
-    bracket at most ``tol`` wide, a single point for a 1x1 block and
-    whenever a Newton iterate hits the root exactly.  The result unpacks as
-    that bracket rounded outward to floats, ``(lo, hi)``, and carries the
-    exact endpoints and the characteristic polynomial (``PerronBracket``).
+    bracket at most ``tol`` wide, a single point whenever a Newton iterate
+    hits the root exactly, as the first one does for a 1x1 block.  The
+    result unpacks as that bracket rounded outward to floats, ``(lo, hi)``,
+    and carries the exact endpoints and the characteristic polynomial
+    (``PerronBracket``).
     """
     rows = tuple(tuple(map(_as_int, row)) for row in block)
     if not rows or any(len(row) != len(rows) for row in rows):
@@ -326,9 +327,6 @@ def spectral_radius(block, tol: float = 1e-12) -> PerronBracket:
         raise DiagramError("block entries must be nonnegative")
     if not 0 < tol < math.inf:
         raise DiagramError(f"tol must be a positive finite number, not {tol!r}")
-    if len(rows) == 1:
-        root = Fraction(rows[0][0])
-        return PerronBracket(root, root, (1, -rows[0][0]))
     start = min(max(map(sum, rows)), max(map(sum, zip(*rows))))
     return _newton_bracket(_charpoly(rows), Fraction(start), Fraction(tol))
 
@@ -406,13 +404,12 @@ class DistinguishedData:
 def distinguished_eigenvector(
     dec: ClassDecomposition, alpha: int, tol: float = 1e-12
 ) -> DistinguishedData:
-    """Solve A x = rho_alpha x blockwise along the access relation.
+    """The eigenvector of A for rho_alpha, positive exactly on the access set.
 
-    x restricted to the class is its Perron vector; classes without access
-    get exact zeros; each accessing class beta is recovered from
-    (rho_alpha I - A_beta) x_beta = coupling, solvable because
-    rho_beta < rho_alpha for a distinguished class.  A class that is not
-    distinguished is refused.
+    It comes from inverse iteration on A restricted to the access set (the
+    class and every class with access to it), scaled so that the class's
+    own entries sum to 1; the vertices without access get exact zeros.  A
+    class that is not distinguished is refused.
     """
     radius = spectral_radius(dec.class_matrix(alpha), tol)
     for beta in dec.predecessors(alpha):
@@ -455,23 +452,23 @@ def _solve(factors: tuple[list[list[float]], list[int]], rhs: list[float]) -> li
     return y
 
 
-# inverse iterations on a class block before its Perron vector must have settled
+# inverse iterations on an access-set block before its vector must have settled
 _INVERSE_ITERATIONS = 8
 # the bracket width all eigen data are taken from, whatever tol is
 _VECTOR_WIDTH = Fraction(1, 2**40)
 
 
 def _perron_vector(block: tuple[tuple[int, ...], ...], radius: PerronBracket) -> list[float]:
-    """The Perron vector of an irreducible block, summing to 1.
+    """The nonnegative eigenvector of ``block`` for the root ``radius`` brackets, summing to 1.
 
+    ``block`` is A over a distinguished class's access set, whose root is a
+    simple eigenvalue: every other class there has a strictly smaller root.
     Inverse iteration with a shift just above the root's upper bound, where
-    shift I - B is a nonsingular M-matrix with a positive inverse: each
-    step divides every other eigencomponent by at least the gap to the
-    root over the shift's distance to it.
+    shift I - B is a nonsingular M-matrix with a nonnegative inverse: each
+    step divides every other eigencomponent by at least its gap to the root
+    over the shift's distance to it.
     """
     n = len(block)
-    if n == 1:
-        return [1.0]
     shift = radius[1] * (1 + 2.0**-40) + 2.0**-40
     factors = _factor([[(shift if i == j else 0.0) - block[i][j] for j in range(n)] for i in range(n)])
     x = [1.0 / n] * n
@@ -492,20 +489,14 @@ def _eigenvector(dec: ClassDecomposition, alpha: int, radius: PerronBracket) -> 
     if radius.high - radius.low > _VECTOR_WIDTH:
         radius = _newton_bracket(radius.poly, radius.high, _VECTOR_WIDTH)
     rho = 0.5 * (radius[0] + radius[1])
-    x = [0.0] * n
-    for v, value in zip(dec.classes[alpha], _perron_vector(dec.class_matrix(alpha), radius)):
-        x[v - 1] = value
-    # classes are in topological order, so everything a predecessor beta
-    # reaches toward alpha has a larger index and is already solved
-    for beta in sorted(dec.predecessors(alpha), reverse=True):
-        idx = [v - 1 for v in dec.classes[beta]]
-        inside = set(idx)
-        coupling = [sum(a[i][j] * x[j] for j in range(n) if j not in inside) for i in idx]
-        shifted = [[(rho if i == j else 0.0) - a[i][j] for j in idx] for i in idx]
-        for i, value in zip(idx, _solve(_factor(shifted), coupling)):
-            x[i] = value
-
     support = dec.access_set(alpha)
+    # in class order shift I - A is block upper triangular: its LU eliminates one class at a time
+    idx = [v - 1 for beta in (*dec.predecessors(alpha), alpha) for v in dec.classes[beta]]
+    x = [0.0] * n
+    for i, value in zip(idx, _perron_vector(tuple(tuple(a[i][j] for j in idx) for i in idx), radius)):
+        x[i] = value
+    total = sum(x[v - 1] for v in dec.classes[alpha])
+    x = [value / total for value in x]
     if any(x[v - 1] <= 0 for v in support):
         raise CertificateError(f"eigenvector of class {alpha} is not positive on its access set")
     # the vector comes from a bracket at most 2^-40 wide and sums of n float

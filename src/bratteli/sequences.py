@@ -46,6 +46,13 @@ def _require_dict(what: str, value, error: type[Exception] = SequenceError) -> d
     return value
 
 
+def _require_key(what: str, doc: dict, key: str, error: type[Exception] = SequenceError):
+    """Return ``doc[key]``, or reject the document ``what`` naming the missing key."""
+    if key not in doc:
+        raise error(f'{what}: missing key "{key}"')
+    return doc[key]
+
+
 @frozen
 class IntSequence:
     """Base class; subclasses implement ``value`` and the analysis hooks."""
@@ -217,17 +224,21 @@ class Table(IntSequence):
 
 def seq_from_json(doc: dict) -> IntSequence:
     kind = _require_dict("sequence", doc).get("kind")
+
+    def key(name: str):
+        return _require_key(f"{kind} sequence", doc, name)
+
     if kind == "constant":
-        return Constant(doc["value"])
+        return Constant(key("value"))
     if kind == "arithmetic":
-        return Arithmetic(doc["start"], doc["step"])
+        return Arithmetic(key("start"), key("step"))
     if kind == "geometric":
-        return Geometric(doc["base"], doc["ratio"])
+        return Geometric(key("base"), key("ratio"))
     if kind == "polynomial":
-        return Polynomial(doc["coeffs"])
+        return Polynomial(key("coeffs"))
     if kind == "table":
         tail = seq_from_json(doc["tail"]) if "tail" in doc and doc["tail"] is not None else None
-        return Table(doc["values"], tail)
+        return Table(key("values"), tail)
     raise SequenceError(f"unknown sequence kind: {kind!r}")
 
 

@@ -1019,6 +1019,14 @@ BAD_DOCUMENT_KEYS = {
         ["measure", "check-invariance", *AK, "--vectors", '{"vectors": {"1": {"1.5": 1}}}'],
         '--vectors: level 1 vertex key "1.5" is not an integer',
     ),
+    "vectors-level-twice": (
+        ["measure", "check-invariance", *AK, "--vectors", '{"vectors": {"0": {"1": 1}, "00": {"1": 1}}}'],
+        '--vectors: level keys "0" and "00" both name 0',
+    ),
+    "vectors-vertex-twice": (
+        ["measure", "check-invariance", *AK, "--vectors", '{"vectors": {"0": {"1": 1, "01": 2}}}'],
+        '--vectors: level 0 vertex keys "1" and "01" both name 1',
+    ),
 }
 
 
@@ -1026,6 +1034,33 @@ BAD_DOCUMENT_KEYS = {
 def test_document_key_errors_name_the_flag_and_the_key(capsys, case):
     argv, message = BAD_DOCUMENT_KEYS[case]
     assert run(capsys, *argv) == (EXIT_CONFIG, "", f"error: {message}\n")
+
+
+# a diagram document missing a required key -> (the document, its whole error line)
+DIAGRAM_MISSING_KEYS = {
+    "ak-params": (_spec_json("ak", {"a": 4}), 'ak params: missing key "k"'),
+    "constant-diagonal": (
+        _spec_json("decreasing", {"diagonal": {"kind": "constant"}}), 'constant sequence: missing key "value"'
+    ),
+    "truncation": (
+        _spec_json("ak", {"a": 4, "k": 2}, truncation={"maxLevel": 3}), 'truncation: missing key "maxVertex"'
+    ),
+    "explicit-finite": (_spec_json("explicit-finite", {}), 'explicit-finite params: missing key "matrix"'),
+}
+
+
+@pytest.mark.parametrize("case", list(DIAGRAM_MISSING_KEYS))
+def test_diagram_documents_name_the_part_and_the_missing_key(capsys, case):
+    doc, message = DIAGRAM_MISSING_KEYS[case]
+    assert run(capsys, "diagram", "show", *doc) == (EXIT_CONFIG, "", f"error: {message}\n")
+
+
+def test_csv_cells_of_values_that_are_not_finite(capsys):
+    code, out, _ = run(
+        capsys, "--format", "csv", "measure", "cylinder", "--family", "increasing", "--cylinders", "(0,2);(0,2000)"
+    )
+    assert code == EXIT_UNCERTIFIED
+    assert out.splitlines()[1:] == ["0,2,infinite,inf", "0,2000,undetermined,undetermined"]
 
 
 def test_config_file_holding_a_list_is_a_config_error(capsys, tmp_path):

@@ -857,6 +857,23 @@ def test_classify_nonstationary_all_finite():
     assert cls.finite_indices == (1, 2, 3, 4)
 
 
+LEVEL_SEQUENCES = [
+    Geometric(2, 2), Constant(3), Arithmetic(2, 1), Polynomial((4, 4, 1)), Table((3, 5)), Arithmetic(40, -3)
+]
+
+
+@pytest.mark.parametrize("seq", LEVEL_SEQUENCES)
+def test_classify_certifies_a_level_chain_mass_once(monkeypatch, seq):
+    spec = NonStationaryUniform(seq)
+    level_series, calls = ext._level_series, []
+    monkeypatch.setattr(ext, "_level_series", lambda *args: calls.append(args) or level_series(*args))
+    cls = classify_ergodic_measures(spec, 4)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert [e.mass for e in cls.entries] == [odometer_extension_mass(spec, i) for i in range(1, 5)]
+    assert [e.index for e in cls.entries] == [1, 2, 3, 4]
+
+
 def test_classify_note_names_the_odometers_it_examined():
     # odometer 3 of this chain is finite too, so the finite entries of i <= 2
     # exhaust the measures only among those odometers

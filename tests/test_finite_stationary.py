@@ -18,6 +18,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +231,9 @@ def test_class_order_digest_on_a_seeded_corpus():
 def test_radius_examples():
     assert spectral_radius(np.array([[2.0]])) == (2.0, 2.0)
     assert spectral_radius(np.array([[0.0]])) == (0.0, 0.0)
+    for a in (0, 2, 5):
+        bracket = spectral_radius([[a]], tol=1e-3)
+        assert (bracket.low, bracket.high, bracket.poly) == (a, a, (1, -a))
     lo, hi = spectral_radius(np.array([[1.0, 1.0], [1.0, 1.0]]), tol=1e-12)
     assert hi - lo <= 1e-12
     assert lo <= 2.0 <= hi + 1e-12
@@ -239,6 +243,20 @@ def test_radius_periodic_block():
     # periodic irreducible block: the +I shift keeps the iteration convergent
     lo, hi = spectral_radius(np.array([[0.0, 2.0], [2.0, 0.0]]), tol=1e-12)
     assert abs(0.5 * (lo + hi) - 2.0) < 1e-9
+
+
+def test_a_bracket_raises_its_precision_to_part_close_roots():
+    # roots 3 and 3 - 2^-60: units of a 1e-12 bracket cannot part them
+    poly = (2**60, -(6 * 2**60 - 1), 3 * (3 * 2**60 - 1))
+    bracket = fs._newton_bracket(poly, Fraction(4), Fraction(1, 10**12))
+    assert bracket.low <= 3 <= bracket.high
+    assert bracket.high - bracket.low < Fraction(1, 10**19)
+    assert bracket.low > 3 - Fraction(1, 2**60)
+
+
+def test_a_double_root_is_refused():
+    with pytest.raises(DiagramError, match="not simple"):
+        fs._newton_bracket((1, -4, 4), Fraction(4), Fraction(1, 10**12))
 
 
 def test_radius_matches_numpy_on_random_irreducible():
@@ -375,6 +393,21 @@ def test_eigen_residuals_and_positivity(a):
                 assert data.xi[v - 1] > 0
             else:
                 assert data.xi[v - 1] == 0.0  # exact zero by construction
+
+
+@pytest.mark.parametrize("a", CORPUS + [[[1, 1, 0], [0, 1, 1], [0, 0, 3]], [[2, 1, 1], [1, 2, 0], [0, 0, 3]]])
+def test_eigenvector_is_scaled_to_its_class_and_matches_the_null_space(a):
+    # xi on the access set is the null vector of rho I - A there, the class's entries summing to 1
+    dec = decompose(a)
+    for alpha in distinguished_classes(dec):
+        data = distinguished_eigenvector(dec, alpha)
+        assert abs(sum(data.xi[v - 1] for v in dec.classes[alpha]) - 1) <= 1e-15
+        idx = sorted(v - 1 for v in data.support)
+        block = np.array(a, dtype=float)[np.ix_(idx, idx)]
+        values, vectors = np.linalg.eig(block)
+        want = np.real(vectors[:, np.argmin(abs(values - data.rho_mid))])
+        want = want / sum(want[idx.index(v - 1)] for v in dec.classes[alpha])
+        assert np.allclose([data.xi[i] for i in idx], want, rtol=1e-9, atol=0)
 
 
 def test_eigen_example_values():
