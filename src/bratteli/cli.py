@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Optional
 
 # every --family needs these two; each handler imports the other layers it uses
 from . import diagram as dg
-from .sequences import _int_str, _require_dict, _require_ints, _require_key, _require_list, seq_from_text
+from .sequences import _int_keys, _int_str, _require_dict, _require_ints, _require_key, _require_list, seq_from_text
 
 if TYPE_CHECKING:
     from .extension import ConvergenceResult
@@ -161,23 +161,6 @@ def _load_doc(text_or_path: str):
     return json.loads(text_or_path)
 
 
-def _int_keys(what: str, doc: dict) -> dict:
-    """``doc`` with its keys, which name levels or vertices (``what``), read as ints.
-
-    Two keys that name one number (``"1"`` and ``"01"``) are refused.
-    """
-    out, names = {}, {}
-    for key, val in doc.items():
-        try:
-            n = int(key)
-        except ValueError:
-            raise ConfigError(f"{what} key {json.dumps(key)} is not an integer") from None
-        if n in names:
-            raise ConfigError(f"{what} keys {json.dumps(names[n])} and {json.dumps(key)} both name {n}")
-        names[n], out[n] = key, val
-    return out
-
-
 def _build_spec(args) -> tuple[dg.DiagramSpec, dg.Truncation]:
     window = dg.Truncation(args.max_level, args.max_vertex)
     if args.spec_json:
@@ -209,11 +192,12 @@ def _breakpoints(text: str) -> list[int]:
     return [_work_size(x) for x in text.split(",")]
 
 
-def _end_vertices(pairs: list[tuple[int, int]]) -> list[EndVertex]:
+def _end_vertices(pairs: list[tuple[int, int]], empty: str = "no cylinders given") -> list[EndVertex]:
+    """The (m, j) cylinders of ``pairs``; no pairs is a configuration error that ``empty`` names."""
     from .measure import EndVertex
 
     if not pairs:
-        raise ConfigError("no cylinders given")
+        raise ConfigError(empty)
     return [EndVertex(m, j) for m, j in pairs]
 
 
@@ -386,8 +370,8 @@ def cmd_measure_check_invariance(args, spec, window):
         doc = _require_dict("--vectors", _load_doc(args.vectors), ConfigError)
         levels = _require_dict("--vectors vectors", _require_key("--vectors", doc, "vectors", ConfigError), ConfigError)
         table = {}
-        for level, row in _int_keys("--vectors: level", levels).items():
-            row = _int_keys(f"--vectors: level {level} vertex", _require_dict("--vectors level", row, ConfigError))
+        for level, row in _int_keys("--vectors: level", levels, ConfigError).items():
+            row = _int_keys(f"--vectors: level {level} vertex", _require_dict("--vectors level", row, ConfigError), ConfigError)
             table[level] = {i: _vector_entry(level, i, v) for i, v in row.items()}
         mv = MeasureVectors.from_table(table, label="user vectors")
         window = dg.Truncation(min(window.max_level, mv.max_level), window.max_vertex)
@@ -450,10 +434,10 @@ def cmd_eigen_measure(args, spec, window):
 
 def cmd_eigen_compare(args, spec, window):
     from . import spectral as sp
-    from .measure import EndVertex
 
     pair = sp.eigenvector(spec, args.i)
-    cyls = [EndVertex(m, j) for m in range(args.mmax + 1) for j in range(args.i, args.jmax + 1)]
+    grid = [(m, j) for m in range(args.mmax + 1) for j in range(args.i, args.jmax + 1)]
+    cyls = _end_vertices(grid, f"--jmax {args.jmax} is below --i {args.i}: the cylinder grid j = i..jmax is empty")
     rep = sp.compare_eigen_vs_extension(spec, args.i, pair, cyls, args.max_terms)
     entries = [
         {
@@ -703,10 +687,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except dg.CertificateError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ConfigError, dg.DiagramError, ValueError, OSError, KeyError) as exc:
+    except (ConfigError, dg.DiagramError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # pragma: no cover - internal faults
+    except Exception as exc:  # an internal fault
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     try:

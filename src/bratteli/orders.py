@@ -7,8 +7,9 @@ edges e_1, ..., e_a (vertical, from (n-1, i)) and f (diagonal, from
 ``QuasiStationary``, describes every order: each vertex index i has an
 eventual tag, independent of the level, and every vertex (n, i) takes the
 canonical order of that tag, except finitely many vertices that carry a tag
-or a full ``VertexOrder`` of their own.  Exceptions never change an eventual
-tag, so the eventual behaviour of every odometer is decidable exactly:
+or a full ``VertexOrder`` (which fits one vertex, so is never eventual) of
+their own.  Exceptions never change an eventual tag, so the eventual
+behaviour of every odometer is decidable exactly:
 
 * left-tagged i: no right orders ever occur, so odometer i is finite-right
   (its saturation carries the unique maximal path) but not finite-left;
@@ -16,7 +17,8 @@ tag, so the eventual behaviour of every odometer is decidable exactly:
 * middle-tagged i: both, carrying one maximal and one minimal path.
 
 With ``default=None`` only the listed vertices have orders: a finite window
-of explicit orders, which decides no eventual behaviour.
+of explicit orders, which decides no eventual behaviour.  An order document
+refuses two keys that name one odometer or one vertex.
 
 The successor map acts on finite paths, the same ``ExplicitPath`` values
 that name cylinders in ``measure``: it increments the first non-maximal edge
@@ -45,7 +47,7 @@ from typing import Optional, Union
 from ._frozen import frozen
 from .diagram import DiagramError, DiagramSpec, OdometerChain, Truncation
 from .measure import DIAGONAL, VERTICAL, CylinderSpec, EndVertex, ExplicitPath, cylinder_measure
-from .sequences import _require_dict, _require_list
+from .sequences import _int_keys, _require_dict, _require_list
 
 LEFT = "left"
 RIGHT = "right"
@@ -132,9 +134,10 @@ class QuasiStationary:
     """Eventual tag per vertex index, with finitely many per-vertex exceptions.
 
     Index i takes its tag from ``tags``, else default[(i-1) % len], so e.g.
-    a default (left, right) alternates.  An exception gives vertex (level,
-    index) a tag or a full ``VertexOrder``.  ``default=None`` gives orders
-    to the listed vertices and indices only.
+    a default (left, right) alternates; both hold tags only.  An exception
+    gives vertex (level, index) a tag or a full ``VertexOrder``.
+    ``default=None`` gives orders to the listed vertices and indices only.
+    The fields are sorted tuples, also kept as dicts for one-read lookups.
     """
 
     tags: tuple[tuple[int, str], ...] = ()
@@ -142,28 +145,29 @@ class QuasiStationary:
     exceptions: tuple[tuple[tuple[int, int], Union[str, VertexOrder]], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "tags", tuple(sorted(dict(self.tags).items())))
-        object.__setattr__(self, "exceptions", tuple(sorted(dict(self.exceptions).items())))
+        for name in ("tags", "exceptions"):
+            lookup = dict(getattr(self, name))
+            object.__setattr__(self, name, tuple(sorted(lookup.items())))
+            object.__setattr__(self, "_" + name, lookup)
         if self.default is not None:
             default = (self.default,) if isinstance(self.default, str) else self.default
             default = tuple(_require_list("the order default must be a tag or a list of tags", default, DiagramError))
             if not default:
                 raise DiagramError("the default tag cycle needs at least one tag")
             object.__setattr__(self, "default", default)
-        if any(n < 1 or i < 1 for (n, i), _ in self.exceptions):
+        if any(n < 1 or i < 1 for n, i in self._exceptions):
             raise DiagramError("exception positions need level >= 1 and index >= 1")
-        if any(i < 1 for i, _ in self.tags):
+        if any(i < 1 for i in self._tags):
             raise DiagramError("tag indices need index >= 1")
-        for t in [t for _, t in self.tags] + list(self.default or ()) + [e for _, e in self.exceptions]:
-            if not isinstance(t, VertexOrder) and t not in TAGS:
+        explicit = [e for e in self._exceptions.values() if not isinstance(e, VertexOrder)]
+        for t in [*self._tags.values(), *(self.default or ()), *explicit]:
+            if t not in TAGS:
                 raise DiagramError(f"unknown tag {t!r}")
 
     def tag_of(self, i: int) -> Optional[str]:
         """The eventual tag of index i; None when no default covers it."""
-        for j, t in self.tags:
-            if j == i:
-                return t
-        return None if self.default is None else self.default[(i - 1) % len(self.default)]
+        default = self.default and self.default[(i - 1) % len(self.default)]
+        return self._tags.get(i, default)
 
 
 def order_at(spec: DiagramSpec, order: QuasiStationary, n: int, i: int) -> VertexOrder:
@@ -175,45 +179,31 @@ def order_at(spec: DiagramSpec, order: QuasiStationary, n: int, i: int) -> Verte
     if n < 1:
         raise DiagramError("level-0 vertices have no incoming edges")
     a = spec.vertical_edges(n - 1, i)
-    for (en, ei), e in order.exceptions:
-        if en == n and ei == i:
-            break
-    else:
-        e = order.tag_of(i)
-        if e is None:
-            raise DiagramError(f"no order given for vertex (level {n}, index {i})")
+    e = order._exceptions.get((n, i)) or order.tag_of(i)
+    if e is None:
+        raise DiagramError(f"no order given for vertex (level {n}, index {i})")
     if isinstance(e, str):
         return canonical_order(e, a)
     if len(e.sequence) - 1 != a:
-        raise DiagramError(
-            f"order at vertex (level {n}, index {i}) lists {len(e.sequence) - 1} vertical edges, "
-            f"the vertex has {a}"
-        )
+        raise DiagramError(f"order at vertex (level {n}, index {i}) lists {len(e.sequence) - 1} vertical edges, the vertex has {a}")
     return e
 
 
 def order_from_json(doc: dict) -> QuasiStationary:
+    """An order document: ``tags`` by odometer index plus ``"default"``, and
+    ``exceptions`` by ``"level,index"`` (eventuallyQuasiStationary only); two
+    keys naming one odometer (``"1"``, ``"01"``) or vertex are refused."""
     kind = _require_dict("order", doc, DiagramError).get("kind", "quasiStationary")
     if kind not in ("quasiStationary", "eventuallyQuasiStationary"):
         raise DiagramError(f"unknown order kind {kind!r}")
     if kind == "quasiStationary" and "exceptions" in doc:
         raise DiagramError("a quasiStationary order has no exceptions; give them under kind eventuallyQuasiStationary")
-    raw = dict(_require_dict("order tags", doc.get("tags", {}), DiagramError))
-    default = raw.pop("default", MIDDLE)
-    tags = []
-    for key, tag in raw.items():
-        try:
-            tags.append((int(key), str(tag)))
-        except ValueError:
-            raise DiagramError(f"order tag key {key!r} must be an odometer index or \"default\"") from None
-    exceptions = []
-    for key, tag in _require_dict("order exceptions", doc.get("exceptions", {}), DiagramError).items():
-        try:
-            level, index = (int(x) for x in key.split(","))
-        except ValueError:
-            raise DiagramError(f"order exception key {key!r} must be \"level,index\"") from None
-        exceptions.append(((level, index), str(tag)))
-    return QuasiStationary(tags, default, exceptions)
+    tags = dict(_require_dict("order tags", doc.get("tags", {}), DiagramError))
+    default = tags.pop("default", MIDDLE)
+    tags = _int_keys("order tag", tags, DiagramError)
+    exceptions = _require_dict("order exceptions", doc.get("exceptions", {}), DiagramError)
+    exceptions = _int_keys("order exception", exceptions, DiagramError, ("level", "index"))
+    return QuasiStationary({i: str(t) for i, t in tags.items()}, default, {at: str(t) for at, t in exceptions.items()})
 
 
 # ---------------------------------------------------------------------------

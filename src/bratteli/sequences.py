@@ -10,6 +10,7 @@ tail rule is allowed but limits certification to the table range.
 
 from __future__ import annotations
 
+import json
 from decimal import Decimal
 from typing import Optional
 
@@ -51,6 +52,24 @@ def _require_key(what: str, doc: dict, key: str, error: type[Exception] = Sequen
     if key not in doc:
         raise error(f'{what}: missing key "{key}"')
     return doc[key]
+
+
+def _int_keys(what: str, doc: dict, error: type[Exception] = SequenceError, parts: tuple[str, ...] = ()) -> dict:
+    """``doc`` with its keys read as ints, or as int tuples when ``parts`` names a key's
+    comma-separated parts (``"level,index"``); two keys naming one value (``"1"``, ``"01"``) are refused."""
+    out, names = {}, {}
+    for key, val in doc.items():
+        try:
+            n = tuple(int(x) for x in key.split(",")) if parts else int(key)
+            if parts and len(n) != len(parts):
+                raise ValueError
+        except ValueError:
+            form = json.dumps(",".join(parts)) if parts else "an integer"
+            raise error(f"{what} key {json.dumps(key)} is not {form}") from None
+        if n in names:
+            raise error(f"{what} keys {json.dumps(names[n])} and {json.dumps(key)} both name {n}")
+        names[n], out[n] = key, val
+    return out
 
 
 @frozen

@@ -1204,12 +1204,66 @@ def test_finite_classify_certifies_eigenvectors_below_any_tol(capsys):
 
 @pytest.mark.parametrize("tags, message", [
     ({"kind": "quasiStationary", "tags": {"default": "left"}, "exceptions": {"1,1": "right"}}, "eventuallyQuasiStationary"),
-    ({"kind": "eventuallyQuasiStationary", "tags": {"default": "left"}, "exceptions": {"2": "right"}}, "key '2'"),
+    ({"kind": "eventuallyQuasiStationary", "tags": {"default": "left"}, "exceptions": {"2": "right"}}, 'key "2"'),
 ])
 def test_order_documents_that_lose_or_misplace_exceptions_exit_2(capsys, tags, message):
     code, out, err = run(capsys, "vershik", "classify", *AK, "--tags", json.dumps(tags))
     assert (code, out) == (EXIT_CONFIG, "")
     assert message in err and "internal error" not in err
+
+
+# two keys of an order document that name one odometer or one vertex -> (the document, its whole error line)
+ORDER_KEYS_TWICE = {
+    "tags": ({"tags": {"default": "middle", "1": "left", "01": "right"}}, 'order tag keys "1" and "01" both name 1'),
+    "exceptions": (
+        {"kind": "eventuallyQuasiStationary", "exceptions": {"2,1": "left", "02,1": "right"}},
+        'order exception keys "2,1" and "02,1" both name (2, 1)',
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ORDER_KEYS_TWICE))
+@pytest.mark.parametrize("command", ["classify", "orbit"])
+def test_order_keys_that_name_one_odometer_or_vertex_exit_2(capsys, command, case):
+    doc, message = ORDER_KEYS_TWICE[case]
+    assert run(capsys, "vershik", command, *AK, "--tags", json.dumps(doc)) == (EXIT_CONFIG, "", f"error: {message}\n")
+
+
+def test_an_internal_key_error_exits_1(capsys, monkeypatch):
+    # every document key is read through a checked reader, so a KeyError is a fault of the program
+    def fault(args, spec, window):
+        raise KeyError("entries")
+
+    monkeypatch.setattr(cli, "cmd_diagram_show", fault)
+    code, out, err = run(capsys, "diagram", "show", *AK)
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err.startswith("internal error: KeyError")
+
+
+def test_eigen_compare_refuses_an_empty_grid(capsys):
+    # j runs from --i to --jmax, so --jmax below --i leaves no cylinder to compare
+    argv = ["eigen", "compare", "--family", "decreasing", "--diagonal", "table:9,7,5:constant:3", "--i", "2", "--jmax", "1"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "--jmax 1" in err and "--i 2" in err
+    code, out, err = run(capsys, "--format", "json", *argv[:-1], "2")
+    assert (code, err) == (EXIT_OK, "")
+    assert len(json.loads(out)["entries"]) == 6
+
+
+@pytest.mark.parametrize("family, flag, poly, twin", [
+    ("nonstat-uniform", "--an", "poly:3,2,0", "arithmetic:3,2"),
+    ("decreasing", "--diagonal", "poly:5,0,0", "constant:5"),
+])
+def test_trailing_zero_coefficients_report_like_the_lower_degree(capsys, family, flag, poly, twin):
+    reports = []
+    for seq in (poly, twin):
+        code, out, err = run(capsys, "--format", "json", "measure", "classify", "--family", family, flag, seq, "--imax", "3")
+        assert err == ""
+        report = json.loads(out)
+        report.pop("family")
+        reports.append((code, report))
+    assert reports[0] == reports[1]
 
 
 def test_general_chain_cylinders_have_no_certificate(capsys):

@@ -469,6 +469,17 @@ def test_nonstationary_neighbor_cylinder():
     assert res.status == INFINITE
 
 
+@pytest.mark.parametrize("spec, status", [
+    (NonStationaryUniform(Constant(2)), INFINITE),
+    (GeneralChain(((0, 1, 3), (1, 2, 4)), default=2), UNDETERMINED),
+])
+def test_a_result_that_is_not_finite_has_no_upper_end(spec, status):
+    res = odometer_extension_mass(spec, 1)
+    assert res.status == status
+    assert res.interval() == (res.partial_sum, None)
+    assert not res.contains(res.partial_sum)
+
+
 # one sequence per tail kind, bare and behind a table prefix
 LEVEL_TAILS = [Constant(3), Arithmetic(2, 1), Polynomial((3, 2)), Polynomial((2, 0, 1)), Geometric(2, 2)]
 LEVEL_SEQUENCES = LEVEL_TAILS + [Table((5, 7), tail) for tail in LEVEL_TAILS]

@@ -157,8 +157,23 @@ def test_tag_indices_are_validated():
         with pytest.raises(DiagramError, match="tag indices need index >= 1"):
             order_from_json({"tags": {"default": "right", str(index): "left"}})
     for key in ("x", "1.5", ""):
-        with pytest.raises(DiagramError, match=re.escape(f"order tag key {key!r} must be an odometer index")):
+        with pytest.raises(DiagramError, match=re.escape(f'order tag key "{key}" is not an integer')):
             order_from_json({"tags": {key: "left"}})
+
+
+@pytest.mark.parametrize("section, keys", [("tags", ("1", "01")), ("exceptions", ("2,1", "02,1"))])
+def test_order_json_refuses_two_keys_for_one_odometer_or_vertex(section, keys):
+    doc = {"kind": "eventuallyQuasiStationary", section: {keys[0]: "left", keys[1]: "right"}}
+    with pytest.raises(DiagramError, match=re.escape(f'keys "{keys[0]}" and "{keys[1]}" both name')):
+        order_from_json(doc)
+
+
+def test_a_vertex_order_is_an_exception_only():
+    vo = canonical_order(LEFT, 2)
+    for build in (lambda: QuasiStationary(tags=((2, vo),)), lambda: QuasiStationary(default=(vo,))):
+        with pytest.raises(DiagramError, match="unknown tag"):
+            build()
+    assert order_at(SPEC, QuasiStationary(exceptions=(((1, 2), vo),)), 1, 2) is vo
 
 
 def test_order_json():
@@ -181,7 +196,7 @@ def test_order_json_exceptions_need_their_kind_and_a_position():
         with pytest.raises(DiagramError, match="eventuallyQuasiStationary"):
             order_from_json(doc)
     for key in ("2", "1,2,3", "a,1", ""):
-        with pytest.raises(DiagramError, match=re.escape(f"key {key!r} must be")):
+        with pytest.raises(DiagramError, match=re.escape(f'order exception key "{key}" is not "level,index"')):
             order_from_json({"kind": "eventuallyQuasiStationary", "exceptions": {key: "right"}})
 
 
@@ -649,3 +664,69 @@ def test_orbits_under_different_orders_back_to_back(spec_name):
     start = vertical_path(spec, 2, 6)
     for order_name in ("left", "right", "order-exceptions", "left", "tag-exceptions", "right"):
         _assert_orbit_matches_reference(spec, DIFF_ORDERS[order_name](spec), start, 150, cyls)
+
+
+# -- lookups against a scan of the sorted fields ------------------------------------
+
+
+def _scanned_order_at(spec, order, n, i):
+    """``order_at`` by a linear scan of the order's sorted ``exceptions`` and ``tags``."""
+    found = None
+    for at, e in order.exceptions:
+        if at == (n, i):
+            found = e
+    if found is None:
+        for j, t in order.tags:
+            if j == i:
+                found = t
+    if found is None and order.default is not None:
+        found = order.default[(i - 1) % len(order.default)]
+    a = spec.vertical_edges(n - 1, i)
+    if found is None or isinstance(found, VertexOrder) and len(found.sequence) != a + 1:
+        return None  # order_at refuses the vertex
+    return canonical_order(found, a) if isinstance(found, str) else found
+
+
+def _random_order(rng, spec):
+    tags = {rng.randint(1, 8): rng.choice(TAGS) for _ in range(rng.randint(0, 4))}
+    default = None if rng.random() < 0.2 else tuple(rng.choice(TAGS) for _ in range(rng.randint(1, 3)))
+    exceptions = {}
+    for _ in range(rng.randint(0, 5)):
+        n, i = rng.randint(1, 6), rng.randint(1, 8)
+        kind = rng.random()
+        if kind < 0.5:
+            exceptions[n, i] = rng.choice(TAGS)
+        elif kind < 0.9:
+            exceptions[n, i] = _shuffled_order(spec, n, i, rng.random())
+        else:  # an order of another size, which order_at refuses
+            exceptions[n, i] = canonical_order(rng.choice(TAGS), spec.vertical_edges(n - 1, i) + 1)
+    return QuasiStationary(tuple(tags.items()), default, tuple(exceptions.items()))
+
+
+@pytest.mark.parametrize("spec_name", list(DIFF_SPECS))
+def test_order_lookups_match_a_scan_on_a_seeded_corpus(spec_name):
+    spec = DIFF_SPECS[spec_name]
+    rng = random.Random(f"lookups/{spec_name}")
+    for _ in range(150):
+        order = _random_order(rng, spec)
+        # the lookups sit outside the fields: equality, hash and repr read the fields only
+        twin = QuasiStationary(order.tags[::-1], order.default, order.exceptions[::-1])
+        assert order == twin and hash(order) == hash(twin) and repr(order) == repr(twin)
+        assert repr(order).startswith(f"QuasiStationary(tags={order.tags!r}, default={order.default!r}, exceptions=")
+        for n in range(1, 7):
+            for i in range(1, 9):
+                want = _scanned_order_at(spec, order, n, i)
+                if want is None:
+                    with pytest.raises(DiagramError):
+                        order_at(spec, order, n, i)
+                else:
+                    assert order_at(spec, order, n, i) == want
+        # classification and the verdict read eventual tags only, so no exception trips them
+        for i in range(1, 11):
+            classify_odometer(spec, order, i)
+        if order.default is None:
+            with pytest.raises(DiagramError, match="undecidable"):
+                extension_verdict(spec, order)
+        else:
+            verdict = extension_verdict(spec, order, 10)
+            assert verdict.fr_witness == tuple(i for i in range(1, 11) if classify_odometer(spec, order, i).finite_right)
