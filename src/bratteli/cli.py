@@ -526,20 +526,12 @@ def cmd_vershik_orbit(args, spec, window):
     if levels > window.max_level:
         raise ConfigError(f"--levels {levels} is deeper than the orbit's paths (max level {window.max_level})")
     order = _load_order(args.tags)
-    current = od.vertical_path(spec, args.start_odometer, window.max_level)
-    walk = od._Walk(spec, order)  # the path is valid, so its steps are too
+    walk = od._Walk(spec, order, od.vertical_path(spec, args.start_odometer, window.max_level))
     trace = []
     for step in range(args.steps):
-        ends, idx = [], current.start
-        for kind, _ in current.edges[:levels]:  # one pass up: the vertices at levels 1..levels
-            if kind == od.DIAGONAL:
-                idx -= 1
-            ends.append(idx)
-        trace.append({"step": step, "end_vertices": ends})
-        nxt = walk.step(current)[0]
-        if isinstance(nxt, od.AllMaximalPrefix):
+        trace.append({"step": step, "end_vertices": walk.verts[1 : levels + 1]})
+        if walk.advance() is None:
             break
-        current = nxt
     return {"start_odometer": args.start_odometer, "steps": len(trace), "trace": trace}, EXIT_OK
 
 

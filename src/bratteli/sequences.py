@@ -11,6 +11,7 @@ tail rule is allowed but limits certification to the table range.
 from __future__ import annotations
 
 import json
+import re
 from decimal import Decimal
 from typing import Optional
 
@@ -56,16 +57,15 @@ def _require_key(what: str, doc: dict, key: str, error: type[Exception] = Sequen
 
 def _int_keys(what: str, doc: dict, error: type[Exception] = SequenceError, parts: tuple[str, ...] = ()) -> dict:
     """``doc`` with its keys read as ints, or as int tuples when ``parts`` names a key's
-    comma-separated parts (``"level,index"``); two keys naming one value (``"1"``, ``"01"``) are refused."""
+    comma-separated parts (``"level,index"``); two keys naming one value (``"1"``, ``"01"``) are refused.
+    Each int is an optional ``-`` and ASCII digits: no spaces, ``+`` or ``_`` as ``int()`` allows."""
     out, names = {}, {}
     for key, val in doc.items():
-        try:
-            n = tuple(int(x) for x in key.split(",")) if parts else int(key)
-            if parts and len(n) != len(parts):
-                raise ValueError
-        except ValueError:
+        split = key.split(",")
+        if len(split) != (len(parts) or 1) or not all(re.fullmatch("-?[0-9]+", x) for x in split):
             form = json.dumps(",".join(parts)) if parts else "an integer"
-            raise error(f"{what} key {json.dumps(key)} is not {form}") from None
+            raise error(f"{what} key {json.dumps(key)} is not {form}")
+        n = tuple(map(int, split)) if parts else int(key)
         if n in names:
             raise error(f"{what} keys {json.dumps(names[n])} and {json.dumps(key)} both name {n}")
         names[n], out[n] = key, val

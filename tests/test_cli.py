@@ -736,6 +736,33 @@ def test_orbit_stops_at_its_all_maximal_prefix(capsys):
     assert report["steps"] == len(report["trace"]) == 11
 
 
+# sha256 prefix of the stdout and exit code in human, json and csv of one
+# vershik orbit: ak(4,2), 300 steps, --max-level 4, per (tags, --start-odometer,
+# --levels); from odometer 3 the orbits reach their all-maximal path first
+ORBIT_DIGESTS = {
+    ("all-left", 1, 1): "37ab45f1cb5ace73", ("all-left", 1, 3): "e9bd1293437ff481", ("all-left", 1, 4): "ab501db2b83c2098",
+    ("all-left", 3, 1): "ab9dd00f40bf9946", ("all-left", 3, 3): "7eddb952e2065c53", ("all-left", 3, 4): "894dc1d349bc52f6",
+    ("all-right", 1, 1): "073979dd80b79c1b", ("all-right", 1, 3): "72961fec79b61262", ("all-right", 1, 4): "47d9af1903aaaefa",
+    ("all-right", 3, 1): "315f61b675c17bfc", ("all-right", 3, 3): "fa8eeabb1c325241", ("all-right", 3, 4): "ab36eb8b971cc80c",
+    ("all-middle", 1, 1): "56647be81c266065", ("all-middle", 1, 3): "5999933e49e8b97e", ("all-middle", 1, 4): "a0af32bc2fda57ea",
+    ("all-middle", 3, 1): "4c971193d0e2e70c", ("all-middle", 3, 3): "2f0410ecc47d03c6", ("all-middle", 3, 4): "70393676112de013",
+    ("alternating", 1, 1): "32ada22a6f84c16a", ("alternating", 1, 3): "ac379ac6c7194c2a", ("alternating", 1, 4): "8463fe10d85d5e43",
+    ("alternating", 3, 1): "b0bb54d44e780110", ("alternating", 3, 3): "b8b8879baf340f9b", ("alternating", 3, 4): "3a29556992531bbb",
+}
+
+
+@pytest.mark.parametrize("tags, start, levels", list(ORBIT_DIGESTS))
+def test_vershik_orbit_reports_are_pinned(capsys, tags, start, levels):
+    digest = hashlib.sha256()
+    for fmt in ("human", "json", "csv"):
+        argv = ["--format", fmt, "vershik", "orbit", *AK, "--tags", tags, "--steps", "300", "--max-level", "4"]
+        code, out, _ = run(capsys, *argv, "--levels", str(levels), "--start-odometer", str(start))
+        digest.update(f"{fmt} {code}\n{out}\n".encode())
+        if fmt == "json":
+            assert json.loads(out)["steps"] == (300 if start == 1 else 81 if tags in ("all-right", "all-middle") else 41)
+    assert digest.hexdigest()[:16] == ORBIT_DIGESTS[tags, start, levels]
+
+
 def test_a_zero_step_orbit_keeps_its_csv_header(capsys):
     # the end-vertex columns come from --levels, not from the (empty) trace
     code, out, _ = run(capsys, "--format", "csv", "vershik", "orbit", *AK, "--tags", "all-left", "--steps", "0", "--levels", "3")
@@ -1027,6 +1054,23 @@ BAD_DOCUMENT_KEYS = {
         ["measure", "check-invariance", *AK, "--vectors", '{"vectors": {"0": {"1": 1, "01": 2}}}'],
         '--vectors: level 0 vertex keys "1" and "01" both name 1',
     ),
+    # int() reads these keys, a document key is a minus sign and ASCII digits only
+    "vectors-level-underscore": (
+        ["measure", "check-invariance", *AK, "--vectors", '{"vectors": {"1_0": {"1": 1}}}'],
+        '--vectors: level key "1_0" is not an integer',
+    ),
+    "vectors-level-spaces": (
+        ["measure", "check-invariance", *AK, "--vectors", '{"vectors": {" 0 ": {"1": 1}}}'],
+        '--vectors: level key " 0 " is not an integer',
+    ),
+    "vectors-vertex-plus": (
+        ["measure", "check-invariance", *AK, "--vectors", '{"vectors": {"0": {"+1": 1}}}'],
+        '--vectors: level 0 vertex key "+1" is not an integer',
+    ),
+    "vectors-vertex-non-ascii": (
+        ["measure", "check-invariance", *AK, "--vectors", '{"vectors": {"0": {"\u0661": 1}}}'],
+        '--vectors: level 0 vertex key "\\u0661" is not an integer',
+    ),
 }
 
 
@@ -1227,6 +1271,17 @@ ORDER_KEYS_TWICE = {
 def test_order_keys_that_name_one_odometer_or_vertex_exit_2(capsys, command, case):
     doc, message = ORDER_KEYS_TWICE[case]
     assert run(capsys, "vershik", command, *AK, "--tags", json.dumps(doc)) == (EXIT_CONFIG, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["classify", "orbit"])
+def test_order_keys_that_int_reads_but_are_not_plain_integers_exit_2(capsys, command):
+    # "1_0" would tag odometer 10, " 2 " odometer 2 and "+3" odometer 3
+    tags = {"default": "middle", "1_0": "left", " 2 ": "right", "+3": "left"}
+    code, out, err = run(capsys, "vershik", command, *AK, "--tags", json.dumps({"tags": tags}))
+    assert (code, out, err) == (EXIT_CONFIG, "", 'error: order tag key "1_0" is not an integer\n')
+    doc = {"kind": "eventuallyQuasiStationary", "exceptions": {"2, 1": "left"}}
+    code, out, err = run(capsys, "vershik", command, *AK, "--tags", json.dumps(doc))
+    assert (code, out, err) == (EXIT_CONFIG, "", 'error: order exception key "2, 1" is not "level,index"\n')
 
 
 def test_an_internal_key_error_exits_1(capsys, monkeypatch):

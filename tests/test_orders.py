@@ -14,8 +14,11 @@ Core claims:
       as often as telescoping counts paths from its end vertex to (N, v)
     - the successor, the minimal paths and the orbit counts equal a
       reference written out level by level, with a fresh order per level
+    - the orbit's walker, which steps one path in place, holds at every step
+      the path that public ``successor`` calls reach
 """
 
+import json
 import random
 import re
 from fractions import Fraction
@@ -43,6 +46,7 @@ from bratteli.orders import (
     AllMaximalPrefix,
     QuasiStationary,
     VertexOrder,
+    _Walk,
     canonical_order,
     classify_odometer,
     extension_verdict,
@@ -198,6 +202,30 @@ def test_order_json_exceptions_need_their_kind_and_a_position():
     for key in ("2", "1,2,3", "a,1", ""):
         with pytest.raises(DiagramError, match=re.escape(f'order exception key "{key}" is not "level,index"')):
             order_from_json({"kind": "eventuallyQuasiStationary", "exceptions": {key: "right"}})
+
+
+# keys that int() reads but an order document refuses: spaces, a plus sign,
+# digit underscores and digits outside ASCII
+NOT_PLAIN_INTEGERS = ("1_0", " 2 ", "2 ", "+3", "\u0661", "1e1", "0x1")
+
+
+@pytest.mark.parametrize("key", NOT_PLAIN_INTEGERS)
+def test_order_keys_are_a_minus_sign_and_digits_only(key):
+    with pytest.raises(DiagramError, match=re.escape(f"order tag key {json.dumps(key)} is not an integer")):
+        order_from_json({"tags": {"default": "middle", key: "left"}})
+    for at in (f"{key},1", f"2,{key}"):
+        with pytest.raises(DiagramError, match=re.escape(f'order exception key {json.dumps(at)} is not "level,index"')):
+            order_from_json({"kind": "eventuallyQuasiStationary", "exceptions": {at: "left"}})
+
+
+def test_order_keys_keep_leading_zeros_and_a_minus_sign():
+    doc = {"kind": "eventuallyQuasiStationary", "tags": {"default": "middle", "02": "left"}, "exceptions": {"03,010": "right"}}
+    order = order_from_json(doc)
+    assert (order.tags, order.exceptions) == (((2, LEFT),), (((3, 10), RIGHT),))
+    with pytest.raises(DiagramError, match="tag indices need index >= 1"):
+        order_from_json({"tags": {"-1": "left"}})
+    with pytest.raises(DiagramError, match="exception positions need level >= 1"):
+        order_from_json({"kind": "eventuallyQuasiStationary", "exceptions": {"-2,1": "left"}})
 
 
 def test_eventually_quasi_stationary_json_and_overrides():
@@ -664,6 +692,123 @@ def test_orbits_under_different_orders_back_to_back(spec_name):
     start = vertical_path(spec, 2, 6)
     for order_name in ("left", "right", "order-exceptions", "left", "tag-exceptions", "right"):
         _assert_orbit_matches_reference(spec, DIFF_ORDERS[order_name](spec), start, 150, cyls)
+
+
+# -- differential: the walker's path in place against public successor calls -------
+
+
+def _seeded_chains(rng):
+    """Three ak chains and two decreasing tables with a constant tail of 2."""
+    chains = []
+    for _ in range(3):
+        a = rng.randint(3, 6)
+        chains.append(StationaryAK(a, rng.randint(1, a - 1)))
+    for _ in range(2):
+        head = sorted(rng.sample(range(3, 9), rng.randint(1, 3)), reverse=True)
+        chains.append(StationaryDecreasing(Table(tuple(head), Constant(2))))
+    return chains
+
+
+def _seeded_orders(rng, spec):
+    """Alternating defaults, and right or left defaults with shuffled orders at a few vertices."""
+    vertices = {(rng.randint(1, 5), rng.randint(1, 4)) for _ in range(4)}
+    shuffled = tuple(((n, i), _shuffled_order(spec, n, i, rng.random())) for n, i in sorted(vertices))
+    return {
+        "left-right": QuasiStationary(default=(LEFT, RIGHT)),
+        "right-left": QuasiStationary(default=(RIGHT, LEFT)),
+        "right-exceptions": QuasiStationary(default=(RIGHT,), exceptions=shuffled),
+        "left-exceptions": QuasiStationary(((2, RIGHT),), default=(LEFT,), exceptions=shuffled),
+    }
+
+
+def _walked_path(walk):
+    return ExplicitPath(walk.verts[0], tuple(walk.edges))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_walker_advances_its_path_as_public_successor_calls_do(seed):
+    rng = random.Random(f"walker/{seed}")
+    for spec in _seeded_chains(rng):
+        for name, order in _seeded_orders(rng, spec).items():
+            starts = [vertical_path(spec, rng.randint(1, 3), rng.randint(0, 7)), minimal_path_into(spec, order, 3, 1)]
+            starts += [_random_path(rng, spec, order, rng.randint(1, 9)) for _ in range(4)]
+            for start in starts:
+                walk, want = _Walk(spec, order, start), start
+                assert walk.minimal_depth() == _reference_minimal_depth(spec, order, start)
+                for _ in range(80):
+                    nxt = successor(spec, order, want)
+                    carry = walk.advance()
+                    got = _walked_path(walk)
+                    if isinstance(nxt, AllMaximalPrefix):
+                        # the walker reports the abort and keeps its path
+                        assert carry is None and got == want, (spec, name)
+                        break
+                    assert got == nxt, (spec, name, want)
+                    got.validate(spec)
+                    assert walk.verts == [nxt.vertex_at(l) for l in range(len(nxt.edges) + 1)]
+                    # below the carry level the new path is minimal, at it the advanced edge is not
+                    assert carry == _reference_minimal_depth(spec, order, nxt) == walk.minimal_depth()
+                    want = nxt
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_seeded_orbit_counts_match_a_reference_tally(seed):
+    rng = random.Random(f"walker-counts/{seed}")
+    for spec in _seeded_chains(rng):
+        for order in _seeded_orders(rng, spec).values():
+            start = _random_path(rng, spec, order, rng.randint(2, 6))
+            cyls = [EndVertex(m, j) for m in range(4) for j in (1, 2, 3, 4)]
+            cyls += [_random_path(rng, spec, order, rng.randint(0, 3)) for _ in range(5)]
+            cyls += [_reference_minimal_path_into(spec, order, 2, 2), EndVertex(len(start.edges) + 2, 1)]
+            _assert_orbit_matches_reference(spec, order, start, 120, cyls)
+            # the whole tower into (3, 1), then the all-maximal path has no successor
+            tower = minimal_path_into(spec, order, 3, 1)
+            _assert_orbit_matches_reference(spec, order, tower, heights(spec, 3, Truncation(3, 6)).value(1) + 5, cyls)
+            zero = orbit_frequencies(spec, order, start, 0, cyls)
+            assert (zero.steps_done, zero.aborted) == (0, False)
+            assert all(e.empirical == 0 for e in zero.entries)
+
+
+WINDOW_SPECS = {
+    "ak(4,2)": StationaryAK(4, 2),
+    "ak(6,2)": StationaryAK(6, 2),
+    "decreasing(5,3;2)": StationaryDecreasing(Table((5, 3), Constant(2))),
+    "decreasing(6,4,3;2)": StationaryDecreasing(Table((6, 4, 3), Constant(2))),
+}
+WINDOW_ORDERS = {name: DIFF_ORDERS[name] for name in ("left", "right", "left-right", "order-exceptions")}
+# steps an orbit completes before it leaves its window, from the vertical path
+# into (5, 1) under Truncation(5, 2) and into (6, 2) under Truncation(6, 3),
+# as the step that built one ExplicitPath per step counted them
+WINDOW_STEPS = {
+    ("ak(4,2)", "left"): (19, 5),
+    ("ak(4,2)", "right"): (22, 8),
+    ("ak(4,2)", "left-right"): (21, 6),
+    ("ak(4,2)", "order-exceptions"): (18, 8),
+    ("ak(6,2)", "left"): (41, 19),
+    ("ak(6,2)", "right"): (46, 24),
+    ("ak(6,2)", "left-right"): (45, 20),
+    ("ak(6,2)", "order-exceptions"): (40, 24),
+    ("decreasing(5,3;2)", "left"): (29, 11),
+    ("decreasing(5,3;2)", "right"): (33, 14),
+    ("decreasing(5,3;2)", "left-right"): (32, 12),
+    ("decreasing(5,3;2)", "order-exceptions"): (28, 14),
+    ("decreasing(6,4,3;2)", "left"): (41, 19),
+    ("decreasing(6,4,3;2)", "right"): (46, 23),
+    ("decreasing(6,4,3;2)", "left-right"): (45, 20),
+    ("decreasing(6,4,3;2)", "order-exceptions"): (40, 23),
+}
+
+
+@pytest.mark.parametrize("spec_name, order_name", list(WINDOW_STEPS))
+def test_an_orbit_leaves_its_window_after_the_same_steps(spec_name, order_name):
+    spec = WINDOW_SPECS[spec_name]
+    order = WINDOW_ORDERS[order_name](spec)
+    cyls = [EndVertex(1, 1), EndVertex(2, 2)]
+    for (i, depth, max_vertex), steps in zip(((1, 5, 2), (2, 6, 3)), WINDOW_STEPS[spec_name, order_name]):
+        start, window = vertical_path(spec, i, depth), Truncation(depth, max_vertex)
+        assert orbit_frequencies(spec, order, start, steps, cyls, window=window).steps_done == steps
+        with pytest.raises(DiagramError, match="orbit left the certified window"):
+            orbit_frequencies(spec, order, start, steps + 1, cyls, window=window)
 
 
 # -- lookups against a scan of the sorted fields ------------------------------------
