@@ -169,6 +169,8 @@ class OdometerChain(DiagramSpec):
         """Vertical multiplicity a_n(i) of odometer i at level n."""
         if self._table and (n, i) in self._table:
             return self._table[(n, i)]
+        if i < 1:
+            raise DiagramError(f"vertex index must be >= 1, not {i}")
         val = self.base.value(n if self.by_level else i - 1)
         if val < 1 + self.by_level:
             what = f"level multiplicity a_{n}" if self.by_level else f"vertex multiplicity a_{i}"
@@ -177,6 +179,8 @@ class OdometerChain(DiagramSpec):
 
     def multiplicities(self, n: int, hi: int, lo: int = 1) -> list[int]:
         """``vertical_edges(n, i)`` for i = lo..hi; the base is read once per chain by vertex."""
+        if lo < 1:
+            raise DiagramError(f"vertex index must be >= 1, not {lo}")
         if self.by_level:
             col = [self.base.value(n)] * (hi - lo + 1)
         else:

@@ -128,7 +128,10 @@ class MeasureVectors:
 
     ``width(n)`` is the certified width at level n: entries 1..width(n) are
     exact.  Values may be given as a table or generated lazily from a closed
-    form.
+    form.  Every entry is read as an integer pair (numerator, denominator),
+    denominator positive and not necessarily in lowest terms, after its width
+    and sign checks; ``value`` makes it a ``Fraction``.  A ``Fraction``-valued
+    function is adapted to pairs once, where the vectors are built.
     """
 
     def __init__(
@@ -138,10 +141,17 @@ class MeasureVectors:
         width_fn: Callable[[int], int],
         label: str = "vectors",
     ):
-        self._value_fn = value_fn
+        self._pair_fn = lambda n, i: Fraction(value_fn(n, i)).as_integer_ratio()
         self.max_level = max_level
         self._width_fn = width_fn
         self.label = label
+
+    @classmethod
+    def _of_pairs(cls, pair_fn: Callable[[int, int], tuple[int, int]], max_level: int, width_fn, label: str):
+        """Vectors whose entries ``pair_fn`` gives as pairs already, with a positive denominator."""
+        mv = cls(None, max_level, width_fn, label)
+        mv._pair_fn = pair_fn
+        return mv
 
     @classmethod
     def from_table(cls, table: dict[int, dict[int, Fraction]], label: str = "vectors") -> "MeasureVectors":
@@ -150,7 +160,7 @@ class MeasureVectors:
             raise DiagramError("measure vector table must cover levels 0..N contiguously")
 
         widths = [_prefix_width(table[n]) for n in levels]  # scanned once, not per value
-        return cls(lambda n, i: Fraction(table[n][i]), len(levels) - 1, widths.__getitem__, label)
+        return cls(lambda n, i: table[n][i], len(levels) - 1, widths.__getitem__, label)
 
     @classmethod
     def from_function(
@@ -166,20 +176,24 @@ class MeasureVectors:
             return 0
         return self._width_fn(level)
 
-    def value(self, level: int, index: int) -> Fraction:
-        if level < 0 or level > self.max_level or index < 1 or index > self.width(level):
+    def _entry(self, level: int, index: int) -> tuple[int, int]:
+        if level < 0 or level > self.max_level or index < 1 or index > self._width_fn(level):
             raise WindowError(f"measure vector entry (level={level}, vertex={index}) is not certified")
-        val = Fraction(self._value_fn(level, index))
-        if val < 0:
+        num, den = self._pair_fn(level, index)
+        if num < 0:  # the denominator is positive
             raise DiagramError("measure vectors must be nonnegative")
-        return val
+        return num, den
+
+    def value(self, level: int, index: int) -> Fraction:
+        return Fraction(*self._entry(level, index))
 
     def perturbed(self, level: int, index: int, delta: Fraction) -> "MeasureVectors":
-        def fn(n: int, i: int) -> Fraction:
-            v = self._value_fn(n, i)
-            return v + delta if (n, i) == (level, index) else v
+        def pair(n: int, i: int) -> tuple[int, int]:
+            if n != level or i != index:
+                return self._pair_fn(n, i)
+            return (Fraction(*self._pair_fn(n, i)) + delta).as_integer_ratio()
 
-        return MeasureVectors(fn, self.max_level, self._width_fn, label=f"{self.label}+perturbation")
+        return MeasureVectors._of_pairs(pair, self.max_level, self._width_fn, f"{self.label}+perturbation")
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +218,14 @@ class InvarianceReport:
         return self.failures[0] if self.failures else None
 
 
-def _columns(spec: DiagramSpec, n: int, top: int) -> Optional[dict[int, list[tuple[int, int]]]]:
-    """Column w of F_n as ``[(v, mult), ...]`` over every described row; None if a row 1..top is unknown."""
+def _columns(spec: DiagramSpec, n: int, w_n: int, w_next: int) -> Optional[dict[int, list[tuple[int, int]]]]:
+    """Column w of F_n as ``[(v, mult), ...]``: w = 1..w_n on an odometer chain, every described
+    column otherwise, and None if a row 1..w_next (1..size on a finite diagram) is unknown."""
+    if isinstance(spec, OdometerChain):
+        # row w (its vertical block) and, from w = 2, row w-1, whose single diagonal entry sits in column w
+        return {w: [(w, a), (w - 1, 1)][:w] for w, a in enumerate(spec.multiplicities(n, w_n), 1)}
     rows = spec.level_rows(n)
-    if any(v not in rows for v in range(1, top + 1)):
+    if any(v not in rows for v in range(1, (spec.vertex_count(n + 1) or w_next) + 1)):
         return None
     columns: dict[int, list[tuple[int, int]]] = {}
     for v, row in rows.items():
@@ -220,60 +238,42 @@ def check_tail_invariance(spec: DiagramSpec, mv: MeasureVectors, window: Truncat
     """Exact equality test of sum_v f^(n)_{v,w} p^(n+1)_v = p^(n)_w.
 
     The relation at level n, vertex w uses column w of F_n, i.e. the rows v
-    whose support contains w.  An explicit family's columns are read off every
+    whose support contains w.  An odometer chain's columns come from one
+    multiplicity column per level; an explicit family's are read off every
     row it describes: a row past the certified width of p^(n+1) leaves the
     columns it meets unchecked, and an unknown row among 1..width(n+1) (1..size
     on a finite diagram) the whole level.  An explicit-levels row past that width
     which the document leaves out is taken not to meet the checked columns (no
     vertex count per level tells it from a row past the last vertex).  Each row
     is decided over integers: both sides are multiplied by the product of the
-    denominators of its entries.  Each entry is evaluated once per check through
-    ``mv.value``, so its width and sign checks apply to every entry, and kept as
-    (numerator, denominator) while its level is in use.
+    denominators of its entries.  Each entry reaches the check once, as the
+    integer pair of ``MeasureVectors`` after its width and sign checks, and is
+    kept while its level is in use.
     """
     if mv.max_level < window.max_level:
         raise WindowError("measure vectors are narrower than the requested window")
     levels: dict[int, bool] = {}
     failures: list[tuple[int, int]] = []
     checked = 0
-    odometer = isinstance(spec, OdometerChain)
 
-    def entry(level: int, read: dict[int, tuple[int, int]], v: int) -> tuple[int, int]:
-        pair = read.get(v)
-        if pair is None:
-            val = mv.value(level, v)
-            pair = read[v] = (val.numerator, val.denominator)
-        return pair
-
-    below: dict[int, tuple[int, int]] = {}  # entries of p^(n) read so far
+    below: dict[int, tuple[int, int]] = {}  # entries of p^(n) read as p^(n+1) one level down
     for n in range(window.max_level):
-        above: dict[int, tuple[int, int]] = {}  # entries of p^(n+1) read so far
+        above: dict[int, tuple[int, int]] = {}  # entries of p^(n+1) read so far, each read once
         w_n = min(mv.width(n), window.max_vertex)
         w_next = mv.width(n + 1)
-        columns = None
-        if not odometer and w_n:
-            columns = _columns(spec, n, spec.vertex_count(n + 1) or w_next)
+        columns = _columns(spec, n, w_n, w_next) if w_n else None
         level_ok = True
-        for w in range(1, w_n + 1):
-            # column w of F_n for an odometer chain: row w (vertical block)
-            # and row w-1 (whose single diagonal entry sits in column w);
-            # other families read it from their rows.
-            if odometer:
-                contributors = [(w, spec.vertical_edges(n, w))]
-                if w >= 2:
-                    contributors.append((w - 1, 1))
-            elif columns is None:
-                break  # an unknown row: no column of this level is checkable
-            else:
-                contributors = columns.get(w, [])
-            if any(v > w_next for v, _ in contributors):
+        for w in range(1, w_n + 1) if columns is not None else ():  # None: a row is unknown, no column checkable
+            contributors = columns.get(w, [])
+            if contributors and max(contributors)[0] > w_next:
                 continue  # uncertified upstream entry; not checkable
             checked += 1
             lhs, lhs_den = 0, 1
             for v, mult in contributors:
-                num, den = entry(n + 1, above, v)
+                # a pair is a nonempty tuple: only a miss reads the entry
+                num, den = above.get(v) or above.setdefault(v, mv._entry(n + 1, v))
                 lhs, lhs_den = lhs * den + mult * num * lhs_den, lhs_den * den
-            num, den = entry(n, below, w)
+            num, den = below.get(w) or mv._entry(n, w)
             if lhs * den != num * lhs_den:
                 level_ok = False
                 failures.append((n, w))

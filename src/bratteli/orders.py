@@ -382,6 +382,8 @@ class _Walk:
 
 def minimal_path_into(spec: DiagramSpec, order: QuasiStationary, level: int, index: int) -> ExplicitPath:
     """The order-minimal finite path from level 0 into vertex (level, index)."""
+    if index < 1:
+        raise DiagramError(f"vertex index must be >= 1, not {index}")
     return _Walk(spec, order).prefix(level, index)[0]
 
 

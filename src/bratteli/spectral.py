@@ -71,8 +71,9 @@ class EigenPair:
         if val is None:
             if i < 1:
                 raise EigenError("eigenvector entries are indexed from 1")
-            val = Fraction(self.component(i))
-            if val < 0:
+            val = self.component(i)
+            val = val if isinstance(val, Fraction) else Fraction(val)
+            if val.numerator < 0:
                 raise EigenError("eigenvector entries must be nonnegative")
             self._entries[i] = val
         return val
@@ -176,11 +177,10 @@ def verify_eigenpair(spec: DiagramSpec, pair: EigenPair, window: Truncation) -> 
     nonzero: list[int] = []
     p, q = pair.lam.numerator, pair.lam.denominator
     prev, prev_den = 0, 1  # xi_0: row 1 has no subdiagonal entry
-    for i in range(1, window.max_vertex + 1):
-        x = pair.xi(i)
-        num, den = x.numerator, x.denominator
+    for i, a in enumerate(spec.multiplicities(0, window.max_vertex), 1):
+        num, den = pair.xi(i).as_integer_ratio()
         # (a_i - p/q) num/den + prev/prev_den, times q den prev_den
-        res = (spec.vertical_edges(0, i) * q - p) * num * prev_den + prev * den * q
+        res = (a * q - p) * num * prev_den + prev * den * q
         if res:
             residuals[i] = Fraction(res, q * den * prev_den)
             nonzero.append(i)
@@ -192,35 +192,43 @@ def verify_eigenpair(spec: DiagramSpec, pair: EigenPair, window: Truncation) -> 
 
 @frozen
 class EigenMeasure:
-    """Tail-invariant measure with cylinder values xi_v / lam^m, each one ``Fraction`` of integer powers.
+    """Tail-invariant measure with cylinder values xi_v / lam^m, for lam > 0.
 
-    A cylinder is read through its end vertex (m, v); ``measure_vectors`` reads p^(n)_v the same way.
+    A cylinder is read through its end vertex (m, v) as the pair
+    (xi_num q^m, xi_den p^m) of lam = p/q made one ``Fraction``;
+    ``measure_vectors`` hands p^(n)_v over as that pair, not normalized.
     """
 
     spec: DiagramSpec
     pair: EigenPair
 
-    def _value(self, m: int, v: int) -> Fraction:
-        x, lam = self.pair.xi(v), self.pair.lam
-        return Fraction(x.numerator * lam.denominator**m, x.denominator * lam.numerator**m)
+    def __post_init__(self):
+        if self.pair.lam <= 0:
+            raise EigenError(f"eigen measures need lam > 0, not {self.pair.lam}")
+
+    def _pair(self, m: int, v: int) -> tuple[int, int]:
+        num, den = self.pair.xi(v).as_integer_ratio()
+        p, q = self.pair.lam.as_integer_ratio()
+        return num * q**m, den * p**m
 
     def cylinder_value(self, cyl: CylinderSpec) -> Fraction:
         end = as_end_vertex(self.spec, cyl)
-        return self._value(end.length, end.index)
+        return Fraction(*self._pair(end.length, end.index))
 
     def measure_vectors(self, window: Truncation) -> MeasureVectors:
-        return MeasureVectors.from_function(self._value, window, label=self.pair.label)
+        return MeasureVectors._of_pairs(self._pair, window.max_level, lambda n: window.max_vertex, self.pair.label)
 
 
 def eigen_measure(spec: DiagramSpec, pair: EigenPair, window: Optional[Truncation] = None) -> EigenMeasure:
-    """Build the induced measure after verifying the pair on the window."""
+    """Build the induced measure (lam > 0) after verifying the pair on the window."""
     window = window or Truncation(8, 100)
+    measure = EigenMeasure(spec, pair)
     report = verify_eigenpair(spec, pair, window)
     if not report.verified:
         raise EigenError(
             f"eigenpair rejected: nonzero residuals at rows {report.nonzero[:5]}"
         )
-    return EigenMeasure(spec, pair)
+    return measure
 
 
 # ---------------------------------------------------------------------------

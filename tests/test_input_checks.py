@@ -26,13 +26,14 @@ from bratteli.orders import (
     QuasiStationary,
     canonical_order,
     classify_odometer,
+    minimal_path_into,
     orbit_frequencies,
     order_at,
     order_from_json,
     successor,
 )
 from bratteli.sequences import Geometric, SequenceError, seq_from_json, seq_from_text
-from bratteli.spectral import EigenError, EigenPair
+from bratteli.spectral import EigenError, EigenPair, eigen_measure
 
 AK42 = StationaryAK(4, 2)
 FINITE = ExplicitFinite([[2, 1], [0, 2]])
@@ -44,6 +45,14 @@ OFF_AK42 = ExplicitPath(1, (("v", 1), ("v", 9)))  # ak(4,2) has 4 vertical edges
 CASES = {
     # diagram
     "vertex-index-0": (lambda: VertexId(0, 0), DiagramError, "vertex index must be >= 1"),
+    # a vertex index below 1 would read the base table from its end
+    "vertical-edges-vertex-0": (lambda: AK42.vertical_edges(0, 0), DiagramError, "vertex index must be >= 1, not 0"),
+    "vertical-edges-vertex-negative": (
+        lambda: AK42.vertical_edges(0, -1), DiagramError, "vertex index must be >= 1, not -1"
+    ),
+    "multiplicities-from-vertex-0": (
+        lambda: AK42.multiplicities(0, 3, 0), DiagramError, "vertex index must be >= 1, not 0"
+    ),
     "truncation-one-vertex": (lambda: Truncation(1, 1), DiagramError, "truncation needs max_vertex >= 2"),
     "general-chain-default-1": (lambda: GeneralChain((), 1), DiagramError, "default multiplicity must be >= 2"),
     "finite-negative-entry": (
@@ -144,6 +153,12 @@ CASES = {
         DiagramError,
         "steps must be >= 0, not -1",
     ),
+    "minimal-path-into-vertex-negative": (
+        lambda: minimal_path_into(AK42, QuasiStationary(), 3, -1), DiagramError, "vertex index must be >= 1, not -1"
+    ),
+    "minimal-path-into-vertex-0-at-level-0": (
+        lambda: minimal_path_into(AK42, QuasiStationary(), 0, 0), DiagramError, "vertex index must be >= 1, not 0"
+    ),
     "classify-odometer-not-a-chain": (
         lambda: classify_odometer(FINITE, QuasiStationary(), 1),
         DiagramError,
@@ -183,6 +198,17 @@ CASES = {
         "eigenvector entries must be nonnegative",
     ),
     "eigen-scaled-by-0": (lambda: ONES.scaled(0), EigenError, "scaling factor must be positive"),
+    # the zero vector verifies for every eigenvalue; its measure would divide by lam^m
+    "eigen-measure-lam-0": (
+        lambda: eigen_measure(AK42, EigenPair(Fraction(0), lambda i: Fraction(0)), Truncation(3, 3)),
+        EigenError,
+        "eigen measures need lam > 0, not 0",
+    ),
+    "eigen-measure-lam-negative": (
+        lambda: eigen_measure(AK42, EigenPair(Fraction(-3, 2), lambda i: Fraction(0)), Truncation(3, 3)),
+        EigenError,
+        "eigen measures need lam > 0, not -3/2",
+    ),
     # finite_stationary
     "radius-not-square": (lambda: spectral_radius([[1, 2]]), DiagramError, "block must be square and nonempty"),
     "radius-negative": (lambda: spectral_radius([[-1]]), DiagramError, "block entries must be nonnegative"),

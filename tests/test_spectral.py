@@ -20,6 +20,7 @@ from bratteli.diagram import (
     DiagramError,
     ExplicitFinite,
     ExplicitLevels,
+    GeneralChain,
     NonStationaryUniform,
     StationaryAK,
     StationaryDecreasing,
@@ -330,11 +331,12 @@ def _naive_residuals(diag, lam, entry, rows):
     }
 
 
-def _naive_invariance(spec, value, window):
-    # F_n^T p^(n+1) = p^(n) on an odometer chain: a(w) p^(n+1)_w + p^(n+1)_{w-1} = p^(n)_w
+def _naive_invariance(spec, value, window, width):
+    # F_n^T p^(n+1) = p^(n) on an odometer chain: a(w) p^(n+1)_w + p^(n+1)_{w-1} = p^(n)_w,
+    # over the rows w whose entries lie inside the widths of levels n and n+1
     failures, checked = [], 0
     for n in range(window.max_level):
-        for w in range(1, window.max_vertex + 1):
+        for w in range(1, min(width(n), width(n + 1), window.max_vertex) + 1):
             checked += 1
             lhs = spec.vertical_edges(n, w) * value(n + 1, w) + (value(n + 1, w - 1) if w >= 2 else 0)
             if lhs != value(n, w):
@@ -383,25 +385,67 @@ def test_residuals_match_a_naive_computation():
         assert report.nonzero == tuple(i for i in range(1, rows + 1) if naive[i] != 0)
 
 
-def test_invariance_reports_match_a_naive_computation():
-    rng = random.Random(9)
+def _pushed_down(spec, top, level):
+    # p^(level) = top, zero past its last vertex, then p^(n)_w = a_n(w) p^(n+1)_w + p^(n+1)_{w-1}
+    # down to level 0: tail invariant at every vertex, each level one entry wider than the one above
+    table = {level: top}
+    for n in reversed(range(level)):
+        above = table[n + 1]
+        table[n] = {
+            w: spec.vertical_edges(n, w) * above.get(w, 0) + above.get(w - 1, 0) for w in range(1, len(above) + 2)
+        }
+    return lambda n, i: table[n].get(i, Fraction(0))
+
+
+def _invariance_cases(rng):
+    # (spec, vectors, their entries written out, their width, window, eigen measure or None): the eigen
+    # measure of every pair and of the pair scaled by 3/7, handed over as unnormalized integer pairs;
+    # then vectors pushed down from a random top level on non-stationary and general chains, read
+    # through from_function and through the constructor at widths that narrow with the level
     for spec, pair, entry in _pairs(rng):
         size = rng.randint(2, 14)
         window = Truncation(size, size)
-        mv = eigen_measure(spec, pair, window).measure_vectors(window)
-        where = (rng.randint(0, size - 1), rng.randint(1, size - 1))
-        delta = Fraction(1, 10**12)
-        for perturbed in (False, True):
-            vectors = mv.perturbed(*where, delta) if perturbed else mv
+        for factor in (1, Fraction(3, 7)):
+            em = eigen_measure(spec, pair.scaled(factor) if factor != 1 else pair, window)
 
-            def value(n, i, entry=entry, lam=pair.lam, perturbed=perturbed):
-                out = entry(i) / lam**n
-                return out + delta if perturbed and (n, i) == where else out
+            def value(n, i, entry=entry, lam=pair.lam, factor=factor):
+                return factor * entry(i) / lam**n
+
+            yield spec, em.measure_vectors(window), value, lambda n, size=size: size, window, em
+    for _ in range(10):
+        size = rng.randint(2, 10)
+        window = Truncation(size, size)
+        levels = Table(tuple(rng.randint(2, 6) for _ in range(rng.randint(1, size))), Constant(rng.randint(2, 4)))
+        entries = [(rng.randint(0, size - 1), rng.randint(1, size), rng.randint(2, 7)) for _ in range(rng.randint(1, 6))]
+        for spec in (NonStationaryUniform(levels), GeneralChain(entries, rng.randint(2, 3))):
+            top = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in range(1, rng.randint(1, size) + 1)}
+            value = _pushed_down(spec, top, size)
+            yield spec, MeasureVectors.from_function(value, window), value, lambda n, size=size: size, window, None
+            narrowing = lambda n, size=size: max(1, size - n)
+            yield spec, MeasureVectors(value, size, narrowing), value, narrowing, window, None
+
+
+def test_invariance_reports_match_a_naive_computation():
+    rng = random.Random(9)
+    delta = Fraction(1, 10**12)
+    for spec, mv, value, width, window, em in _invariance_cases(rng):
+        top = window.max_level
+        if em is not None:
+            grid = [(m, v) for m in range(top + 1) for v in range(1, window.max_vertex + 1)]
+            assert all(em.cylinder_value(EndVertex(m, v)) == mv.value(m, v) for m, v in grid)
+        # entry (n, i) is read by row (n, i), or by row (top-1, i) at the top level, when i is inside
+        # the width of the level above (widths never grow with the level)
+        inner = rng.randint(0, top - 1)
+        for where in (None, (inner, rng.randint(1, min(width(inner + 1), window.max_vertex))),
+                      (top, rng.randint(1, min(width(top), window.max_vertex)))):
+            vectors = mv.perturbed(*where, delta) if where else mv
+
+            def bumped(n, i, where=where):
+                return value(n, i) + (delta if (n, i) == where else 0)
 
             report = check_tail_invariance(spec, vectors, window)
-            failures, checked = _naive_invariance(spec, value, window)
-            assert (report.failures, report.checked_rows) == (failures, checked)
-            assert report.ok is not perturbed
+            assert (report.failures, report.checked_rows) == _naive_invariance(spec, bumped, window, width)
+            assert report.ok is (where is None)
 
 
 def test_residuals_of_a_fractional_eigenvalue_match_a_naive_computation():
