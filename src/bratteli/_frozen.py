@@ -90,7 +90,8 @@ def frozen(cls):
     cls._defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name) and name not in slots}
     cls._post_init = getattr(cls, "__post_init__", None)
     # the field values as one tuple; attrgetter returns a tuple only for two or more names
-    cls._values = attrgetter(*names) if len(names) > 1 else lambda obj: tuple([getattr(obj, n) for n in names])
+    get = attrgetter(*names) if names else lambda obj: ()
+    cls._values = (lambda obj: (get(obj),)) if len(names) == 1 else get
     for name, method in _METHODS.items():
         if name not in own:
             setattr(cls, name, method)

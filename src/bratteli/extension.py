@@ -39,7 +39,6 @@ attached.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from fractions import Fraction
@@ -138,8 +137,8 @@ def _undetermined(partial, terms, note=None) -> ConvergenceResult:
 # ---------------------------------------------------------------------------
 
 
-def _series_terms(spec: OdometerChain, i: int, m: int, j: Optional[int], count: int) -> list[Fraction]:
-    """Exact terms N_n(i+1) / (a_0(i) ... a_n(i)) for n = m..m+count-1.
+def _series_terms(spec: OdometerChain, i: int, m: int, j: Optional[int], count: int) -> list[tuple[int, int]]:
+    """Exact terms N_n(i+1) / D_n, D_n = a_0(i) ... a_n(i), as pairs (N_n, D_n) for n = m..m+count-1.
 
     N_n(v) counts the paths up to (n, v), stepped up by the chain's
     ``path_step`` from vertex i+1 on.  A cylinder's paths start at its end
@@ -149,7 +148,9 @@ def _series_terms(spec: OdometerChain, i: int, m: int, j: Optional[int], count: 
     H^(n)_v = prod_(l<n) (a_l(free) + 1): ``free`` is the first vertex of the
     constant range of a vertex-indexed chain and vertex 1 of a level-indexed
     one.  The loop tracks i+1..free-1 and feeds the closed form in as the top
-    count; without such a vertex it walks the dependence cone of i+1.
+    count; without such a vertex it walks the dependence cone of i+1.  Each
+    D_n divides the next, so ``_term_sum`` adds terms over the last D_n; the
+    zero terms of a cylinder out of reach of vertex i+1 come over 1.
     """
     if j is None:
         const = spec.constant_range
@@ -157,7 +158,7 @@ def _series_terms(spec: OdometerChain, i: int, m: int, j: Optional[int], count: 
         counts = [1] * (count if free is None else max(free - i - 1, 0))
         top = None if free is None else 1
     elif j - i > count:  # a path from (m, j) reaches vertex i+1 only after j-i-1 levels
-        return [Fraction(0)] * count
+        return [(0, 1)] * count
     else:
         free, counts, top = None, [0] * (j - i - 1) + [1], 0
     den = OdometerMeasure(spec, i).level_denominator(m)
@@ -168,17 +169,33 @@ def _series_terms(spec: OdometerChain, i: int, m: int, j: Optional[int], count: 
             if free is not None:
                 top *= spec.vertical_edges(n - 1, free) + 1
         den *= spec.vertical_edges(n, i)
-        out.append(Fraction(counts[0] if counts else top, den))
+        out.append((counts[0] if counts else top, den))
     return out
+
+
+def _term_sum(lead: int, terms: list[tuple[int, int]]) -> Fraction:
+    """lead + the sum of ``_series_terms`` pairs, by Horner over the running denominator: one Fraction."""
+    num, den = lead, 1
+    for n, d in terms:
+        num = num * (d // den) + n
+        den = d
+    return Fraction(num, den)
+
+
+def _require_odometer(spec: DiagramSpec, i: int, not_a_chain: str) -> None:
+    """Raise ``DiagramError(not_a_chain)`` unless ``spec`` is an odometer chain, and refuse i < 1."""
+    if not isinstance(spec, OdometerChain):
+        raise DiagramError(not_a_chain)
+    if i < 1:
+        raise DiagramError("odometer index must be >= 1")
 
 
 def mass_series_terms(spec: DiagramSpec, i: int, count: int) -> list[Fraction]:
     """Exact terms H^(n)_{i+1} / (a_0(i) ... a_n(i)) of the mass series."""
-    if not isinstance(spec, OdometerChain):
-        raise DiagramError("mass series terms are defined for odometer chains")
-    if i < 1:
-        raise DiagramError("odometer index must be >= 1")
-    return _series_terms(spec, i, 0, None, count)
+    _require_odometer(spec, i, "mass series terms are defined for odometer chains")
+    if count < 0:
+        raise DiagramError(f"term count must be >= 0, not {count}")
+    return [Fraction(n, d) for n, d in _series_terms(spec, i, 0, None, count)]
 
 
 # ---------------------------------------------------------------------------
@@ -219,21 +236,20 @@ def _climb(spec, i, m, j, w, g, n0, max_terms) -> ConvergenceResult:
     The paths climb to vertex w, whose counts grow at least g-fold per level,
     g >= a_i, so N_n(i+1) >= g^(n-m-n0).  The terms are those of
     ``_series_terms(spec, i, m, j, ...)``, summed after the leading 1 of a
-    mass.  A budget that stops at or before term m+n0 checks nothing and
-    stays undetermined.
+    mass, and each is checked in integers as N_n den >= D_n.  A budget that
+    stops at or before term m+n0 checks nothing and stays undetermined.
     """
     count = min(max_terms, max(n0 + 8, 48))
     terms = _series_terms(spec, i, m, j, count)
-    partial = sum(terms, Fraction(j is None))
+    partial = _term_sum(int(j is None), terms)
     if count <= n0:
         return _undetermined(partial, m + count, _SHORT)
     a_i = spec.vertical_edges(0, i)
     e = m + n0
     den = g**e * a_i
-    eps = Fraction(1, den)
-    for n in range(n0, count):
-        if terms[n] < eps:
-            raise CertificateError(f"term {m + n} fell below its climb lower bound")
+    for n, (num, d) in enumerate(terms[n0:], e):
+        if num * den < d:
+            raise CertificateError(f"term {n} fell below its climb lower bound")
     gs = _int_str(g)
     power = f"{gs}^" + ("n" if e == 0 else f"(n-{e})")
     if j is None:
@@ -248,7 +264,7 @@ def _climb(spec, i, m, j, w, g, n0, max_terms) -> ConvergenceResult:
 def _uncertified(spec, i, m, j, note, max_terms) -> ConvergenceResult:
     """Exact sum of the first min(max_terms, 64) terms (as for ``_climb``), no certificate."""
     count = min(max_terms, 64)
-    return _undetermined(sum(_series_terms(spec, i, m, j, count), Fraction(j is None)), m + count, note)
+    return _undetermined(_term_sum(int(j is None), _series_terms(spec, i, m, j, count)), m + count, note)
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +283,13 @@ def _resolve_level_seq(seq: IntSequence) -> tuple[IntSequence, int]:
     return seq, offset
 
 
-@functools.lru_cache(maxsize=4)
 def _poly_comparison(poly: Polynomial) -> tuple[Fraction, int]:
     """Return (alpha, n1) with poly(u) >= alpha*(u+1)^2 for all u >= n1.
 
     alpha is the leading coefficient where poly(u) - alpha*(u+1)^2 keeps a
     positive leading coefficient, half of it otherwise; n1 comes from a root
     bound of that difference polynomial, beyond which it is positive.  A
-    sequence's pair is computed once, not once per cylinder of a grid.
+    sequence's pair is computed once, with its tail rule (``_tail_rule``).
     """
     deg = poly.degree()
     if deg < 2:
@@ -294,50 +309,68 @@ def _poly_comparison(poly: Polynomial) -> tuple[Fraction, int]:
     raise CertificateError("difference polynomial must have a positive leading coefficient")
 
 
-# suffix-product tables of the level chains read last, keyed by (level
-# sequence, end level): a grid's cylinders share one, and one polynomial
-# chain's table runs to about half a megabyte, so only this many are kept,
-# and none on the spec.  Tables grow in place, under the lock.
-_TABLES_KEPT = 2
-_tables: dict = {}
-_tables_lock = threading.Lock()
+def _tail_rule(seq: IntSequence) -> tuple:
+    """(tail, offset, kind, levels, need, alpha, note, witness) of a level sequence, as ``_level_series`` reads it;
+    ``witness`` heads a slope tail's block-lower-bound text (None for a tail starting below 2, which no chain has)."""
+    tail, offset = _resolve_level_seq(seq)
+    cf = tail.constant_from()
+    slope = None if cf is None else (cf[1], 0)  # (s, d) of a tail a_n = s + d(n - offset) whose reciprocals diverge
+    if isinstance(tail, Arithmetic) and tail.step > 0:
+        slope = (tail.start, tail.step)
+    elif isinstance(tail, Polynomial) and tail.degree() == 1:
+        slope = tail.coeffs[:2]
+    if slope is not None:
+        s, d = slope
+        witness = None if s < 2 else (
+            f"a_n = {s} + {d}(n-{offset}) for n >= {offset}: 1/a_n sums to at least {Fraction(1, s + 2 * d)} "
+            f"over every block N <= n-{offset} <= 2N, so sum 1/a_n diverges and with it "
+        )
+        return tail, offset, "slope", 48, 0, None, None, witness
+    if isinstance(tail, Geometric) and tail.ratio >= 2:  # cylinders are exact without a tail prefix
+        return tail, offset, "geometric", 0, 0, None, None, None
+    if isinstance(tail, Polynomial) and tail.degree() >= 2:
+        alpha, need = _poly_comparison(tail)
+        return tail, offset, "poly", max(need, 256), need, alpha, None, None
+    if isinstance(tail, Table):
+        return tail, offset, None, len(tail.values), 0, None, "level sequence has no tail rule usable for certification", None
+    return tail, offset, None, 0, 0, None, "decreasing level sequence has no certificate", None
 
 
-def _suffix_row(spec: OdometerChain, i: int, n_end: int, m: int, r: int) -> tuple[int, list[int]]:
+# [tail rule, suffix table] of the level sequences read last, one lookup per
+# cell: a grid's cells share both, and one polynomial chain's table runs to about
+# half a megabyte, so only this many are kept, none on the spec, grown under the lock.
+_MEMO_KEPT = 2
+_memo: dict = {}
+_memo_lock = threading.Lock()
+
+
+def _suffix_row(entry: list, spec: OdometerChain, i: int, n_end: int, m: int, r: int) -> tuple[int, list[int]]:
     """(prod_(n<n_end) a_n, coefficients of t^0..t^r of P_m), P_m = prod_(m<=n<n_end) (a_n + t).
 
-    The table starts at P_(n_end) = 1 and steps P_m = (a_m + t) P_(m+1)
-    down, keeping terms up to the highest degree asked of it; a row of
-    lower degree has fewer coefficients.  It grows down to the lowest row and
-    up to the highest degree asked for, so one O(n_end * r) pass serves every
-    cylinder of a grid.
+    The table of a level sequence's memo ``entry`` starts at P_(n_end) = 1
+    and steps P_m = (a_m + t) P_(m+1) down, keeping terms up to the highest
+    degree asked of it; a row of lower degree has fewer coefficients.  It
+    grows down to the lowest row and up to the highest degree asked for (one
+    pass over the rows per degree), so one O(n_end * r) pass serves every
+    cylinder of a grid; a table ending at another level replaces it.
     """
-    key = (spec.level_diag, n_end)
-    with _tables_lock:
-        entry = _tables.pop(key, None)
-        if entry is None:
+    with _memo_lock:
+        table = entry[1]
+        if table is None or table[0] != n_end:
             levels = [spec.vertical_edges(n, i) for n in range(n_end)]
-            entry = [levels, math.prod(levels), 0, [[1]]]  # rows[k] is P_(n_end-k)
-        _tables[key] = entry
-        if len(_tables) > _TABLES_KEPT:
-            del _tables[next(iter(_tables))]
-        levels, den, degree, rows = entry
+            table = entry[1] = [n_end, levels, math.prod(levels), 0, [[1]]]  # rows[k] is P_(n_end-k)
+        _, levels, den, degree, rows = table
         if r > degree:
-            for k in range(1, len(rows)):
-                _times_level(rows[k], rows[k - 1], levels[n_end - k], min(r, k))
-            entry[2] = degree = r
-        while len(rows) <= n_end - m:
-            k = len(rows)
-            row = []
-            _times_level(row, rows[-1], levels[n_end - k], min(degree, k))
-            rows.append(row)
+            for s in range(degree + 1, min(r, len(rows) - 1) + 1):
+                c = 0  # coefficient s of rows[k - 1]
+                for k in range(s, len(rows)):
+                    c = levels[n_end - k] * c + rows[k - 1][s - 1]
+                    rows[k].append(c)
+            table[3] = degree = r
+        while len(rows) <= n_end - m:  # (a + t) times the row below, up to the table's degree
+            a, below = levels[n_end - len(rows)], rows[-1]
+            rows.append([a * x + y for x, y in zip(below + [0], [0] + below)][: degree + 1])
         return den, rows[n_end - m]
-
-
-def _times_level(row: list[int], below: list[int], a: int, top: int) -> None:
-    """Append coefficients len(row)..top of (a + t) * below to ``row``."""
-    for s in range(len(row), top + 1):
-        row.append((a * below[s] if s < len(below) else 0) + (below[s - 1] if s else 0))
 
 
 def _level_series(spec: DiagramSpec, i: int, m: int, r: Optional[int], max_terms: int) -> ConvergenceResult:
@@ -353,38 +386,21 @@ def _level_series(spec: DiagramSpec, i: int, m: int, r: Optional[int], max_terms
     exact by Euler's q-binomial identity
     e_s(y, yq, yq^2, ...) = y^s q^(s(s-1)/2) / prod_(t=1..s) (1 - q^t).
     """
-    tail_seq, offset = _resolve_level_seq(spec.level_diag)
-    cf = tail_seq.constant_from()
-    slope = None  # (s, d) of a tail a_n = s + d(n - offset) whose reciprocals diverge
-    if cf is not None:
-        slope = (cf[1], 0)
-    elif isinstance(tail_seq, Arithmetic) and tail_seq.step > 0:
-        slope = (tail_seq.start, tail_seq.step)
-    elif isinstance(tail_seq, Polynomial) and tail_seq.degree() == 1:
-        slope = tail_seq.coeffs[:2]
-    geometric = isinstance(tail_seq, Geometric) and tail_seq.ratio >= 2
-    poly = isinstance(tail_seq, Polynomial) and tail_seq.degree() >= 2
-    # tail levels the prefix covers, the fewest the tail rule needs, and why
-    # there is no tail rule
-    need, note = 0, None
-    if slope is not None:
-        levels = 48
-    elif geometric:
-        levels = 0  # cylinders are exact without a tail prefix
-        if r is None:
-            # refine the mass until S/(1 - S) is negligible: S (1 + eps) <= eps
-            # with S = q/((q - 1) a_L) and eps = p/den, in integers
-            p, eps_den, q = _NEGLIGIBLE.numerator, _NEGLIGIBLE.denominator, tail_seq.ratio
-            levels, a_l = 2, tail_seq.value(2)
-            while levels < 512 and (q - 1) * p * a_l < q * (eps_den + p):
-                levels, a_l = levels + 1, a_l * q
-    elif poly:
-        alpha, need = _poly_comparison(tail_seq)
-        levels = max(need, 256)
-    elif isinstance(tail_seq, Table):
-        levels, note = len(tail_seq.values), "level sequence has no tail rule usable for certification"
-    else:
-        levels, note = 0, "decreasing level sequence has no certificate"
+    with _memo_lock:
+        entry = _memo.get(spec.level_diag)
+        if entry is None:
+            entry = _memo[spec.level_diag] = [_tail_rule(spec.level_diag), None]
+            if len(_memo) > _MEMO_KEPT:
+                del _memo[next(iter(_memo))]
+    tail_seq, offset, kind, levels, need, alpha, note, witness = entry[0]
+    geometric = kind == "geometric"
+    if geometric and r is None:
+        # refine the mass until S/(1 - S) is negligible: S (1 + eps) <= eps
+        # with S = q/((q - 1) a_L) and eps = p/den, in integers
+        p, eps_den, q = _NEGLIGIBLE.numerator, _NEGLIGIBLE.denominator, tail_seq.ratio
+        levels, a_l = 2, tail_seq.value(2)
+        while levels < 512 and (q - 1) * p * a_l < q * (eps_den + p):
+            levels, a_l = levels + 1, a_l * q
     count = min(max_terms, max(offset + levels - m, 0))
 
     if r is None:  # m = 0
@@ -392,7 +408,7 @@ def _level_series(spec: DiagramSpec, i: int, m: int, r: Optional[int], max_terms
         den = math.prod(prefix)
         partial = Fraction(math.prod(a + 1 for a in prefix), den)
     else:
-        den, e = _suffix_row(spec, i, m + count, m, r)
+        den, e = _suffix_row(entry, spec, i, m + count, m, r)
         partial = Fraction(e[r] if r < len(e) else 0, den)
 
     used = m + count - offset  # tail levels inside the prefix
@@ -400,14 +416,11 @@ def _level_series(spec: DiagramSpec, i: int, m: int, r: Optional[int], max_terms
         return _undetermined(partial, count, note)
     if used < need:
         return _undetermined(partial, count, _SHORT)
-    if slope is not None:
-        s, d = slope
+    if kind == "slope":
+        if witness is None:
+            spec.vertical_edges(offset, i)  # raises: the tail starts below 2
         what = "the mass prod_n (1 + 1/a_n)" if r is None else f"e_{r}(1/a_{m}, 1/a_{m + 1}, ...)"
-        witness = (
-            f"a_n = {s} + {d}(n-{offset}) for n >= {offset}: 1/a_n sums to at least {Fraction(1, s + 2 * d)} "
-            f"over every block N <= n-{offset} <= 2N, so sum 1/a_n diverges and with it {what}"
-        )
-        return _infinite(partial, count, witness, "block-lower-bound")
+        return _infinite(partial, count, witness + what, "block-lower-bound")
     tail_sum = _geometric_tail(tail_seq, used) if geometric else 1 / (alpha * used)
     if r is None:
         if tail_sum >= 1:
@@ -448,10 +461,7 @@ def odometer_extension_mass(spec: DiagramSpec, i: int, max_terms: int = DEFAULT_
 
     Equals 1 + sum_n H^(n)_{i+1} / (a_0(i) ... a_n(i)), certified.
     """
-    if not isinstance(spec, OdometerChain):
-        raise DiagramError("extension mass of an odometer requires an odometer chain")
-    if i < 1:
-        raise DiagramError("odometer index must be >= 1")
+    _require_odometer(spec, i, "extension mass of an odometer requires an odometer chain")
     if max_terms < 2:
         raise DiagramError("max_terms must be at least 2")
     if spec.vertex_diag is not None:
@@ -507,10 +517,7 @@ def extended_cylinder_measure(
     the base odometer value; j > i is a certified series over the cylinder
     refinements that enter the odometer.
     """
-    if not isinstance(spec, OdometerChain):
-        raise DiagramError("extended cylinder values require an odometer chain")
-    if i < 1:
-        raise DiagramError("odometer index must be >= 1")
+    _require_odometer(spec, i, "extended cylinder values require an odometer chain")
     if max_terms < 0:
         raise DiagramError(f"max_terms must be >= 0, not {max_terms}")
     end = as_end_vertex(spec, cyl)
@@ -628,6 +635,8 @@ def classify_ergodic_measures(
     """
     if not isinstance(spec, OdometerChain):
         raise DiagramError("the odometer classification requires an odometer chain")
+    if i_max < 1:
+        raise DiagramError(f"i_max must be >= 1, not {i_max}")
     entries = []
     for i in range(1, i_max + 1):
         # on a level-indexed chain every odometer has the same mass series

@@ -178,6 +178,8 @@ def order_at(spec: DiagramSpec, order: QuasiStationary, n: int, i: int) -> Verte
     An exception at the vertex wins over the canonical order of the eventual
     tag; an exception's ``VertexOrder`` must list exactly the vertex's vertical edges.
     """
+    if not isinstance(spec, OdometerChain):
+        raise DiagramError("vertex orders require an odometer chain")
     if n < 1:
         raise DiagramError("level-0 vertices have no incoming edges")
     a = spec.vertical_edges(n - 1, i)
@@ -384,6 +386,8 @@ def minimal_path_into(spec: DiagramSpec, order: QuasiStationary, level: int, ind
     """The order-minimal finite path from level 0 into vertex (level, index)."""
     if index < 1:
         raise DiagramError(f"vertex index must be >= 1, not {index}")
+    if level < 0:
+        raise DiagramError(f"level must be >= 0, not {level}")
     return _Walk(spec, order).prefix(level, index)[0]
 
 

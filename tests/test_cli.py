@@ -50,6 +50,13 @@ def test_measure_classify_human(capsys):
     assert "2/1" in out  # the exact mass
 
 
+def test_measure_classify_refuses_an_imax_of_0(capsys):
+    # no odometer examined: the classification has nothing to exhaust (a negative --imax is an argument error)
+    code, out, err = run(capsys, "measure", "classify", "--family", "ak", "--a", "4", "--k", "2", "--imax", "0")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "i_max must be >= 1, not 0" in err
+
+
 def test_measure_classify_csv_columns(capsys):
     code, out, _ = run(
         capsys, "--format", "csv", "measure", "classify", "--family", "ak", "--a", "4", "--k", "2", "--imax", "2"

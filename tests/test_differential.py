@@ -7,7 +7,8 @@ share no code with ``OdometerChain.path_step`` are compared with it:
 
 * ``heights`` against ``count_paths_bruteforce``, which walks every path;
 * each mass-series term times a_0(i) ... a_n(i) against the height of i + 1;
-* each cylinder-series numerator against the entry of a ``telescope`` block.
+* each cylinder-series numerator against the entry of a ``telescope`` block,
+  and its denominator against a_0(i) ... a_n(i).
 
 ``telescope`` is that last reference, so it is itself checked against a walk
 down every path of a block, on those chains and on random explicit diagrams
@@ -121,7 +122,8 @@ def test_cylinder_numerators_match_telescoped_blocks(kind):
                 else:
                     block = telescope(spec, [0, m, n] if m else [0, n], window).levels[-1]
                     paths = {(v, w): c for v, w, c in block}.get((i + 1, j), 0)
-                assert term * den == paths, (seed, i, m, j, n)
+                # the stream hands over the path count itself over the running denominator
+                assert term == (paths, den), (seed, i, m, j, n)
 
 
 def _paths_down(spec, level, v, bottom, max_vertex):

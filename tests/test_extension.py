@@ -328,6 +328,11 @@ def _pinned_chains():
     return chains
 
 
+def _terms(spec, i, m, j, count):
+    """The (N_n, D_n) pairs of ``_series_terms`` as Fractions."""
+    return [Fraction(n, d) for n, d in _series_terms(spec, i, m, j, count)]
+
+
 def _pinned(call):
     """Every field of a series result, or the error a call raised."""
     try:
@@ -347,7 +352,7 @@ def test_series_answers_digest_on_a_seeded_corpus():
         for i in (1, 2, 3):
             answers = [_pinned(lambda: mass_series_terms(spec, i, 40))]
             for m in (0, 1, 2):
-                answers += [_pinned(lambda: _series_terms(spec, i, m, j, 24)) for j in range(i + 1, i + 5)]
+                answers += [_pinned(lambda: _terms(spec, i, m, j, 24)) for j in range(i + 1, i + 5)]
             for max_terms in (2, 8, DEFAULT_MAX_TERMS):
                 answers.append(_pinned(lambda: odometer_extension_mass(spec, i, max_terms)))
                 for m in (0, 1, 2):
@@ -356,6 +361,59 @@ def test_series_answers_digest_on_a_seeded_corpus():
             digest.update(repr((spec, i, answers)).encode())
     # computed with the three term helpers the one term stream replaced
     assert digest.hexdigest() == "8a0db65206c4c3e02e07fec2bd517a14abb706926402f4efb51c421745322557"
+
+
+def _integer_sum_chains():
+    """Seeded vertex tables with and without a tail, and general chains, for the climb and uncertified sums."""
+    rng = random.Random(20261021)
+    chains = [StationaryIncreasing()]
+    for _ in range(4):
+        values = tuple(rng.randint(1, 7) for _ in range(rng.randint(1, 5)))
+        entries = [[rng.randint(0, 6), rng.randint(1, 5), rng.randint(2, 6)] for _ in range(rng.randint(1, 5))]
+        chains += [
+            StationaryDecreasing(Table(values, Constant(rng.randint(1, 4)))),
+            StationaryDecreasing(Table(values + tuple(rng.randint(1, 7) for _ in range(80)))),
+            StationaryDecreasing(Table(values)),  # runs out of vertices, and the stream raises
+            GeneralChain(entries, rng.randint(2, 3)),
+        ]
+    return chains, rng
+
+
+def _climb_by_fractions(spec, i, m, j, g, n0, max_terms):
+    """The climb's answer from Fraction terms: each compared with eps = 1/(g^(m+n0) a_i) as a Fraction."""
+    count = min(max_terms, max(n0 + 8, 48))
+    terms = _terms(spec, i, m, j, count)
+    partial = (j is None) + sum(terms, Fraction(0))
+    if count <= n0:
+        return (UNDETERMINED, partial, m + count)
+    eps = Fraction(1, g ** (m + n0) * spec.vertical_edges(0, i))
+    low = [m + n for n in range(n0, count) if terms[n] < eps]
+    if low:
+        return ("CertificateError", f"term {low[0]} fell below its climb lower bound")
+    return (INFINITE, partial, m + count)
+
+
+def test_integer_climb_and_uncertified_sums_match_fraction_sums():
+    # the climb and uncertified sums are taken in integers over one running
+    # denominator, and the climb bound is checked as N_n den >= D_n; both
+    # must equal the Fraction sums and the Fraction comparison with eps
+    chains, rng = _integer_sum_chains()
+    outcomes = set()
+    for spec in chains:
+        for i in (1, 2, 3):
+            for m, j in [(0, None)] + [(m, i + d) for m in (0, 1, 2) for d in (1, 2, 4)]:
+                for max_terms in (2, 8, 64):
+                    g, n0 = rng.randint(1, 6), rng.randint(0, 10)
+                    want = _raised_or(lambda: _climb_by_fractions(spec, i, m, j, g, n0, max_terms))
+                    res = _raised_or(lambda: ext._climb(spec, i, m, j, i + 1, g, n0, max_terms))
+                    got = res if isinstance(res, tuple) else (res.status, res.partial_sum, res.terms_used)
+                    assert got == want, (spec, i, m, j, g, n0, max_terms)
+                    outcomes.add(got[0])
+                    count = min(max_terms, 64)
+                    want = _raised_or(lambda: ((j is None) + sum(_terms(spec, i, m, j, count), Fraction(0)), m + count))
+                    res = _raised_or(lambda: ext._uncertified(spec, i, m, j, "no certificate", max_terms))
+                    assert (res if isinstance(res, tuple) else (res.partial_sum, res.terms_used)) == want
+    assert outcomes == {UNDETERMINED, INFINITE, "CertificateError", "SequenceError"}
 
 
 @pytest.mark.parametrize("spec, i, cyl, witness", [
@@ -394,9 +452,9 @@ def test_far_cylinders_step_no_more_counts_than_terms(monkeypatch):
     spec = StationaryIncreasing()
     for j in (20, 21, 22, 23, 200):
         widest.clear()
-        terms = _series_terms(spec, 1, 2, j, 20)
+        terms = _terms(spec, 1, 2, j, 20)
         assert max(widest, default=0) <= 20
-        assert terms == _series_terms(spec, 1, 2, j, 30)[:20]
+        assert terms == _terms(spec, 1, 2, j, 30)[:20]
         assert any(terms) == (j <= 21)
     widest.clear()
     res = extended_cylinder_measure(spec, 1, EndVertex(0, 200000))
@@ -523,7 +581,7 @@ def test_level_intervals_contain_bruteforce_partial_sums():
         for m, j in [(0, 2), (0, 3), (1, 4), (2, 6)]:
             res = extended_cylinder_measure(spec, 1, EndVertex(m, j))
             assert res.status != UNDETERMINED
-            terms = _series_terms(spec, 1, m, j, res.terms_used + 40)
+            terms = _terms(spec, 1, m, j, res.terms_used + 40)
             assert res.partial_sum == sum(terms[: res.terms_used], Fraction(0))
             if res.status == FINITE:
                 for cut in (j, res.terms_used // 2, len(terms)):
@@ -650,26 +708,44 @@ def test_level_series_matches_the_forward_reference(max_terms):
 
 
 def test_level_series_answers_do_not_depend_on_the_order_of_queries():
-    # the tables of the chains read last are kept: answers interleaved across
-    # three chains equal answers given one chain at a time, and the memo never
-    # holds more than its bound
+    # the tail rules and tables of the sequences read last are kept: masses and
+    # cells of every rule kind, interleaved across more sequences than the memo
+    # keeps, equal the same answers each computed from an empty memo, and the
+    # memo never holds more than its bound
     chains = [
         NonStationaryUniform(Polynomial((3, 1, 1))),
         NonStationaryUniform(Table((4, 7), Geometric(2, 3))),
         NonStationaryUniform(Table((5, 2, 3), Arithmetic(2, 1))),
+        NonStationaryUniform(Constant(3)),
+        NonStationaryUniform(Table((6,), Polynomial((3, 2)))),
+        NonStationaryUniform(Table((4, 5, 6))),
+        NonStationaryUniform(Table((8, 9), Arithmetic(9, -1))),
     ]
-    cells = [(m, j, max_terms) for max_terms in (8, DEFAULT_MAX_TERMS) for m in range(4) for j in (2, 4, 3, 7)]
-    alone = []
+
+    def answer(spec, m, j, t):
+        if j is None:
+            return _pinned(lambda: odometer_extension_mass(spec, 2, t))
+        return _pinned(lambda: extended_cylinder_measure(spec, 1, EndVertex(m, j), t))
+
+    cells = [(m, j, t) for t in (8, DEFAULT_MAX_TERMS) for m in range(4) for j in (2, 4, None, 3, 7) if m == 0 or j]
+    cold = []
     for spec in chains:
-        ext._tables.clear()
-        alone.append([_pinned(lambda: extended_cylinder_measure(spec, 1, EndVertex(m, j), t)) for m, j, t in cells])
-    ext._tables.clear()
+        cold.append([])
+        for m, j, t in cells:
+            ext._memo.clear()
+            cold[-1].append(answer(spec, m, j, t))
+    # three cells of a chain in a row share its entry (their end levels differ
+    # where m or the budget does), and the next chains' entries evict it
+    ext._memo.clear()
     mixed = [[] for _ in chains]
-    for m, j, t in cells:
+    for start in range(0, len(cells), 3):
         for spec, out in zip(chains, mixed):
-            out.append(_pinned(lambda: extended_cylinder_measure(spec, 1, EndVertex(m, j), t)))
-            assert len(ext._tables) <= ext._TABLES_KEPT
-    assert mixed == alone
+            for m, j, t in cells[start:start + 3]:
+                out.append(answer(spec, m, j, t))
+                assert len(ext._memo) <= ext._MEMO_KEPT
+    assert mixed == cold
+    kinds = {rule[2] for rule in map(ext._tail_rule, (spec.level_diag for spec in chains))}
+    assert kinds == {"slope", "geometric", "poly", None}
 
 
 def test_level_series_tables_are_shared_safely_across_threads():
@@ -677,7 +753,7 @@ def test_level_series_tables_are_shared_safely_across_threads():
     # by degree, at a short switch interval; each must see a lone caller's answers
     spec = NonStationaryUniform(Polynomial((3, 1, 1)))
     cells = [(m, j) for m in range(6, -1, -1) for j in range(2, 9)]
-    ext._tables.clear()
+    ext._memo.clear()
     want = [_pinned(lambda: extended_cylinder_measure(spec, 1, EndVertex(m, j))) for m, j in cells]
     results = []
 
@@ -689,7 +765,7 @@ def test_level_series_tables_are_shared_safely_across_threads():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(12):
-            ext._tables.clear()
+            ext._memo.clear()
             start = threading.Barrier(8)
             threads = [threading.Thread(target=work, args=(start,)) for _ in range(8)]
             for t in threads:

@@ -19,7 +19,12 @@ from bratteli.diagram import (
     diagram_from_json,
     heights,
 )
-from bratteli.extension import classify_ergodic_measures, extended_cylinder_measure, odometer_extension_mass
+from bratteli.extension import (
+    classify_ergodic_measures,
+    extended_cylinder_measure,
+    mass_series_terms,
+    odometer_extension_mass,
+)
 from bratteli.finite_stationary import measures_finite_stationary, spectral_radius
 from bratteli.measure import EndVertex, ExplicitPath, MeasureVectors, cylinder_measure
 from bratteli.orders import (
@@ -32,7 +37,7 @@ from bratteli.orders import (
     order_from_json,
     successor,
 )
-from bratteli.sequences import Geometric, SequenceError, seq_from_json, seq_from_text
+from bratteli.sequences import Constant, Geometric, SequenceError, Table, seq_from_json, seq_from_text
 from bratteli.spectral import EigenError, EigenPair, eigen_measure
 
 AK42 = StationaryAK(4, 2)
@@ -109,6 +114,25 @@ CASES = {
         DiagramError,
         "the odometer classification requires an odometer chain",
     ),
+    # a classification of no odometers would claim to exhaust the measures among them
+    "classify-i-max-0": (lambda: classify_ergodic_measures(AK42, 0), DiagramError, "i_max must be >= 1, not 0"),
+    "classify-i-max-negative": (
+        lambda: classify_ergodic_measures(AK42, -2), DiagramError, "i_max must be >= 1, not -2"
+    ),
+    "mass-terms-count-negative": (
+        lambda: mass_series_terms(AK42, 1, -3), DiagramError, "term count must be >= 0, not -3"
+    ),
+    # a slope tail that starts below 2 is refused even where the budget stops short of it
+    "level-tail-below-2-before-the-budget-reaches-it": (
+        lambda: odometer_extension_mass(NonStationaryUniform(Table((5, 7), Constant(0))), 1, 2),
+        DiagramError,
+        "level multiplicity a_2=0 must be >= 2",
+    ),
+    "level-tail-below-2-in-an-empty-prefix": (
+        lambda: extended_cylinder_measure(NonStationaryUniform(Constant(1)), 1, EndVertex(0, 2), 0),
+        DiagramError,
+        "level multiplicity a_0=1 must be >= 2",
+    ),
     # measure
     "path-start-0": (lambda: ExplicitPath(0, ()), DiagramError, "path start index must be >= 1"),
     "path-edge-kind": (lambda: ExplicitPath(1, (("z", 1),)), DiagramError, "unknown edge kind 'z'"),
@@ -158,6 +182,21 @@ CASES = {
     ),
     "minimal-path-into-vertex-0-at-level-0": (
         lambda: minimal_path_into(AK42, QuasiStationary(), 0, 0), DiagramError, "vertex index must be >= 1, not 0"
+    ),
+    "minimal-path-into-level-negative": (
+        lambda: minimal_path_into(AK42, QuasiStationary(default=("left",)), -2, 1),
+        DiagramError,
+        "level must be >= 0, not -2",
+    ),
+    "minimal-path-into-not-a-chain": (
+        lambda: minimal_path_into(FINITE, QuasiStationary(default=("left",)), 2, 1),
+        DiagramError,
+        "vertex orders require an odometer chain",
+    ),
+    "order-at-not-a-chain": (
+        lambda: order_at(FINITE, QuasiStationary(default=("left",)), 1, 1),
+        DiagramError,
+        "vertex orders require an odometer chain",
     ),
     "classify-odometer-not-a-chain": (
         lambda: classify_odometer(FINITE, QuasiStationary(), 1),
