@@ -9,6 +9,7 @@ are exact dyadic brackets, so equal radii are decided, not guessed.
 """
 
 from bratteli import (
+    EndVertex,
     decompose,
     distinguished_classes,
     distinguished_eigenvector,
@@ -37,7 +38,7 @@ for alpha in dist:
 print("\nMeasures (normalized so level-1 tower masses sum to 1):")
 for m in measures_finite_stationary(A):
     print(f"  class {dec.classes[m.data.class_index]}: lambda = {m.lam}, xi = {m.xi_normalized}")
-    print(f"    cylinder value at level 2, vertex 2: {m.cylinder_value(2, 2)}")
+    print(f"    cylinder value at level 2, vertex 2: {m.cylinder_value(EndVertex(2, 2))}")
 
 print("\nA chain where the upstream class dominates kills the downstream measure:")
 B = [[2, 0], [1, 3]]

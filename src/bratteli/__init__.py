@@ -39,7 +39,7 @@ _EXPORTS = {
     ),
     "measure": (
         "CylinderSpec", "EndVertex", "ExplicitPath", "InvarianceReport", "MeasureVectors",
-        "OdometerMeasure", "check_tail_invariance", "cylinder_measure", "odometer_measure",
+        "OdometerMeasure", "check_tail_invariance",
     ),
     "orders": (
         "ALEPH0", "AllMaximalPrefix", "ExtensionVerdict", "QuasiStationary", "VertexOrder",

@@ -524,12 +524,21 @@ class FiniteStationaryMeasure:
     xi_normalized: tuple[float, ...]
     xi_raw: tuple[float, ...]
 
-    def cylinder_value(self, level: int, vertex: int) -> float:
-        if level < 1:
+    def cylinder_value(self, cyl) -> float:
+        """The value at ``EndVertex(n, w)``, n >= 1.  It is a float, not an
+        interval: xi carries a residual certificate and no bracket, so no
+        bounds come with the value until a bracketed or exact xi does."""
+        from .measure import EndVertex  # here, so that ``finite classify`` does not load ``measure``
+
+        if not isinstance(cyl, EndVertex):
+            raise DiagramError(
+                "explicit paths describe odometer chains only; read a finite-stationary measure at an EndVertex"
+            )
+        if cyl.length < 1:
             raise DiagramError("cylinder level must be >= 1 on a standard diagram")
-        if not 1 <= vertex <= len(self.xi_normalized):
-            raise DiagramError(f"vertex {vertex} is outside 1..{len(self.xi_normalized)} of this diagram")
-        return self.xi_normalized[vertex - 1] / self.lam ** (level - 1)
+        if cyl.index > len(self.xi_normalized):  # an EndVertex index is >= 1
+            raise DiagramError(f"vertex {cyl.index} is outside 1..{len(self.xi_normalized)} of this diagram")
+        return self.xi_normalized[cyl.index - 1] / self.lam ** (cyl.length - 1)
 
 
 def measures_finite_stationary(a_matrix, tol: float = 1e-12) -> list[FiniteStationaryMeasure]:

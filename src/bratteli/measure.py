@@ -3,9 +3,11 @@
 A tail-invariant measure assigning finite values to cylinder sets is the same
 data as a sequence of nonnegative vectors p^(n) with F_n^T p^(n+1) = p^(n);
 the value of a cylinder depends only on its end vertex and length.  This
-module represents such measures, evaluates cylinders, checks the defining
-relation exactly, and builds the canonical probability measure carried by a
-single odometer of an odometer chain.
+module represents such measures, checks the defining relation exactly, and
+builds the canonical probability measure carried by a single odometer of an
+odometer chain.  Every measure of the library, here and in ``spectral``,
+``extension`` and ``finite_stationary``, is read by one call,
+``cylinder_value(cyl)``, with ``cyl`` an ``EndVertex`` or an ``ExplicitPath``.
 """
 
 from __future__ import annotations
@@ -187,6 +189,12 @@ class MeasureVectors:
     def value(self, level: int, index: int) -> Fraction:
         return Fraction(*self._entry(level, index))
 
+    def cylinder_value(self, cyl: CylinderSpec) -> Fraction:
+        """The entry at the cylinder's end vertex.  The vectors carry no diagram,
+        so an ``ExplicitPath`` is read through ``cyl.end()``, unchecked."""
+        end = cyl if isinstance(cyl, EndVertex) else cyl.end()
+        return self.value(end.length, end.index)
+
     def perturbed(self, level: int, index: int, delta: Fraction) -> "MeasureVectors":
         def pair(n: int, i: int) -> tuple[int, int]:
             if n != level or i != index:
@@ -316,37 +324,3 @@ class OdometerMeasure:
             return Fraction(0)
         return Fraction(1, self.level_denominator(end.length))
 
-
-def odometer_measure(spec: DiagramSpec, index: int) -> OdometerMeasure:
-    return OdometerMeasure(spec, index)
-
-
-# ---------------------------------------------------------------------------
-# Uniform cylinder evaluation
-# ---------------------------------------------------------------------------
-
-
-def cylinder_measure(measure, cyl: CylinderSpec):
-    """Evaluate a cylinder under any measure object of this library.
-
-    Returns an exact :class:`fractions.Fraction` when the measure is exact at
-    that cylinder; extension measures may return a certified series result
-    (finite interval, infinite, or undetermined) instead.  Bare
-    :class:`MeasureVectors` carry no diagram, so an explicit path is read
-    through its end vertex only, unchecked against any diagram.  A
-    finite-stationary measure is read at an :class:`EndVertex` (level, vertex).
-    """
-    from .finite_stationary import FiniteStationaryMeasure
-
-    if isinstance(measure, MeasureVectors):
-        end = cyl if isinstance(cyl, EndVertex) else cyl.end()
-        return measure.value(end.length, end.index)
-    if isinstance(measure, FiniteStationaryMeasure):
-        if not isinstance(cyl, EndVertex):
-            raise DiagramError(
-                "explicit paths describe odometer chains only; read a finite-stationary measure at an EndVertex"
-            )
-        return measure.cylinder_value(cyl.length, cyl.index)
-    if hasattr(measure, "cylinder_value"):
-        return measure.cylinder_value(cyl)
-    raise DiagramError(f"cannot evaluate cylinders under {type(measure).__name__}")

@@ -48,7 +48,7 @@ from typing import Optional, Union
 
 from ._frozen import frozen
 from .diagram import DiagramError, DiagramSpec, OdometerChain, Truncation
-from .measure import DIAGONAL, VERTICAL, CylinderSpec, EndVertex, ExplicitPath, cylinder_measure
+from .measure import DIAGONAL, VERTICAL, CylinderSpec, EndVertex, ExplicitPath
 from .sequences import _int_keys, _require_dict, _require_list
 
 LEFT = "left"
@@ -238,6 +238,8 @@ def classify_odometer(spec: DiagramSpec, order: QuasiStationary, i: int) -> Odom
     """
     if not isinstance(spec, OdometerChain):
         raise DiagramError("odometer classification requires an odometer chain")
+    if i < 1:
+        raise DiagramError("odometer index must be >= 1")
     if order.default is None:
         return OdometerClass(None, None, "undecidable from a finite window of explicit orders")
     return OdometerClass(*_FINITENESS[order.tag_of(i)])
@@ -265,6 +267,8 @@ def extension_verdict(spec: DiagramSpec, order: QuasiStationary, i_max: int = 20
         raise DiagramError("extension verdict requires an odometer chain")
     if order.default is None:
         raise DiagramError("extension verdict is undecidable from finite explicit-order data")
+    if i_max < 1:
+        raise DiagramError(f"i_max must be >= 1, not {i_max}")
 
     def cardinal(side: int) -> Cardinal:
         if any(_FINITENESS[t][side] for t in order.default):
@@ -384,6 +388,8 @@ class _Walk:
 
 def minimal_path_into(spec: DiagramSpec, order: QuasiStationary, level: int, index: int) -> ExplicitPath:
     """The order-minimal finite path from level 0 into vertex (level, index)."""
+    if not isinstance(spec, OdometerChain):  # checked here too: a level-0 walk reads no order
+        raise DiagramError("vertex orders require an odometer chain")
     if index < 1:
         raise DiagramError(f"vertex index must be >= 1, not {index}")
     if level < 0:
@@ -442,7 +448,8 @@ def orbit_frequencies(
     An ``EndVertex`` cylinder is represented by the order-minimal path into
     that vertex (all cylinders with the same end vertex share one measure
     value, so any concrete representative serves for the comparison).
-    Theoretical values, when a measure is supplied, must evaluate exactly.
+    A supplied measure is read by ``measure.cylinder_value(cyl)``; a value
+    that is not an exact ``Fraction`` leaves the theoretical entry None.
     ``start`` and every explicit cylinder must be paths of ``spec``; each is
     validated once, and the orbit then advances one path in place, so a step
     builds no ``ExplicitPath`` unless ``window`` asks for its guard.
@@ -503,10 +510,6 @@ def orbit_frequencies(
         else:
             count = tallies[len(cyl.edges)][cyl.start, cyl.edges]
         emp = Fraction(count, done) if done else Fraction(0)
-        theo = None
-        if measure is not None:
-            val = cylinder_measure(measure, cyl)
-            if isinstance(val, Fraction):
-                theo = val
-        entries.append(OrbitEntry(cyl, emp, theo))
+        val = None if measure is None else measure.cylinder_value(cyl)
+        entries.append(OrbitEntry(cyl, emp, val if isinstance(val, Fraction) else None))
     return OrbitReport(tuple(entries), done, aborted)

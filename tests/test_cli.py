@@ -51,10 +51,12 @@ def test_measure_classify_human(capsys):
 
 
 def test_measure_classify_refuses_an_imax_of_0(capsys):
-    # no odometer examined: the classification has nothing to exhaust (a negative --imax is an argument error)
-    code, out, err = run(capsys, "measure", "classify", "--family", "ak", "--a", "4", "--k", "2", "--imax", "0")
-    assert (code, out) == (EXIT_CONFIG, "")
-    assert "i_max must be >= 1, not 0" in err
+    # no odometer examined: the classification has nothing to exhaust (a negative --imax is an argument error);
+    # the extension verdict of vershik classify, whose witnesses it would leave empty, refuses it too
+    for command in (["measure", "classify"], ["vershik", "classify", "--tags", "all-left"]):
+        code, out, err = run(capsys, *command, "--family", "ak", "--a", "4", "--k", "2", "--imax", "0")
+        assert (code, out) == (EXIT_CONFIG, ""), command
+        assert "i_max must be >= 1, not 0" in err
 
 
 def test_measure_classify_csv_columns(capsys):

@@ -26,6 +26,7 @@ import pytest
 
 from bratteli import finite_stationary as fs
 from bratteli.diagram import CertificateError, DiagramError
+from bratteli.measure import EndVertex
 from bratteli.finite_stationary import (
     decompose,
     distinguished_classes,
@@ -458,15 +459,17 @@ def test_measures_per_distinguished_class():
     assert len(ms) == 1
     # the class {2} measure gives vertex-2 cylinders positive mass, vertex 1 zero
     m = ms[0]
-    assert m.cylinder_value(1, 1) == 0.0
-    assert m.cylinder_value(1, 2) == 1.0  # normalized: level-1 masses sum to 1
+    assert m.cylinder_value(EndVertex(1, 1)) == 0.0
+    assert m.cylinder_value(EndVertex(1, 2)) == 1.0  # normalized: level-1 masses sum to 1
 
 
 @pytest.mark.parametrize("vertex", [0, -1, 3])
 def test_cylinder_value_refuses_vertices_outside_the_diagram(vertex):
     m = measures_finite_stationary([[3, 0], [1, 2]])[0]
-    with pytest.raises(DiagramError, match=rf"vertex {vertex} is outside 1\.\.2"):
-        m.cylinder_value(1, vertex)
+    # an index below 1 names no cylinder; one past the matrix names no vertex of this diagram
+    message = rf"vertex {vertex} is outside 1\.\.2" if vertex > 0 else "cylinder needs length >= 0 and index >= 1"
+    with pytest.raises(DiagramError, match=message):
+        m.cylinder_value(EndVertex(1, vertex))
 
 
 def test_single_class_full_support():

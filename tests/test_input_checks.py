@@ -26,11 +26,12 @@ from bratteli.extension import (
     odometer_extension_mass,
 )
 from bratteli.finite_stationary import measures_finite_stationary, spectral_radius
-from bratteli.measure import EndVertex, ExplicitPath, MeasureVectors, cylinder_measure
+from bratteli.measure import EndVertex, ExplicitPath, MeasureVectors
 from bratteli.orders import (
     QuasiStationary,
     canonical_order,
     classify_odometer,
+    extension_verdict,
     minimal_path_into,
     orbit_frequencies,
     order_at,
@@ -144,9 +145,6 @@ CASES = {
     "path-diagonal-edge-not-0": (
         lambda: ExplicitPath(2, (("f", 5),)).validate(AK42), DiagramError, "diagonal edge 5 is not 0 at level 0, vertex 2"
     ),
-    "cylinder-under-object": (
-        lambda: cylinder_measure(object(), EndVertex(0, 1)), DiagramError, "cannot evaluate cylinders under object"
-    ),
     # orders
     "unknown-order-kind": (lambda: order_from_json({"kind": "x"}), DiagramError, "unknown order kind 'x'"),
     "order-at-level-0": (
@@ -193,6 +191,12 @@ CASES = {
         DiagramError,
         "vertex orders require an odometer chain",
     ),
+    # a level-0 walk reads no vertex order, so the chain is checked before it
+    "minimal-path-into-not-a-chain-at-level-0": (
+        lambda: minimal_path_into(FINITE, QuasiStationary(default=("left",)), 0, 5),
+        DiagramError,
+        "vertex orders require an odometer chain",
+    ),
     "order-at-not-a-chain": (
         lambda: order_at(FINITE, QuasiStationary(default=("left",)), 1, 1),
         DiagramError,
@@ -202,6 +206,17 @@ CASES = {
         lambda: classify_odometer(FINITE, QuasiStationary(), 1),
         DiagramError,
         "odometer classification requires an odometer chain",
+    ),
+    # index 0 would read the tag cycle from its end
+    "classify-odometer-0": (
+        lambda: classify_odometer(AK42, QuasiStationary(default=("left", "right")), 0),
+        DiagramError,
+        "odometer index must be >= 1",
+    ),
+    "extension-verdict-i-max-0": (
+        lambda: extension_verdict(AK42, QuasiStationary(default=("left",)), 0),
+        DiagramError,
+        "i_max must be >= 1, not 0",
     ),
     # sequences
     "unknown-sequence-kind": (lambda: seq_from_json({"kind": "x"}), SequenceError, "unknown sequence kind: 'x'"),
@@ -256,7 +271,7 @@ CASES = {
         lambda: spectral_radius([[1]], tol=0), DiagramError, "tol must be a positive finite number, not 0"
     ),
     "finite-cylinder-level-0": (
-        lambda: measures_finite_stationary([[2]])[0].cylinder_value(0, 1),
+        lambda: measures_finite_stationary([[2]])[0].cylinder_value(EndVertex(0, 1)),
         DiagramError,
         "cylinder level must be >= 1 on a standard diagram",
     ),

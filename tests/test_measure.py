@@ -7,6 +7,8 @@ Core claims:
     - odometer measures give 1/(a_0...a_{m-1}) on vertical cylinders, 0 off
       the odometer, and 1 on the empty cylinder
     - cylinders reduce to (length, end vertex); same end data, same value
+    - every measure kind, the finite-stationary one included, is read by
+      ``cylinder_value(cyl)``
     - a cylinder's value equals the sum over its one-level refinements
 """
 
@@ -25,15 +27,15 @@ from bratteli.diagram import (
     Truncation,
     WindowError,
 )
+from bratteli.finite_stationary import measures_finite_stationary
 from bratteli.measure import (
     DIAGONAL,
     VERTICAL,
     EndVertex,
     ExplicitPath,
     MeasureVectors,
+    OdometerMeasure,
     check_tail_invariance,
-    cylinder_measure,
-    odometer_measure,
 )
 from bratteli.sequences import Arithmetic, Constant, Table
 
@@ -163,23 +165,23 @@ def test_values_outside_the_width_are_not_certified():
 
 
 def test_odometer_values():
-    m1 = odometer_measure(StationaryAK(4, 2), 1)
+    m1 = OdometerMeasure(StationaryAK(4, 2), 1)
     assert m1.cylinder_value(EndVertex(3, 1)) == Fraction(1, 64)
     assert m1.cylinder_value(EndVertex(0, 1)) == 1
     assert m1.cylinder_value(EndVertex(2, 3)) == 0
 
-    m5 = odometer_measure(NonStationaryUniform(Arithmetic(2, 1)), 5)
+    m5 = OdometerMeasure(NonStationaryUniform(Arithmetic(2, 1)), 5)
     assert m5.cylinder_value(EndVertex(3, 5)) == Fraction(1, 24)  # 1/(2*3*4)
 
 
 def test_odometer_requires_chain():
     with pytest.raises(DiagramError):
-        odometer_measure(ExplicitFinite([[2]]), 1)
+        OdometerMeasure(ExplicitFinite([[2]]), 1)
 
 
 def test_odometer_explicit_paths():
     spec = StationaryAK(4, 2)
-    m1 = odometer_measure(spec, 1)
+    m1 = OdometerMeasure(spec, 1)
     vertical = ExplicitPath(1, ((VERTICAL, 2), (VERTICAL, 4)))
     assert m1.cylinder_value(vertical) == Fraction(1, 16)
     leaves = ExplicitPath(2, ((DIAGONAL, 0), (VERTICAL, 1)))
@@ -212,7 +214,7 @@ def test_every_diagram_reader_checks_an_explicit_path():
     spec = StationaryAK(4, 2)
     pair = eigenvector(spec, 1)
     readers = {
-        "odometer": odometer_measure(spec, 1).cylinder_value,
+        "odometer": OdometerMeasure(spec, 1).cylinder_value,
         "eigen": eigen_measure(spec, pair).cylinder_value,
         "extension": lambda cyl: extended_cylinder_measure(spec, 1, cyl).exact_value,
         "extended": extend_odometer(spec, 1).cylinder_value,
@@ -225,7 +227,11 @@ def test_every_diagram_reader_checks_an_explicit_path():
             read(ExplicitPath(1, ((VERTICAL, 99),)))
     # bare vectors have no diagram to check a path against
     vectors = ak_eigen_vectors(4, 2, Truncation(2, 2))
-    assert cylinder_measure(vectors, ExplicitPath(1, ((VERTICAL, 99),))) == Fraction(1, 4)
+    assert vectors.cylinder_value(ExplicitPath(1, ((VERTICAL, 99),))) == Fraction(1, 4)
+    # a finite-stationary measure reads no path at all
+    finite = measures_finite_stationary([[2, 1], [1, 2]])[0]
+    with pytest.raises(DiagramError, match="explicit paths describe odometer chains only"):
+        finite.cylinder_value(ExplicitPath(1, ((VERTICAL, 99),)))
 
 
 def random_path_to(spec, rng, length, end_index):
@@ -254,42 +260,45 @@ def test_tail_invariance_of_evaluation():
         p1 = random_path_to(spec, rng, length, end_index)
         p2 = random_path_to(spec, rng, length, end_index)
         assert p1.end() == p2.end() == EndVertex(length, end_index)
-        assert cylinder_measure(mv, p1) == cylinder_measure(mv, p2)
-        assert cylinder_measure(mv, p1) == cylinder_measure(mv, EndVertex(length, end_index))
+        assert mv.cylinder_value(p1) == mv.cylinder_value(p2)
+        assert mv.cylinder_value(p1) == mv.cylinder_value(EndVertex(length, end_index))
 
 
-def test_cylinder_measure_dispatches_across_measure_kinds():
+def test_every_measure_kind_answers_cylinder_value():
     from bratteli.extension import ConvergenceResult, extend_odometer
     from bratteli.spectral import eigen_measure, eigenvector_ak
 
     spec = StationaryAK(4, 2)
     window = Truncation(6, 8)
     cyl = EndVertex(2, 2)
-    vectors = ak_eigen_vectors(4, 2, window)
-    odometer = odometer_measure(spec, 1)
-    eigen = eigen_measure(spec, eigenvector_ak(4, 2), window)
-    extended = extend_odometer(spec, 1)
-
-    want = Fraction(1, 32)  # xi_2 / lambda^2
-    assert cylinder_measure(vectors, cyl) == want
-    assert cylinder_measure(eigen, cyl) == want
-    assert cylinder_measure(extended, cyl) == want  # exact closed form
-    assert cylinder_measure(odometer, cyl) == 0  # leaves the odometer
+    path = ExplicitPath(2, ((VERTICAL, 1), (VERTICAL, 2)))  # a path of ak(4,2) ending at (2, 2)
+    assert path.end() == cyl
+    exact = {
+        "vectors": (ak_eigen_vectors(4, 2, window), Fraction(1, 32)),  # xi_2 / lambda^2
+        "eigen": (eigen_measure(spec, eigenvector_ak(4, 2), window), Fraction(1, 32)),
+        "extended": (extend_odometer(spec, 1), Fraction(1, 32)),  # exact closed form
+        "odometer": (OdometerMeasure(spec, 1), 0),  # leaves the odometer
+        "odometer-2": (OdometerMeasure(spec, 2), Fraction(1, 4)),
+    }
+    for name, (measure, want) in exact.items():
+        assert measure.cylinder_value(cyl) == measure.cylinder_value(path) == want, name
+    finite = measures_finite_stationary([[2, 1], [1, 2]])[0]  # lambda 3, xi (1/2, 1/2)
+    assert finite.cylinder_value(cyl) == 0.5 / 3
     # infinite outcomes propagate as certified results
-    res = cylinder_measure(extend_odometer(StationaryAK(4, 2), 2), EndVertex(0, 3))
+    res = extend_odometer(StationaryAK(4, 2), 2).cylinder_value(EndVertex(0, 3))
     assert isinstance(res, ConvergenceResult) and res.status == "infinite"
 
 
-def test_cylinder_measure_reads_finite_stationary_measures_at_end_vertices():
-    from bratteli.finite_stationary import measures_finite_stationary
-
+def test_finite_stationary_measures_are_read_at_end_vertices():
     measure = measures_finite_stationary([[2, 1], [1, 2]])[0]  # lambda 3, xi (1/2, 1/2)
-    assert cylinder_measure(measure, EndVertex(1, 1)) == 0.5
-    assert cylinder_measure(measure, EndVertex(3, 2)) == measure.cylinder_value(3, 2) == 0.5 / 9
+    assert measure.cylinder_value(EndVertex(1, 1)) == 0.5
+    assert measure.cylinder_value(EndVertex(3, 2)) == 0.5 / 9
     with pytest.raises(DiagramError, match="cylinder level must be >= 1"):
-        cylinder_measure(measure, EndVertex(0, 1))
+        measure.cylinder_value(EndVertex(0, 1))
     with pytest.raises(DiagramError, match="explicit paths describe odometer chains only"):
-        cylinder_measure(measure, ExplicitPath(1, ((VERTICAL, 1),)))
+        measure.cylinder_value(ExplicitPath(1, ((VERTICAL, 1),)))
+    with pytest.raises(DiagramError, match=r"vertex 3 is outside 1\.\.2 of this diagram"):
+        measure.cylinder_value(EndVertex(1, 3))
 
 
 def test_additivity_of_refinements():
@@ -308,20 +317,8 @@ def test_additivity_of_refinements():
         for j in range(1, 5):
             # a cylinder ending at (m, j) refines into a_m(j) verticals ending
             # at (m+1, j) plus, for j >= 2, one diagonal ending at (m+1, j-1)
-            refinements = spec.vertical_edges(m, j) * cylinder_measure(mv, EndVertex(m + 1, j))
+            refinements = spec.vertical_edges(m, j) * mv.cylinder_value(EndVertex(m + 1, j))
             if j >= 2:
-                refinements += cylinder_measure(mv, EndVertex(m + 1, j - 1))
-            assert cylinder_measure(mv, EndVertex(m, j)) == refinements
+                refinements += mv.cylinder_value(EndVertex(m + 1, j - 1))
+            assert mv.cylinder_value(EndVertex(m, j)) == refinements
 
-
-def test_cylinder_measure_evaluates_once_and_keeps_type_errors():
-    calls = []
-
-    class Failing:
-        def cylinder_value(self, cyl, **options):
-            calls.append(cyl)
-            raise TypeError("unsupported operand")
-
-    with pytest.raises(TypeError, match="unsupported operand"):
-        cylinder_measure(Failing(), EndVertex(1, 2))
-    assert calls == [EndVertex(1, 2)]

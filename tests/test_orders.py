@@ -9,7 +9,8 @@ Core claims:
     - the successor advances the first non-maximal edge and resets the prefix
       to the order-minimal path; all-maximal windows are reported as such
     - the successor is injective and its replaced prefix is minimal
-    - orbit frequencies approximate the normalized extension measure
+    - orbit frequencies approximate the normalized extension measure, and
+      every exact measure kind's theoretical values are its ``cylinder_value``
     - the orbit through all paths into (N, v) visits each cylinder exactly
       as often as telescoping counts paths from its end vertex to (N, v)
     - the successor, the minimal paths and the orbit counts equal a
@@ -36,7 +37,7 @@ from bratteli.diagram import (
     telescope,
 )
 from bratteli.extension import extend_odometer
-from bratteli.measure import DIAGONAL, VERTICAL, EndVertex, ExplicitPath
+from bratteli.measure import DIAGONAL, VERTICAL, EndVertex, ExplicitPath, OdometerMeasure
 from bratteli.orders import (
     ALEPH0,
     LEFT,
@@ -58,6 +59,7 @@ from bratteli.orders import (
     vertical_path,
 )
 from bratteli.sequences import Constant, Table
+from bratteli.spectral import eigen_measure, eigenvector
 
 SPEC = StationaryAK(4, 2)
 
@@ -469,6 +471,22 @@ def test_orbit_matches_measure_roughly():
     for e in rep.entries:
         assert e.theoretical is not None
         assert abs(float(e.empirical) - float(e.theoretical)) < 0.03
+    # every exact measure kind gives its theoretical values by cylinder_value; a value that is
+    # not exact (odometer 2's extension is infinite) leaves the entry None
+    window = Truncation(6, 8)
+    kinds = {
+        "odometer": OdometerMeasure(SPEC, 1),
+        "eigen": eigen_measure(SPEC, eigenvector(SPEC, 1), window),
+        "extended": extend_odometer(SPEC, 1),
+        "vectors": eigen_measure(SPEC, eigenvector(SPEC, 1), window).measure_vectors(window),
+    }
+    cyls += [EndVertex(0, 1), EndVertex(2, 1), EndVertex(1, 2)]
+    for name, measure in kinds.items():
+        rep = orbit_frequencies(SPEC, order, vertical_path(SPEC, 1, 4), 40, cyls, measure=measure)
+        assert [e.theoretical for e in rep.entries] == [measure.cylinder_value(c) for c in cyls], name
+    infinite = extend_odometer(SPEC, 2)
+    rep = orbit_frequencies(SPEC, order, vertical_path(SPEC, 1, 4), 40, [EndVertex(0, 3)], measure=infinite)
+    assert rep.entries[0].theoretical is None
 
 
 @pytest.mark.parametrize("spec", [SPEC, StationaryDecreasing(Table((5, 3), Constant(2)))], ids=["ak", "decreasing"])
