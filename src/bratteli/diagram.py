@@ -245,6 +245,15 @@ class OdometerChain(DiagramSpec):
         return params
 
 
+def _require_chain(spec: DiagramSpec, what: str, i: Optional[int] = None) -> OdometerChain:
+    """``spec``, refused unless it is an odometer chain; an odometer index ``i``, when given, must be >= 1."""
+    if not isinstance(spec, OdometerChain):
+        raise DiagramError(f"{what} requires an odometer chain")
+    if i is not None and i < 1:
+        raise DiagramError(f"odometer index must be >= 1, not {i}")
+    return spec
+
+
 def StationaryAK(a: int, k: int) -> OdometerChain:
     """Stationary chain with first odometer a and all later odometers a-k."""
     _require_ints("ak family parameters a and k", (a, k), DiagramError)

@@ -53,6 +53,7 @@ from .diagram import (
     OdometerChain,
     Truncation,
     WindowError,
+    _require_chain,
 )
 from .measure import CylinderSpec, EndVertex, MeasureVectors, OdometerMeasure, as_end_vertex
 from .sequences import Arithmetic, Geometric, IntSequence, Polynomial, Table, _int_str
@@ -182,17 +183,9 @@ def _term_sum(lead: int, terms: list[tuple[int, int]]) -> Fraction:
     return Fraction(num, den)
 
 
-def _require_odometer(spec: DiagramSpec, i: int, not_a_chain: str) -> None:
-    """Raise ``DiagramError(not_a_chain)`` unless ``spec`` is an odometer chain, and refuse i < 1."""
-    if not isinstance(spec, OdometerChain):
-        raise DiagramError(not_a_chain)
-    if i < 1:
-        raise DiagramError("odometer index must be >= 1")
-
-
 def mass_series_terms(spec: DiagramSpec, i: int, count: int) -> list[Fraction]:
     """Exact terms H^(n)_{i+1} / (a_0(i) ... a_n(i)) of the mass series."""
-    _require_odometer(spec, i, "mass series terms are defined for odometer chains")
+    _require_chain(spec, "the mass series", i)
     if count < 0:
         raise DiagramError(f"term count must be >= 0, not {count}")
     return [Fraction(n, d) for n, d in _series_terms(spec, i, 0, None, count)]
@@ -461,7 +454,7 @@ def odometer_extension_mass(spec: DiagramSpec, i: int, max_terms: int = DEFAULT_
 
     Equals 1 + sum_n H^(n)_{i+1} / (a_0(i) ... a_n(i)), certified.
     """
-    _require_odometer(spec, i, "extension mass of an odometer requires an odometer chain")
+    _require_chain(spec, "extension mass of an odometer", i)
     if max_terms < 2:
         raise DiagramError("max_terms must be at least 2")
     if spec.vertex_diag is not None:
@@ -517,7 +510,7 @@ def extended_cylinder_measure(
     the base odometer value; j > i is a certified series over the cylinder
     refinements that enter the odometer.
     """
-    _require_odometer(spec, i, "extended cylinder values require an odometer chain")
+    _require_chain(spec, "an extended cylinder value", i)
     if max_terms < 0:
         raise DiagramError(f"max_terms must be >= 0, not {max_terms}")
     end = as_end_vertex(spec, cyl)
@@ -633,8 +626,7 @@ def classify_ergodic_measures(
     examined.  Extensions from distinct odometers are mutually singular
     (their saturations are disjoint).
     """
-    if not isinstance(spec, OdometerChain):
-        raise DiagramError("the odometer classification requires an odometer chain")
+    _require_chain(spec, "the odometer classification")
     if i_max < 1:
         raise DiagramError(f"i_max must be >= 1, not {i_max}")
     entries = []
@@ -669,11 +661,12 @@ class OracleVerdict:
 def closed_form_oracles(spec: DiagramSpec, index: int = 1) -> Optional[OracleVerdict]:
     """Independent closed-form verdict for the extension mass, when one exists.
 
-    Used to cross-check the series engine; families without a closed form
-    return None.
+    Used to cross-check the series engine; families without a closed form,
+    and diagrams that are not odometer chains, return None.
     """
     if not isinstance(spec, OdometerChain):
         return None
+    _require_chain(spec, "a closed-form oracle", index)
     diag = spec.vertex_diag
     if diag is not None:
         a_i = diag.value(index - 1)

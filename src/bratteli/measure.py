@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from ._frozen import frozen
-from .diagram import DiagramSpec, DiagramError, OdometerChain, Truncation, WindowError, _prefix_width
+from .diagram import DiagramSpec, DiagramError, OdometerChain, Truncation, WindowError, _prefix_width, _require_chain
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +90,7 @@ class ExplicitPath:
 
     def validate(self, spec: DiagramSpec) -> None:
         """Check edge indices against the multiplicities of ``spec``."""
-        if not isinstance(spec, OdometerChain):
-            raise DiagramError("explicit paths need an odometer-chain diagram")
+        _require_chain(spec, "an explicit path")
         idx = self.start
         for level, (kind, k) in enumerate(self.edges):
             if kind == VERTICAL:
@@ -307,10 +306,7 @@ class OdometerMeasure:
     index: int
 
     def __post_init__(self):
-        if not isinstance(self.spec, OdometerChain):
-            raise DiagramError("odometer measures require an odometer-chain diagram")
-        if self.index < 1:
-            raise DiagramError("odometer index must be >= 1")
+        _require_chain(self.spec, "an odometer measure", self.index)
 
     def level_denominator(self, m: int) -> int:
         return math.prod(self.spec.vertical_edges(level, self.index) for level in range(m))

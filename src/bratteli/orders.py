@@ -29,16 +29,17 @@ decide the limit.
 
 An orbit advances one path in place, its edge and its vertex at every
 level, and keeps tables for the length of one call: the order at each
-vertex (n, i) with its edge -> next edge map, and the minimal prefix into
-each vertex (m, w).  A step walks up the path to its carry level m, the
-first non-maximal edge, writes the advanced edge there and copies the
-minimal prefix below m from the table, which costs O(m) and builds no
-``ExplicitPath``.  Below m the new path is that minimal prefix, so an
-``EndVertex`` cylinder (m', j) is visited exactly when m' <= m and the path
-passes j at level m': the orbit counts those in one pass up to m.
+vertex (n, i), which carries its edge -> next edge map, and the minimal
+prefix into each vertex (m, w).  A step walks up the path to its carry
+level m, the first non-maximal edge, writes the advanced edge there and
+copies the minimal prefix below m from the table, which costs O(m) and
+builds no ``ExplicitPath``.  Below m the new path is that minimal prefix,
+so an ``EndVertex`` cylinder (m', j) is visited exactly when m' <= m and
+the path passes j at level m': the orbit counts those in one pass up to m.
 ``successor`` validates its path and takes one step with fresh tables.
 ``canonical_order`` returns one shared, immutable ``VertexOrder`` per
-(tag, a), so no step builds an order.
+(tag, a), so no step builds an order or a map, and the vertices of one
+(tag, a) share one map.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from ._frozen import frozen
-from .diagram import DiagramError, DiagramSpec, OdometerChain, Truncation
+from .diagram import DiagramError, DiagramSpec, Truncation, _require_chain
 from .measure import DIAGONAL, VERTICAL, CylinderSpec, EndVertex, ExplicitPath
 from .sequences import _int_keys, _require_dict, _require_list
 
@@ -68,15 +69,19 @@ def _edge_set(a: int) -> frozenset[Edge]:
 
 @frozen
 class VertexOrder:
-    """Linear order on the incoming edges of one vertex, minimal first."""
+    """Linear order on the incoming edges of one vertex, minimal first, also
+    kept as its successor map (not a field): edge -> next edge, maximal -> None."""
 
     sequence: tuple[Edge, ...]
 
     def __init__(self, sequence: tuple[Edge, ...]):
         a = len(sequence) - 1
+        if a < 1:
+            raise DiagramError("an order needs at least one vertical edge")
         if frozenset(sequence) != _edge_set(a) or len(set(sequence)) != len(sequence):
             raise DiagramError("order must be a permutation of the vertical edges plus the diagonal")
         object.__setattr__(self, "sequence", sequence)
+        object.__setattr__(self, "_next", dict(zip(sequence, (*sequence[1:], None))))
 
     @property
     def tag(self) -> str:
@@ -85,12 +90,6 @@ class VertexOrder:
         if self.sequence[-1][0] == DIAGONAL:
             return RIGHT
         return MIDDLE
-
-    def position(self, edge: Edge) -> int:
-        try:
-            return self.sequence.index(edge)
-        except ValueError:
-            raise DiagramError(f"edge {edge} is not incoming at this vertex") from None
 
     @property
     def minimal(self) -> Edge:
@@ -101,8 +100,10 @@ class VertexOrder:
         return self.sequence[-1]
 
     def successor_of(self, edge: Edge) -> Optional[Edge]:
-        pos = self.position(edge)
-        return self.sequence[pos + 1] if pos + 1 < len(self.sequence) else None
+        try:
+            return self._next[edge]
+        except (KeyError, TypeError):  # TypeError: an unhashable edge, a list say
+            raise DiagramError(f"edge {edge} is not incoming at this vertex") from None
 
 
 _CANONICAL: dict[tuple[str, int], VertexOrder] = {}  # (tag, a) -> its canonical order
@@ -178,8 +179,7 @@ def order_at(spec: DiagramSpec, order: QuasiStationary, n: int, i: int) -> Verte
     An exception at the vertex wins over the canonical order of the eventual
     tag; an exception's ``VertexOrder`` must list exactly the vertex's vertical edges.
     """
-    if not isinstance(spec, OdometerChain):
-        raise DiagramError("vertex orders require an odometer chain")
+    _require_chain(spec, "a vertex order", i)
     if n < 1:
         raise DiagramError("level-0 vertices have no incoming edges")
     a = spec.vertical_edges(n - 1, i)
@@ -236,10 +236,7 @@ def classify_odometer(spec: DiagramSpec, order: QuasiStationary, i: int) -> Odom
     Decidable exactly from the eventual tag alone; a finite window of
     explicit orders (``default=None``) cannot decide it.
     """
-    if not isinstance(spec, OdometerChain):
-        raise DiagramError("odometer classification requires an odometer chain")
-    if i < 1:
-        raise DiagramError("odometer index must be >= 1")
+    _require_chain(spec, "odometer classification", i)
     if order.default is None:
         return OdometerClass(None, None, "undecidable from a finite window of explicit orders")
     return OdometerClass(*_FINITENESS[order.tag_of(i)])
@@ -263,8 +260,7 @@ def extension_verdict(spec: DiagramSpec, order: QuasiStationary, i_max: int = 20
     A Borel extension exists iff the cardinalities agree; a homeomorphism
     needs both sets empty, which no quasi-stationary order achieves.
     """
-    if not isinstance(spec, OdometerChain):
-        raise DiagramError("extension verdict requires an odometer chain")
+    _require_chain(spec, "extension verdict")
     if order.default is None:
         raise DiagramError("extension verdict is undecidable from finite explicit-order data")
     if i_max < 1:
@@ -299,6 +295,8 @@ class AllMaximalPrefix:
 
 def vertical_path(spec: DiagramSpec, i: int, depth: int) -> ExplicitPath:
     """The path climbing odometer i taking its first vertical edge each level."""
+    if depth < 0:
+        raise DiagramError(f"depth must be >= 0, not {depth}")
     path = ExplicitPath(i, ((VERTICAL, 1),) * depth)
     path.validate(spec)
     return path
@@ -307,22 +305,22 @@ def vertical_path(spec: DiagramSpec, i: int, depth: int) -> ExplicitPath:
 class _Walk:
     """Successor steps on ``spec`` under ``order`` that advance one path in
     place: ``edges[l]`` is its level-l edge and ``verts[l]`` its vertex at
-    level l, so ``verts[0]`` is the start.  Three tables live as long as the
-    walk: the order at each vertex (n, i), its edge -> next edge map, and the
-    minimal prefix into each vertex (m, w), kept as an ``ExplicitPath`` with
-    its vertices.  All fill lazily, so a walk pays only for the vertices its
-    steps meet.  The start path must be valid for ``spec``; a step writes only
-    prefix edges, each checked when its ``ExplicitPath`` was built, and an
-    edge of a vertex order, which ``order_at`` fits to its vertex, so every
-    state is a valid path without a check per step."""
+    level l, so ``verts[0]`` is the start.  Two tables live as long as the
+    walk: the order at each vertex (n, i), whose successor map a step reads,
+    and the minimal prefix into each vertex (m, w), kept as an
+    ``ExplicitPath`` with its vertices.  Both fill lazily, so a walk pays
+    only for the vertices its steps meet.  The start path must be valid for
+    ``spec``; a step writes only prefix edges, each checked when its
+    ``ExplicitPath`` was built, and an edge of a vertex order, which
+    ``order_at`` fits to its vertex, so every state is a valid path without
+    a check per step."""
 
-    __slots__ = ("spec", "order", "orders", "nexts", "prefixes", "edges", "verts")
+    __slots__ = ("spec", "order", "orders", "prefixes", "edges", "verts")
 
     def __init__(self, spec: DiagramSpec, order: QuasiStationary, path: Optional[ExplicitPath] = None):
         self.spec = spec
         self.order = order
         self.orders: dict[tuple[int, int], VertexOrder] = {}
-        self.nexts: dict[tuple[int, int], dict[Edge, Edge]] = {}
         self.prefixes: dict[tuple[int, int], tuple[ExplicitPath, tuple[int, ...]]] = {}
         self.edges: list[Edge] = [] if path is None else list(path.edges)
         self.verts: list[int] = [] if path is None else [path.start]
@@ -368,14 +366,10 @@ class _Walk:
         new path is the minimal prefix into its vertex at level c, then the
         advanced edge at level c, then the unchanged tail.  When every edge
         is maximal the path is left as it is and the result is None."""
-        edges, verts, nexts = self.edges, self.verts, self.nexts
+        edges, verts, orders = self.edges, self.verts, self.orders
         for m, edge in enumerate(edges):
             w = verts[m + 1]
-            after = nexts.get((m + 1, w))
-            if after is None:
-                sequence = self.order_at(m + 1, w).sequence
-                after = nexts[m + 1, w] = dict(zip(sequence, sequence[1:]))
-            nxt = after.get(edge)
+            nxt = (orders.get((m + 1, w)) or self.order_at(m + 1, w))._next.get(edge)
             if nxt is not None:  # the first edge that is not maximal: carry here
                 key = (m, w if nxt[0] == VERTICAL else w + 1)
                 path, below = self.prefixes.get(key) or self.prefix(*key)
@@ -388,10 +382,7 @@ class _Walk:
 
 def minimal_path_into(spec: DiagramSpec, order: QuasiStationary, level: int, index: int) -> ExplicitPath:
     """The order-minimal finite path from level 0 into vertex (level, index)."""
-    if not isinstance(spec, OdometerChain):  # checked here too: a level-0 walk reads no order
-        raise DiagramError("vertex orders require an odometer chain")
-    if index < 1:
-        raise DiagramError(f"vertex index must be >= 1, not {index}")
+    _require_chain(spec, "a vertex order", index)  # checked here too: a level-0 walk reads no order
     if level < 0:
         raise DiagramError(f"level must be >= 0, not {level}")
     return _Walk(spec, order).prefix(level, index)[0]
@@ -408,7 +399,8 @@ def successor(
     The path is validated first, so a call costs O(path length), and the
     result is a new ``ExplicitPath``.  An orbit steps through
     ``orbit_frequencies``, which validates once and then advances one path
-    in place, building no ``ExplicitPath`` per step.
+    in place; a step builds an ``ExplicitPath`` only for the guard of a
+    ``window``, which builds one every step.
     """
     path.validate(spec)
     walk = _Walk(spec, order, path)
@@ -446,9 +438,10 @@ def orbit_frequencies(
     """Visit frequencies of cylinders along the successor orbit of ``start``.
 
     An ``EndVertex`` cylinder is represented by the order-minimal path into
-    that vertex (all cylinders with the same end vertex share one measure
-    value, so any concrete representative serves for the comparison).
-    A supplied measure is read by ``measure.cylinder_value(cyl)``; a value
+    that vertex: the orbit counts that path, and a supplied measure is read
+    there, by ``measure.cylinder_value(path)`` (a measure that is not
+    tail-invariant, an odometer measure say, may give other paths into the
+    vertex other values).  An explicit cylinder is read as it is.  A value
     that is not an exact ``Fraction`` leaves the theoretical entry None.
     ``start`` and every explicit cylinder must be paths of ``spec``; each is
     validated once, and the orbit then advances one path in place, so a step
@@ -507,9 +500,11 @@ def orbit_frequencies(
     for cyl in cylinders:
         if isinstance(cyl, EndVertex):
             count = visits[cyl.length][cyl.index]
+            path = None if measure is None else walk.prefix(cyl.length, cyl.index)[0]
         else:
             count = tallies[len(cyl.edges)][cyl.start, cyl.edges]
+            path = cyl
         emp = Fraction(count, done) if done else Fraction(0)
-        val = None if measure is None else measure.cylinder_value(cyl)
+        val = None if measure is None else measure.cylinder_value(path)
         entries.append(OrbitEntry(cyl, emp, val if isinstance(val, Fraction) else None))
     return OrbitReport(tuple(entries), done, aborted)

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from ._frozen import frozen
 from .diagram import DEFAULT_MAX_TERMS, DiagramError, DiagramSpec, OdometerChain, StationaryAK, StationaryDecreasing, Truncation
+from .diagram import _require_chain
 from .measure import CylinderSpec, EndVertex, MeasureVectors, as_end_vertex
 from .sequences import IntSequence
 
@@ -270,6 +271,7 @@ def compare_eigen_vs_extension(
     from .extension import FINITE, UNDETERMINED, extended_cylinder_measure
 
     _require_stationary_chain(spec)
+    _require_chain(spec, "an eigen comparison", i)
     measure = EigenMeasure(spec, pair)
     entries = []
     for cyl in cylinders:

@@ -21,12 +21,13 @@ from bratteli.diagram import (
 )
 from bratteli.extension import (
     classify_ergodic_measures,
+    closed_form_oracles,
     extended_cylinder_measure,
     mass_series_terms,
     odometer_extension_mass,
 )
 from bratteli.finite_stationary import measures_finite_stationary, spectral_radius
-from bratteli.measure import EndVertex, ExplicitPath, MeasureVectors
+from bratteli.measure import EndVertex, ExplicitPath, MeasureVectors, OdometerMeasure
 from bratteli.orders import (
     QuasiStationary,
     canonical_order,
@@ -37,9 +38,10 @@ from bratteli.orders import (
     order_at,
     order_from_json,
     successor,
+    vertical_path,
 )
 from bratteli.sequences import Constant, Geometric, SequenceError, Table, seq_from_json, seq_from_text
-from bratteli.spectral import EigenError, EigenPair, eigen_measure
+from bratteli.spectral import EigenError, EigenPair, compare_eigen_vs_extension, eigen_measure, eigenvector
 
 AK42 = StationaryAK(4, 2)
 FINITE = ExplicitFinite([[2, 1], [0, 2]])
@@ -87,12 +89,15 @@ CASES = {
         DiagramError,
         "extension mass of an odometer requires an odometer chain",
     ),
-    "mass-odometer-0": (lambda: odometer_extension_mass(AK42, 0), DiagramError, "odometer index must be >= 1"),
+    "mass-odometer-0": (lambda: odometer_extension_mass(AK42, 0), DiagramError, "odometer index must be >= 1, not 0"),
     "mass-max-terms-1": (lambda: odometer_extension_mass(AK42, 1, 1), DiagramError, "max_terms must be at least 2"),
     "cylinder-not-a-chain": (
         lambda: extended_cylinder_measure(FINITE, 1, EndVertex(0, 1)),
         DiagramError,
-        "extended cylinder values require an odometer chain",
+        "an extended cylinder value requires an odometer chain",
+    ),
+    "cylinder-odometer-0": (
+        lambda: extended_cylinder_measure(AK42, 0, EndVertex(0, 1)), DiagramError, "odometer index must be >= 1, not 0"
     ),
     # negative term budgets, on a level-indexed chain, a vertex-indexed one and one with no certificate
     "cylinder-max-terms-negative-level-chain": (
@@ -123,6 +128,19 @@ CASES = {
     "mass-terms-count-negative": (
         lambda: mass_series_terms(AK42, 1, -3), DiagramError, "term count must be >= 0, not -3"
     ),
+    "mass-terms-not-a-chain": (
+        lambda: mass_series_terms(FINITE, 1, 3), DiagramError, "the mass series requires an odometer chain"
+    ),
+    "mass-terms-odometer-0": (
+        lambda: mass_series_terms(AK42, 0, 3), DiagramError, "odometer index must be >= 1, not 0"
+    ),
+    # the oracles have no verdict for other families, but one about no odometer is refused
+    "closed-form-oracles-odometer-0": (
+        lambda: closed_form_oracles(AK42, 0), DiagramError, "odometer index must be >= 1, not 0"
+    ),
+    "closed-form-oracles-odometer-negative": (
+        lambda: closed_form_oracles(AK42, -3), DiagramError, "odometer index must be >= 1, not -3"
+    ),
     # a slope tail that starts below 2 is refused even where the budget stops short of it
     "level-tail-below-2-before-the-budget-reaches-it": (
         lambda: odometer_extension_mass(NonStationaryUniform(Table((5, 7), Constant(0))), 1, 2),
@@ -145,13 +163,20 @@ CASES = {
     "path-diagonal-edge-not-0": (
         lambda: ExplicitPath(2, (("f", 5),)).validate(AK42), DiagramError, "diagonal edge 5 is not 0 at level 0, vertex 2"
     ),
+    "path-not-in-a-chain": (
+        lambda: ExplicitPath(1, ()).validate(FINITE), DiagramError, "an explicit path requires an odometer chain"
+    ),
+    "odometer-measure-not-a-chain": (
+        lambda: OdometerMeasure(FINITE, 1), DiagramError, "an odometer measure requires an odometer chain"
+    ),
+    "odometer-measure-0": (lambda: OdometerMeasure(AK42, 0), DiagramError, "odometer index must be >= 1, not 0"),
     # orders
     "unknown-order-kind": (lambda: order_from_json({"kind": "x"}), DiagramError, "unknown order kind 'x'"),
     "order-at-level-0": (
         lambda: order_at(AK42, QuasiStationary(), 0, 1), DiagramError, "level-0 vertices have no incoming edges"
     ),
     "position-of-a-foreign-edge": (
-        lambda: canonical_order("left", 2).position(("v", 9)),
+        lambda: canonical_order("left", 2).successor_of(("v", 9)),
         DiagramError,
         "edge ('v', 9) is not incoming at this vertex",
     ),
@@ -176,10 +201,10 @@ CASES = {
         "steps must be >= 0, not -1",
     ),
     "minimal-path-into-vertex-negative": (
-        lambda: minimal_path_into(AK42, QuasiStationary(), 3, -1), DiagramError, "vertex index must be >= 1, not -1"
+        lambda: minimal_path_into(AK42, QuasiStationary(), 3, -1), DiagramError, "odometer index must be >= 1, not -1"
     ),
     "minimal-path-into-vertex-0-at-level-0": (
-        lambda: minimal_path_into(AK42, QuasiStationary(), 0, 0), DiagramError, "vertex index must be >= 1, not 0"
+        lambda: minimal_path_into(AK42, QuasiStationary(), 0, 0), DiagramError, "odometer index must be >= 1, not 0"
     ),
     "minimal-path-into-level-negative": (
         lambda: minimal_path_into(AK42, QuasiStationary(default=("left",)), -2, 1),
@@ -189,18 +214,21 @@ CASES = {
     "minimal-path-into-not-a-chain": (
         lambda: minimal_path_into(FINITE, QuasiStationary(default=("left",)), 2, 1),
         DiagramError,
-        "vertex orders require an odometer chain",
+        "a vertex order requires an odometer chain",
     ),
     # a level-0 walk reads no vertex order, so the chain is checked before it
     "minimal-path-into-not-a-chain-at-level-0": (
         lambda: minimal_path_into(FINITE, QuasiStationary(default=("left",)), 0, 5),
         DiagramError,
-        "vertex orders require an odometer chain",
+        "a vertex order requires an odometer chain",
     ),
     "order-at-not-a-chain": (
         lambda: order_at(FINITE, QuasiStationary(default=("left",)), 1, 1),
         DiagramError,
-        "vertex orders require an odometer chain",
+        "a vertex order requires an odometer chain",
+    ),
+    "order-at-odometer-0": (
+        lambda: order_at(AK42, QuasiStationary(), 1, 0), DiagramError, "odometer index must be >= 1, not 0"
     ),
     "classify-odometer-not-a-chain": (
         lambda: classify_odometer(FINITE, QuasiStationary(), 1),
@@ -211,7 +239,20 @@ CASES = {
     "classify-odometer-0": (
         lambda: classify_odometer(AK42, QuasiStationary(default=("left", "right")), 0),
         DiagramError,
-        "odometer index must be >= 1",
+        "odometer index must be >= 1, not 0",
+    ),
+    "extension-verdict-not-a-chain": (
+        lambda: extension_verdict(FINITE, QuasiStationary()), DiagramError, "extension verdict requires an odometer chain"
+    ),
+    "vertical-path-depth-negative": (
+        lambda: vertical_path(AK42, 1, -5), DiagramError, "depth must be >= 0, not -5"
+    ),
+    # an order with no vertical edge fits no odometer vertex, so no canonical order is stored for it
+    "canonical-order-right-no-vertical-edge": (
+        lambda: canonical_order("right", -1), DiagramError, "an order needs at least one vertical edge"
+    ),
+    "canonical-order-left-no-vertical-edge": (
+        lambda: canonical_order("left", 0), DiagramError, "an order needs at least one vertical edge"
     ),
     "extension-verdict-i-max-0": (
         lambda: extension_verdict(AK42, QuasiStationary(default=("left",)), 0),
@@ -262,6 +303,15 @@ CASES = {
         lambda: eigen_measure(AK42, EigenPair(Fraction(-3, 2), lambda i: Fraction(0)), Truncation(3, 3)),
         EigenError,
         "eigen measures need lam > 0, not -3/2",
+    ),
+    # an empty grid compares nothing, but not about odometer 0
+    "eigen-compare-odometer-0": (
+        lambda: compare_eigen_vs_extension(AK42, 0, eigenvector(AK42, 1), []),
+        DiagramError,
+        "odometer index must be >= 1, not 0",
+    ),
+    "eigen-compare-not-a-chain": (
+        lambda: compare_eigen_vs_extension(FINITE, 1, ONES, []), EigenError, "eigenpairs need a stationary odometer chain"
     ),
     # finite_stationary
     "radius-not-square": (lambda: spectral_radius([[1, 2]]), DiagramError, "block must be square and nonempty"),

@@ -203,7 +203,7 @@ def test_explicit_path_validation():
         ExplicitPath(1, ((DIAGONAL, 0),))  # walks below vertex 1
     with pytest.raises(DiagramError):
         ExplicitPath(2, ((VERTICAL, 5),)).validate(spec)  # only a-k=2 verticals at vertex 2
-    with pytest.raises(DiagramError, match="odometer-chain"):
+    with pytest.raises(DiagramError, match="requires an odometer chain"):
         ExplicitPath(1, ((VERTICAL, 1),)).validate(ExplicitFinite([[2]]))
 
 

@@ -481,9 +481,17 @@ def test_orbit_matches_measure_roughly():
         "vectors": eigen_measure(SPEC, eigenvector(SPEC, 1), window).measure_vectors(window),
     }
     cyls += [EndVertex(0, 1), EndVertex(2, 1), EndVertex(1, 2)]
-    for name, measure in kinds.items():
-        rep = orbit_frequencies(SPEC, order, vertical_path(SPEC, 1, 4), 40, cyls, measure=measure)
-        assert [e.theoretical for e in rep.entries] == [measure.cylinder_value(c) for c in cyls], name
+    # an EndVertex is read at the path the orbit counts for it, the order-minimal path into it: under
+    # left orders the one into (2, 1) starts at vertex 3, where the odometer-1 measure reads 0
+    for tags in ((MIDDLE,), (LEFT,)):
+        order = QuasiStationary(default=tags)
+        read = [minimal_path_into(SPEC, order, c.length, c.index) if isinstance(c, EndVertex) else c for c in cyls]
+        for name, measure in kinds.items():
+            rep = orbit_frequencies(SPEC, order, vertical_path(SPEC, 1, 4), 40, cyls, measure=measure)
+            assert [e.theoretical for e in rep.entries] == [measure.cylinder_value(c) for c in read], (tags, name)
+    rep = orbit_frequencies(SPEC, order, vertical_path(SPEC, 1, 3), 200, [EndVertex(2, 1)], OdometerMeasure(SPEC, 1))
+    assert (rep.entries[0].empirical, rep.entries[0].theoretical) == (Fraction(3, 88), 0)
+    order = QuasiStationary(default=(MIDDLE,))
     infinite = extend_odometer(SPEC, 2)
     rep = orbit_frequencies(SPEC, order, vertical_path(SPEC, 1, 4), 40, [EndVertex(0, 3)], measure=infinite)
     assert rep.entries[0].theoretical is None
