@@ -12,7 +12,6 @@ from bratteli import (
     EndVertex,
     decompose,
     distinguished_classes,
-    distinguished_eigenvector,
     measures_finite_stationary,
     spectral_radius,
 )
@@ -31,12 +30,12 @@ for idx in range(len(dec.classes)):
 dist = distinguished_classes(dec)
 print(f"distinguished classes: {[dec.classes[i] for i in dist]}")
 
-for alpha in dist:
-    data = distinguished_eigenvector(dec, alpha)
-    print(f"  class {dec.classes[alpha]}: xi = {data.xi}, support = {sorted(data.support)}")
+measures = measures_finite_stationary(A)
+for data in (m.data for m in measures):
+    print(f"  class {dec.classes[data.class_index]}: xi = {data.xi}, support = {sorted(data.support)}")
 
 print("\nMeasures (normalized so level-1 tower masses sum to 1):")
-for m in measures_finite_stationary(A):
+for m in measures:
     print(f"  class {dec.classes[m.data.class_index]}: lambda = {m.lam}, xi = {m.xi_normalized}")
     print(f"    cylinder value at level 2, vertex 2: {m.cylinder_value(EndVertex(2, 2))}")
 

@@ -34,8 +34,7 @@ _EXPORTS = {
     ),
     "finite_stationary": (
         "ClassDecomposition", "DistinguishedData", "FiniteStationaryMeasure", "decompose",
-        "distinguished_classes", "distinguished_eigenvector", "measures_finite_stationary",
-        "spectral_radius",
+        "distinguished_classes", "measures_finite_stationary", "spectral_radius",
     ),
     "measure": (
         "CylinderSpec", "EndVertex", "ExplicitPath", "InvarianceReport", "MeasureVectors",

@@ -56,6 +56,7 @@ class VertexId:
     index: int
 
     def __post_init__(self):
+        _require_ints("vertex level and index", (self.level, self.index), DiagramError)
         if self.level < 0:
             raise DiagramError("vertex level must be >= 0")
         if self.index < 1:

@@ -6,11 +6,14 @@ The classes, their access and their order come from one reach relation,
 bit rows closed by Warshall's algorithm: a class is a mutual-reach set, a
 class has access to every class it reaches, and the classes are numbered in
 Kahn's order over access, ties going to the class a depth-first search
-(roots and successors ascending) finishes first.  A class is distinguished when its Perron root strictly
-exceeds the root of every class with access to it; each distinguished class
-carries a nonnegative eigenvector, positive exactly on the vertices with
-access to the class, and that eigenpair induces an ergodic probability
-measure with cylinder values xi(w) / lambda^(n-1) at level n >= 1.
+(roots and successors ascending) finishes first.  A class is distinguished
+when its Perron root strictly exceeds the root of every class with access
+to it; each distinguished class carries a nonnegative eigenvector, positive
+exactly on the vertices with access to the class, and that eigenpair
+induces an ergodic probability measure with cylinder values
+xi(w) / lambda^(n-1) at level n >= 1.  Eigen data come by one route,
+``decompose`` -> ``class_radii`` -> ``class_measures``, and a measure holds
+its class's ``DistinguishedData`` as its one field.
 
 Perron roots are generally irrational, so each is held in an exact dyadic
 bracket at most ``tol`` wide.  The Perron root of a class block is the
@@ -401,25 +404,6 @@ class DistinguishedData:
         return 0.5 * (self.rho[0] + self.rho[1])
 
 
-def distinguished_eigenvector(
-    dec: ClassDecomposition, alpha: int, tol: float = 1e-12
-) -> DistinguishedData:
-    """The eigenvector of A for rho_alpha, positive exactly on the access set.
-
-    It comes from inverse iteration on A restricted to the access set (the
-    class and every class with access to it), scaled so that the class's
-    own entries sum to 1; the vertices without access get exact zeros.  A
-    class that is not distinguished is refused.
-    """
-    radius = spectral_radius(dec.class_matrix(alpha), tol)
-    for beta in dec.predecessors(alpha):
-        if _compare(radius, spectral_radius(dec.class_matrix(beta), tol)) <= 0:
-            raise DiagramError(
-                f"class {alpha} is not distinguished: class {beta} has access to it and a radius as large"
-            )
-    return _eigenvector(dec, alpha, radius)
-
-
 def _factor(m: list[list[float]]) -> tuple[list[list[float]], list[int]]:
     """LU factors of a square float matrix by partial pivoting, in place;
     ``perm[i]`` is the original row of factor row i."""
@@ -516,13 +500,18 @@ class FiniteStationaryMeasure:
     on level n >= 1 (level-1 heights are 1 under the simple-hat convention,
     so scaling xi to sum 1 makes the level-1 tower masses sum to 1).  The
     measure is, up to a constant, the extension of the unique invariant
-    measure from the class's stationary subdiagram.
+    measure from the class's stationary subdiagram.  ``lam`` and ``xi_raw``
+    read ``data.rho_mid`` and ``data.xi``; ``xi_normalized`` is xi over its sum.
     """
 
     data: DistinguishedData
-    lam: float
-    xi_normalized: tuple[float, ...]
-    xi_raw: tuple[float, ...]
+
+    def __post_init__(self):
+        total = sum(self.data.xi)
+        object.__setattr__(self, "xi_normalized", tuple(v / total for v in self.data.xi))  # not a field
+
+    lam = property(operator.attrgetter("data.rho_mid"))
+    xi_raw = property(operator.attrgetter("data.xi"))
 
     def cylinder_value(self, cyl) -> float:
         """The value at ``EndVertex(n, w)``, n >= 1.  It is a float, not an
@@ -538,7 +527,11 @@ class FiniteStationaryMeasure:
             raise DiagramError("cylinder level must be >= 1 on a standard diagram")
         if cyl.index > len(self.xi_normalized):  # an EndVertex index is >= 1
             raise DiagramError(f"vertex {cyl.index} is outside 1..{len(self.xi_normalized)} of this diagram")
-        return self.xi_normalized[cyl.index - 1] / self.lam ** (cyl.length - 1)
+        xi, lam, n = self.xi_normalized[cyl.index - 1], self.lam, cyl.length - 1
+        try:
+            return xi / lam**n
+        except OverflowError:  # xi <= 1, so once lam^n passes 2^1100 the exact value rounds to 0.0
+            return 0.0 if n * math.log2(lam) > 1100 else float(Fraction(xi) / Fraction(lam) ** n)
 
 
 def measures_finite_stationary(a_matrix, tol: float = 1e-12) -> list[FiniteStationaryMeasure]:
@@ -549,11 +542,5 @@ def measures_finite_stationary(a_matrix, tol: float = 1e-12) -> list[FiniteStati
 
 def class_measures(dec: ClassDecomposition, radii: list[PerronBracket]) -> list[FiniteStationaryMeasure]:
     """``measures_finite_stationary`` on a decomposition whose class radii
-    ``class_radii`` already bracketed."""
-    out = []
-    for alpha in _distinguished(dec, radii):
-        data = _eigenvector(dec, alpha, radii[alpha])
-        total = sum(data.xi)
-        xi_norm = tuple(v / total for v in data.xi)
-        out.append(FiniteStationaryMeasure(data, data.rho_mid, xi_norm, data.xi))
-    return out
+    ``class_radii`` already bracketed: the one route to a class's eigen data."""
+    return [FiniteStationaryMeasure(_eigenvector(dec, alpha, radii[alpha])) for alpha in _distinguished(dec, radii)]

@@ -18,6 +18,7 @@ from typing import Callable, Optional, Union
 
 from ._frozen import frozen
 from .diagram import DiagramSpec, DiagramError, OdometerChain, Truncation, WindowError, _prefix_width, _require_chain
+from .sequences import _require_ints
 
 
 # ---------------------------------------------------------------------------
@@ -27,8 +28,8 @@ from .diagram import DiagramSpec, DiagramError, OdometerChain, Truncation, Windo
 VERTICAL = "v"
 DIAGONAL = "f"
 
-# ExplicitPath is built once per orbit step and EndVertex once per cylinder
-# query, so their hand-written constructors skip the shared argument binding
+# EndVertex is built once per cylinder query, and ExplicitPath once per minimal prefix and per orbit step under a
+# window's guard, so their hand-written constructors skip the shared argument binding
 _set = object.__setattr__
 
 
@@ -46,6 +47,7 @@ class EndVertex:
     index: int
 
     def __init__(self, length: int, index: int):
+        _require_ints("cylinder length and index", (length, index), DiagramError)
         if length < 0 or index < 1:
             raise DiagramError("cylinder needs length >= 0 and index >= 1")
         _set(self, "length", length)
@@ -65,14 +67,17 @@ class ExplicitPath:
     edges: tuple[tuple[str, int], ...]
 
     def __init__(self, start: int, edges: tuple[tuple[str, int], ...]):
+        _require_ints("path start", (start,), DiagramError)
         if start < 1:
             raise DiagramError("path start index must be >= 1")
         idx = start
-        for kind, _ in edges:
-            if kind == DIAGONAL:
+        for edge in edges:
+            if type(edge) is not tuple or len(edge) != 2:
+                raise DiagramError(f"path edge {edge!r} is not a (kind, index) tuple")
+            if edge[0] == DIAGONAL:
                 idx -= 1
-            elif kind != VERTICAL:
-                raise DiagramError(f"unknown edge kind {kind!r}")
+            elif edge[0] != VERTICAL:
+                raise DiagramError(f"unknown edge kind {edge[0]!r}")
             if idx < 1:
                 raise DiagramError("path walks below vertex 1")
         _set(self, "start", start)
@@ -93,6 +98,8 @@ class ExplicitPath:
         _require_chain(spec, "an explicit path")
         idx = self.start
         for level, (kind, k) in enumerate(self.edges):
+            if type(k) is not int:
+                raise DiagramError(f"edge index {k!r} is not an int at level {level}, vertex {idx}")
             if kind == VERTICAL:
                 mult = spec.vertical_edges(level, idx)
                 if not 1 <= k <= mult:

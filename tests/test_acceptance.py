@@ -33,7 +33,7 @@ from bratteli.extension import (
 from bratteli.finite_stationary import (
     decompose,
     distinguished_classes,
-    distinguished_eigenvector,
+    measures_finite_stationary,
 )
 from bratteli.measure import (
     DIAGONAL,
@@ -228,8 +228,9 @@ def test_criterion_8_finite_stationary():
         got = {frozenset(dec.classes[i]) for i in distinguished_classes(dec)}
         ok = ok and got == set(brute_distinguished(a))
         arr = np.array(a, dtype=float)
-        for alpha in distinguished_classes(dec):
-            data = distinguished_eigenvector(dec, alpha)
+        ms = measures_finite_stationary(a)
+        ok = ok and tuple(m.data.class_index for m in ms) == distinguished_classes(dec)
+        for data in (m.data for m in ms):
             x = np.array(data.xi)
             ok = ok and float(np.max(np.abs(arr @ x - data.rho_mid * x))) <= 1e-10
             pattern_ok = all(

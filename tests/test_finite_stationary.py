@@ -30,7 +30,6 @@ from bratteli.measure import EndVertex
 from bratteli.finite_stationary import (
     decompose,
     distinguished_classes,
-    distinguished_eigenvector,
     measures_finite_stationary,
     spectral_radius,
 )
@@ -382,10 +381,9 @@ def test_tied_and_random_matrices_against_numpy_eigenvalues():
 
 @pytest.mark.parametrize("a", CORPUS)
 def test_eigen_residuals_and_positivity(a):
-    dec = decompose(a)
     arr = np.array(a, dtype=float)
-    for alpha in distinguished_classes(dec):
-        data = distinguished_eigenvector(dec, alpha)
+    for m in measures_finite_stationary(a):
+        data = m.data
         x = np.array(data.xi)
         residual = np.max(np.abs(arr @ x - data.rho_mid * x))
         assert residual <= 1e-10 * max(1.0, np.max(np.abs(x)))
@@ -400,8 +398,8 @@ def test_eigen_residuals_and_positivity(a):
 def test_eigenvector_is_scaled_to_its_class_and_matches_the_null_space(a):
     # xi on the access set is the null vector of rho I - A there, the class's entries summing to 1
     dec = decompose(a)
-    for alpha in distinguished_classes(dec):
-        data = distinguished_eigenvector(dec, alpha)
+    for m in measures_finite_stationary(a):
+        data, alpha = m.data, m.data.class_index
         assert abs(sum(data.xi[v - 1] for v in dec.classes[alpha]) - 1) <= 1e-15
         idx = sorted(v - 1 for v in data.support)
         block = np.array(a, dtype=float)[np.ix_(idx, idx)]
@@ -413,17 +411,18 @@ def test_eigenvector_is_scaled_to_its_class_and_matches_the_null_space(a):
 
 def test_eigen_example_values():
     dec = decompose([[3, 0], [1, 2]])
-    d1 = distinguished_eigenvector(dec, dec.class_of(1))
+    data = {m.data.class_index: m.data for m in measures_finite_stationary([[3, 0], [1, 2]])}
+    d1 = data[dec.class_of(1)]
     ratio = d1.xi[1] / d1.xi[0]
     assert abs(ratio - 1.0) < 1e-9  # x = (1, 1) up to scaling
-    d2 = distinguished_eigenvector(dec, dec.class_of(2))
+    d2 = data[dec.class_of(2)]
     assert d2.xi[0] == 0.0 and d2.xi[1] > 0
 
 
 def test_block_diagonal_indicator_vectors():
-    dec = decompose([[2, 0], [0, 3]])
-    for alpha in range(2):
-        data = distinguished_eigenvector(dec, alpha)
+    ms = measures_finite_stationary([[2, 0], [0, 3]])
+    assert [m.data.class_index for m in ms] == [0, 1]
+    for data in (m.data for m in ms):
         support = [v - 1 for v in data.support]
         assert len(support) == 1
         assert data.xi[support[0]] > 0
@@ -443,12 +442,6 @@ def test_a_perturbed_perron_vector_is_refused_at_every_tol(monkeypatch, a, tol):
         measures_finite_stationary(a, tol)
 
 
-def test_eigenvector_of_a_class_that_is_not_distinguished_is_refused():
-    dec = decompose([[2, 0], [1, 3]])  # {2}, radius 3, reaches {1}, radius 2
-    with pytest.raises(DiagramError, match="class 1 is not distinguished"):
-        distinguished_eigenvector(dec, dec.class_of(1))
-
-
 # -- measures ---------------------------------------------------------------------------
 
 
@@ -461,6 +454,11 @@ def test_measures_per_distinguished_class():
     m = ms[0]
     assert m.cylinder_value(EndVertex(1, 1)) == 0.0
     assert m.cylinder_value(EndVertex(1, 2)) == 1.0  # normalized: level-1 masses sum to 1
+    # the measure holds its class data once: lambda and xi are that data's
+    assert m.lam == m.data.rho_mid and m.xi_raw == m.data.xi
+    assert sum(m.xi_normalized) == 1.0
+    # 0.5 / 2^1024 is a float although 2^1024 is not
+    assert measures_finite_stationary([[1, 1], [1, 1]])[0].cylinder_value(EndVertex(1025, 1)) == 2.0**-1025
 
 
 @pytest.mark.parametrize("vertex", [0, -1, 3])

@@ -53,6 +53,9 @@ OFF_AK42 = ExplicitPath(1, (("v", 1), ("v", 9)))  # ak(4,2) has 4 vertical edges
 CASES = {
     # diagram
     "vertex-index-0": (lambda: VertexId(0, 0), DiagramError, "vertex index must be >= 1"),
+    # a float level once sent the brute-force count into unbounded recursion
+    "vertex-level-a-float": (lambda: VertexId(1.5, 1), DiagramError, "vertex level and index: 1.5 is not an int"),
+    "vertex-index-a-bool": (lambda: VertexId(1, True), DiagramError, "vertex level and index: True is not an int"),
     # a vertex index below 1 would read the base table from its end
     "vertical-edges-vertex-0": (lambda: AK42.vertical_edges(0, 0), DiagramError, "vertex index must be >= 1, not 0"),
     "vertical-edges-vertex-negative": (
@@ -155,6 +158,32 @@ CASES = {
     # measure
     "path-start-0": (lambda: ExplicitPath(0, ()), DiagramError, "path start index must be >= 1"),
     "path-edge-kind": (lambda: ExplicitPath(1, (("z", 1),)), DiagramError, "unknown edge kind 'z'"),
+    "path-start-a-float": (lambda: ExplicitPath(1.5, ()), DiagramError, "path start: 1.5 is not an int"),
+    "path-start-a-bool": (lambda: ExplicitPath(True, ()), DiagramError, "path start: True is not an int"),
+    # a list edge would make the path unhashable
+    "path-edge-a-list": (
+        lambda: ExplicitPath(1, (["v", 1], ["v", 1])), DiagramError, "path edge ['v', 1] is not a (kind, index) tuple"
+    ),
+    "path-edge-without-index": (
+        lambda: ExplicitPath(1, (("v",),)), DiagramError, "path edge ('v',) is not a (kind, index) tuple"
+    ),
+    # a float index once passed as a path no diagram has
+    "path-edge-index-a-float": (
+        lambda: ExplicitPath(1, (("v", 1.5),)).validate(AK42),
+        DiagramError,
+        "edge index 1.5 is not an int at level 0, vertex 1",
+    ),
+    "path-edge-index-a-string": (
+        lambda: ExplicitPath(1, (("v", "1"),)).validate(AK42),
+        DiagramError,
+        "edge index '1' is not an int at level 0, vertex 1",
+    ),
+    "cylinder-index-a-float": (
+        lambda: EndVertex(2, 2.0), DiagramError, "cylinder length and index: 2.0 is not an int"
+    ),
+    "cylinder-length-a-float": (
+        lambda: EndVertex(1.5, 2), DiagramError, "cylinder length and index: 1.5 is not an int"
+    ),
     "vector-table-gap": (
         lambda: MeasureVectors.from_table({0: {1: 1}, 2: {1: 1}}),
         DiagramError,

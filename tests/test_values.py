@@ -75,7 +75,7 @@ SAMPLES = {
     "ComparisonReport": ("entries", ((),), None),
     "ClassDecomposition": ("matrix classes reduced_edges", (((3, 0), (1, 2)), ((1,), (2,)), ((1, 0),)), None),
     "DistinguishedData": ("class_index rho xi support", (0, (3.0, 3.0), (1.0, 0.0), frozenset({1})), None),
-    "FiniteStationaryMeasure": ("data lam xi_normalized xi_raw", (DATA, 3.0, (1.0, 0.0), (1.0, 0.0)), None),
+    "FiniteStationaryMeasure": ("data", (DATA,), None),
 }
 
 # chain spelling -> (sample arguments, arguments it rejects or None); each is checked as the
